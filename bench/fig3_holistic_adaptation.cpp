@@ -10,7 +10,12 @@
 // Metrics: completed tasks, brown-out aborts, deadline misses, useful
 // energy per harvested joule.
 //
-// The 3 systems x 3 harvest seeds = 9 independent simulations run as one
+// A harvest dead-spell — the regime that separates the policies — hits
+// only a few traces, so the claim is read from totals over 16 harvest
+// seeds rather than from one lucky trace, and the run fails if the totals
+// stop showing it.
+//
+// The 3 systems x 16 harvest seeds = 48 independent simulations run as one
 // exp::Workbench grid over typed {system, seed} parameters (each
 // scenario on its own kernel, power chain declared as an
 // exp::SupplyConfig); the per-system averages are folded afterwards in
@@ -132,7 +137,9 @@ static int run_fig3(const emc::repro::RunContext& ctx) {
   exp::Workbench wb("fig3_holistic_adaptation");
   wb.threads(ctx.threads);
   wb.grid().over("system", std::vector<int>{0, 1, 2});
-  wb.grid().over("seed", std::vector<int>{11, 22, 33});
+  std::vector<int> seeds;
+  for (int s = 1; s <= 16; ++s) seeds.push_back(s);
+  wb.grid().over("seed", seeds);
   wb.columns({"system", "seed", "completed", "aborted", "useful_uJ"});
 
   std::vector<Outcome> outcomes(wb.grid().size());
@@ -157,12 +164,12 @@ static int run_fig3(const emc::repro::RunContext& ctx) {
   double completed[3] = {0, 0, 0};
   double aborted[3] = {0, 0, 0};
   for (int which = 0; which < 3; ++which) {
-    // Average over the three harvest seeds (scenario order: seeds are
-    // contiguous per system — the grid's "seed" axis varies fastest).
+    // Total over the harvest seeds (scenario order: seeds are contiguous
+    // per system — the grid's "seed" axis varies fastest).
     sched::SchedStats acc;
     double harvested = 0.0;
-    for (std::size_t k = 0; k < 3; ++k) {
-      const Outcome& o = outcomes[which * 3 + k];
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      const Outcome& o = outcomes[which * seeds.size() + k];
       acc.released += o.stats.released;
       acc.completed += o.stats.completed;
       acc.aborted_brownout += o.stats.aborted_brownout;
@@ -186,14 +193,23 @@ static int run_fig3(const emc::repro::RunContext& ctx) {
   std::printf(
       "\nPaper claim (II.B): within the holistic approach, useful energy "
       "consumption is\nmaximized for a given amount of energy produced. "
-      "The energy-blind scheduler (A)\nadmits everything and destroys %.0f "
-      "tasks mid-flight in store collapses; the\nenergy-token policies "
-      "complete a comparable total (%.0f vs %.0f) with zero\nbrown-out "
-      "waste, and the adaptive variant additionally bounds concurrency so "
-      "the\nnode never rides the store into its reserve during harvest "
+      "Over %zu harvest traces the\nenergy-blind scheduler (A) admits "
+      "everything and destroys %.0f tasks mid-flight in\nstore collapses; "
+      "the energy-token policies complete a comparable total (%.0f vs\n"
+      "%.0f) with only %.0f (B) and %.0f (C) brown-out aborts, the adaptive "
+      "variant\nadditionally bounding concurrency during harvest "
       "dead-spells.\n",
-      aborted[0], completed[2], completed[0]);
+      seeds.size(), aborted[0], completed[2], completed[0], aborted[1],
+      aborted[2]);
   ctx.add_stats(report.kernel_stats);
+  // The claim is the figure: fail the run when the totals stop showing it.
+  if (!(aborted[0] > 10.0 * aborted[1] && aborted[0] > 10.0 * aborted[2])) {
+    std::fprintf(stderr,
+                 "fig3: claim not reproduced: aborts A %.0f, B %.0f, C %.0f "
+                 "(A must exceed 10x each)\n",
+                 aborted[0], aborted[1], aborted[2]);
+    return 1;
+  }
   return 0;
 }
 

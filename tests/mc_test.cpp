@@ -47,6 +47,27 @@ TEST(SeedStream, KeyedRngReproduces) {
   EXPECT_NE(sim::Rng::keyed(9, 3).uniform(), c.uniform());
 }
 
+TEST(SeedStream, AdjacentStreamsAreUncorrelated) {
+  // Per-instance streams differ only in their stream id; their first
+  // draws must not track each other.
+  constexpr int kIds = 100000;
+  double sx = 0.0, sy = 0.0, sxx = 0.0, syy = 0.0, sxy = 0.0;
+  for (int i = 0; i < kIds; ++i) {
+    const double x = sim::Rng::keyed(2026, i).uniform();
+    const double y = sim::Rng::keyed(2026, i + 1).uniform();
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    syy += y * y;
+    sxy += x * y;
+  }
+  const double n = kIds;
+  const double cov = sxy / n - (sx / n) * (sy / n);
+  const double corr = cov / std::sqrt((sxx / n - (sx / n) * (sx / n)) *
+                                      (syy / n - (sy / n) * (sy / n)));
+  EXPECT_LT(std::abs(corr), 0.01);
+}
+
 // ---- variation sampling ----------------------------------------------------
 
 TEST(Variation, SamplesAreOrderIndependent) {

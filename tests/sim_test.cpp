@@ -1,8 +1,12 @@
 // Kernel, event queue, signal and trace unit tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <functional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -410,6 +414,124 @@ TEST(Rng, ExponentialMeanRoughlyCorrect) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += rng.exponential_mean(2.0);
   EXPECT_NEAR(sum / n, 2.0, 0.1);
+}
+
+// Integer and uniform draws are pure integer arithmetic, so these
+// literals must hold bit-exactly on any compiler and standard library.
+TEST(Rng, GoldenValues) {
+  const double u42[8] = {0.74156487877182331, 0.1599103928769201,
+                         0.27860113025513866, 0.34419071652363753,
+                         0.038030168540246212, 0.86822807654653233,
+                         0.21840519371218436, 0.80063187671350333};
+  const std::uint64_t i42[8] = {741, 159, 278, 344, 38, 868, 218, 800};
+  const double uk[8] = {0.73248428950295297, 0.68459857665624591,
+                        0.90168732640485483, 0.58413750786820351,
+                        0.042030709517214881, 0.11792748162493905,
+                        0.52459900236953938, 0.40409199479109981};
+  const std::uint64_t ik[8] = {732, 684, 901, 584, 42, 117, 524, 404};
+  Rng a(42), b(42), c = Rng::keyed(2026, 7), d = Rng::keyed(2026, 7);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(a.uniform(), u42[i]);
+    EXPECT_EQ(b.index(1000), i42[i]);
+    EXPECT_EQ(c.uniform(), uk[i]);
+    EXPECT_EQ(d.index(1000), ik[i]);
+  }
+  // Rng(seed) is the reference SplitMix64 sequence: its published test
+  // vector for seed 1234567, through the top-53-bit uniform transform.
+  Rng ref(1234567);
+  for (std::uint64_t want : {6457827717110365317ULL, 3203168211198807973ULL,
+                             9817491932198370423ULL}) {
+    EXPECT_EQ(ref.uniform(), double(want >> 11) * 0x1.0p-53);
+  }
+}
+
+constexpr int kDraws = 1000000;
+
+// Kolmogorov–Smirnov distance between the sample and `cdf`.
+template <class Cdf>
+double ks_distance(std::vector<double> xs, Cdf cdf) {
+  std::sort(xs.begin(), xs.end());
+  const double n = double(xs.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double f = cdf(xs[i]);
+    d = std::max({d, f - double(i) / n, double(i + 1) / n - f});
+  }
+  return d;
+}
+
+// Checks mean, variance and the KS distance (critical value at
+// alpha = 0.001) of kDraws samples against the named distribution.
+template <class Draw, class Cdf>
+void expect_distribution(Draw draw, Cdf cdf, double mean, double var) {
+  std::vector<double> xs(kDraws);
+  double sum = 0.0, sum_sq = 0.0;
+  for (auto& x : xs) {
+    x = draw();
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double m = sum / kDraws;
+  const double v = sum_sq / kDraws - m * m;
+  EXPECT_NEAR(m, mean, 5.0 * std::sqrt(var / kDraws));
+  EXPECT_NEAR(v, var, 0.01 * var);
+  EXPECT_LT(ks_distance(std::move(xs), cdf), 1.95 / std::sqrt(double(kDraws)));
+}
+
+TEST(Rng, UniformMomentsAndKs) {
+  Rng rng(101);
+  expect_distribution([&] { return rng.uniform(); },
+                      [](double x) { return x; }, 0.5, 1.0 / 12.0);
+  Rng ranged(102);
+  expect_distribution([&] { return ranged.uniform(-1.0, 3.0); },
+                      [](double x) { return (x + 1.0) / 4.0; }, 1.0,
+                      16.0 / 12.0);
+}
+
+TEST(Rng, GaussianMomentsAndKs) {
+  Rng rng(103);
+  expect_distribution(
+      [&] { return rng.gaussian(1.0, 2.0); },
+      [](double x) { return 0.5 * std::erfc(-(x - 1.0) / (2.0 * std::sqrt(2.0))); },
+      1.0, 4.0);
+}
+
+TEST(Rng, ExponentialMomentsAndKs) {
+  Rng rng(104);
+  expect_distribution([&] { return rng.exponential_mean(2.0); },
+                      [](double x) { return 1.0 - std::exp(-x / 2.0); }, 2.0,
+                      4.0);
+}
+
+TEST(Rng, IndexIsUnbiased) {
+  // Chi-square against uniform counts; thresholds are the 0.999
+  // quantiles for n - 1 degrees of freedom.
+  const std::pair<std::uint64_t, double> cases[] = {{3, 13.82}, {1000, 1143.0}};
+  for (const auto& [n, limit] : cases) {
+    Rng rng(105 + n);
+    std::vector<double> counts(n, 0.0);
+    for (int i = 0; i < kDraws; ++i) {
+      const std::uint64_t k = rng.index(n);
+      ASSERT_LT(k, n);
+      counts[k] += 1.0;
+    }
+    const double expect = double(kDraws) / double(n);
+    double chi2 = 0.0;
+    for (double c : counts) chi2 += (c - expect) * (c - expect) / expect;
+    EXPECT_LT(chi2, limit) << "n = " << n;
+  }
+  Rng one(7);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(one.index(1), 0u);
+}
+
+TEST(Rng, CopyReplaysIncludingCachedSpare) {
+  Rng a(9);
+  a.gaussian(0.0, 1.0);  // leaves the pair's second normal cached
+  Rng b = a;
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(a.gaussian(0.0, 1.0), b.gaussian(0.0, 1.0));
+    EXPECT_EQ(a.uniform(), b.uniform());
+  }
 }
 
 // --- allocation-free listener dispatch ---------------------------------
