@@ -117,14 +117,9 @@ class Rng {
     return splitmix64(key_ + 0x9e3779b97f4a7c15ULL * counter_++);
   }
 
-  /// High 64 bits of the 128-bit product a·b, in portable 32-bit limbs.
+  /// High 64 bits of the 128-bit product a·b.
   static constexpr std::uint64_t mulhi(std::uint64_t a, std::uint64_t b) {
-    const std::uint64_t a_lo = a & 0xffffffffULL, a_hi = a >> 32;
-    const std::uint64_t b_lo = b & 0xffffffffULL, b_hi = b >> 32;
-    const std::uint64_t lo_hi = a_lo * b_hi, hi_lo = a_hi * b_lo;
-    const std::uint64_t mid = ((a_lo * b_lo) >> 32) +
-                              (lo_hi & 0xffffffffULL) + (hi_lo & 0xffffffffULL);
-    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32);
+    return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) * b >> 64);
   }
 
   std::uint64_t key_;
