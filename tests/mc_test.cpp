@@ -110,6 +110,41 @@ TEST(Variation, LocalSpreadMatchesSigma) {
   EXPECT_NEAR(stddev, sigma, sigma * 0.1);
 }
 
+TEST(Variation, SampleDrawsAreIndependentStandardNormals) {
+  // sample() turns one Box–Muller pair into (vth, strength). With unit
+  // Vth sigma and a strength sigma too small to reach the 0.1 floor, both
+  // raw draws are recoverable: each must be N(0, 1) in its first four
+  // moments, and the two must be uncorrelated.
+  constexpr double kStrengthSigma = 0.01;
+  const device::VariationSampler s(
+      device::Variation::local(1.0, kStrengthSigma), 2026);
+  constexpr int kIds = 200000;
+  double m[2][4] = {};
+  double cross = 0.0;
+  for (int i = 0; i < kIds; ++i) {
+    const device::DeviceSample d = s.sample(static_cast<std::uint64_t>(i));
+    const double z[2] = {d.vth_offset, (d.strength - 1.0) / kStrengthSigma};
+    for (int k = 0; k < 2; ++k) {
+      const double z2 = z[k] * z[k];
+      m[k][0] += z[k];
+      m[k][1] += z2;
+      m[k][2] += z2 * z[k];
+      m[k][3] += z2 * z2;
+    }
+    cross += z[0] * z[1];
+  }
+  const double n = kIds;
+  // Tolerances are about 4 standard errors of each raw moment at n draws
+  // (their variances are 1, 2, 15 and 96 for a standard normal).
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_NEAR(m[k][0] / n, 0.0, 4.0 * std::sqrt(1.0 / n)) << "draw " << k;
+    EXPECT_NEAR(m[k][1] / n, 1.0, 4.0 * std::sqrt(2.0 / n)) << "draw " << k;
+    EXPECT_NEAR(m[k][2] / n, 0.0, 4.0 * std::sqrt(15.0 / n)) << "draw " << k;
+    EXPECT_NEAR(m[k][3] / n, 3.0, 4.0 * std::sqrt(96.0 / n)) << "draw " << k;
+  }
+  EXPECT_NEAR(cross / n, 0.0, 4.0 * std::sqrt(1.0 / n));
+}
+
 TEST(Variation, WorstVthIsMaxOfWindow) {
   const device::VariationSampler s(device::Variation::local(0.02), 55);
   double expect = -1.0;
