@@ -27,8 +27,10 @@ namespace {
 
 using namespace emc;
 
-std::optional<sensor::RefFreeReading> read_at(double vdd, int seed = 0,
-                                              double sigma = 0.0) {
+// One reading on a fresh kernel; its execution stats fold into `ctx`.
+std::optional<sensor::RefFreeReading> read_at(
+    const repro::RunContext& ctx, double vdd, int seed = 0,
+    double sigma = 0.0) {
   auto ex = exp::ContextConfig::battery(vdd).build();
   sensor::RefFreeParams p;
   sim::Rng rng(seed == 0 ? 1 : seed);
@@ -41,6 +43,7 @@ std::optional<sensor::RefFreeReading> read_at(double vdd, int seed = 0,
   std::optional<sensor::RefFreeReading> out;
   sensor.measure([&](const sensor::RefFreeReading& r) { out = r; });
   ex.kernel().run_until(sim::ms(40));
+  ctx.add_stats(ex.kernel().stats());
   return out;
 }
 
@@ -55,7 +58,6 @@ std::vector<double> stepped(double lo, double hi, double step) {
 }  // namespace
 
 static int run_fig12(const emc::repro::RunContext& ctx) {
-  (void)ctx;  // serial single-kernel readings; nothing to parallelize
   analysis::print_banner(
       "Fig. 12 — reference-free voltage sensor (SRAM vs inverter-chain race)");
 
@@ -68,7 +70,7 @@ static int run_fig12(const emc::repro::RunContext& ctx) {
   double prev_code = 0.0, prev_v = 0.0;
   for (const auto& p : cal_grid.build()) {
     const double v = p.get<double>("vdd");
-    const auto r = read_at(v);
+    const auto r = read_at(ctx, v);
     if (!r || !r->valid) {
       table.add_row({analysis::Table::num(v), "(not sensable)", "-"});
       continue;
@@ -92,7 +94,7 @@ static int run_fig12(const emc::repro::RunContext& ctx) {
   std::vector<std::pair<double, double>> verification;
   for (const auto& p : verify_grid.build()) {
     const double v = p.get<double>("vdd");
-    const auto r = read_at(v);
+    const auto r = read_at(ctx, v);
     if (r && r->valid) verification.emplace_back(double(r->code), v);
   }
   const auto rep = sensor::evaluate_accuracy(table_lut, verification);
@@ -103,14 +105,14 @@ static int run_fig12(const emc::repro::RunContext& ctx) {
   analysis::print_anchor("sensor accuracy (mean abs)", 0.010,
                          rep.mean_abs_error_v, "V");
   analysis::print_anchor("code at 1.0 V (Fig. 5 ratio)", 50.0,
-                         double(read_at(1.0)->code), "taps");
+                         double(read_at(ctx, 1.0)->code), "taps");
   analysis::print_anchor("code at 0.19 V (Fig. 5 ratio)", 158.0,
-                         double(read_at(0.19)->code), "taps");
+                         double(read_at(ctx, 0.19)->code), "taps");
 
   // Monte-Carlo mismatch: 10 mV sigma on ruler + cell.
   analysis::Accumulator spread;
   for (int seed = 1; seed <= 10; ++seed) {
-    const auto r = read_at(0.5, seed, 0.010);
+    const auto r = read_at(ctx, 0.5, seed, 0.010);
     if (r && r->valid) spread.add(double(r->code));
   }
   std::printf(

@@ -21,10 +21,9 @@
 // the handshake sink at a quarter of the rate — one environment, three
 // correlated fault processes, all drawn from counter-based streams.
 //
-// Determinism contract: byte-identical CSVs at any EMC_SWEEP_THREADS
-// and under both EMC_EVENT_QUEUE=heap and =ladder — the FaultPlan
-// schedule is pure in (trial_seed, stream) and the kernel dispatches
-// identically on both queue structures.
+// Determinism contract: byte-identical CSVs at any EMC_SWEEP_THREADS —
+// the FaultPlan schedule is pure in (trial_seed, stream) and the kernel
+// dispatches same-time events in schedule order.
 #include <cstdio>
 #include <string>
 

@@ -1,6 +1,6 @@
 // Core performance suite — the numbers that bound experiment scale.
 //
-// Measures the five hot paths every paper experiment sits on and writes
+// Measures the hot paths every paper experiment sits on and writes
 // a machine-readable BENCH_core.json so each PR is held to the recorded
 // trajectory:
 //   * kernel_events      — raw event schedule/dispatch throughput
@@ -9,16 +9,9 @@
 //                          model + supply draw + energy meter
 //   * sram_ops           — speed-independent SRAM write transactions
 //   * sweep_throughput   — sweep events/s via summed Kernel::Stats
-//   * queue_{uniform,monotone,cancel}_{heap,ladder}
-//                        — hold-model shape benches pinning each
-//                          priority structure's envelope (see below)
-//   * sweep_dispatch_raw — per-scenario dispatch cost of the raw
-//                          SweepRunner (trivial bodies, 1 thread)
-//   * workbench_overhead — the same trivial sweep through the full
-//                          exp::Workbench façade (grid + ParamSet +
-//                          named columns); rate parity with
-//                          sweep_dispatch_raw is the proof the façade
-//                          adds no measurable per-scenario cost
+//   * queue_{uniform,monotone,cancel}_heap
+//                        — hold-model shape benches pinning the event
+//                          queue's envelope (see below)
 //
 // No google-benchmark dependency: a minimal best-of-N timer harness is
 // all these throughput numbers need, and it keeps the bench buildable in
@@ -51,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/sweep_runner.hpp"
 #include "async/counter.hpp"
 #include "device/delay_model.hpp"
 #include "exp/context_config.hpp"
@@ -102,7 +94,7 @@ BenchResult run_bench(const std::string& name, const std::string& unit,
   return r;
 }
 
-// --- the five benches ---------------------------------------------------
+// --- the component benches ---------------------------------------------------
 
 BenchResult bench_kernel_events(bool smoke) {
   const int rounds = smoke ? 10 : 200;
@@ -193,114 +185,24 @@ BenchResult bench_sweep_throughput(bool smoke) {
       });
 }
 
-// The façade-overhead pair: the same minimal scenario — a kernel firing
-// a burst of trivial events, the smallest body any real sweep runs —
-// dispatched through the raw SweepRunner and through the full Workbench
-// façade. Both sides use the kernel-reuse path (worker-local state,
-// reset/rebind per scenario instead of fresh elaboration), so the
-// numbers measure steady-state per-scenario dispatch cost: the raw side
-// is SweepRunner::run_workers + Kernel::reset(), the façade side is
-// Workbench::run_reusing + Experiment::rebind() (grid, typed ParamSet
-// access, named-column rows, supply re-elaboration). Single-threaded so
-// the per-scenario cost is not hidden by the pool.
-constexpr std::uint64_t kDispatchBodyEvents = 64;
-
-std::uint64_t dispatch_body_events(sim::Kernel& kernel) {
-  kernel.reset();
-  std::uint64_t fired = 0;
-  for (std::uint64_t i = 0; i < kDispatchBodyEvents; ++i) {
-    kernel.schedule(static_cast<sim::Time>(i % 7 + 1), [&fired] { ++fired; });
-  }
-  kernel.run();
-  return fired;
-}
-
-BenchResult bench_sweep_dispatch_raw(bool smoke, std::size_t n) {
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) values[i] = 0.15 + 1e-6 * double(i);
-  // Scenario labels are sweep *input*, not dispatch work — built once
-  // outside the timed region (the Workbench side keeps its grid
-  // materialization inside, because that IS part of the façade's cost).
-  const auto scenarios = analysis::scenarios_over("x", values);
-  // Worker-local scratch kernels: elaborated once, reset per scenario —
-  // the reuse pattern run_workers exists for.
-  std::vector<std::unique_ptr<sim::Kernel>> kernels;
-  return run_bench(
-      "sweep_dispatch_raw", "scenarios/s", smoke ? 3 : 5,
-      [&scenarios, &kernels, n] {
-        analysis::SweepRunner::Options opt;
-        opt.threads = 1;
-        opt.chunk = 64;  // tiny uniform scenarios: claim them coarsely
-        analysis::SweepRunner runner({"x", "fired"}, opt);
-        kernels.resize(runner.threads_for(scenarios.size()));
-        auto report = runner.run_workers(
-            scenarios,
-            [&kernels](const analysis::Scenario& s, std::size_t, unsigned w) {
-              if (!kernels[w]) kernels[w] = std::make_unique<sim::Kernel>();
-              analysis::ScenarioOutput out;
-              out.rows.emplace_back();
-              auto& row = out.rows.back();
-              row.reserve(2);
-              row.push_back(s.label);
-              row.push_back(std::to_string(dispatch_body_events(*kernels[w])));
-              return out;
-            });
-        // Sink the materialized table's size, not its CSV serialization —
-        // stringifying 20k rows is I/O-path work, not dispatch cost, and
-        // it would dilute both sides of the facade/raw ratio equally.
-        g_sink = double(report.table.row_count());
-        return static_cast<std::uint64_t>(n);
-      });
-}
-
-BenchResult bench_workbench_overhead(bool smoke, std::size_t n) {
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) values[i] = 0.15 + 1e-6 * double(i);
-  return run_bench(
-      "workbench_overhead", "scenarios/s", smoke ? 3 : 5, [&values, n] {
-        exp::Workbench wb("workbench_overhead");
-        wb.threads(1);
-        wb.grid().over("x", values);
-        wb.columns({"x", "fired"});
-        const auto& report = wb.run_reusing(
-            [](const exp::ParamSet&) {
-              return exp::ContextConfig::battery(1.0).meter(false);
-            },
-            [](exp::Experiment& ex, const exp::ParamSet&,
-               exp::Recorder& rec) {
-              rec.row()
-                  .set("x", rec.label())
-                  .set("fired", dispatch_body_events(ex.kernel()));
-            });
-        // Sink the materialized table's size, not its CSV serialization —
-        // stringifying 20k rows is I/O-path work, not dispatch cost, and
-        // it would dilute both sides of the facade/raw ratio equally.
-        g_sink = double(report.table.row_count());
-        return static_cast<std::uint64_t>(n);
-      });
-}
-
 // --- queue-shape microbenches -------------------------------------------
 //
 // The classic "hold" model isolates the priority structure: keep the
 // queue at a fixed depth, and per operation pop the earliest event and
 // schedule a replacement whose offset is drawn from the shape's
-// distribution. Three shapes bound the structures' envelope:
-//   * uniform — offsets spread over a wide horizon; the heap's home
-//     turf (log-depth sifts, no order to exploit), the ladder's
-//     bucket-spread case.
+// distribution. Three shapes bound the queue's envelope:
+//   * uniform — offsets spread over a wide horizon (log-depth sifts, no
+//     order to exploit).
 //   * monotone — offsets within a few ticks (oscillators, handshake
-//     rings); near-sorted inserts, the ladder's design case.
+//     rings); near-sorted inserts.
 //   * cancel — every op also schedules a far-future watchdog and
 //     cancels it; stale entries accumulate until compaction, the
 //     pattern that used to grow queues without bound.
-// Each shape runs on both structures so the JSON records the envelope
-// per structure, not a blended average.
 
 enum class QueueShape { kUniform, kMonotone, kCancel };
 
-std::uint64_t queue_hold_ops(sim::QueueKind kind, QueueShape shape,
-                             std::size_t depth, std::uint64_t ops) {
+std::uint64_t queue_hold_ops(QueueShape shape, std::size_t depth,
+                             std::uint64_t ops) {
   // Deterministic xorshift: the same schedule every batch, every run.
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   auto rnd = [&state] {
@@ -311,7 +213,7 @@ std::uint64_t queue_hold_ops(sim::QueueKind kind, QueueShape shape,
   };
   const std::uint64_t span =
       shape == QueueShape::kMonotone ? 16 : 1'000'000;
-  sim::EventQueue q(kind);
+  sim::EventQueue q;
   sim::Time now = 0;
   for (std::size_t i = 0; i < depth; ++i) {
     q.schedule(1 + rnd() % span, [] {});
@@ -335,12 +237,11 @@ std::uint64_t queue_hold_ops(sim::QueueKind kind, QueueShape shape,
   return fired;
 }
 
-BenchResult bench_queue_shape(const char* name, sim::QueueKind kind,
-                              QueueShape shape, bool smoke) {
+BenchResult bench_queue_shape(const char* name, QueueShape shape, bool smoke) {
   const std::size_t depth = 4096;
   const std::uint64_t ops = smoke ? 100'000 : 2'000'000;
-  return run_bench(name, "ops/s", smoke ? 3 : 5, [kind, shape, depth, ops] {
-    g_sink = double(queue_hold_ops(kind, shape, depth, ops));
+  return run_bench(name, "ops/s", smoke ? 3 : 5, [shape, depth, ops] {
+    g_sink = double(queue_hold_ops(shape, depth, ops));
     return ops;
   });
 }
@@ -396,27 +297,12 @@ std::vector<BenchResult> run_suite(bool smoke) {
   results.push_back(bench_gate_oscillator(smoke));
   results.push_back(bench_sram_ops(smoke));
   results.push_back(bench_sweep_throughput(smoke));
-  results.push_back(bench_queue_shape("queue_uniform_heap",
-                                      sim::QueueKind::kBinaryHeap,
-                                      QueueShape::kUniform, smoke));
-  results.push_back(bench_queue_shape("queue_uniform_ladder",
-                                      sim::QueueKind::kLadder,
-                                      QueueShape::kUniform, smoke));
-  results.push_back(bench_queue_shape("queue_monotone_heap",
-                                      sim::QueueKind::kBinaryHeap,
-                                      QueueShape::kMonotone, smoke));
-  results.push_back(bench_queue_shape("queue_monotone_ladder",
-                                      sim::QueueKind::kLadder,
-                                      QueueShape::kMonotone, smoke));
-  results.push_back(bench_queue_shape("queue_cancel_heap",
-                                      sim::QueueKind::kBinaryHeap,
-                                      QueueShape::kCancel, smoke));
-  results.push_back(bench_queue_shape("queue_cancel_ladder",
-                                      sim::QueueKind::kLadder,
-                                      QueueShape::kCancel, smoke));
-  const std::size_t dispatch_n = smoke ? 2'000 : 20'000;
-  results.push_back(bench_sweep_dispatch_raw(smoke, dispatch_n));
-  results.push_back(bench_workbench_overhead(smoke, dispatch_n));
+  results.push_back(
+      bench_queue_shape("queue_uniform_heap", QueueShape::kUniform, smoke));
+  results.push_back(
+      bench_queue_shape("queue_monotone_heap", QueueShape::kMonotone, smoke));
+  results.push_back(
+      bench_queue_shape("queue_cancel_heap", QueueShape::kCancel, smoke));
   return results;
 }
 
@@ -480,15 +366,6 @@ int main(int argc, char** argv) {
     for (const auto& r : results) {
       std::printf("  %-21s %12.3e %s\n", r.name.c_str(), r.rate,
                   r.unit.c_str());
-    }
-  }
-  {
-    const double raw = results[results.size() - 2].rate;
-    const double facade = results.back().rate;
-    if (raw > 0.0 && facade > 0.0) {
-      std::printf("  %-21s facade/raw dispatch rate: %.2fx "
-                  "(1.0 = free facade)\n",
-                  "", facade / raw);
     }
   }
 

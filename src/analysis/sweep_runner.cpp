@@ -12,16 +12,6 @@
 
 namespace emc::analysis {
 
-std::vector<Scenario> scenarios_over(const std::string& name,
-                                     const std::vector<double>& values) {
-  std::vector<Scenario> out;
-  out.reserve(values.size());
-  for (double v : values) {
-    out.push_back(Scenario{name + "=" + Table::num(v)});
-  }
-  return out;
-}
-
 bool SweepReport::write_csv(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
@@ -61,49 +51,30 @@ unsigned SweepRunner::resolve_threads(unsigned requested) {
   return hw > 0 ? hw : 1;
 }
 
-unsigned SweepRunner::threads_for(std::size_t n) const {
-  const unsigned t = resolve_threads(opt_.threads);
-  return static_cast<unsigned>(
-      std::min<std::size_t>(t, std::max<std::size_t>(n, 1)));
-}
-
-void SweepRunner::for_indexed_workers(
-    std::size_t n, unsigned threads,
-    const std::function<void(std::size_t, unsigned)>& fn, std::size_t chunk) {
+void SweepRunner::for_indexed(std::size_t n, unsigned threads,
+                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (chunk == 0) chunk = 1;
   threads = static_cast<unsigned>(
       std::min<std::size_t>(std::max(threads, 1u), n));
 
-  // Failures must not depend on scheduling: every index runs to
-  // completion (or records its exception), then the lowest-index
-  // exception is rethrown — same winner at any thread count.
   std::vector<std::exception_ptr> errors(n);
-
   std::atomic<std::size_t> next{0};
-  auto worker = [&](unsigned worker_id) {
-    for (;;) {
-      const std::size_t begin = next.fetch_add(chunk);
-      if (begin >= n) return;
-      const std::size_t end = std::min(begin + chunk, n);
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          fn(i, worker_id);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
+  auto worker = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
       }
     }
   };
 
   if (threads == 1) {
-    // Serial path: run inline, no pool. This is the reference ordering
-    // the determinism test compares against.
-    worker(0);
+    worker();  // serial path: run inline, no pool
   } else {
     std::vector<std::thread> pool;
     pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
 
@@ -115,10 +86,8 @@ void SweepRunner::for_indexed_workers(
 void SweepRunner::for_indexed_streaming(
     std::size_t n, unsigned threads,
     const std::function<ScenarioOutput(std::size_t)>& produce,
-    const std::function<void(std::size_t, ScenarioOutput&&)>& consume,
-    std::size_t chunk) {
+    const std::function<void(std::size_t, ScenarioOutput&&)>& consume) {
   if (n == 0) return;
-  if (chunk == 0) chunk = 1;
   threads =
       static_cast<unsigned>(std::min<std::size_t>(std::max(threads, 1u), n));
 
@@ -148,7 +117,7 @@ void SweepRunner::for_indexed_streaming(
   // in-flight output count (and so the memory footprint) is bounded by
   // window + threads regardless of n.
   const std::size_t window =
-      std::max<std::size_t>(static_cast<std::size_t>(threads) * chunk * 4, 64);
+      std::max<std::size_t>(static_cast<std::size_t>(threads) * 4, 64);
 
   std::mutex mu;
   std::condition_variable space_cv;  // producers wait for window room
@@ -162,29 +131,23 @@ void SweepRunner::for_indexed_streaming(
 
   std::atomic<std::size_t> next{0};
   auto worker = [&]() {
-    for (;;) {
-      const std::size_t begin = next.fetch_add(chunk);
-      if (begin >= n) return;
-      const std::size_t end = std::min(begin + chunk, n);
-      for (std::size_t i = begin; i < end; ++i) {
-        {
-          std::unique_lock<std::mutex> lk(mu);
-          space_cv.wait(
-              lk, [&] { return aborted || i < next_deliver + window; });
-          if (aborted) return;
-        }
-        std::optional<ScenarioOutput> out;
-        try {
-          out.emplace(produce(i));
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          ready.emplace(i, std::move(out));
-        }
-        ready_cv.notify_one();
+    for (std::size_t i = next++; i < n; i = next++) {
+      {
+        std::unique_lock<std::mutex> lk(mu);
+        space_cv.wait(lk, [&] { return aborted || i < next_deliver + window; });
+        if (aborted) return;
       }
+      std::optional<ScenarioOutput> out;
+      try {
+        out.emplace(produce(i));
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        ready.emplace(i, std::move(out));
+      }
+      ready_cv.notify_one();
     }
   };
 
@@ -225,47 +188,15 @@ void SweepRunner::for_indexed_streaming(
   }
 }
 
-void SweepRunner::for_indexed(std::size_t n, unsigned threads,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t chunk) {
-  for_indexed_workers(
-      n, threads, [&](std::size_t i, unsigned) { fn(i); }, chunk);
-}
-
-SweepReport SweepRunner::run_workers(const std::vector<Scenario>& scenarios,
-                                     const WorkerBody& body) const {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const unsigned threads = threads_for(scenarios.size());
-
-  std::vector<ScenarioOutput> outputs(scenarios.size());
-  for_indexed_workers(
-      scenarios.size(), threads,
-      [&](std::size_t i, unsigned w) { outputs[i] = body(scenarios[i], i, w); },
-      opt_.chunk);
-
-  SweepReport report;
-  report.table = Table(headers_);
-  report.scenarios = scenarios.size();
-  report.threads = threads;
-  for (auto& out : outputs) {
-    for (auto& row : out.rows) report.table.add_row(std::move(row));
-    report.kernel_stats += out.stats;
-  }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return report;
-}
-
 SweepReport SweepRunner::run_streaming(
     std::size_t n, const std::function<ScenarioOutput(std::size_t)>& produce,
     const std::function<void(std::size_t, ScenarioOutput&&)>& consume) const {
   const auto wall_start = std::chrono::steady_clock::now();
-  const unsigned threads = threads_for(n);
+  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
+      resolve_threads(opt_.threads), std::max<std::size_t>(n, 1)));
 
   SweepReport report;
-  report.table = Table(headers_);  // headers only: rows stream through
+  report.table = Table(headers_);
   report.scenarios = n;
   report.threads = threads;
   for_indexed_streaming(
@@ -273,20 +204,12 @@ SweepReport SweepRunner::run_streaming(
       [&](std::size_t i, ScenarioOutput&& out) {
         report.kernel_stats += out.stats;
         consume(i, std::move(out));
-      },
-      opt_.chunk);
+      });
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
   return report;
-}
-
-SweepReport SweepRunner::run(const std::vector<Scenario>& scenarios,
-                             const Body& body) const {
-  return run_workers(
-      scenarios,
-      [&](const Scenario& s, std::size_t i, unsigned) { return body(s, i); });
 }
 
 }  // namespace emc::analysis

@@ -10,7 +10,9 @@
 // scenarios never share a kernel, and results are emitted in scenario
 // order regardless of thread count or completion order. A sweep run with
 // EMC_SWEEP_THREADS=1 and EMC_SWEEP_THREADS=N produces byte-identical
-// tables and CSV (enforced by tests/sweep_runner_test.cpp).
+// tables and CSV (enforced by tests/sweep_runner_test.cpp). Scenarios
+// are enumerated lazily and delivered through a bounded reorder window,
+// so memory stays O(threads) however long the sweep.
 #pragma once
 
 #include <atomic>
@@ -28,20 +30,6 @@
 #include "sim/kernel.hpp"
 
 namespace emc::analysis {
-
-/// One point of a parameter sweep: the reporting label. Bodies carry
-/// their operating point as a typed exp::ParamSet through exp::Workbench
-/// (or, on the raw runner, in caller-owned storage indexed by the
-/// scenario index the body receives) — the old positional `params`
-/// doubles are gone.
-struct Scenario {
-  std::string label;
-};
-
-/// One labeled scenario per value ("name=value"); the values themselves
-/// live with the caller, indexed by scenario position.
-std::vector<Scenario> scenarios_over(const std::string& name,
-                                     const std::vector<double>& values);
 
 /// What a scenario body hands back: zero or more table rows plus the
 /// kernel's execution stats (so the sweep can report total throughput).
@@ -74,85 +62,29 @@ class SweepRunner {
     /// Worker threads. 0 = take EMC_SWEEP_THREADS from the environment,
     /// falling back to std::thread::hardware_concurrency().
     unsigned threads = 0;
-    /// Scenarios claimed per atomic grab. 1 = finest-grained stealing
-    /// (best for scenarios with very uneven cost, the common case here);
-    /// raise it when scenarios are tiny and uniform.
-    std::size_t chunk = 1;
   };
 
   explicit SweepRunner(std::vector<std::string> headers)
       : SweepRunner(std::move(headers), Options()) {}
   SweepRunner(std::vector<std::string> headers, Options opt);
 
-  /// Scenario body: receives the scenario and its index in the scenarios
-  /// vector. The index lets a body deposit typed results into a
-  /// pre-sized side vector (one writer per slot, joined before any read)
-  /// when it needs more than table rows.
-  using Body = std::function<ScenarioOutput(const Scenario&, std::size_t)>;
-
-  /// Run `body` once per scenario across the worker pool and collect the
-  /// rows, in scenario order, into a report.
-  SweepReport run(const std::vector<Scenario>& scenarios,
-                  const Body& body) const;
-
-  /// Worker-aware scenario body: additionally receives the id of the
-  /// worker thread executing it, in [0, threads). Bodies use it to
-  /// index per-worker reusable state (a scratch Kernel or Experiment
-  /// elaborated once and rebound per scenario) — the state is touched
-  /// by one thread at a time, and as long as it is fully reset between
-  /// scenarios, results are independent of which worker ran what, so
-  /// the byte-identical-at-any-thread-count contract holds unchanged.
-  using WorkerBody =
-      std::function<ScenarioOutput(const Scenario&, std::size_t, unsigned)>;
-
-  /// run() with a worker-aware body. `threads()` tells the caller how
-  /// many worker slots to provision for a given scenario count.
-  SweepReport run_workers(const std::vector<Scenario>& scenarios,
-                          const WorkerBody& body) const;
-
-  /// Threads a sweep of `n` scenarios will actually use.
-  unsigned threads_for(std::size_t n) const;
-
   /// Resolve a thread request against EMC_SWEEP_THREADS / the hardware.
   static unsigned resolve_threads(unsigned requested);
 
-  /// Deterministically-ordered parallel map: fn(i) for i in [0, n), with
-  /// results delivered in index order. The building block under run();
-  /// exposed for benches that need typed per-scenario results beyond
-  /// table rows. fn must not touch state shared across indices.
-  template <typename R, typename Fn>
-  static std::vector<R> map_indexed(std::size_t n, unsigned threads, Fn&& fn,
-                                    std::size_t chunk = 1) {
-    std::vector<R> results(n);
-    for_indexed(
-        n, threads,
-        [&](std::size_t i) { results[i] = fn(i); },
-        chunk);
-    return results;
-  }
-
-  /// Index-parallel loop with the same determinism guarantees (each index
-  /// visited exactly once; exceptions rethrown from the lowest index).
+  /// Index-parallel loop: fn(i) for i in [0, n), each index visited
+  /// exactly once; workers claim the next index with an atomic counter.
+  /// Failures do not depend on scheduling: every index runs (or records
+  /// its exception), then the lowest-index exception is rethrown.
   static void for_indexed(std::size_t n, unsigned threads,
-                          const std::function<void(std::size_t)>& fn,
-                          std::size_t chunk = 1);
-
-  /// for_indexed with the executing worker's id passed alongside the
-  /// index (see WorkerBody). Worker ids are dense in [0, threads') where
-  /// threads' is the clamped thread count the loop actually used; the
-  /// serial path runs everything as worker 0.
-  static void for_indexed_workers(
-      std::size_t n, unsigned threads,
-      const std::function<void(std::size_t, unsigned)>& fn,
-      std::size_t chunk = 1);
+                          const std::function<void(std::size_t)>& fn);
 
   /// The streaming building block: `produce(i)` runs on the worker pool
   /// while `consume(i, output)` runs on the *calling* thread, in strict
   /// index order, as results become available. In-flight outputs are
-  /// bounded (a reorder window of max(threads*chunk*4, 64) entries with
+  /// bounded (a reorder window of max(threads*4, 64) entries with
   /// backpressure on the producers), so a million-index stream holds
   /// O(threads) outputs instead of O(n) — the memory contract behind
-  /// exp::Workbench::run_streaming.
+  /// exp::Workbench.
   ///
   /// Determinism: consume sees exactly the serial order at any thread
   /// count. Error semantics match for_indexed: a produce() exception is
@@ -162,13 +94,13 @@ class SweepRunner {
   static void for_indexed_streaming(
       std::size_t n, unsigned threads,
       const std::function<ScenarioOutput(std::size_t)>& produce,
-      const std::function<void(std::size_t, ScenarioOutput&&)>& consume,
-      std::size_t chunk = 1);
+      const std::function<void(std::size_t, ScenarioOutput&&)>& consume);
 
-  /// run()'s streaming sibling: `produce` is the scenario body; each
-  /// output's rows are handed to `consume` in scenario order and then
-  /// dropped — the report's table carries headers only (kernel stats
-  /// and timing are still aggregated).
+  /// A sweep of `n` scenarios: `produce` is the scenario body; each
+  /// output is handed to `consume` in scenario order and then dropped.
+  /// The report carries scenario count, threads, wall time and the
+  /// summed kernel stats; its table has the headers and whatever rows
+  /// the caller appends.
   SweepReport run_streaming(
       std::size_t n, const std::function<ScenarioOutput(std::size_t)>& produce,
       const std::function<void(std::size_t, ScenarioOutput&&)>& consume) const;

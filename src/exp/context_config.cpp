@@ -1,7 +1,5 @@
 #include "exp/context_config.hpp"
 
-#include <new>
-
 namespace emc::exp {
 
 Experiment ContextConfig::build(sim::Kernel& kernel) const {
@@ -12,40 +10,6 @@ Experiment ContextConfig::build() const {
   auto owned = std::make_unique<sim::Kernel>();
   sim::Kernel& k = *owned;
   return Experiment(std::move(owned), k, *this);
-}
-
-void Experiment::rebind(const ContextConfig& cfg) {
-  kernel_->reset();
-  *model_ = device::DelayModel(cfg.tech_config());
-  // Rebuild the supply chain from the description. The old objects (and
-  // every wake callback the departed circuit registered on them) are
-  // destroyed wholesale — that is what makes reuse safe without an
-  // unsubscribe protocol on Supply::on_wake.
-  built_ = cfg.supply_config().build(*kernel_, cfg.trial_seed_value());
-  if (cfg.meter_enabled()) {
-    if (meter_) {
-      meter_->rebind(cfg.tech_config(), &built_.supply());
-    } else {
-      meter_ = std::make_unique<gates::EnergyMeter>(*kernel_, cfg.tech_config(),
-                                                    &built_.supply());
-    }
-  } else {
-    meter_.reset();
-  }
-  // Reconstruct the Context in place (reference members forbid
-  // assignment) at the same address, carrying the drive arena across so
-  // its slot arrays stay warm. The placement-new result goes straight
-  // back into the unique_ptr, so later ctx() reads and the final delete
-  // see the new object.
-  gates::Context* old = ctx_.release();
-  gates::DriveArena arena = std::move(old->drives);
-  old->~Context();
-  gates::Context* fresh = new (old)
-      gates::Context{*kernel_, *model_, built_.supply(), meter_.get()};
-  fresh->drives = std::move(arena);
-  ctx_.reset(fresh);
-  sampler_ =
-      device::VariationSampler(cfg.variation_config(), cfg.trial_seed_value());
 }
 
 Experiment::Experiment(std::unique_ptr<sim::Kernel> owned, sim::Kernel& kernel,

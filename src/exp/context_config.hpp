@@ -103,13 +103,9 @@ class ContextConfig {
 
 /// A live experiment stack: kernel (owned or borrowed), delay model,
 /// supply chain, optional energy meter, and the gates::Context that ties
-/// them together. Movable; all addresses handed out are stable.
-///
-/// Reuse across scenarios: rebind() re-elaborates the stack onto the
-/// SAME kernel in place of a fresh build() — the kernel's warm event
-/// slab and the context's drive arena survive, so a sweep worker that
-/// elaborates once and rebinds per scenario pays no per-scenario
-/// allocation at steady state. See Workbench::run_reusing.
+/// them together. Movable; all addresses handed out are stable. One
+/// Experiment serves one scenario: sweep bodies build a fresh one each
+/// time, so no state carries over between scenarios.
 class Experiment {
  public:
   sim::Kernel& kernel() { return *kernel_; }
@@ -135,19 +131,6 @@ class Experiment {
   /// elaboration order never changes a device's draw.
   const device::VariationSampler& sampler() const { return sampler_; }
   std::uint64_t trial_seed() const { return sampler_.trial_seed(); }
-
-  /// Reset the kernel (time 0, no pending events, warm slab kept) and
-  /// re-elaborate the delay model, supply chain, meter and sampler from
-  /// `cfg`, as if freshly built — but without reallocating the kernel
-  /// or the context's drive arena. The supply objects are rebuilt from
-  /// scratch (their wake registrations die with them), and a kept meter
-  /// is rebound (registrations cleared), so the result is behaviourally
-  /// identical to cfg.build().
-  ///
-  /// Precondition: every circuit element built against ctx() has been
-  /// destroyed — live gates would hold dangling supply/meter hooks.
-  /// ctx()'s address is stable across rebinds.
-  void rebind(const ContextConfig& cfg);
 
  private:
   friend class ContextConfig;

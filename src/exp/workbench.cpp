@@ -1,7 +1,6 @@
 #include "exp/workbench.hpp"
 
 #include <cstdio>
-#include <optional>
 
 #include "analysis/table.hpp"
 #include "sim/random.hpp"
@@ -164,11 +163,6 @@ Workbench& Workbench::threads(unsigned n) {
   return *this;
 }
 
-Workbench& Workbench::chunk(std::size_t n) {
-  opt_.chunk = n;
-  return *this;
-}
-
 Workbench& Workbench::replicate(std::size_t n_trials, std::uint64_t base_seed) {
   trials_ = n_trials == 0 ? 1 : n_trials;
   base_seed_ = base_seed;
@@ -195,119 +189,52 @@ std::size_t Workbench::total_scenarios() const {
   return points * trials_;
 }
 
-std::vector<analysis::Scenario> Workbench::materialize_scenarios() {
-  params_ = explicit_scenarios_ ? explicit_params_ : grid_.build();
-
-  if (trials_ > 1 || shard_count_ > 1) {
-    // Expand the trial axis (fastest): every grid point becomes
-    // `trials_` adjacent scenarios carrying their trial index and the
-    // derived per-trial seed. Seeds depend on (base_seed, trial) only,
-    // so trial t is the same virtual chip at every grid point. Under
-    // shard(), only trials with t % shard_count == shard_index survive
-    // — a pure function of (trials, shard spec), never of threads.
-    std::vector<ParamSet> expanded;
-    expanded.reserve(params_.size() * trials_);
-    for (const auto& p : params_) {
-      for (std::size_t t = 0; t < trials_; ++t) {
-        if (t % shard_count_ != shard_index_) continue;
-        ParamSet q = p;
-        if (trials_ > 1) {
-          q.set("trial", static_cast<std::int64_t>(t));
-          // Masked to the positive int64 range ParamSet integers live in.
-          q.set("trial_seed", static_cast<std::int64_t>(
-                                  sim::derive_seed(base_seed_, t) >> 1));
-        }
-        expanded.push_back(std::move(q));
-      }
-    }
-    params_ = std::move(expanded);
-  }
-
-  // Bridge to the (unchanged) SweepRunner: labels for reporting; bodies
-  // read their operating point from the typed ParamSet.
-  std::vector<analysis::Scenario> scenarios;
-  scenarios.reserve(params_.size());
-  for (const auto& p : params_) {
-    scenarios.push_back(analysis::Scenario{p.label()});
-  }
-  return scenarios;
+std::vector<ParamSet> Workbench::points() const {
+  return explicit_scenarios_ ? explicit_params_ : grid_.build();
 }
 
-const analysis::SweepReport& Workbench::run(const Body& body) {
-  const std::vector<analysis::Scenario> scenarios = materialize_scenarios();
-  analysis::SweepRunner runner(columns_, opt_);
-  report_ = runner.run(
-      scenarios, [&](const analysis::Scenario& s, std::size_t i) {
-        Recorder rec(&columns_, i, &s.label);
-        body(params_[i], rec);
-        return std::move(rec.output_);
-      });
-  return report_;
-}
-
-const analysis::SweepReport& Workbench::run_reusing(const ConfigOf& config_of,
-                                                    const ReuseBody& body) {
-  const std::vector<analysis::Scenario> scenarios = materialize_scenarios();
-  analysis::SweepRunner runner(columns_, opt_);
-  // One Experiment slot per worker the runner may spin up. A slot
-  // elaborates on its worker's first scenario and rebinds thereafter;
-  // since a rebound stack is behaviourally identical to a fresh build,
-  // it does not matter which scenarios land on which worker.
-  std::vector<std::optional<Experiment>> stacks(
-      runner.threads_for(scenarios.size()));
-  report_ = runner.run_workers(
-      scenarios, [&](const analysis::Scenario& s, std::size_t i, unsigned w) {
-        Recorder rec(&columns_, i, &s.label);
-        const ContextConfig cfg = config_of(params_[i]);
-        std::optional<Experiment>& stack = stacks[w];
-        if (stack) {
-          stack->rebind(cfg);
-        } else {
-          stack.emplace(cfg.build());
-        }
-        body(*stack, params_[i], rec);
-        return std::move(rec.output_);
-      });
-  return report_;
+ParamSet Workbench::expand_trial(const ParamSet& point, std::size_t t) const {
+  ParamSet q = point;
+  if (trials_ > 1) {
+    // Seeds depend on (base_seed, trial) only, so trial t is the same
+    // virtual chip at every grid point. Masked to the positive int64
+    // range ParamSet integers live in.
+    q.set("trial", static_cast<std::int64_t>(t));
+    q.set("trial_seed",
+          static_cast<std::int64_t>(sim::derive_seed(base_seed_, t) >> 1));
+  }
+  return q;
 }
 
 const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
                                                       const Body& body) {
   // Lazy enumeration: grid points are materialized (a handful), but the
   // (point, trial) product never is — each scenario's ParamSet is built
-  // inside produce() and dies with it. params_ stays empty by design
-  // (the run_streaming deprecation contract for scenario_params()).
-  const std::vector<ParamSet> points =
-      explicit_scenarios_ ? explicit_params_ : grid_.build();
+  // inside produce() and dies with it.
+  const std::vector<ParamSet> pts = points();
   params_.clear();
 
-  // Trials owned by this shard: t = shard_index + k * shard_count < trials.
+  // Trials owned by this shard: t = shard_index + k * shard_count < trials
+  // — a pure function of (trials, shard spec), never of threads.
   const std::size_t m =
       trials_ > shard_index_
           ? (trials_ - shard_index_ + shard_count_ - 1) / shard_count_
           : 0;
-  const std::size_t local_n = points.size() * m;
 
-  // local index l -> (point p, k-th owned trial) -> global scenario
+  // local index l -> (point p, k-th owned trial t) -> global scenario
   // index p * trials + t, the unsharded row order merges reconstruct.
+  const auto trial_of = [&](std::size_t l) {
+    return shard_index_ + (l % m) * shard_count_;
+  };
   const auto global_of = [&](std::size_t l) {
-    const std::size_t p = l / m;
-    const std::size_t t = shard_index_ + (l % m) * shard_count_;
-    return p * trials_ + t;
+    return l / m * trials_ + trial_of(l);
   };
 
   analysis::SweepRunner runner(columns_, opt_);
   report_ = runner.run_streaming(
-      local_n,
+      pts.size() * m,
       [&](std::size_t l) {
-        const std::size_t p = l / m;
-        const std::size_t t = shard_index_ + (l % m) * shard_count_;
-        ParamSet q = points[p];
-        if (trials_ > 1) {
-          q.set("trial", static_cast<std::int64_t>(t));
-          q.set("trial_seed", static_cast<std::int64_t>(
-                                  sim::derive_seed(base_seed_, t) >> 1));
-        }
+        const ParamSet q = expand_trial(pts[l / m], trial_of(l));
         const std::string label = q.label();
         Recorder rec(&columns_, global_of(l), &label);
         body(q, rec);
@@ -317,6 +244,22 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
         const std::size_t g = global_of(l);
         for (const auto& row : out.rows) sink(g, row);
       });
+  return report_;
+}
+
+const analysis::SweepReport& Workbench::run(const Body& body) {
+  analysis::Table table(columns_);
+  run_streaming(
+      [&](std::size_t, const std::vector<std::string>& row) {
+        table.add_row(row);
+      },
+      body);
+  report_.table = std::move(table);
+  for (const ParamSet& p : points()) {
+    for (std::size_t t = shard_index_; t < trials_; t += shard_count_) {
+      params_.push_back(expand_trial(p, t));
+    }
+  }
   return report_;
 }
 

@@ -9,15 +9,17 @@
 //   * a typed column schema — bodies fill named columns through a
 //     Recorder (`rec.row().set("vdd_V", v)`), and an unknown column name
 //     throws instead of silently shifting cells;
-//   * execution + artifacts — scenarios run through the existing
-//     analysis::SweepRunner unchanged (same pool, same determinism
-//     contract: tables are byte-identical at any EMC_SWEEP_THREADS), and
-//     the resulting table prints / writes the CSV artifact.
+//   * execution + artifacts — scenarios are enumerated lazily and run
+//     through analysis::SweepRunner's streaming engine (same pool, same
+//     determinism contract: rows arrive in scenario order and are
+//     byte-identical at any EMC_SWEEP_THREADS). run() collects them into
+//     a table that prints / writes the CSV artifact; run_streaming()
+//     hands them to a caller-supplied sink instead.
 //
 // The body receives (const ParamSet&, Recorder&): typed named parameters
 // in, named rows + kernel stats out. Recorder::index() identifies the
 // scenario slot for bodies that deposit typed side results (one writer
-// per slot, joined before any read — same rule as SweepRunner).
+// per slot, read only after the run returns).
 #pragma once
 
 #include <cstdint>
@@ -127,8 +129,8 @@ class Recorder {
   /// Fold a kernel's execution stats into the sweep totals.
   void add_stats(const sim::Kernel::Stats& s) { output_.stats += s; }
 
-  /// Index of this scenario in the grid — the slot typed side results
-  /// belong to.
+  /// Global index of this scenario (grid point x trials + trial) — the
+  /// slot typed side results belong to.
   std::size_t index() const { return index_; }
 
   /// The scenario's reporting label (already materialized by the
@@ -165,7 +167,7 @@ class Workbench {
   /// Monte-Carlo replication: run every grid point `n_trials` times.
   /// Each replica is a plain scenario — the grid point's parameters plus
   /// a "trial" index and a "trial_seed" derived as
-  /// sim::derive_seed(base_seed, trial) — so the unchanged SweepRunner
+  /// sim::derive_seed(base_seed, trial) — so the SweepRunner
   /// parallelizes replicas exactly like scenarios and the byte-identical
   /// CSV contract holds at any thread count. The trial axis is fastest
   /// (replicas of a point are adjacent rows, ready for
@@ -180,7 +182,7 @@ class Workbench {
 
   /// Restrict the run to one shard of the trial axis: trial t belongs
   /// to shard (t % count). The partition is pure in (trials, count) —
-  /// independent of thread count, queue structure and grid shape — so a
+  /// independent of thread count and grid shape — so a
   /// merge of all shards' rows in global scenario order is
   /// byte-identical to the unsharded run (the emc_repro --shard/merge
   /// protocol). shard(0, 1) is the default unsharded run. Throws
@@ -199,35 +201,8 @@ class Workbench {
   /// Worker-thread override (0 = EMC_SWEEP_THREADS / hardware, the
   /// SweepRunner default).
   Workbench& threads(unsigned n);
-  /// Scenarios claimed per atomic grab (see SweepRunner::Options).
-  Workbench& chunk(std::size_t n);
 
   using Body = std::function<void(const ParamSet&, Recorder&)>;
-
-  /// Run the body once per scenario through the SweepRunner pool; rows
-  /// land in scenario order. The report stays readable via report().
-  const analysis::SweepReport& run(const Body& body);
-
-  /// Body for the experiment-reusing run: receives the worker's live
-  /// Experiment stack (already reset and rebound to this scenario's
-  /// config) alongside the usual parameters and recorder.
-  using ReuseBody =
-      std::function<void(Experiment&, const ParamSet&, Recorder&)>;
-  /// Maps a scenario's parameters to the context it needs. Called from
-  /// worker threads — must be pure (no shared mutable state).
-  using ConfigOf = std::function<ContextConfig(const ParamSet&)>;
-
-  /// run() without the per-scenario elaboration cost: each worker
-  /// thread elaborates one Experiment (config_of of its first scenario)
-  /// and *rebinds* it — Kernel::reset() + in-place supply/meter
-  /// re-elaboration, keeping the warm event slab and drive arena — for
-  /// every subsequent scenario. Bodies must build their circuit from
-  /// ex.ctx() and let it be destroyed before returning (scoped locals
-  /// do this naturally); given that, a rebound stack is behaviourally
-  /// identical to a fresh build, so tables stay byte-identical to run()
-  /// at any thread count (tests/reuse_test.cpp holds both contracts).
-  const analysis::SweepReport& run_reusing(const ConfigOf& config_of,
-                                           const ReuseBody& body);
 
   /// Row sink for run_streaming: receives each produced row (cells in
   /// schema order) tagged with its *global* scenario index — the index
@@ -236,22 +211,24 @@ class Workbench {
   using RowSink =
       std::function<void(std::size_t, const std::vector<std::string>&)>;
 
-  /// run() without materializing anything: scenarios are enumerated
-  /// lazily (no params_ expansion — one ParamSet exists per in-flight
-  /// scenario), bodies run on the worker pool, and every produced row is
-  /// handed to `sink` on the calling thread in scenario order, then
-  /// dropped. Memory is O(threads + sink state) instead of O(rows): the
-  /// path that makes 10^6-trial replicated runs possible. The returned
-  /// report carries scenario count, threads, wall time and kernel stats;
-  /// its table has headers but NO rows — table()/scenario_params() are
-  /// deprecated for streaming runs (they reflect materialized runs
-  /// only) and replicated benches should migrate to this entry point
-  /// with an analysis::Aggregate::Sink / analysis::CsvStream sink.
+  /// Run the body once per scenario: scenarios are enumerated lazily
+  /// (one ParamSet exists per in-flight scenario), bodies run on the
+  /// worker pool, and every produced row is handed to `sink` on the
+  /// calling thread in scenario order, then dropped. Memory is
+  /// O(threads + sink state) instead of O(rows): the path that makes
+  /// 10^6-trial replicated runs possible. The returned report carries
+  /// scenario count, threads, wall time and kernel stats; its table has
+  /// headers but no rows, and scenario_params() is empty.
   ///
   /// Honors shard(): only this shard's trials run; global indices still
   /// refer to the unsharded index space.
   const analysis::SweepReport& run_streaming(const RowSink& sink,
                                              const Body& body);
+
+  /// run_streaming() with a sink that appends every row to the report's
+  /// table, readable afterwards via report() / table(); scenario_params()
+  /// then lists the scenarios that ran, in scenario order.
+  const analysis::SweepReport& run(const Body& body);
 
   const std::string& name() const { return name_; }
   const std::vector<ParamSet>& scenario_params() const { return params_; }
@@ -264,13 +241,17 @@ class Workbench {
   bool write_csv(const std::string& path);
 
  private:
-  /// Expand the grid (and trial axis) into params_ and derive the
-  /// labeled scenario list — the shared front half of run/run_reusing.
-  std::vector<analysis::Scenario> materialize_scenarios();
+  /// Grid points before the trial axis: the scenarios() list, or the
+  /// built grid.
+  std::vector<ParamSet> points() const;
+  /// Scenario of `point` at trial `t`: the point's parameters plus,
+  /// under replication, "trial" and "trial_seed" — the one place the
+  /// trial axis is expanded.
+  ParamSet expand_trial(const ParamSet& point, std::size_t t) const;
 
   std::string name_;
   Grid grid_;
-  std::vector<ParamSet> params_;          // as run (trial axis expanded)
+  std::vector<ParamSet> params_;           // run()'s scenarios, in order
   std::vector<ParamSet> explicit_params_;  // scenarios() input, pre-expansion
   bool explicit_scenarios_ = false;
   std::vector<std::string> columns_;

@@ -13,9 +13,8 @@
 // per-event payloads (target index, drift magnitudes) from
 // Rng::keyed(seed, 2 * stream + 1), where `stream` is the spec's
 // insertion ordinal. A spec's schedule is therefore pure in
-// (seed, stream): independent of elaboration order, of the sweep thread
-// count, and of the event-queue structure (heap and ladder dispatch
-// identically). Building the same plan twice, or elaborating one plan
+// (seed, stream): independent of elaboration order and of the sweep
+// thread count. Building the same plan twice, or elaborating one plan
 // onto two kernels (the "same environment, two circuits" idiom), yields
 // byte-identical fault schedules.
 //

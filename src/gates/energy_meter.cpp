@@ -73,17 +73,4 @@ void EnergyMeter::reset() {
   last_leak_integration_ = kernel_->now();
 }
 
-void EnergyMeter::rebind(const device::Tech& tech, supply::Supply* supply) {
-  leakage_ = device::LeakageModel(tech);
-  supply_ = supply;
-  gates_.clear();
-  total_leak_width_ = 0.0;
-  leak_epoch_ = 0;
-  leak_power_w_ = 0.0;
-  total_transitions_ = 0;
-  dynamic_j_ = 0.0;
-  leakage_j_ = 0.0;
-  last_leak_integration_ = kernel_->now();
-}
-
 }  // namespace emc::gates

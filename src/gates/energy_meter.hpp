@@ -61,14 +61,6 @@ class EnergyMeter {
   /// Zero all counters (keep registrations); used between sweep points.
   void reset();
 
-  /// Full re-elaboration hook (Experiment::rebind): drop every gate
-  /// registration along with the counters, adopt a (possibly) new
-  /// technology and supply, and rewind leakage integration to the
-  /// kernel's current (freshly reset) time. The meter object survives
-  /// so contexts holding its pointer stay valid; the circuit it metered
-  /// must already be destroyed — its gates re-register from scratch.
-  void rebind(const device::Tech& tech, supply::Supply* supply);
-
  private:
   struct Entry {
     std::string name;

@@ -6,6 +6,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -520,6 +521,19 @@ int list_figures() {
       });
 }
 
+/// A whole, positive decimal token: "4" parses; "4x", "", "0" and "-1"
+/// do not.
+bool parse_positive(const std::string& s, unsigned* out) {
+  char* end = nullptr;
+  const long n = std::strtol(s.c_str(), &end, 10);
+  if (s.empty() || end != s.c_str() + s.size() || n <= 0 ||
+      n > static_cast<long>(std::numeric_limits<unsigned>::max())) {
+    return false;
+  }
+  *out = static_cast<unsigned>(n);
+  return true;
+}
+
 /// Returns false on malformed input.
 bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
   auto next_value = [&](std::size_t* i, std::string* out) {
@@ -556,17 +570,26 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
       opt->seed_set = true;
     } else if (a == "--jobs") {
       if (!next_value(&i, &v)) return false;
-      const long n = std::strtol(v.c_str(), nullptr, 10);
-      if (n <= 0) return false;
-      opt->jobs = static_cast<unsigned>(n);
+      if (!parse_positive(v, &opt->jobs)) {
+        std::fprintf(stderr,
+                     "emc_repro: --jobs wants a positive integer, got \"%s\"\n",
+                     v.c_str());
+        return false;
+      }
     } else if (a == "--threads-cross-check") {
       if (!next_value(&i, &v)) return false;
       std::stringstream ss(v);
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        const long n = std::strtol(tok.c_str(), nullptr, 10);
-        if (n <= 0) return false;
-        opt->cross_threads.push_back(static_cast<unsigned>(n));
+        unsigned n = 0;
+        if (!parse_positive(tok, &n)) {
+          std::fprintf(stderr,
+                       "emc_repro: --threads-cross-check wants positive "
+                       "integers A,B, got \"%s\"\n",
+                       v.c_str());
+          return false;
+        }
+        opt->cross_threads.push_back(n);
       }
       if (opt->cross_threads.size() < 2) return false;
     } else if (a == "--manifest") {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 namespace emc::sim {
 
@@ -21,29 +19,7 @@ constexpr std::uint32_t id_gen(EventId id) {
   return static_cast<std::uint32_t>(id >> 32);
 }
 
-// Ladder tuning. Spreads of at most kSmallSpread entries skip the
-// bucket pass and sort straight into the rung (a sort this small beats
-// the distribute+sort round trip); larger spreads aim for
-// kBucketTarget entries per bucket, capped at kMaxBuckets so a single
-// far-future watchdog cannot demand millions of buckets.
-constexpr std::size_t kSmallSpread = 128;
-constexpr std::size_t kBucketTarget = 64;
-constexpr std::size_t kMaxBuckets = 4096;
-
 }  // namespace
-
-QueueKind resolve_queue_kind(QueueKind requested) {
-  if (requested != QueueKind::kAuto) return requested;
-  if (const char* env = std::getenv("EMC_EVENT_QUEUE")) {
-    if (std::strcmp(env, "ladder") == 0) return QueueKind::kLadder;
-    // Anything else (including "heap" and typos) takes the default;
-    // the contract is behavioural equivalence, so a misspelt value can
-    // only change speed, never results.
-  }
-  return QueueKind::kBinaryHeap;
-}
-
-EventQueue::EventQueue(QueueKind kind) : kind_(resolve_queue_kind(kind)) {}
 
 void EventQueue::release_slot(std::uint32_t s) {
   Slot& slot = slots_[s];
@@ -70,11 +46,7 @@ EventId EventQueue::schedule(Time t, Action&& action) {
   ++scheduled_;
   ++live_;
   if (live_ > peak_live_) peak_live_ = live_;
-  if (kind_ == QueueKind::kLadder) {
-    ladder_insert(e);
-  } else {
-    heap_push(e);
-  }
+  heap_push(e);
   return pack(e.gen, s);
 }
 
@@ -90,21 +62,11 @@ void EventQueue::cancel(EventId id) {
   // without the compaction pass, a schedule-far-future-then-cancel
   // pattern (watchdogs) would grow the structure without bound because
   // far-future entries never surface.
-  if (kind_ == QueueKind::kLadder) {
-    if (entries_ > 64 && entries_ >= 2 * live_) ladder_compact();
-  } else {
-    if (heap_.size() > 64 && heap_.size() >= 2 * live_) heap_compact();
-  }
+  if (heap_.size() > 64 && heap_.size() >= 2 * live_) heap_compact();
 }
 
 Time EventQueue::next_time() const {
   if (live_ == 0) return kTimeMax;
-  if (kind_ == QueueKind::kLadder) {
-    const bool ok = ladder_front();
-    assert(ok);
-    (void)ok;
-    return rung_[rung_pos_].t;
-  }
   prune_stale_root();
   assert(!heap_.empty());
   return heap_.front().t;
@@ -112,26 +74,13 @@ Time EventQueue::next_time() const {
 
 bool EventQueue::pop_due(Time deadline, Time& t, Action& action) {
   if (live_ == 0) return false;
-  std::uint32_t s;
-  if (kind_ == QueueKind::kLadder) {
-    const bool ok = ladder_front();
-    assert(ok);
-    (void)ok;
-    const Entry& e = rung_[rung_pos_];
-    if (e.t > deadline) return false;
-    t = e.t;
-    s = e.slot;
-    ++rung_pos_;
-    --entries_;
-  } else {
-    prune_stale_root();
-    assert(!heap_.empty());
-    const Entry& top = heap_.front();
-    if (top.t > deadline) return false;
-    t = top.t;
-    s = top.slot;
-    heap_remove_root();
-  }
+  prune_stale_root();
+  assert(!heap_.empty());
+  const Entry& top = heap_.front();
+  if (top.t > deadline) return false;
+  t = top.t;
+  const std::uint32_t s = top.slot;
+  heap_remove_root();
   Slot& slot = slots_[s];
   action = std::move(slot.action);
   // Lean release: unlike cancel()/clear(), the slot's action has just
@@ -160,24 +109,16 @@ void EventQueue::clear() {
   // refilled by the next experiment, and the warm slab is the point.
   // A fully-drained queue skips the slot scan — every fired event
   // already released (and generation-bumped) its slot, so ids from the
-  // previous run are dead without touching the slab. This makes the
-  // reset between reused-kernel sweep scenarios O(1).
+  // previous run are dead without touching the slab.
   if (live_ > 0) {
     for (std::uint32_t s = 0; s < slots_.size(); ++s) {
       if (slots_[s].armed) release_slot(s);
     }
   }
   heap_.clear();
-  rung_.clear();
-  overflow_.clear();
-  for (auto& b : buckets_) b.clear();
-  entries_ = 0;
-  ladder_reset_ranges();
   live_ = 0;
 }
 
-// --- binary heap -------------------------------------------------------
-//
 // Hole-based sifting: instead of std::swap chains, the element being
 // placed travels as a local while parents/children shift into the hole —
 // half the memory traffic of the classic swap loop. remove_root() uses
@@ -236,172 +177,11 @@ void EventQueue::heap_compact() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const Entry& e) { return stale(e); }),
               heap_.end());
-  // A fully sorted array (earliest first) satisfies the d-ary heap
-  // invariant for any d, and this path is cold (triggered by mass
+  // A fully sorted array (earliest first) satisfies the heap invariant,
+  // and this path is cold (triggered by mass
   // cancellation, not per-event).
   std::sort(heap_.begin(), heap_.end(),
             [](const Entry& a, const Entry& b) { return later(b, a); });
-}
-
-// --- ladder / calendar queue -------------------------------------------
-
-void EventQueue::ladder_reset_ranges() {
-  rung_pos_ = 0;
-  rung_end_ = 0;
-  bucket_count_ = 0;
-  bucket_idx_ = 0;
-  bucket_base_ = 0;
-  bucket_width_ = 1;
-}
-
-void EventQueue::ladder_insert(const Entry& e) {
-  ++entries_;
-  if (e.t < rung_end_) {
-    // The rung owns this window: keep it sorted. Near-monotone
-    // schedules land at (or near) the tail, so the usual cost is a
-    // push_back; a skewed bucket can make this an O(rung) memmove,
-    // which is the structure's documented worst case.
-    const auto it = std::upper_bound(
-        rung_.begin() + static_cast<std::ptrdiff_t>(rung_pos_), rung_.end(),
-        e, [](const Entry& a, const Entry& b) { return later(b, a); });
-    rung_.insert(it, e);
-    return;
-  }
-  if (bucket_idx_ < bucket_count_) {
-    // e.t >= rung_end_ >= the edge of every consumed bucket, so idx
-    // never points at a bucket the rung already drained.
-    const std::size_t idx =
-        static_cast<std::size_t>((e.t - bucket_base_) / bucket_width_);
-    if (idx < bucket_count_) {
-      buckets_[idx].push_back(e);
-      return;
-    }
-  }
-  overflow_.push_back(e);
-}
-
-bool EventQueue::ladder_front() const {
-  for (;;) {
-    while (rung_pos_ < rung_.size()) {
-      if (!stale(rung_[rung_pos_])) return true;
-      ++rung_pos_;
-      --entries_;
-    }
-    if (!ladder_refill()) return false;
-  }
-}
-
-bool EventQueue::ladder_refill() const {
-  rung_.clear();
-  rung_pos_ = 0;
-  for (;;) {
-    while (bucket_idx_ < bucket_count_) {
-      auto& b = buckets_[bucket_idx_];
-      ++bucket_idx_;
-      // The consumed window's upper edge: inserts below it must join
-      // the rung to keep global order.
-      const unsigned __int128 edge =
-          static_cast<unsigned __int128>(bucket_base_) +
-          static_cast<unsigned __int128>(bucket_width_) * bucket_idx_;
-      rung_end_ = edge > kTimeMax ? kTimeMax : static_cast<Time>(edge);
-      if (b.empty()) continue;
-      rung_.swap(b);  // recycle the old rung's capacity into the pool
-      b.clear();
-      rung_.erase(std::remove_if(rung_.begin(), rung_.end(),
-                                 [this](const Entry& e) {
-                                   if (stale(e)) {
-                                     --entries_;
-                                     return true;
-                                   }
-                                   return false;
-                                 }),
-                  rung_.end());
-      if (rung_.empty()) continue;
-      std::sort(rung_.begin(), rung_.end(),
-                [](const Entry& a, const Entry& b) { return later(b, a); });
-      return true;
-    }
-    bucket_count_ = 0;
-    bucket_idx_ = 0;
-    if (overflow_.empty()) {
-      if (entries_ == 0) {
-        // Fully drained: re-open the cheap path where fresh schedules
-        // append to the overflow list instead of sorted-inserting under
-        // a stale rung_end_.
-        const_cast<EventQueue*>(this)->ladder_reset_ranges();
-      }
-      return false;
-    }
-    spread_overflow();
-    // A small spread sorts straight into the rung without creating
-    // buckets — in that case the refill is already done; looping back
-    // would see zero buckets + drained overflow and wrongly report an
-    // empty queue.
-    if (rung_pos_ < rung_.size()) return true;
-  }
-}
-
-void EventQueue::spread_overflow() const {
-  overflow_.erase(std::remove_if(overflow_.begin(), overflow_.end(),
-                                 [this](const Entry& e) {
-                                   if (stale(e)) {
-                                     --entries_;
-                                     return true;
-                                   }
-                                   return false;
-                                 }),
-                  overflow_.end());
-  if (overflow_.empty()) return;
-  if (overflow_.size() <= kSmallSpread) {
-    rung_.swap(overflow_);
-    overflow_.clear();
-    rung_pos_ = 0;
-    std::sort(rung_.begin(), rung_.end(),
-              [](const Entry& a, const Entry& b) { return later(b, a); });
-    const Time back_t = rung_.back().t;
-    rung_end_ = back_t == kTimeMax ? kTimeMax : back_t + 1;
-    return;
-  }
-  Time min_t = overflow_.front().t;
-  Time max_t = min_t;
-  for (const Entry& e : overflow_) {
-    if (e.t < min_t) min_t = e.t;
-    if (e.t > max_t) max_t = e.t;
-  }
-  std::size_t nb = overflow_.size() / kBucketTarget + 1;
-  if (nb > kMaxBuckets) nb = kMaxBuckets;
-  const Time width = (max_t - min_t) / static_cast<Time>(nb) + 1;
-  const std::size_t count =
-      static_cast<std::size_t>((max_t - min_t) / width) + 1;
-  if (buckets_.size() < count) buckets_.resize(count);
-  bucket_base_ = min_t;
-  bucket_width_ = width;
-  bucket_count_ = count;
-  bucket_idx_ = 0;
-  rung_end_ = min_t;  // nothing pending below the first bucket
-  for (const Entry& e : overflow_) {
-    buckets_[static_cast<std::size_t>((e.t - min_t) / width)].push_back(e);
-  }
-  overflow_.clear();
-}
-
-void EventQueue::ladder_compact() {
-  const auto is_stale = [this](const Entry& e) { return stale(e); };
-  rung_.erase(std::remove_if(rung_.begin() +
-                                 static_cast<std::ptrdiff_t>(rung_pos_),
-                             rung_.end(), is_stale),
-              rung_.end());
-  for (std::size_t i = bucket_idx_; i < bucket_count_; ++i) {
-    auto& b = buckets_[i];
-    b.erase(std::remove_if(b.begin(), b.end(), is_stale), b.end());
-  }
-  overflow_.erase(
-      std::remove_if(overflow_.begin(), overflow_.end(), is_stale),
-      overflow_.end());
-  entries_ = (rung_.size() - rung_pos_) + overflow_.size();
-  for (std::size_t i = bucket_idx_; i < bucket_count_; ++i) {
-    entries_ += buckets_[i].size();
-  }
 }
 
 }  // namespace emc::sim

@@ -15,20 +15,11 @@
 // frees its slot immediately; its entry goes stale and is purged when it
 // surfaces, so nothing accumulates on long runs.
 //
-// Two interchangeable priority structures sit on top of the slab, chosen
-// at construction (QueueKind) or via EMC_EVENT_QUEUE=heap|ladder:
-//   * kBinaryHeap — an implicit binary heap with hole-based sifting
-//     (Floyd's bottom-up delete). Dependable O(log n) everything; the
-//     default.
-//   * kLadder — a calendar/ladder queue: inserts append into an
-//     unsorted overflow list (O(1)), which is spread into time buckets
-//     and sorted one rung at a time as the clock reaches it. Wins on
-//     schedule-heavy workloads whose timestamps are near-monotone over
-//     a short horizon (oscillators, handshake rings), the worst case
-//     for sift-based heaps.
-// Both produce the exact same pop order — (time, then schedule order) —
-// and honour the same cancel/clear contract; tests/ladder_queue_test.cpp
-// holds them to byte-identical behaviour on randomized schedules.
+// The priority structure is an implicit binary heap with hole-based
+// sifting (Floyd's bottom-up delete): O(log n) schedule and pop. Peak
+// queue depth on the paper's figures is in the hundreds, where the heap
+// beats bucketed calendar structures; add a second structure only
+// together with a figure whose workload needs it.
 #pragma once
 
 #include <cstdint>
@@ -46,22 +37,8 @@ namespace emc::sim {
 /// can never touch the event that reused its slot. 0 is never a valid id.
 using EventId = std::uint64_t;
 
-/// Priority-structure selection for EventQueue / Kernel.
-enum class QueueKind {
-  kAuto,        ///< EMC_EVENT_QUEUE env var ("heap" / "ladder"), else heap
-  kBinaryHeap,  ///< implicit binary heap (general-purpose default)
-  kLadder,      ///< calendar/ladder queue (near-monotone schedules)
-};
-
-/// Resolve kAuto against the EMC_EVENT_QUEUE environment variable
-/// ("heap" or "ladder"; anything else falls back to the heap). Explicit
-/// kinds pass through unchanged.
-QueueKind resolve_queue_kind(QueueKind requested);
-
 class EventQueue {
  public:
-  explicit EventQueue(QueueKind kind = QueueKind::kAuto);
-
   /// Schedule `action` at absolute time `t`. Returns a handle that can be
   /// passed to cancel(). Takes the action by rvalue so the callable is
   /// moved exactly once — from the caller's temporary straight into its
@@ -113,9 +90,6 @@ class EventQueue {
 
   // --- introspection (stats reporting and tests) ---
 
-  /// The resolved priority structure (never kAuto).
-  QueueKind kind() const { return kind_; }
-
   /// High-water mark of live events.
   std::size_t peak_live() const { return peak_live_; }
 
@@ -124,11 +98,9 @@ class EventQueue {
   /// unbounded cancelled-id list.
   std::size_t slab_capacity() const { return slots_.size(); }
 
-  /// Pending priority-structure entries including stale (cancelled) ones
-  /// awaiting purge, for either structure.
-  std::size_t heap_entries() const {
-    return kind_ == QueueKind::kLadder ? entries_ : heap_.size();
-  }
+  /// Pending heap entries including stale (cancelled) ones awaiting
+  /// purge.
+  std::size_t heap_entries() const { return heap_.size(); }
 
  private:
   struct Slot {
@@ -137,7 +109,7 @@ class EventQueue {
     bool armed = false;      // true while a live event occupies the slot
   };
 
-  // POD entry: cheap to move during sift/sort. `gen` snapshots the slot
+  // POD entry: cheap to move during sift. `gen` snapshots the slot
   // generation at schedule time; a mismatch on pop means the event was
   // cancelled (or the queue cleared) and the entry is discarded.
   struct Entry {
@@ -165,7 +137,7 @@ class EventQueue {
 
   void release_slot(std::uint32_t s);
 
-  // --- binary heap (hole-based sift, Floyd's remove_root) ---
+  // Hole-based sift, Floyd's remove_root.
   void heap_push(const Entry& e);
   void heap_remove_root();
   void heap_compact();
@@ -173,37 +145,10 @@ class EventQueue {
   // const: stale entries are already observably absent.
   void prune_stale_root() const;
 
-  // --- ladder / calendar queue ---
-  // Consumption order: sorted rung first (rung_[rung_pos_..]), then the
-  // buckets in index order (each sorted when it becomes the rung), then
-  // the overflow list is spread into fresh buckets. Invariant: every
-  // pending entry with t < rung_end_ lives in the rung; bucket i covers
-  // [bucket_base_ + i*width, +width); anything at/after the bucket range
-  // (or with no buckets built) waits unsorted in overflow_.
-  void ladder_insert(const Entry& e);
-  bool ladder_front() const;    // logically const lazy refill, like prune
-  bool ladder_refill() const;   // advance to the next non-empty rung
-  void spread_overflow() const; // overflow -> buckets (or straight to rung)
-  void ladder_compact();
-  void ladder_reset_ranges();
-
-  QueueKind kind_;
   mutable std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // reusable slot indices
 
-  // Ladder storage (unused in heap mode). rung_pos_/entries_ mutate from
-  // const peeks (stale skipping / lazy refill), hence mutable.
-  mutable std::vector<Entry> rung_;
-  mutable std::size_t rung_pos_ = 0;
-  mutable Time rung_end_ = 0;  // exclusive; inserts below it join the rung
-  mutable std::vector<std::vector<Entry>> buckets_;  // persistent pool
-  mutable std::size_t bucket_count_ = 0;  // active prefix of buckets_
-  mutable std::size_t bucket_idx_ = 0;    // next bucket to consume
-  mutable Time bucket_base_ = 0;
-  mutable Time bucket_width_ = 1;
-  mutable std::vector<Entry> overflow_;
-  mutable std::size_t entries_ = 0;  // ladder entries incl. stale
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t scheduled_ = 0;

@@ -100,17 +100,8 @@ class Kernel {
   };
 
   Kernel() = default;
-  /// Select the event-queue structure (see QueueKind). kAuto honours the
-  /// EMC_EVENT_QUEUE environment variable, defaulting to the binary heap;
-  /// pass kLadder for schedule-heavy near-monotone workloads
-  /// (oscillators, handshake rings). Both structures produce identical
-  /// simulations — the choice is purely a performance hint.
-  explicit Kernel(QueueKind queue) : queue_(queue) {}
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
-
-  /// The resolved queue structure this kernel dispatches from.
-  QueueKind queue_kind() const { return queue_.kind(); }
 
   /// Current simulation time.
   Time now() const { return now_; }

@@ -1,9 +1,9 @@
 // Fault-injection & survivability tests.
 //
 // What is pinned here:
-//   * heap vs ladder lock-step: the same FaultPlan on the same circuit
-//     produces byte-equal RunVerdicts and counters on both event-queue
-//     structures, over randomized >=10k-event fault schedules;
+//   * replay: the same FaultPlan seed on the same circuit produces
+//     byte-equal RunVerdicts and counters on every run, over randomized
+//     >=10k-event fault schedules;
 //   * brownout semantics: kRetainState resumes counting with no state
 //     loss; kLoseState applies a power-on reset and counts it;
 //   * the kernel watchdog: a deliberately deadlocked handshake is
@@ -38,7 +38,6 @@
 #include "gates/celement.hpp"
 #include "gates/combinational.hpp"
 #include "sensor/calibration.hpp"
-#include "sim/event_queue.hpp"
 #include "supply/battery.hpp"
 
 namespace emc::fault {
@@ -61,9 +60,9 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// --- heap vs ladder lock-step ------------------------------------------
+// --- same-seed replay --------------------------------------------------
 
-struct LockstepOutcome {
+struct FaultedOutcome {
   sim::RunStatus status;
   std::uint64_t events;
   sim::Time end_time;
@@ -73,18 +72,17 @@ struct LockstepOutcome {
   std::uint64_t faults_seen;
 };
 
-bool operator==(const LockstepOutcome& a, const LockstepOutcome& b) {
+bool operator==(const FaultedOutcome& a, const FaultedOutcome& b) {
   return a.status == b.status && a.events == b.events &&
          a.end_time == b.end_time && a.served == b.served &&
          a.stall_entries == b.stall_entries && a.recoveries == b.recoveries &&
          a.faults_seen == b.faults_seen;
 }
 
-/// One faulted oscillator scenario on an explicitly chosen queue
-/// structure: near-threshold battery, randomized dropout + brownout
-/// streams, 200 us horizon.
-LockstepOutcome run_faulted(sim::QueueKind q, std::uint64_t seed) {
-  sim::Kernel kernel(q);
+/// One faulted oscillator scenario: near-threshold battery, randomized
+/// dropout + brownout streams, 200 us horizon.
+FaultedOutcome run_faulted(std::uint64_t seed) {
+  sim::Kernel kernel;
   auto ex = exp::ContextConfig::with(
                 exp::SupplyConfig::battery(0.35).faultable())
                 .build(kernel);
@@ -113,16 +111,20 @@ LockstepOutcome run_faulted(sim::QueueKind q, std::uint64_t seed) {
           ex.fault_supply()->faults_seen()};
 }
 
-TEST(FaultLockstep, HeapAndLadderProduceIdenticalVerdicts) {
+TEST(FaultReplay, SameSeedGivesIdenticalVerdicts) {
+  std::vector<FaultedOutcome> per_seed;
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
-    const LockstepOutcome heap = run_faulted(sim::QueueKind::kBinaryHeap, seed);
-    const LockstepOutcome ladder = run_faulted(sim::QueueKind::kLadder, seed);
-    EXPECT_TRUE(heap == ladder) << "seed " << seed;
+    const FaultedOutcome first = run_faulted(seed);
+    const FaultedOutcome again = run_faulted(seed);
+    EXPECT_TRUE(first == again) << "seed " << seed;
     // The schedule must be substantial, not a trivial handful of events.
-    EXPECT_GE(heap.events, 10000u) << "seed " << seed;
-    EXPECT_GT(heap.faults_seen, 0u) << "seed " << seed;
-    EXPECT_GT(heap.stall_entries, 0u) << "seed " << seed;
+    EXPECT_GE(first.events, 10000u) << "seed " << seed;
+    EXPECT_GT(first.faults_seen, 0u) << "seed " << seed;
+    EXPECT_GT(first.stall_entries, 0u) << "seed " << seed;
+    per_seed.push_back(first);
   }
+  // The seed must actually steer the fault streams.
+  EXPECT_FALSE(per_seed[0] == per_seed[1] && per_seed[1] == per_seed[2]);
 }
 
 // --- brownout semantics ------------------------------------------------

@@ -372,6 +372,24 @@ TEST_F(ReproDriverTest, MalformedSeedIsRejected) {
       2);
 }
 
+TEST_F(ReproDriverTest, MalformedJobsIsRejected) {
+  for (const char* bad : {"4x", "x", "", "0", "-2"}) {
+    EXPECT_EQ(emc::repro::driver_run(
+                  {"run", "zz_repro_selftest_a", "--jobs", bad}),
+              2)
+        << "--jobs \"" << bad << "\"";
+  }
+}
+
+TEST_F(ReproDriverTest, MalformedThreadsCrossCheckIsRejected) {
+  for (const char* bad : {"1,4x", "1x,4", "1,,4", "1,0", "4"}) {
+    EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a",
+                                      "--threads-cross-check", bad}),
+              2)
+        << "--threads-cross-check \"" << bad << "\"";
+  }
+}
+
 TEST_F(ReproDriverTest, RealDriftOutranksMissingRefInExitCode) {
   ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a"}), 0);
   fs::copy_file("zz_selftest_a.csv", fs::path(refs()) / "zz_selftest_a.csv");

@@ -188,6 +188,53 @@ TEST(EventQueue, PeakLiveTracksHighWaterMark) {
   EXPECT_EQ(q.total_scheduled(), 6u);
 }
 
+TEST(EventQueue, ClearInvalidatesOutstandingIds) {
+  EventQueue q;
+  int fired = 0;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 64; ++i)
+    ids.push_back(q.schedule(1 + i, [&fired] { ++fired; }));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  // Stale ids from before the clear stay dead even after slot reuse.
+  q.schedule(7, [&fired] { fired += 1000; });
+  for (const EventId id : ids) q.cancel(id);
+  EXPECT_EQ(q.size(), 1u);
+  auto [t, action] = q.pop();
+  action();
+  EXPECT_EQ(t, 7u);
+  EXPECT_EQ(fired, 1000);
+}
+
+TEST(EventQueue, DrainThenRescheduleReusesTheStructure) {
+  EventQueue q;
+  // A wide, scrambled spread of timestamps (64-bit LCG), drained fully.
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 500; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    q.schedule(1 + (x >> 33) % 1'000'000, [] {});
+  }
+  Time prev = 0;
+  while (!q.empty()) {
+    auto [t, action] = q.pop();
+    EXPECT_GE(t, prev);
+    prev = t;
+    action();
+  }
+  // After a full drain, timestamps earlier than the last pop are legal
+  // again and pop in order.
+  std::vector<int> order;
+  q.schedule(3, [&order] { order.push_back(3); });
+  q.schedule(1, [&order] { order.push_back(1); });
+  q.schedule(2, [&order] { order.push_back(2); });
+  while (!q.empty()) {
+    auto [t, action] = q.pop();
+    action();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Action, InlineAndHeapCapturesBothWork) {
   int hits = 0;
   Action small([&hits] { ++hits; });

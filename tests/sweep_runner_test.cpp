@@ -1,4 +1,4 @@
-// SweepRunner determinism and scheduling tests.
+// SweepRunner determinism, scheduling and error-contract tests.
 //
 // The engine's contract: results come back in scenario order, and a
 // sweep's table/CSV output is byte-identical at any thread count. The
@@ -18,41 +18,54 @@
 namespace emc::analysis {
 namespace {
 
-// Scenario bodies on the raw runner carry their operating points in
-// caller-owned storage indexed by scenario position (Workbench bodies
-// get a typed ParamSet instead).
+// Costs spanning 3 decades so a fast scenario finishes long before a
+// slow earlier one under parallel execution.
 const std::vector<double> kUnevenTicks = {4000, 10,   2000, 1,    800,  50,
                                           3000, 5,    1500, 100,  2500, 20};
 
-// A scenario body that simulates `ticks` events on its own kernel and
-// reports the count — cheap, deterministic, and uneven across scenarios.
-ScenarioOutput simulate_point(const Scenario& s, std::size_t index) {
+// A scenario body that simulates kUnevenTicks[point] events on its own
+// kernel and reports the count — cheap, deterministic, and uneven
+// across scenarios.
+ScenarioOutput simulate_point(std::size_t point) {
   sim::Kernel kernel;
-  const auto ticks = static_cast<std::uint64_t>(kUnevenTicks[index]);
+  const auto ticks = static_cast<std::uint64_t>(kUnevenTicks[point]);
   std::uint64_t fired = 0;
   for (std::uint64_t i = 0; i < ticks; ++i) {
     kernel.schedule(static_cast<sim::Time>(i % 11 + 1), [&fired] { ++fired; });
   }
   kernel.run();
   ScenarioOutput out;
-  out.rows.push_back({s.label, std::to_string(fired)});
+  out.rows.push_back({"ticks=" + Table::num(kUnevenTicks[point]),
+                      std::to_string(fired)});
   out.stats = kernel.stats();
   return out;
 }
 
-std::vector<Scenario> uneven_scenarios() {
-  // Costs spanning 3 decades so a fast scenario finishes long before a
-  // slow earlier one under parallel execution.
-  return scenarios_over("ticks", kUnevenTicks);
+// Sweep over the given tick-list points, appending each delivered row to
+// the report's table (what exp::Workbench::run does).
+SweepReport sweep(const std::vector<std::size_t>& points, unsigned threads) {
+  SweepRunner::Options opt;
+  opt.threads = threads;
+  SweepRunner runner({"scenario", "fired"}, opt);
+  Table table({"scenario", "fired"});
+  SweepReport report = runner.run_streaming(
+      points.size(), [&](std::size_t i) { return simulate_point(points[i]); },
+      [&](std::size_t, ScenarioOutput&& out) {
+        for (auto& row : out.rows) table.add_row(std::move(row));
+      });
+  report.table = std::move(table);
+  return report;
+}
+
+std::vector<std::size_t> all_points() {
+  std::vector<std::size_t> points(kUnevenTicks.size());
+  for (std::size_t i = 0; i < points.size(); ++i) points[i] = i;
+  return points;
 }
 
 TEST(SweepRunner, ResultsInScenarioOrder) {
-  SweepRunner::Options opt;
-  opt.threads = 4;
-  SweepRunner runner({"scenario", "fired"}, opt);
-  const auto scenarios = uneven_scenarios();
-  const SweepReport report = runner.run(scenarios, simulate_point);
-  EXPECT_EQ(report.scenarios, scenarios.size());
+  const SweepReport report = sweep(all_points(), 4);
+  EXPECT_EQ(report.scenarios, kUnevenTicks.size());
   const std::string csv = report.to_csv();
   // Header + rows in scenario (not completion) order.
   std::size_t pos = csv.find("ticks=4000");
@@ -66,28 +79,17 @@ TEST(SweepRunner, ResultsInScenarioOrder) {
 }
 
 TEST(SweepRunner, CsvByteIdenticalAcrossThreadCounts) {
-  const auto scenarios = uneven_scenarios();
   std::vector<std::string> csvs;
   for (unsigned threads : {1u, 2u, 7u}) {
-    SweepRunner::Options opt;
-    opt.threads = threads;
-    SweepRunner runner({"scenario", "fired"}, opt);
-    csvs.push_back(runner.run(scenarios, simulate_point).to_csv());
+    csvs.push_back(sweep(all_points(), threads).to_csv());
   }
   EXPECT_EQ(csvs[0], csvs[1]);
   EXPECT_EQ(csvs[0], csvs[2]);
 }
 
 TEST(SweepRunner, AggregatesKernelStats) {
-  SweepRunner runner({"scenario", "fired"});
-  // Indices 1, 11, 5 of the shared tick list: 10 + 20 + 50 events.
-  const std::vector<std::size_t> pick = {1, 11, 5};
-  std::vector<Scenario> scenarios;
-  for (std::size_t i : pick) scenarios.push_back(uneven_scenarios()[i]);
-  const auto report = runner.run(
-      scenarios, [&](const Scenario& s, std::size_t i) {
-        return simulate_point(s, pick[i]);
-      });
+  // Points 1, 11, 5 of the shared tick list: 10 + 20 + 50 events.
+  const auto report = sweep({1, 11, 5}, 0);
   EXPECT_EQ(report.kernel_stats.events_executed, 80u);
   EXPECT_EQ(report.kernel_stats.events_scheduled, 80u);
   EXPECT_FALSE(report.summary().empty());
@@ -96,16 +98,8 @@ TEST(SweepRunner, AggregatesKernelStats) {
 TEST(SweepRunner, EachIndexVisitedExactlyOnce) {
   constexpr std::size_t kN = 257;
   std::vector<std::atomic<int>> visits(kN);
-  SweepRunner::for_indexed(kN, 8, [&](std::size_t i) { ++visits[i]; },
-                           /*chunk=*/3);
+  SweepRunner::for_indexed(kN, 8, [&](std::size_t i) { ++visits[i]; });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1);
-}
-
-TEST(SweepRunner, MapIndexedDeliversInOrder) {
-  const auto out = SweepRunner::map_indexed<std::size_t>(
-      100, 5, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
 TEST(SweepRunner, LowestIndexExceptionWinsAtAnyThreadCount) {
@@ -123,13 +117,63 @@ TEST(SweepRunner, LowestIndexExceptionWinsAtAnyThreadCount) {
   }
 }
 
-TEST(SweepRunner, ScenariosOverBuildsLabels) {
-  // Scenario is now label-only: the positional params bridge is gone
-  // (typed operating points travel as exp::ParamSet through Workbench).
-  const auto s = scenarios_over("vdd", {0.25, 1.0});
-  ASSERT_EQ(s.size(), 2u);
-  EXPECT_EQ(s[0].label, "vdd=0.25");
-  EXPECT_EQ(s[1].label, "vdd=1");
+TEST(SweepRunner, StreamingProduceErrorSkipsIndexAndRethrowsLowest) {
+  constexpr std::size_t kN = 1000;
+  for (unsigned threads : {1u, 4u, 7u}) {
+    std::vector<std::size_t> consumed;
+    try {
+      SweepRunner::for_indexed_streaming(
+          kN, threads,
+          [](std::size_t i) {
+            if (i == 3 || i == 17) {
+              throw std::runtime_error("boom " + std::to_string(i));
+            }
+            ScenarioOutput out;
+            out.rows.push_back({std::to_string(i)});
+            return out;
+          },
+          [&](std::size_t i, ScenarioOutput&& out) {
+            ASSERT_EQ(out.rows.at(0).at(0), std::to_string(i));
+            consumed.push_back(i);
+          });
+      FAIL() << "expected exception, threads = " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 3") << "threads = " << threads;
+    }
+    // Every other index was still produced and consumed, in order.
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (i != 3 && i != 17) want.push_back(i);
+    }
+    EXPECT_EQ(consumed, want) << "threads = " << threads;
+  }
+}
+
+TEST(SweepRunner, StreamingConsumeErrorAbortsWithoutHanging) {
+  // n is far beyond the reorder window, so producers are parked on
+  // backpressure when the consumer throws; the abort must release them.
+  constexpr std::size_t kN = 10000;
+  for (unsigned threads : {1u, 4u, 7u}) {
+    std::atomic<std::size_t> produced{0};
+    std::size_t consumed = 0;
+    try {
+      SweepRunner::for_indexed_streaming(
+          kN, threads,
+          [&](std::size_t) {
+            ++produced;
+            return ScenarioOutput{};
+          },
+          [&](std::size_t i, ScenarioOutput&&) {
+            if (i == 100) throw std::runtime_error("sink full");
+            ++consumed;
+          });
+      FAIL() << "expected exception, threads = " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "sink full") << "threads = " << threads;
+    }
+    EXPECT_EQ(consumed, 100u) << "threads = " << threads;
+    EXPECT_LT(produced.load(), kN) << "threads = " << threads;
+  }
 }
 
 TEST(SweepRunner, EnvVarControlsThreadResolution) {
@@ -141,10 +185,9 @@ TEST(SweepRunner, EnvVarControlsThreadResolution) {
 }
 
 TEST(SweepRunner, EmptySweepIsHarmless) {
-  SweepRunner runner({"a"});
-  const auto report = runner.run({}, simulate_point);
+  const auto report = sweep({}, 0);
   EXPECT_EQ(report.scenarios, 0u);
-  EXPECT_EQ(report.to_csv(), "a\n");
+  EXPECT_EQ(report.to_csv(), "scenario,fired\n");
 }
 
 }  // namespace
