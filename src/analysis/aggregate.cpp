@@ -1,5 +1,6 @@
 #include "analysis/aggregate.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -17,13 +18,19 @@ std::size_t column_index(const std::vector<std::string>& headers,
                               "\" not in the input schema");
 }
 
+/// strtod's reading of a cell (a numeric prefix; "-" and other
+/// non-numbers are not numeric) through from_chars, which neither parses
+/// a format nor consults the locale.
 bool parse_cell(const std::string& cell, double* out) {
-  if (cell.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(cell.c_str(), &end);
-  if (end == cell.c_str()) return false;  // "-" and other non-numbers
-  *out = v;
-  return true;
+  const char* first = cell.data();
+  const auto res = std::from_chars(first, first + cell.size(), *out);
+  if (res.ec == std::errc::result_out_of_range) {
+    // from_chars leaves the value unset; strtod saturates to ±HUGE_VAL
+    // or underflows toward 0, which is what the statistics saw before.
+    *out = std::strtod(cell.c_str(), nullptr);
+    return true;
+  }
+  return res.ec == std::errc();
 }
 
 }  // namespace

@@ -7,12 +7,18 @@ namespace emc::analysis {
 
 namespace {
 
-void write_joined(std::ofstream& out, const std::vector<std::string>& cells) {
+/// Join `cells` with ',' and a trailing '\n' into `line` (reused, so a
+/// row costs one write and no allocation once the buffer has grown),
+/// then write it.
+void write_joined(std::ofstream& out, const std::vector<std::string>& cells,
+                  std::string& line) {
+  line.clear();
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (c > 0) out << ',';
-    out << cells[c];
+    if (c > 0) line += ',';
+    line += cells[c];
   }
-  out << '\n';
+  line += '\n';
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 }  // namespace
@@ -24,12 +30,12 @@ CsvStream::CsvStream(const std::string& path,
     failed_ = true;
     return;
   }
-  write_joined(out_, headers);
+  write_joined(out_, headers, line_);
 }
 
 void CsvStream::row(const std::vector<std::string>& cells) {
   if (failed_ || closed_) return;
-  write_joined(out_, cells);
+  write_joined(out_, cells, line_);
   ++rows_;
   if (!out_) failed_ = true;
 }

@@ -34,6 +34,7 @@ class CsvStream {
  private:
   std::string path_;
   std::ofstream out_;
+  std::string line_;  // row assembly buffer, reused across rows
   std::size_t rows_ = 0;
   bool failed_ = false;
   bool closed_ = false;

@@ -10,9 +10,16 @@
 // scenarios never share a kernel, and results are emitted in scenario
 // order regardless of thread count or completion order. A sweep run with
 // EMC_SWEEP_THREADS=1 and EMC_SWEEP_THREADS=N produces byte-identical
-// tables and CSV (enforced by tests/sweep_runner_test.cpp). Scenarios
-// are enumerated lazily and delivered through a bounded reorder window,
-// so memory stays O(threads) however long the sweep.
+// tables and CSV (enforced by tests/sweep_runner_test.cpp).
+//
+// Handoff: scenarios are enumerated lazily. Workers claim contiguous
+// blocks of scenario indices and hand each finished block to the calling
+// thread at once, through a reorder window that counts blocks, so the
+// locking and wake-ups cost per block, not per scenario. Block size and
+// window depend only on the scenario count and the thread count (see
+// block_size() and window_blocks()); at most window x block outputs are
+// in flight, and each worker holds at most one spent block until it
+// frees it, so memory is O(threads) however long the sweep.
 #pragma once
 
 #include <atomic>
@@ -80,21 +87,38 @@ class SweepRunner {
 
   /// The streaming building block: `produce(i)` runs on the worker pool
   /// while `consume(i, output)` runs on the *calling* thread, in strict
-  /// index order, as results become available. In-flight outputs are
-  /// bounded (a reorder window of max(threads*4, 64) entries with
-  /// backpressure on the producers), so a million-index stream holds
-  /// O(threads) outputs instead of O(n) — the memory contract behind
-  /// exp::Workbench.
+  /// index order, as results become available. With more than one
+  /// thread, workers claim blocks of block_size(n, threads) consecutive
+  /// indices, and the caller consumes each block whole once it is
+  /// complete. A worker starts a block only when it is fewer than
+  /// window_blocks(block, threads) blocks ahead of the one the caller is
+  /// on, so at most window x block outputs are in flight (from the start
+  /// of produce() to the end of consume()). Spent outputs are freed on
+  /// a worker thread, before that worker's next block. A million-index
+  /// stream thus holds O(threads) outputs instead of O(n), the memory
+  /// contract behind exp::Workbench.
   ///
   /// Determinism: consume sees exactly the serial order at any thread
   /// count. Error semantics match for_indexed: a produce() exception is
   /// recorded, that index is skipped by consume, every other index still
   /// runs, and the lowest-index exception is rethrown at the end. A
-  /// consume() exception aborts the stream and propagates immediately.
+  /// consume() exception aborts the stream and propagates once the
+  /// workers have stopped; no worker starts a block after the abort.
   static void for_indexed_streaming(
       std::size_t n, unsigned threads,
       const std::function<ScenarioOutput(std::size_t)>& produce,
       const std::function<void(std::size_t, ScenarioOutput&&)>& consume);
+
+  /// Indices per handoff block: clamp(n / (threads * 64), 1, 64). About
+  /// 64 blocks per thread, so the tail stays balanced; a sweep of few
+  /// heavy scenarios hands them over one at a time.
+  static std::size_t block_size(std::size_t n, unsigned threads);
+
+  /// Reorder window in blocks: max(4 * threads, 64 / block). With
+  /// single-index blocks this is a max(4 * threads, 64)-scenario window,
+  /// lookahead for uneven scenario costs; with 64-index blocks it lets
+  /// each worker run up to four blocks ahead of the caller.
+  static std::size_t window_blocks(std::size_t block, unsigned threads);
 
   /// A sweep of `n` scenarios: `produce` is the scenario body; each
   /// output is handed to `consume` in scenario order and then dropped.

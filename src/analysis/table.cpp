@@ -1,5 +1,6 @@
 #include "analysis/table.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -16,9 +17,15 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 std::string Table::num(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-  return buf;
+  // to_chars(general, p) is specified as printf("%.*g", p) in the C
+  // locale, without printf's format parsing. At any precision the
+  // rendering fits 774 chars: sign, 767 significant digits (the longest
+  // exact decimal expansion of a double), point and "e-308".
+  char buf[774];
+  const auto res =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                    precision);
+  return std::string(buf, res.ptr);
 }
 
 std::string Table::to_string() const {

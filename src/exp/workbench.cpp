@@ -235,8 +235,7 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
       pts.size() * m,
       [&](std::size_t l) {
         const ParamSet q = expand_trial(pts[l / m], trial_of(l));
-        const std::string label = q.label();
-        Recorder rec(&columns_, global_of(l), &label);
+        Recorder rec(&columns_, global_of(l));
         body(q, rec);
         return std::move(rec.output_);
       },

@@ -133,19 +133,13 @@ class Recorder {
   /// slot typed side results belong to.
   std::size_t index() const { return index_; }
 
-  /// The scenario's reporting label (already materialized by the
-  /// Workbench — cheaper than re-deriving it from the ParamSet).
-  const std::string& label() const { return *label_; }
-
  private:
   friend class Workbench;
-  Recorder(const std::vector<std::string>* schema, std::size_t index,
-           const std::string* label)
-      : schema_(schema), index_(index), label_(label) {}
+  Recorder(const std::vector<std::string>* schema, std::size_t index)
+      : schema_(schema), index_(index) {}
 
   const std::vector<std::string>* schema_;
   std::size_t index_;
-  const std::string* label_;
   analysis::ScenarioOutput output_;
 };
 

@@ -3,14 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "analysis/aggregate.hpp"
 #include "analysis/csv.hpp"
 #include "analysis/stats.hpp"
 #include "analysis/sweep.hpp"
 #include "analysis/table.hpp"
+#include "sim/random.hpp"
 
 namespace emc::analysis {
 namespace {
@@ -93,6 +103,153 @@ TEST(Table, AlignsAndCsv) {
   EXPECT_NE(s.find("| 0.4"), std::string::npos);
   EXPECT_EQ(t.to_csv(), "vdd,value\n1.0,5.8\n0.4,1.9\n");
   EXPECT_EQ(Table::num(5.8), "5.8");
+}
+
+std::string printf_g(double v, int precision) {
+  char buf[1024];
+  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+  return buf;
+}
+
+/// Values the formatter must render exactly as printf does: random
+/// doubles spanning 1e-300..1e300 of both signs, rounding boundaries,
+/// signed zeros, denormals, the extremes, infinities and NaNs.
+std::vector<double> formatter_corpus() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> v = {9.99995,
+                           0.000123445,
+                           0.5,
+                           2.5,
+                           1e15,
+                           1e16,
+                           123456789.0,
+                           0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           2.2250738585072009e-308,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max(),
+                           kInf,
+                           -kInf,
+                           kNan,
+                           -kNan};
+  sim::Rng rng(2026);
+  for (int i = 0; i < 2000; ++i) {
+    const double mantissa = rng.uniform(1.0, 10.0);
+    const double exponent = std::floor(rng.uniform(-300.0, 301.0));
+    const double x = mantissa * std::pow(10.0, exponent);
+    v.push_back(rng.chance(0.5) ? -x : x);
+  }
+  return v;
+}
+
+TEST(Table, NumMatchesPrintfAtEveryPrecision) {
+  for (double v : formatter_corpus()) {
+    for (int p = 0; p <= 17; ++p) {
+      ASSERT_EQ(Table::num(v, p), printf_g(v, p)) << "precision " << p;
+    }
+  }
+  // Precisions far past 17 print the exact decimal expansion.
+  for (double v : {std::numeric_limits<double>::denorm_min(),
+                   -std::numeric_limits<double>::max(), 0.1, -1.0 / 3.0}) {
+    for (int p : {40, 100, 800}) {
+      EXPECT_EQ(Table::num(v, p), printf_g(v, p)) << "precision " << p;
+    }
+  }
+  EXPECT_EQ(Table::num(9.99995, 5), "10");
+  EXPECT_EQ(Table::num(0.000123445, 5), "0.00012344");
+}
+
+/// Every cell shape the writers emit: Table::num at every precision over
+/// the formatter corpus, and integer cells as std::to_string renders them.
+std::vector<std::string> writer_cells() {
+  std::vector<std::string> cells;
+  for (double v : formatter_corpus()) {
+    for (int p = 0; p <= 17; ++p) cells.push_back(Table::num(v, p));
+  }
+  for (long long i : {0LL, 1LL, -1LL, 42LL, -9223372036854775807LL - 1}) {
+    cells.push_back(std::to_string(i));
+  }
+  cells.push_back(std::to_string(std::numeric_limits<std::uint64_t>::max()));
+  return cells;
+}
+
+bool same_double(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0 ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+TEST(Table, FromCharsReadsWriterCellsAsStrtodDoes) {
+  for (const std::string& cell : writer_cells()) {
+    const double want = std::strtod(cell.c_str(), nullptr);
+    double got = 0.0;
+    const auto res =
+        std::from_chars(cell.data(), cell.data() + cell.size(), got);
+    if (res.ec == std::errc::result_out_of_range) continue;  // see below
+    ASSERT_EQ(res.ec, std::errc()) << cell;
+    EXPECT_EQ(res.ptr, cell.data() + cell.size()) << cell;
+    EXPECT_TRUE(same_double(got, want)) << cell;
+  }
+}
+
+TEST(AggregateSink, ParsesWriterCellsAsStrtodDoes) {
+  // One group per cell; at 17 digits the mean of a single value prints
+  // back exactly, so the sink's reading of the cell is observable. This
+  // covers the out-of-range shapes (e.g. "2e+308") that from_chars
+  // refuses and the sink must still read as strtod does.
+  const std::vector<std::string> cells = writer_cells();
+  const Aggregate spec =
+      Aggregate({"cell"}).stats("v").yield("v").precision(17);
+  Aggregate::Sink sink = spec.sink({"cell", "v"});
+  std::vector<std::string> seen;
+  std::unordered_set<std::string> distinct;
+  for (const std::string& cell : cells) {
+    if (!distinct.insert(cell).second) continue;
+    seen.push_back(cell);
+    sink.consume({cell, cell});
+  }
+  const Table out = sink.finish();
+  ASSERT_EQ(out.row_count(), seen.size());
+  for (std::size_t r = 0; r < seen.size(); ++r) {
+    const double want = std::strtod(seen[r].c_str(), nullptr);
+    // The mean of one value v accumulates as 0 + v, so "-0" reads as 0.
+    EXPECT_EQ(out.row(r)[2], Table::num(0.0 + want, 17)) << seen[r];
+    EXPECT_EQ(out.row(r)[7], want != 0.0 ? "1" : "0") << seen[r];
+  }
+}
+
+TEST(AggregateSink, DashAndEmptyCellsStayNonNumeric) {
+  Aggregate::Sink sink =
+      Aggregate({"k"}).stats("v").yield("v").sink({"k", "v"});
+  sink.consume({"a", "-"});
+  sink.consume({"a", ""});
+  const Table out = sink.finish();
+  ASSERT_EQ(out.row_count(), 1u);
+  EXPECT_EQ(out.row(0)[1], "2");  // both rows counted as trials...
+  for (std::size_t c = 2; c < out.headers().size(); ++c) {
+    EXPECT_EQ(out.row(0)[c], "-") << out.headers()[c];  // ...none as values
+  }
+}
+
+TEST(Csv, StreamMatchesTableCsv) {
+  const std::string path = ::testing::TempDir() + "/emc_stream.csv";
+  Table t({"a", "b", "c"});
+  t.add_row({"1", "", "x"});
+  t.add_row({"0.25", "-", "a longer cell than the first row's"});
+  {
+    CsvStream out(path, t.headers());
+    for (std::size_t r = 0; r < t.row_count(); ++r) out.row(t.row(r));
+    ASSERT_TRUE(out.close());
+    EXPECT_EQ(out.rows(), 2u);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, t.to_csv());
+  std::remove(path.c_str());
 }
 
 TEST(Csv, WritesFile) {

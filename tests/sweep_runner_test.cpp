@@ -6,6 +6,7 @@
 // completion order differs from scenario order under parallelism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -117,43 +118,90 @@ TEST(SweepRunner, LowestIndexExceptionWinsAtAnyThreadCount) {
   }
 }
 
-TEST(SweepRunner, StreamingProduceErrorSkipsIndexAndRethrowsLowest) {
-  constexpr std::size_t kN = 1000;
-  for (unsigned threads : {1u, 4u, 7u}) {
-    std::vector<std::size_t> consumed;
-    try {
+// Thread counts for the block-handoff tests: the serial path, odd
+// counts (ragged block distribution) and the common 4.
+const unsigned kStreamThreads[] = {1, 3, 4, 7};
+
+ScenarioOutput tagged(std::size_t i) {
+  ScenarioOutput out;
+  out.rows.push_back({std::to_string(i)});
+  return out;
+}
+
+TEST(SweepRunner, StreamingDeliversEveryIndexOnceInOrder) {
+  for (unsigned threads : kStreamThreads) {
+    // n = full is the first count with 64-index blocks; one below it
+    // blocks are 63 wide, one above it the last block holds one index.
+    const std::size_t full = static_cast<std::size_t>(threads) * 64 * 64;
+    ASSERT_EQ(SweepRunner::block_size(full - 1, threads), 63u);
+    ASSERT_EQ(SweepRunner::block_size(full, threads), 64u);
+    for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                          std::size_t{65}, full - 1, full, full + 1,
+                          std::size_t{10003}}) {
+      std::vector<std::size_t> consumed;
       SweepRunner::for_indexed_streaming(
-          kN, threads,
-          [](std::size_t i) {
-            if (i == 3 || i == 17) {
-              throw std::runtime_error("boom " + std::to_string(i));
-            }
-            ScenarioOutput out;
-            out.rows.push_back({std::to_string(i)});
-            return out;
-          },
-          [&](std::size_t i, ScenarioOutput&& out) {
+          n, threads, tagged, [&](std::size_t i, ScenarioOutput&& out) {
             ASSERT_EQ(out.rows.at(0).at(0), std::to_string(i));
             consumed.push_back(i);
           });
-      FAIL() << "expected exception, threads = " << threads;
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "boom 3") << "threads = " << threads;
+      ASSERT_EQ(consumed.size(), n) << "threads " << threads << " n " << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(consumed[i], i) << "threads " << threads << " n " << n;
+      }
     }
-    // Every other index was still produced and consumed, in order.
-    std::vector<std::size_t> want;
-    for (std::size_t i = 0; i < kN; ++i) {
-      if (i != 3 && i != 17) want.push_back(i);
+  }
+}
+
+TEST(SweepRunner, StreamingProduceErrorSkipsIndexAndRethrowsLowest) {
+  constexpr std::size_t kN = 10003;
+  for (unsigned threads : kStreamThreads) {
+    const std::size_t block = SweepRunner::block_size(kN, threads);
+    // Failures at the first index of one block and the last index of
+    // another, with either one the lower.
+    const std::vector<std::vector<std::size_t>> cases = {
+        {3 * block, 5 * block - 1}, {2 * block - 1, 5 * block}};
+    for (const auto& failing : cases) {
+      const auto fails = [&](std::size_t i) {
+        return std::find(failing.begin(), failing.end(), i) != failing.end();
+      };
+      std::vector<std::size_t> consumed;
+      try {
+        SweepRunner::for_indexed_streaming(
+            kN, threads,
+            [&](std::size_t i) {
+              if (fails(i)) {
+                throw std::runtime_error("boom " + std::to_string(i));
+              }
+              return tagged(i);
+            },
+            [&](std::size_t i, ScenarioOutput&& out) {
+              ASSERT_EQ(out.rows.at(0).at(0), std::to_string(i));
+              consumed.push_back(i);
+            });
+        FAIL() << "expected exception, threads = " << threads;
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), "boom " + std::to_string(failing[0]))
+            << "threads = " << threads;
+      }
+      // Every other index was still produced and consumed, in order.
+      std::vector<std::size_t> want;
+      for (std::size_t i = 0; i < kN; ++i) {
+        if (!fails(i)) want.push_back(i);
+      }
+      EXPECT_EQ(consumed, want) << "threads = " << threads;
     }
-    EXPECT_EQ(consumed, want) << "threads = " << threads;
   }
 }
 
 TEST(SweepRunner, StreamingConsumeErrorAbortsWithoutHanging) {
   // n is far beyond the reorder window, so producers are parked on
-  // backpressure when the consumer throws; the abort must release them.
-  constexpr std::size_t kN = 10000;
-  for (unsigned threads : {1u, 4u, 7u}) {
+  // backpressure when the consumer throws; the abort must release them,
+  // and no block beyond the window may start afterwards.
+  constexpr std::size_t kN = 100000;
+  for (unsigned threads : kStreamThreads) {
+    const std::size_t block = SweepRunner::block_size(kN, threads);
+    const std::size_t window = SweepRunner::window_blocks(block, threads);
+    const std::size_t fail_at = 10 * block + block / 2;  // mid-block
     std::atomic<std::size_t> produced{0};
     std::size_t consumed = 0;
     try {
@@ -164,15 +212,46 @@ TEST(SweepRunner, StreamingConsumeErrorAbortsWithoutHanging) {
             return ScenarioOutput{};
           },
           [&](std::size_t i, ScenarioOutput&&) {
-            if (i == 100) throw std::runtime_error("sink full");
+            if (i == fail_at) throw std::runtime_error("sink full");
             ++consumed;
           });
       FAIL() << "expected exception, threads = " << threads;
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "sink full") << "threads = " << threads;
     }
-    EXPECT_EQ(consumed, 100u) << "threads = " << threads;
-    EXPECT_LT(produced.load(), kN) << "threads = " << threads;
+    EXPECT_EQ(consumed, fail_at) << "threads = " << threads;
+    EXPECT_LE(produced.load(), (fail_at / block + window) * block)
+        << "threads = " << threads;
+  }
+}
+
+TEST(SweepRunner, StreamingInFlightOutputsStayWithinBound) {
+  // An output is alive from the start of its produce() call to the end
+  // of its consume() call. The documented bound is window x block.
+  constexpr std::size_t kN = 100000;
+  for (unsigned threads : kStreamThreads) {
+    const std::size_t block = SweepRunner::block_size(kN, threads);
+    const std::size_t bound =
+        SweepRunner::window_blocks(block, threads) * block;
+    std::atomic<std::size_t> alive{0};
+    std::atomic<std::size_t> peak{0};
+    std::size_t consumed = 0;
+    SweepRunner::for_indexed_streaming(
+        kN, threads,
+        [&](std::size_t) {
+          const std::size_t now = ++alive;  // exact: one atomic counter
+          std::size_t seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          return ScenarioOutput{};
+        },
+        [&](std::size_t, ScenarioOutput&&) {
+          ++consumed;
+          --alive;
+        });
+    EXPECT_EQ(consumed, kN) << "threads = " << threads;
+    EXPECT_LE(peak.load(), bound) << "threads = " << threads;
+    EXPECT_GT(peak.load(), 0u) << "threads = " << threads;
   }
 }
 
