@@ -14,14 +14,13 @@
 #include <string>
 
 #include "analysis/aggregate.hpp"
-#include "analysis/csv.hpp"
 #include "analysis/sweep.hpp"
 #include "device/delay_model.hpp"
 #include "device/variation.hpp"
 #include "exp/workbench.hpp"
 #include "lint/session.hpp"
-#include "repro/partial.hpp"
 #include "repro/registry.hpp"
+#include "repro/replicated.hpp"
 #include "sram/bitline.hpp"
 #include "sram/cell.hpp"
 #include "sram/si_controller.hpp"
@@ -34,7 +33,7 @@ constexpr std::size_t kWordBits = 16;
 constexpr std::uint64_t kRulerId = 0;     // the reference inverter
 constexpr std::uint64_t kCellBaseId = 1;  // the addressed word's cells
 
-/// Shared trials -> band spec (streaming run + `emc_repro merge`).
+/// Trials -> band reduction (the figure's registered trial model).
 emc::analysis::Aggregate fig5_aggregate() {
   return emc::analysis::Aggregate({"vdd_V"}).stats("sram_in_inverters");
 }
@@ -51,7 +50,6 @@ static int run_fig5(const emc::repro::RunContext& ctx) {
   wb.threads(ctx.threads);
   wb.grid().over("vdd", analysis::vdd_grid());
   wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
-  wb.shard(ctx.shard_index, ctx.shard_count);
   wb.columns({"vdd_V", "trial", "inv_delay_ps", "sram_read_ns",
               "sram_in_inverters"});
 
@@ -80,36 +78,11 @@ static int run_fig5(const emc::repro::RunContext& ctx) {
         .set("sram_in_inverters", d_sram / d_inv, 4);
   };
 
-  if (ctx.sharded()) {
-    repro::PartialWriter pw(
-        ctx.partial_path("fig5_sram_logic_mismatch"),
-        repro::make_partial_header(ctx, "fig5_sram_logic_mismatch",
-                                   wb.schema(), wb.total_scenarios()));
-    const auto& report = wb.run_streaming(
-        [&](std::size_t g, const std::vector<std::string>& cells) {
-          pw.row(g, cells);
-        },
-        body);
-    pw.finish(report.kernel_stats);
-    ctx.add_stats(report.kernel_stats);
-    return 0;
+  // The plot CSV (fig5_mismatch.csv) is the MC band around the ratio
+  // curve.
+  if (repro::run_replicated(ctx, "fig5_sram_logic_mismatch", wb, body) != 0) {
+    return 1;
   }
-
-  analysis::CsvStream trials_out("fig5_mismatch_trials.csv", wb.schema());
-  analysis::Aggregate::Sink agg_sink = fig5_aggregate().sink(wb.schema());
-  const auto& report = wb.run_streaming(
-      [&](std::size_t, const std::vector<std::string>& cells) {
-        trials_out.row(cells);
-        agg_sink.consume(cells);
-      },
-      body);
-  trials_out.close();
-
-  const analysis::Table agg = agg_sink.finish();
-  agg.print();
-
-  // The plot CSV: the MC band around the ratio curve.
-  agg.write_csv("fig5_mismatch.csv");
 
   device::DelayModel model{device::Tech::umc90()};
   analysis::print_anchor("SRAM read in inverters at 1.0 V", 50.0,
@@ -122,7 +95,6 @@ static int run_fig5(const emc::repro::RunContext& ctx) {
       "cannot\neven bundle two *chips* at the same Vdd. Distribution "
       "written to\nfig5_mismatch.csv (raw trials: "
       "fig5_mismatch_trials.csv).\n");
-  ctx.add_stats(report.kernel_stats);
   return 0;
 }
 

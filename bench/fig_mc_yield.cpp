@@ -22,14 +22,13 @@
 #include <string>
 
 #include "analysis/aggregate.hpp"
-#include "analysis/csv.hpp"
 #include "analysis/sweep.hpp"
 #include "device/delay_model.hpp"
 #include "device/variation.hpp"
 #include "exp/workbench.hpp"
 #include "lint/session.hpp"
-#include "repro/partial.hpp"
 #include "repro/registry.hpp"
+#include "repro/replicated.hpp"
 #include "sram/bitline.hpp"
 #include "sram/cell.hpp"
 #include "sram/si_controller.hpp"
@@ -54,8 +53,8 @@ constexpr double kStrengthSigma = 0.05;
 constexpr std::uint64_t kLogicBaseId = 0;
 constexpr std::uint64_t kSramBaseId = 1000;
 
-/// The trials -> yield-curve reduction, registered in the shard model so
-/// the in-process streaming run and `emc_repro merge` share one spec.
+/// The trials -> yield-curve reduction (the figure's registered trial
+/// model).
 emc::analysis::Aggregate fig_mc_yield_aggregate() {
   return emc::analysis::Aggregate({"vdd_V"})
       .stats("path_ratio")
@@ -75,7 +74,6 @@ static int run_fig_mc_yield(const emc::repro::RunContext& ctx) {
   wb.threads(ctx.threads);
   wb.grid().over("vdd", analysis::vdd_grid());
   wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
-  wb.shard(ctx.shard_index, ctx.shard_count);
   wb.columns({"vdd_V", "trial", "path_ratio", "worst_vth_mV", "sram_ok",
               "logic_ok", "chip_ok"});
 
@@ -119,40 +117,7 @@ static int run_fig_mc_yield(const emc::repro::RunContext& ctx) {
         .set("chip_ok", (sram_ok && logic_ok) ? 1 : 0);
   };
 
-  // A sharded run streams its slice of the trial axis into a partial
-  // file and stops — `emc_repro merge` reassembles the CSVs below.
-  if (ctx.sharded()) {
-    repro::PartialWriter pw(
-        ctx.partial_path("fig_mc_yield"),
-        repro::make_partial_header(ctx, "fig_mc_yield", wb.schema(),
-                                   wb.total_scenarios()));
-    const auto& report = wb.run_streaming(
-        [&](std::size_t g, const std::vector<std::string>& cells) {
-          pw.row(g, cells);
-        },
-        body);
-    pw.finish(report.kernel_stats);
-    ctx.add_stats(report.kernel_stats);
-    return 0;
-  }
-
-  // Streaming run: rows flow straight into the trial CSV and the yield
-  // accumulator as workers produce them — memory stays O(Vdd points),
-  // not O(trials), so --trials can scale to 10^6 virtual chips.
-  analysis::CsvStream trials_out("fig_mc_yield_trials.csv", wb.schema());
-  analysis::Aggregate::Sink agg_sink =
-      fig_mc_yield_aggregate().sink(wb.schema());
-  const auto& report = wb.run_streaming(
-      [&](std::size_t, const std::vector<std::string>& cells) {
-        trials_out.row(cells);
-        agg_sink.consume(cells);
-      },
-      body);
-  trials_out.close();
-
-  const analysis::Table agg = agg_sink.finish();
-  agg.print();
-  agg.write_csv("fig_mc_yield.csv");
+  if (repro::run_replicated(ctx, "fig_mc_yield", wb, body) != 0) return 1;
 
   std::printf(
       "\nReading: SRAM yield collapses well above the logic floor (the\n"
@@ -161,7 +126,6 @@ static int run_fig_mc_yield(const emc::repro::RunContext& ctx) {
       "detection would track each chip's own speed instead. Yield curves\n"
       "written to fig_mc_yield.csv (raw trials: fig_mc_yield_trials.csv).\n",
       kSramCells, (kLogicMargin - 1.0) * 100.0);
-  ctx.add_stats(report.kernel_stats);
   return 0;
 }
 

@@ -28,7 +28,6 @@
 #include <string>
 
 #include "analysis/aggregate.hpp"
-#include "analysis/csv.hpp"
 #include "analysis/sweep.hpp"
 #include "async/counter.hpp"
 #include "async/handshake.hpp"
@@ -36,8 +35,8 @@
 #include "fault/fault_plan.hpp"
 #include "lint/session.hpp"
 #include "netlist/module.hpp"
-#include "repro/partial.hpp"
 #include "repro/registry.hpp"
+#include "repro/replicated.hpp"
 
 namespace {
 
@@ -162,7 +161,7 @@ TrialOutcome run_trial(const std::string& kind, double dropout_hz,
   return out;
 }
 
-/// Shared trials -> aggregate spec (streaming run + `emc_repro merge`).
+/// Trials -> aggregate reduction (the figure's registered trial model).
 analysis::Aggregate fig_survivability_aggregate() {
   return analysis::Aggregate({"supply", "dropout_hz", "drop_us"})
       .stats("qos_kops_s")
@@ -183,7 +182,6 @@ static int run_fig_survivability(const emc::repro::RunContext& ctx) {
       .over("dropout_hz", {0.0, 2e4, 1e5})
       .over("drop_us", {2.0, 10.0});
   wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
-  wb.shard(ctx.shard_index, ctx.shard_count);
   wb.columns({"supply", "dropout_hz", "drop_us", "trial", "qos_kops_s",
               "qos_verdict", "hs_done_pct", "hs_verdict", "survived"});
 
@@ -205,35 +203,7 @@ static int run_fig_survivability(const emc::repro::RunContext& ctx) {
     rec.add_stats(o.stats);
   };
 
-  if (ctx.sharded()) {
-    repro::PartialWriter pw(
-        ctx.partial_path("fig_survivability"),
-        repro::make_partial_header(ctx, "fig_survivability", wb.schema(),
-                                   wb.total_scenarios()));
-    const auto& report = wb.run_streaming(
-        [&](std::size_t g, const std::vector<std::string>& cells) {
-          pw.row(g, cells);
-        },
-        body);
-    pw.finish(report.kernel_stats);
-    ctx.add_stats(report.kernel_stats);
-    return 0;
-  }
-
-  analysis::CsvStream trials_out("fig_survivability_trials.csv", wb.schema());
-  analysis::Aggregate::Sink agg_sink =
-      fig_survivability_aggregate().sink(wb.schema());
-  const auto& report = wb.run_streaming(
-      [&](std::size_t, const std::vector<std::string>& cells) {
-        trials_out.row(cells);
-        agg_sink.consume(cells);
-      },
-      body);
-  trials_out.close();
-
-  const analysis::Table agg = agg_sink.finish();
-  agg.print();
-  agg.write_csv("fig_survivability.csv");
+  if (repro::run_replicated(ctx, "fig_survivability", wb, body) != 0) return 1;
 
   std::printf(
       "\nReading: dropouts cost *rate*, not correctness — QoS scales with\n"
@@ -241,7 +211,6 @@ static int run_fig_survivability(const emc::repro::RunContext& ctx) {
       "environment relents (verdicts stay completed/quiesced, never\n"
       "deadlocked: stalls here always recover). Aggregates written to\n"
       "fig_survivability.csv (raw trials: fig_survivability_trials.csv).\n");
-  ctx.add_stats(report.kernel_stats);
   return 0;
 }
 

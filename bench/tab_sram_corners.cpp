@@ -13,12 +13,11 @@
 #include <string>
 
 #include "analysis/aggregate.hpp"
-#include "analysis/csv.hpp"
 #include "device/variation.hpp"
 #include "exp/workbench.hpp"
 #include "lint/session.hpp"
-#include "repro/partial.hpp"
 #include "repro/registry.hpp"
+#include "repro/replicated.hpp"
 #include "sram/failure.hpp"
 #include "sram/si_controller.hpp"
 
@@ -28,7 +27,8 @@ constexpr std::size_t kSmokeTrials = 4;
 constexpr double kVthSigma = 0.020;  // 20 mV local cell mismatch
 constexpr std::uint64_t kCellBaseId = 0;
 
-/// Shared trials -> distribution spec (streaming run + merge).
+/// Trials -> distribution reduction (the figure's registered trial
+/// model).
 emc::analysis::Aggregate tab_sram_corners_aggregate() {
   return emc::analysis::Aggregate({"corner"})
       .stats("min_read_V")
@@ -57,7 +57,6 @@ static int run_tab_sram_corners(const emc::repro::RunContext& ctx) {
   }
   wb.grid().over("corner", corner_names);
   wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
-  wb.shard(ctx.shard_index, ctx.shard_count);
   wb.columns({"corner", "trial", "min_read_V", "min_write_V", "retention_V",
               "read@1V_ns", "read@0.19V_us", "ratio@1V", "ratio@0.19V"});
 
@@ -108,42 +107,13 @@ static int run_tab_sram_corners(const emc::repro::RunContext& ctx) {
              4);
   };
 
-  if (ctx.sharded()) {
-    repro::PartialWriter pw(
-        ctx.partial_path("tab_sram_corners"),
-        repro::make_partial_header(ctx, "tab_sram_corners", wb.schema(),
-                                   wb.total_scenarios()));
-    const auto& report = wb.run_streaming(
-        [&](std::size_t g, const std::vector<std::string>& cells) {
-          pw.row(g, cells);
-        },
-        body);
-    pw.finish(report.kernel_stats);
-    ctx.add_stats(report.kernel_stats);
-    return 0;
-  }
-
-  analysis::CsvStream trials_out("tab_sram_corners_trials.csv", wb.schema());
-  analysis::Aggregate::Sink agg_sink =
-      tab_sram_corners_aggregate().sink(wb.schema());
-  const auto& report = wb.run_streaming(
-      [&](std::size_t, const std::vector<std::string>& cells) {
-        trials_out.row(cells);
-        agg_sink.consume(cells);
-      },
-      body);
-  trials_out.close();
-
-  const analysis::Table agg = agg_sink.finish();
-  agg.print();
-  agg.write_csv("tab_sram_corners.csv");
+  if (repro::run_replicated(ctx, "tab_sram_corners", wb, body) != 0) return 1;
 
   std::printf(
       "\nThe SI controller needs no corner-specific timing: completion "
       "detection absorbs\nthe full corner spread *and* the per-chip "
       "mismatch spread above (the bundled\nbaselines would need the slow "
       "corner's p95 margin and would waste it everywhere\nelse).\n");
-  ctx.add_stats(report.kernel_stats);
   return 0;
 }
 

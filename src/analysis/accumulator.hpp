@@ -1,8 +1,8 @@
-// Streaming accumulators for scale-out sweeps.
+// Streaming accumulators for large replicated sweeps.
 //
 // The legacy analysis::Accumulator + percentile() pair needs every
 // sample in memory to report quantiles — fine for a 60-trial figure,
-// fatal for the 10^6-trial runs the shard/stream backend targets. This
+// fatal for the 10^6-trial single-process runs `--trials` enables. This
 // header adds the O(1)-memory counterparts:
 //
 //   * WelfordAccumulator — numerically stable online mean/variance

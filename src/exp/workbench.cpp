@@ -169,26 +169,6 @@ Workbench& Workbench::replicate(std::size_t n_trials, std::uint64_t base_seed) {
   return *this;
 }
 
-Workbench& Workbench::shard(std::size_t index, std::size_t count) {
-  if (count == 0) {
-    throw std::invalid_argument("Workbench::shard: count must be >= 1");
-  }
-  if (index >= count) {
-    throw std::invalid_argument("Workbench::shard: index " +
-                                std::to_string(index) + " out of range for " +
-                                std::to_string(count) + " shard(s)");
-  }
-  shard_index_ = index;
-  shard_count_ = count;
-  return *this;
-}
-
-std::size_t Workbench::total_scenarios() const {
-  const std::size_t points =
-      explicit_scenarios_ ? explicit_params_.size() : grid_.size();
-  return points * trials_;
-}
-
 std::vector<ParamSet> Workbench::points() const {
   return explicit_scenarios_ ? explicit_params_ : grid_.build();
 }
@@ -214,34 +194,17 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
   const std::vector<ParamSet> pts = points();
   params_.clear();
 
-  // Trials owned by this shard: t = shard_index + k * shard_count < trials
-  // — a pure function of (trials, shard spec), never of threads.
-  const std::size_t m =
-      trials_ > shard_index_
-          ? (trials_ - shard_index_ + shard_count_ - 1) / shard_count_
-          : 0;
-
-  // local index l -> (point p, k-th owned trial t) -> global scenario
-  // index p * trials + t, the unsharded row order merges reconstruct.
-  const auto trial_of = [&](std::size_t l) {
-    return shard_index_ + (l % m) * shard_count_;
-  };
-  const auto global_of = [&](std::size_t l) {
-    return l / m * trials_ + trial_of(l);
-  };
-
   analysis::SweepRunner runner(columns_, opt_);
   report_ = runner.run_streaming(
-      pts.size() * m,
-      [&](std::size_t l) {
-        const ParamSet q = expand_trial(pts[l / m], trial_of(l));
-        Recorder rec(&columns_, global_of(l));
+      pts.size() * trials_,
+      [&](std::size_t i) {
+        const ParamSet q = expand_trial(pts[i / trials_], i % trials_);
+        Recorder rec(&columns_, i);
         body(q, rec);
         return std::move(rec.output_);
       },
-      [&](std::size_t l, analysis::ScenarioOutput&& out) {
-        const std::size_t g = global_of(l);
-        for (const auto& row : out.rows) sink(g, row);
+      [&](std::size_t i, analysis::ScenarioOutput&& out) {
+        for (const auto& row : out.rows) sink(i, row);
       });
   return report_;
 }
@@ -255,7 +218,7 @@ const analysis::SweepReport& Workbench::run(const Body& body) {
       body);
   report_.table = std::move(table);
   for (const ParamSet& p : points()) {
-    for (std::size_t t = shard_index_; t < trials_; t += shard_count_) {
+    for (std::size_t t = 0; t < trials_; ++t) {
       params_.push_back(expand_trial(p, t));
     }
   }

@@ -129,8 +129,8 @@ class Recorder {
   /// Fold a kernel's execution stats into the sweep totals.
   void add_stats(const sim::Kernel::Stats& s) { output_.stats += s; }
 
-  /// Global index of this scenario (grid point x trials + trial) — the
-  /// slot typed side results belong to.
+  /// Index of this scenario (grid point x trials + trial) — the slot
+  /// typed side results belong to.
   std::size_t index() const { return index_; }
 
  private:
@@ -174,21 +174,6 @@ class Workbench {
   /// Replication factor (1 = no replication).
   std::size_t trials() const { return trials_; }
 
-  /// Restrict the run to one shard of the trial axis: trial t belongs
-  /// to shard (t % count). The partition is pure in (trials, count) —
-  /// independent of thread count and grid shape — so a
-  /// merge of all shards' rows in global scenario order is
-  /// byte-identical to the unsharded run (the emc_repro --shard/merge
-  /// protocol). shard(0, 1) is the default unsharded run. Throws
-  /// std::invalid_argument on count == 0 or index >= count.
-  Workbench& shard(std::size_t index, std::size_t count);
-  std::size_t shard_index() const { return shard_index_; }
-  std::size_t shard_count() const { return shard_count_; }
-
-  /// Scenario count of the *unsharded* run (grid points x trials) —
-  /// the global index space shard partials are recorded in.
-  std::size_t total_scenarios() const;
-
   /// The column schema (what sink rows are ordered by).
   const std::vector<std::string>& schema() const { return columns_; }
 
@@ -199,9 +184,8 @@ class Workbench {
   using Body = std::function<void(const ParamSet&, Recorder&)>;
 
   /// Row sink for run_streaming: receives each produced row (cells in
-  /// schema order) tagged with its *global* scenario index — the index
-  /// the row would have in the unsharded run, which is what the shard
-  /// partial format records and the merge step orders by.
+  /// schema order) tagged with its scenario index (grid point x trials
+  /// + trial).
   using RowSink =
       std::function<void(std::size_t, const std::vector<std::string>&)>;
 
@@ -213,9 +197,6 @@ class Workbench {
   /// 10^6-trial replicated runs possible. The returned report carries
   /// scenario count, threads, wall time and kernel stats; its table has
   /// headers but no rows, and scenario_params() is empty.
-  ///
-  /// Honors shard(): only this shard's trials run; global indices still
-  /// refer to the unsharded index space.
   const analysis::SweepReport& run_streaming(const RowSink& sink,
                                              const Body& body);
 
@@ -251,8 +232,6 @@ class Workbench {
   std::vector<std::string> columns_;
   std::size_t trials_ = 1;
   std::uint64_t base_seed_ = 0;
-  std::size_t shard_index_ = 0;
-  std::size_t shard_count_ = 1;
   analysis::SweepRunner::Options opt_;
   analysis::SweepReport report_;
 };

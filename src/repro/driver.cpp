@@ -13,8 +13,6 @@
 
 #include "analysis/sweep_runner.hpp"
 #include "lint/session.hpp"
-#include "repro/cache.hpp"
-#include "repro/partial.hpp"
 #include "repro/registry.hpp"
 #include "repro/sha256.hpp"
 #include "sta/session.hpp"
@@ -44,14 +42,7 @@ struct CliOptions {
   std::vector<unsigned> cross_threads;  // empty = single run, default pool
   std::string manifest_path;
   std::string refs_dir = EMC_REPRO_REFS_DIR;
-  // Scale-out surface: shard assignment, partial output, result cache.
-  bool shard_set = false;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  std::string partial_dir;
   std::uint64_t trials_override = 0;
-  std::string cache_dir;
-  bool no_cache = false;
 };
 
 struct ArtifactRecord {
@@ -74,11 +65,6 @@ struct FigureResult {
   sim::Kernel::Stats stats;
   std::vector<ArtifactRecord> artifacts;
   std::string detail;  // human-readable failure explanation
-  // Cache disposition: "off" (no --cache), "hit" (artifacts restored
-  // without running), "stored" (ran and published), "miss" (ran;
-  // store skipped or failed).
-  std::string cache_state = "off";
-  std::string cache_key;
 
   bool failed() const {
     return run_failed || lint_failed || sta_failed || missing_artifact ||
@@ -177,41 +163,39 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Fill a RunContext from the options (everything but `threads`, which
-/// varies across cross-check re-runs).
-RunContext make_context(const Figure& fig, const CliOptions& opt,
-                        std::uint64_t seed) {
+/// A RunContext for `opt` at sweep-thread count `threads`.
+RunContext make_context(const CliOptions& opt, std::uint64_t seed,
+                        unsigned threads) {
   RunContext ctx;
   ctx.mode = opt.smoke ? Mode::kSmoke : Mode::kFull;
   ctx.seed = seed;
-  ctx.shard_index = opt.shard_index;
-  ctx.shard_count = opt.shard_count;
-  ctx.partial_dir = opt.partial_dir;
+  ctx.threads = threads;
   ctx.trials_override = opt.trials_override;
-  (void)fig;
   return ctx;
 }
 
-/// The cache key of this invocation of `fig` — every input the
-/// artifacts are a pure function of.
-CacheKey make_cache_key(const Figure& fig, const CliOptions& opt,
-                        std::uint64_t seed,
-                        const std::vector<std::string>& artifact_files) {
-  CacheKey key;
-  key.figure = fig.name;
-  key.seed = seed;
-  key.smoke = opt.smoke;
-  key.trials_override = opt.trials_override;
-  key.shard_index = opt.shard_index;
-  key.shard_count = opt.shard_count;
-  key.sharded = !opt.partial_dir.empty();
-  key.code_version = cache_code_version();
-  key.artifacts = artifact_files;
-  return key;
+/// Run `fig`'s body under `ctx`. A throw or a nonzero return marks `r`
+/// run_failed, with `what` naming the attempt in its detail: a figure
+/// body that throws must not take the rest of an --all run down with it.
+bool run_body(const Figure& fig, const RunContext& ctx, const std::string& what,
+              FigureResult& r) {
+  std::string error;
+  try {
+    const int rc = fig.run(ctx);
+    if (rc == 0) return true;
+    error = " returned " + std::to_string(rc);
+  } catch (const std::exception& e) {
+    error = std::string(" threw: ") + e.what();
+  } catch (...) {
+    error = " threw a non-std exception";
+  }
+  r.run_failed = true;
+  r.detail += "    " + what + error + "\n";
+  return false;
 }
 
-/// Run one figure end to end: execute (or restore from cache),
-/// inventory artifacts, check refs, cross-check thread counts.
+/// Run one figure end to end: execute, inventory artifacts, check refs,
+/// cross-check thread counts.
 FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   FigureResult r;
   r.fig = &fig;
@@ -274,87 +258,33 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
     }
   }
 
-  RunContext ctx = make_context(fig, opt, r.seed);
-  ctx.threads = opt.cross_threads.empty() ? 0 : opt.cross_threads.front();
+  const std::vector<unsigned>& threads = opt.cross_threads;
+  const RunContext ctx =
+      make_context(opt, r.seed, threads.empty() ? 0 : threads.front());
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ran = run_body(fig, ctx, "run()", r);
+  r.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  r.stats = ctx.stats();
+  if (!ran) return r;
 
-  // A sharded run's only product is its partial file; the declared
-  // final artifacts are written by `emc_repro merge` instead.
-  const std::vector<std::string> artifact_files =
-      ctx.sharded() ? std::vector<std::string>{ctx.partial_path(fig.name)}
-                    : fig.artifacts;
-
-  // Result cache: a run with the same (code, figure, seed, mode,
-  // override, shard) inputs re-derives byte-identical artifacts, so a
-  // stored entry can stand in for the whole simulation. The hit/stored
-  // state lands in the manifest — CI asserts on it.
-  const bool use_cache = !opt.cache_dir.empty() && !opt.no_cache;
-  CacheKey key;
-  bool cache_hit = false;
-  if (use_cache) {
-    key = make_cache_key(fig, opt, r.seed, artifact_files);
-    r.cache_key = key.hash();
-    ResultCache cache(opt.cache_dir);
-    cache_hit = cache.restore(key);
-    r.cache_state = cache_hit ? "hit" : "miss";
-  }
-
-  if (!cache_hit) {
-    // Graceful degradation: a figure body that throws must not take the
-    // rest of an --all run down with it. The exception becomes a
-    // run_failed status (aggregate exit stays nonzero) and the loop
-    // moves on to the next figure.
-    const auto t0 = std::chrono::steady_clock::now();
-    int rc = 0;
-    try {
-      rc = fig.run(ctx);
-    } catch (const std::exception& e) {
-      r.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      r.run_failed = true;
-      r.detail += std::string("    run() threw: ") + e.what() + "\n";
-      return r;
-    } catch (...) {
-      r.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      r.run_failed = true;
-      r.detail += "    run() threw a non-std exception\n";
-      return r;
-    }
-    r.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    r.stats = ctx.stats();
-    if (rc != 0) {
-      r.run_failed = true;
-      r.detail += "    run() returned " + std::to_string(rc) + "\n";
-      return r;
-    }
-  }
-
-  // Inventory every produced artifact (and keep the bytes of the first
-  // run for the thread cross-check).
-  std::vector<std::string> first_bytes(artifact_files.size());
-  for (std::size_t i = 0; i < artifact_files.size(); ++i) {
-    const std::string& file = artifact_files[i];
+  // Inventory every produced artifact. Digests stream from disk, so the
+  // inventory never holds a file in memory, however many trials it has.
+  for (const std::string& file : fig.artifacts) {
     ArtifactRecord rec;
     rec.file = file;
-    if (!read_file(file, &first_bytes[i])) {
+    rec.sha256 = sha256_file_hex(file);
+    std::error_code ec;
+    rec.bytes = std::filesystem::file_size(file, ec);
+    if (rec.sha256.empty() || ec) {
       r.missing_artifact = true;
       r.detail += "    declared artifact not produced: " + file + "\n";
       continue;
     }
-    rec.bytes = first_bytes[i].size();
-    rec.sha256 = sha256_hex(first_bytes[i]);
     r.artifacts.push_back(std::move(rec));
   }
   if (r.missing_artifact) return r;
-
-  if (use_cache && !cache_hit) {
-    ResultCache cache(opt.cache_dir);
-    if (cache.store(key, artifact_files)) r.cache_state = "stored";
-  }
 
   if (opt.check) {
     for (const std::string& file : fig.refs) {
@@ -369,10 +299,7 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
         continue;
       }
       std::string produced;
-      for (std::size_t i = 0; i < artifact_files.size(); ++i) {
-        if (artifact_files[i] == file) produced = first_bytes[i];
-      }
-      if (produced != ref_bytes) {
+      if (!read_file(file, &produced) || produced != ref_bytes) {
         r.ref_mismatch = true;
         r.detail += diff_summary(ref_path, ref_bytes, file, produced);
       }
@@ -380,54 +307,34 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   }
 
   // Determinism cross-check: re-run at each further thread count and
-  // demand byte-identical artifacts. A cache hit skips it — the stored
-  // artifacts already passed it when they were produced.
-  for (std::size_t t = 1; !cache_hit && t < opt.cross_threads.size(); ++t) {
-    RunContext ctx2 = make_context(fig, opt, r.seed);
-    ctx2.threads = opt.cross_threads[t];
-    int rc2 = 0;
-    try {
-      rc2 = fig.run(ctx2);
-    } catch (const std::exception& e) {
-      r.run_failed = true;
-      r.detail += "    re-run at threads=" +
-                  std::to_string(opt.cross_threads[t]) + " threw: " +
-                  e.what() + "\n";
-      return r;
-    } catch (...) {
-      r.run_failed = true;
-      r.detail += "    re-run at threads=" +
-                  std::to_string(opt.cross_threads[t]) +
-                  " threw a non-std exception\n";
+  // demand byte-identical artifacts. The first run's bytes are kept only
+  // here, for the diff a divergence prints.
+  if (threads.size() < 2) return r;
+  std::vector<std::string> first(fig.artifacts.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    read_file(fig.artifacts[i], &first[i]);
+  }
+  for (std::size_t t = 1; t < threads.size(); ++t) {
+    const std::string at = "threads=" + std::to_string(threads[t]);
+    if (!run_body(fig, make_context(opt, r.seed, threads[t]),
+                  "re-run at " + at, r)) {
       return r;
     }
-    if (rc2 != 0) {
-      r.run_failed = true;
-      r.detail += "    re-run at threads=" +
-                  std::to_string(opt.cross_threads[t]) + " failed\n";
-      return r;
-    }
-    for (std::size_t i = 0; i < artifact_files.size(); ++i) {
-      std::string again;
-      if (!read_file(artifact_files[i], &again)) {
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      const std::string& file = fig.artifacts[i];
+      const std::string digest = sha256_file_hex(file);
+      if (digest.empty()) {
         r.missing_artifact = true;
-        r.detail += "    artifact vanished on re-run: " + artifact_files[i] +
-                    "\n";
+        r.detail += "    artifact vanished on re-run: " + file + "\n";
         continue;
       }
-      if (again != first_bytes[i]) {
-        r.threads_mismatch = true;
-        r.detail += "    " + artifact_files[i] + " differs between threads=" +
-                    std::to_string(opt.cross_threads.front()) +
-                    " and threads=" + std::to_string(opt.cross_threads[t]) +
-                    ":\n" +
-                    diff_summary("threads=" +
-                                     std::to_string(opt.cross_threads.front()),
-                                 first_bytes[i],
-                                 "threads=" +
-                                     std::to_string(opt.cross_threads[t]),
-                                 again);
-      }
+      if (digest == r.artifacts[i].sha256) continue;
+      std::string again;
+      read_file(file, &again);
+      const std::string at0 = "threads=" + std::to_string(threads.front());
+      r.threads_mismatch = true;
+      r.detail += "    " + file + " differs between " + at0 + " and " + at +
+                  ":\n" + diff_summary(at0, first[i], at, again);
     }
   }
   return r;
@@ -445,8 +352,6 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
   out << "  \"tool\": \"emc_repro\",\n";
   out << "  \"mode\": \"" << (opt.smoke ? "smoke" : "full") << "\",\n";
   out << "  \"checked\": " << (opt.check ? "true" : "false") << ",\n";
-  out << "  \"shard\": \"" << opt.shard_index << "/" << opt.shard_count
-      << "\",\n";
   out << "  \"threads_cross_check\": [";
   for (std::size_t i = 0; i < opt.cross_threads.size(); ++i) {
     out << (i ? ", " : "") << opt.cross_threads[i];
@@ -459,8 +364,6 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
     out << "      \"name\": \"" << json_escape(r.fig->name) << "\",\n";
     out << "      \"title\": \"" << json_escape(r.fig->title) << "\",\n";
     out << "      \"status\": \"" << r.status() << "\",\n";
-    out << "      \"cache\": \"" << r.cache_state << "\",\n";
-    out << "      \"cache_key\": \"" << json_escape(r.cache_key) << "\",\n";
     out << "      \"smoke_capable\": "
         << (r.fig->smoke_capable ? "true" : "false") << ",\n";
     char wall[32];
@@ -494,12 +397,9 @@ void print_usage() {
       "  emc_repro list\n"
       "  emc_repro --all [flags]\n"
       "  emc_repro run <figure>... [flags]\n"
-      "  emc_repro merge <partial>... [--refs DIR] [--check]\n"
-      "  emc_repro cache stats DIR | cache prune DIR --keep N\n"
       "flags: --check  --threads-cross-check A,B  --manifest OUT.json\n"
       "       --jobs N  --smoke  --seed N  --refs DIR  --lint  --sta\n"
-      "       --shard I/N --partial DIR  --trials N\n"
-      "       --cache DIR  --no-cache\n"
+      "       --trials N\n"
       "%s",
       cli::kExitCodeHelp);
 }
@@ -507,8 +407,7 @@ void print_usage() {
 int list_figures() {
   return cli::list_figures(
       [](const Figure& f) {
-        return f.title + (f.smoke_capable ? "  [smoke]" : "") +
-               (f.shardable() ? "  [shard]" : "");
+        return f.title + (f.smoke_capable ? "  [smoke]" : "");
       },
       [](const Figure& f) {
         for (const std::string& a : f.artifacts) {
@@ -598,33 +497,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
     } else if (a == "--refs") {
       if (!next_value(&i, &v)) return false;
       opt->refs_dir = v;
-    } else if (a == "--shard") {
-      if (!next_value(&i, &v)) return false;
-      const std::size_t slash = v.find('/');
-      if (slash == std::string::npos) {
-        std::fprintf(stderr, "emc_repro: --shard wants I/N, got \"%s\"\n",
-                     v.c_str());
-        return false;
-      }
-      char* end = nullptr;
-      const std::string is = v.substr(0, slash);
-      const std::string ns = v.substr(slash + 1);
-      const unsigned long long idx = std::strtoull(is.c_str(), &end, 10);
-      const bool idx_ok = !is.empty() && end == is.c_str() + is.size();
-      const unsigned long long cnt = std::strtoull(ns.c_str(), &end, 10);
-      const bool cnt_ok = !ns.empty() && end == ns.c_str() + ns.size();
-      if (!idx_ok || !cnt_ok || cnt == 0 || idx >= cnt) {
-        std::fprintf(stderr, "emc_repro: --shard wants I/N with I < N, got "
-                             "\"%s\"\n",
-                     v.c_str());
-        return false;
-      }
-      opt->shard_set = true;
-      opt->shard_index = static_cast<std::size_t>(idx);
-      opt->shard_count = static_cast<std::size_t>(cnt);
-    } else if (a == "--partial") {
-      if (!next_value(&i, &v)) return false;
-      opt->partial_dir = v;
     } else if (a == "--trials") {
       if (!next_value(&i, &v)) return false;
       char* end = nullptr;
@@ -637,11 +509,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
                      v.c_str());
         return false;
       }
-    } else if (a == "--cache") {
-      if (!next_value(&i, &v)) return false;
-      opt->cache_dir = v;
-    } else if (a == "--no-cache") {
-      opt->no_cache = true;
     } else if (a == "--help" || a == "-h") {
       opt->list = false;
       opt->names.clear();
@@ -657,143 +524,9 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
   return true;
 }
 
-/// `emc_repro merge <partial>... [--refs DIR] [--check]` — reassemble a
-/// figure's final CSVs from a complete shard set.
-int merge_command(const std::vector<std::string>& args) {
-  std::vector<std::string> paths;
-  std::string refs_dir = EMC_REPRO_REFS_DIR;
-  bool check = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--refs") {
-      if (i + 1 >= args.size()) {
-        print_usage();
-        return 2;
-      }
-      refs_dir = args[++i];
-    } else if (a == "--check") {
-      check = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "emc_repro: unknown merge flag %s\n", a.c_str());
-      print_usage();
-      return 2;
-    } else {
-      paths.push_back(a);
-    }
-  }
-  if (paths.empty()) {
-    print_usage();
-    return 2;
-  }
-
-  PartialInfo info;
-  std::string error;
-  if (!read_partial_info(paths.front(), &info, &error)) {
-    std::fprintf(stderr, "emc_repro: %s\n", error.c_str());
-    return 1;
-  }
-  const Figure* fig = Registry::instance().find(info.header.figure);
-  if (fig == nullptr) {
-    std::fprintf(stderr, "emc_repro: partial names unknown figure \"%s\"\n",
-                 info.header.figure.c_str());
-    return 2;
-  }
-  if (!fig->shardable()) {
-    std::fprintf(stderr, "emc_repro: figure \"%s\" registers no shard model\n",
-                 fig->name.c_str());
-    return 2;
-  }
-
-  const MergeResult merged =
-      merge_partials(paths, fig->shard.trials_csv, fig->shard.aggregate_csv,
-                     fig->shard.aggregate());
-  if (!merged.ok) {
-    std::fprintf(stderr, "emc_repro: merge failed: %s\n",
-                 merged.error.c_str());
-    return 1;
-  }
-  std::printf("  merged %-28s %zu shard(s), %zu row(s) -> %s, %s\n",
-              fig->name.c_str(), paths.size(), merged.rows,
-              fig->shard.trials_csv.c_str(), fig->shard.aggregate_csv.c_str());
-
-  if (!check) return 0;
-
-  // --check holds merged artifacts against the full-mode refs; a smoke
-  // or trial-overridden shard set cannot match them by construction.
-  if (merged.header.smoke || merged.header.trials_override != 0) {
-    std::fprintf(stderr,
-                 "emc_repro: merge --check compares full-mode refs; this "
-                 "shard set was produced with %s\n",
-                 merged.header.smoke ? "--smoke" : "--trials");
-    return 2;
-  }
-  bool any_mismatch = false;
-  bool any_missing_ref = false;
-  for (const std::string& file :
-       {fig->shard.trials_csv, fig->shard.aggregate_csv}) {
-    bool is_ref = false;
-    for (const std::string& ref : fig->refs) {
-      if (ref == file) is_ref = true;
-    }
-    if (!is_ref) continue;
-    const std::string ref_path = refs_dir + "/" + file;
-    std::string ref_bytes, produced;
-    if (!read_file(ref_path, &ref_bytes)) {
-      any_missing_ref = true;
-      std::fprintf(stderr, "emc_repro: declared ref missing on disk: %s\n",
-                   ref_path.c_str());
-      continue;
-    }
-    if (!read_file(file, &produced) || produced != ref_bytes) {
-      any_mismatch = true;
-      std::fputs(diff_summary(ref_path, ref_bytes, file, produced).c_str(),
-                 stdout);
-    }
-  }
-  return cli::exit_code(any_mismatch, any_missing_ref);
-}
-
-/// `emc_repro cache stats DIR` / `emc_repro cache prune DIR --keep N`.
-int cache_command(const std::vector<std::string>& args) {
-  if (args.size() >= 2 && args[0] == "stats") {
-    ResultCache cache(args[1]);
-    const ResultCache::Stats s = cache.stats();
-    std::printf("  cache %s: %zu entr%s, %zu object(s), %llu byte(s)\n",
-                cache.dir().c_str(), s.entries, s.entries == 1 ? "y" : "ies",
-                s.objects, static_cast<unsigned long long>(s.object_bytes));
-    return 0;
-  }
-  if (args.size() >= 4 && args[0] == "prune" && args[2] == "--keep") {
-    char* end = nullptr;
-    const std::string& v = args[3];
-    const unsigned long long keep = std::strtoull(v.c_str(), &end, 10);
-    if (v.empty() || end != v.c_str() + v.size()) {
-      std::fprintf(stderr,
-                   "emc_repro: cache prune --keep wants an integer, got "
-                   "\"%s\"\n",
-                   v.c_str());
-      return 2;
-    }
-    ResultCache cache(args[1]);
-    const std::size_t removed = cache.prune(static_cast<std::size_t>(keep));
-    std::printf("  cache %s: pruned %zu entr%s\n", cache.dir().c_str(),
-                removed, removed == 1 ? "y" : "ies");
-    return 0;
-  }
-  print_usage();
-  return 2;
-}
-
 }  // namespace
 
 int driver_run(const std::vector<std::string>& args) {
-  if (!args.empty() && args.front() == "merge") {
-    return merge_command({args.begin() + 1, args.end()});
-  }
-  if (!args.empty() && args.front() == "cache") {
-    return cache_command({args.begin() + 1, args.end()});
-  }
-
   CliOptions opt;
   if (!parse_args(args, &opt)) {
     print_usage();
@@ -804,20 +537,6 @@ int driver_run(const std::vector<std::string>& args) {
     std::fprintf(stderr,
                  "emc_repro: --check compares full-mode refs; combining it "
                  "with --smoke would verify nothing\n");
-    return 2;
-  }
-  if (opt.shard_set && opt.partial_dir.empty()) {
-    std::fprintf(stderr,
-                 "emc_repro: --shard writes a partial file; it requires "
-                 "--partial DIR\n");
-    return 2;
-  }
-  const bool sharded = !opt.partial_dir.empty();
-  if (sharded && opt.check) {
-    std::fprintf(stderr,
-                 "emc_repro: --check compares final artifacts; a sharded run "
-                 "only writes a partial (merge first, then `emc_repro merge "
-                 "... --check`)\n");
     return 2;
   }
   if (opt.trials_override != 0 && opt.check) {
@@ -836,28 +555,17 @@ int driver_run(const std::vector<std::string>& args) {
                                       &selected);
   if (sel != 0) return sel;
 
-  // --shard/--partial/--trials only mean something to figures that
-  // register a shard model; running them against anything else would
-  // silently produce nothing (or full artifacts masquerading as
-  // partials).
-  if (sharded || opt.trials_override != 0) {
+  // --trials only means something to replicated figures; anything
+  // else would silently run its fixed workload.
+  if (opt.trials_override != 0) {
     for (const Figure* f : selected) {
-      if (!f->shardable()) {
+      if (!f->replicated()) {
         std::fprintf(stderr,
-                     "emc_repro: figure \"%s\" registers no shard model "
-                     "(--shard/--partial/--trials need one)\n",
+                     "emc_repro: figure \"%s\" registers no trial model "
+                     "(--trials needs one)\n",
                      f->name.c_str());
         return 2;
       }
-    }
-  }
-  if (sharded) {
-    std::error_code ec;
-    std::filesystem::create_directories(opt.partial_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "emc_repro: cannot create partial dir %s\n",
-                   opt.partial_dir.c_str());
-      return 2;
     }
   }
 
@@ -868,17 +576,15 @@ int driver_run(const std::vector<std::string>& args) {
       selected.size(), opt.jobs,
       [&](std::size_t i) { results[i] = run_figure(*selected[i], opt); });
 
-  std::printf("\n=== emc_repro: %zu figure(s)%s%s%s ===\n", selected.size(),
+  std::printf("\n=== emc_repro: %zu figure(s)%s%s ===\n", selected.size(),
               opt.check ? ", --check" : "",
-              opt.cross_threads.empty() ? "" : ", --threads-cross-check",
-              sharded ? ", sharded" : "");
+              opt.cross_threads.empty() ? "" : ", --threads-cross-check");
   bool any_fail = false;
   bool any_vacuous = false;
   for (const FigureResult& r : results) {
     const bool ok = !r.failed() && !r.missing_ref;
-    std::printf("  [%s] %-28s %6.2f s  %s%s%s\n", ok ? "ok" : "!!",
+    std::printf("  [%s] %-28s %6.2f s  %s%s\n", ok ? "ok" : "!!",
                 r.fig->name.c_str(), r.wall_seconds, r.status(),
-                r.cache_state == "hit" ? "  (cache hit)" : "",
                 opt.smoke && !r.fig->smoke_capable
                     ? "  (ran full workload: figure is not smoke-capable)"
                     : "");

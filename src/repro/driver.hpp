@@ -3,9 +3,6 @@
 //   emc_repro list
 //   emc_repro --all [flags]
 //   emc_repro run <figure>... [flags]        ("run" is optional sugar)
-//   emc_repro merge <partial>... [--refs DIR] [--check]
-//   emc_repro cache stats DIR
-//   emc_repro cache prune DIR --keep N
 //
 // Flags:
 //   --check                  byte-compare declared ref artifacts against
@@ -21,7 +18,9 @@
 //                            hand-rolled 1-vs-N determinism CI steps.
 //   --manifest OUT.json      machine-readable record of the run: per
 //                            figure status, wall time, kernel stats, and
-//                            every artifact with size + sha256.
+//                            every artifact with size + sha256 (hashed
+//                            from disk in a streaming pass, so memory
+//                            does not grow with the artifact).
 //   --jobs N                 run independent figures concurrently on the
 //                            existing SweepRunner pool (artifacts have
 //                            disjoint names; bodies print interleaved).
@@ -31,28 +30,17 @@
 //   --seed N                 override every figure's default seed.
 //   --refs DIR               reference directory (default: the source
 //                            tree's bench/refs, baked at configure time).
-//   --shard I/N --partial D  scale-out: run only trials t with
-//                            t % N == I and write a shard partial into
-//                            D instead of the final CSVs. The partition
-//                            is pure in (figure, seed, N) — `emc_repro
-//                            merge` over a complete shard set rebuilds
-//                            CSVs byte-identical to the single-process
-//                            run. Requires figures with a shard model.
 //   --trials N               override the replicated figures' trial
-//                            count (scale up/down without recompiling);
-//                            incompatible with --check.
-//   --cache DIR              content-addressed result cache: a run whose
-//                            (code version, figure, seed, mode, trials,
-//                            shard) key is stored restores artifacts
-//                            instead of simulating; misses store after
-//                            a clean run. The manifest records the
-//                            per-figure "cache" state (hit/stored/miss).
-//   --no-cache               look nothing up, store nothing.
+//                            count (scale up/down without recompiling;
+//                            rows stream to disk, so 10^6 trials run in
+//                            one process in O(grid points) memory);
+//                            incompatible with --check, refused for a
+//                            figure that registers no trial model.
 //
 // Exit codes (shared contract, tools/cli_common.hpp): 0 = all ok; 1 = a
-// run failed, a ref mismatched, a cross-check diverged, or a merge
-// failed; 2 = the invocation cannot verify what it was asked to verify
-// (unknown figure, missing ref file, bad flags, vacuous combination).
+// run failed, a ref mismatched, or a cross-check diverged; 2 = the
+// invocation cannot verify what it was asked to verify (unknown figure,
+// missing ref file, unknown flag, vacuous combination).
 #pragma once
 
 #include <string>

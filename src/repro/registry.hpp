@@ -62,37 +62,17 @@ class RunContext {
   /// The figure's default_seed unless overridden with --seed.
   std::uint64_t seed = 0;
 
-  /// Shard assignment (--shard i/n): the body forwards it into
-  /// Workbench::shard(). Defaults describe the unsharded run.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-
-  /// Non-empty when the body must write a shard partial (--partial DIR)
-  /// instead of its final CSV artifacts.
-  std::string partial_dir;
-
   /// Trial-count override (--trials N); 0 = the figure's built-in
   /// full/smoke counts. Bodies read it through trials_or().
   std::uint64_t trials_override = 0;
 
   bool smoke() const { return mode == Mode::kSmoke; }
 
-  /// True when this run writes a shard partial instead of final CSVs.
-  bool sharded() const { return !partial_dir.empty(); }
-
   /// The replication count a body should use: the override when given,
   /// otherwise its full/smoke default.
   std::size_t trials_or(std::size_t full, std::size_t smoke_trials) const {
     if (trials_override > 0) return static_cast<std::size_t>(trials_override);
     return smoke() ? smoke_trials : full;
-  }
-
-  /// Canonical partial-file path for this run's shard of `figure`:
-  /// <partial_dir>/<figure>.shard<i>of<n>.partial.
-  std::string partial_path(const std::string& figure) const {
-    return partial_dir + "/" + figure + ".shard" +
-           std::to_string(shard_index) + "of" + std::to_string(shard_count) +
-           ".partial";
   }
 
   /// Fold a kernel's execution stats into the figure's manifest record.
@@ -109,15 +89,15 @@ using RunFn = int (*)(const RunContext&);
 /// scratch context and `check` each one. Never simulates.
 using LintFn = void (*)(lint::Session&);
 
-/// Builds the figure's Aggregate spec — shared between the bench body
-/// (streaming reduction during an unsharded run) and the merge step
-/// (re-deriving the aggregate CSV from merged shard rows), so the two
-/// cannot drift.
+/// Builds a replicated figure's Aggregate spec: the reduction from its
+/// per-trial rows to its reduced CSV.
 using AggregateFn = analysis::Aggregate (*)();
 
-/// What `emc_repro merge` needs to reassemble a figure from shard
-/// partials: the raw trial CSV the shards split, the reduced CSV, and
-/// the reduction that derives the latter from the former.
+/// The trial model of a replicated figure (one that runs every grid
+/// point over N Monte-Carlo trials): the per-trial CSV, the reduced CSV,
+/// and the shared reduction that derives the latter from the former.
+/// run_replicated() (repro/replicated.hpp) writes exactly these two
+/// files, and --trials is refused for a figure that registers none.
 struct ShardModel {
   std::string trials_csv;
   std::string aggregate_csv;
@@ -141,11 +121,11 @@ struct Figure {
   /// the figure has no netlist to check; emc_lint reports that
   /// explicitly rather than passing vacuously.
   LintFn lint = nullptr;
-  /// Optional shard model (replicated figures only): declares the
-  /// figure --shard/--partial/merge-capable.
+  /// Trial model (replicated figures only); empty otherwise.
   ShardModel shard;
 
-  bool shardable() const { return shard.aggregate != nullptr; }
+  /// True when the figure registers a trial model.
+  bool replicated() const { return shard.aggregate != nullptr; }
 };
 
 class Registry {
@@ -204,9 +184,9 @@ class FigureBuilder {
     fig_.lint = fn;
     return *this;
   }
-  /// Declare the figure shardable: `trials_csv` is the raw per-trial
-  /// artifact the shards split, `aggregate_csv` the reduced artifact,
-  /// `fn` the shared Aggregate spec the merge re-derives it with.
+  /// Declare the figure replicated: `trials_csv` is the per-trial
+  /// artifact, `aggregate_csv` the reduced artifact, `fn` the Aggregate
+  /// spec that reduces the one into the other.
   FigureBuilder& shard_model(const char* trials_csv, const char* aggregate_csv,
                              AggregateFn fn) {
     fig_.shard.trials_csv = trials_csv;

@@ -2,8 +2,10 @@
 //
 // The manifest records a digest per produced artifact so a reviewer (or
 // the repro_test determinism check) can assert that two runs produced
-// bit-identical files without keeping the files around. FIPS 180-4,
-// self-contained — no external crypto dependency.
+// bit-identical files without keeping the files around. The driver
+// hashes each artifact straight from disk (sha256_file_hex), so its
+// memory does not grow with the trial count. FIPS 180-4, self-contained
+// — no external crypto dependency.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +38,8 @@ class Sha256 {
 /// One-shot digest of a byte string.
 std::string sha256_hex(const std::string& bytes);
 
-/// Digest of a file's contents; empty string if the file can't be read.
+/// Digest of a file's contents, read in fixed-size blocks; empty string
+/// if the file can't be read.
 std::string sha256_file_hex(const std::string& path);
 
 }  // namespace emc::repro

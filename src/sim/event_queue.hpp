@@ -72,21 +72,12 @@ class EventQueue {
   /// loop.
   bool pop_due(Time deadline, Time& t, Action& action);
 
-  /// Drop everything (used when resetting a kernel between experiments).
-  /// Outstanding EventIds are invalidated: cancelling them later is a
-  /// no-op even after their slots are reused.
+  /// Drop every pending event. Outstanding EventIds are invalidated:
+  /// cancelling them later is a no-op even after their slots are reused.
   void clear();
 
   /// Total events ever scheduled (statistics for the micro-bench).
   std::uint64_t total_scheduled() const { return scheduled_; }
-
-  /// Zero the statistics counters (scheduled total, peak) without
-  /// touching pending events or the slab. Kernel::reset() calls this so
-  /// stats() really means "since last reset".
-  void reset_stats() {
-    scheduled_ = 0;
-    peak_live_ = live_;
-  }
 
   // --- introspection (stats reporting and tests) ---
 

@@ -115,14 +115,4 @@ RunVerdict Kernel::run_guarded(const Budget& budget) {
   return v;
 }
 
-void Kernel::reset() {
-  queue_.clear();
-  queue_.reset_stats();
-  now_ = 0;
-  executed_ = 0;
-  cap_hit_ = false;
-  wall_seconds_ = 0.0;
-  probes_.clear();
-}
-
 }  // namespace emc::sim

@@ -138,8 +138,8 @@ class Kernel {
   using QuiescenceProbe = std::function<ProbeState()>;
   std::size_t add_probe(QuiescenceProbe probe);
   void remove_probe(std::size_t id);
-  /// Drop all probes. Also done by reset(): probes usually capture
-  /// scenario-lifetime objects, which die with the scenario.
+  /// Drop all probes (they usually capture scenario-lifetime objects,
+  /// which die with the scenario).
   void clear_probes() { probes_.clear(); }
   std::size_t probe_count() const { return probes_.size(); }
 
@@ -164,10 +164,10 @@ class Kernel {
   /// Time of the next pending event (kTimeMax if none).
   Time next_event_time() const { return queue_.next_time(); }
 
-  /// Total events executed since construction / last reset.
+  /// Total events executed since construction.
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Snapshot of execution statistics since construction / last reset.
+  /// Snapshot of execution statistics since construction.
   Stats stats() const {
     Stats s;
     s.events_executed = executed_;
@@ -182,12 +182,6 @@ class Kernel {
   /// queue): run_until stops after this many events. Default 500M.
   void set_event_cap(std::uint64_t cap) { event_cap_ = cap; }
   bool event_cap_hit() const { return cap_hit_; }
-
-  /// Reset time and drop all pending events; registered objects survive.
-  /// EventIds handed out before the reset are invalidated — cancelling
-  /// one afterwards never touches a post-reset event. Quiescence probes
-  /// are dropped too (they capture scenario-lifetime objects).
-  void reset();
 
  private:
   static Time saturating_add(Time a, Time b) {

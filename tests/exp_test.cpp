@@ -235,6 +235,44 @@ TEST(Workbench, DeterministicAcrossThreadCountsUnderUnevenLoad) {
   EXPECT_LT(t1.find("ticks=4000"), t1.find("ticks=10"));
 }
 
+TEST(Workbench, RunStreamingMatchesMaterializedRunAtAnyThreadCount) {
+  // A replicated grid, the shape of the Monte-Carlo figures: the body is
+  // pure in (x, trial_seed), so streamed rows must equal the
+  // materialized table row for row, with dense in-order indices.
+  const auto bench = [](unsigned threads) {
+    Workbench wb("t");
+    wb.threads(threads);
+    wb.grid().over("x", {1, 2, 3});
+    wb.replicate(8, 77);
+    wb.columns({"x", "trial", "v"});
+    return wb;
+  };
+  const Workbench::Body body = [](const ParamSet& p, Recorder& rec) {
+    const std::uint64_t s = p.get<std::uint64_t>("trial_seed");
+    rec.row()
+        .set("x", p.get<int>("x"))
+        .set("trial", p.get<int>("trial"))
+        .set("v", static_cast<double>(s % 1000) * 1e-3, 6);
+  };
+  Workbench materialized = bench(1);
+  materialized.run(body);
+  const std::string want = materialized.table().to_csv();
+
+  for (unsigned threads : {1u, 4u, 7u}) {
+    Workbench wb = bench(threads);
+    std::string got = "x,trial,v\n";
+    std::size_t next = 0;
+    wb.run_streaming(
+        [&](std::size_t i, const std::vector<std::string>& cells) {
+          EXPECT_EQ(i, next++) << "threads = " << threads;
+          got += cells[0] + "," + cells[1] + "," + cells[2] + "\n";
+        },
+        body);
+    EXPECT_EQ(next, 24u);
+    EXPECT_EQ(got, want) << "threads = " << threads;
+  }
+}
+
 TEST(Workbench, ScenarioBridgeCarriesLabelAndShim) {
   Workbench wb("t");
   wb.scenarios({ParamSet().set("vdd", 0.3).set("seed", 7)});

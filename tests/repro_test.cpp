@@ -8,16 +8,23 @@
 //   * duplicate figure names abort (a build error, not a preference);
 //   * --check fails with exit 2 — never passes vacuously — when a
 //     declared ref CSV does not exist on disk;
-//   * the --manifest JSON is well-formed and its artifact sha256s are
-//     stable across two runs;
+//   * the --manifest JSON is well-formed, its artifact sha256s are
+//     stable across two runs, and each digest and size is that of the
+//     file on disk;
 //   * --jobs 4 produces byte-identical artifacts to --jobs 1;
 //   * --threads-cross-check flags a figure whose output depends on the
-//     sweep thread count (exit 1) and passes a clean one (exit 0).
+//     sweep thread count (exit 1) and passes a clean one (exit 0);
+//   * --trials scales a replicated figure's trial axis and is refused
+//     (exit 2) for a figure without a trial model and for 0 trials;
+//   * the replicated figures' shared streaming tail fails the run when a
+//     CSV cannot be written;
+//   * the retired scale-out flags and subcommands are unknown (exit 2).
 #include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,8 +32,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/aggregate.hpp"
+#include "exp/workbench.hpp"
 #include "repro/driver.hpp"
 #include "repro/registry.hpp"
+#include "repro/replicated.hpp"
 #include "repro/sha256.hpp"
 
 namespace fs = std::filesystem;
@@ -121,6 +131,48 @@ REPRO_FIGURE(zz_repro_jobs_2).title("synthetic").ref_csv("zz_jobs_2.csv").run(
     run_jobs_fig<2>);
 REPRO_FIGURE(zz_repro_jobs_3).title("synthetic").ref_csv("zz_jobs_3.csv").run(
     run_jobs_fig<3>);
+
+// A replicated figure with the real ones' shape: a small grid, a trial
+// axis, a body pure in (x, trial_seed), and the shared streaming tail
+// writing the registered trial model's two CSVs.
+emc::analysis::Aggregate zz_trials_aggregate() {
+  return emc::analysis::Aggregate({"x"}).stats("v").yield("ok");
+}
+
+int run_zz_trials(const RunContext& ctx) {
+  emc::exp::Workbench wb("zz_trials_trials");
+  wb.threads(ctx.threads);
+  wb.grid().over("x", {1, 2, 3});
+  wb.replicate(ctx.trials_or(8, 2), ctx.seed);
+  wb.columns({"x", "trial", "v", "ok"});
+  return emc::repro::run_replicated(
+      ctx, "zz_repro_trials", wb,
+      [](const emc::exp::ParamSet& p, emc::exp::Recorder& rec) {
+        const int x = p.get<int>("x");
+        const std::uint64_t s = p.get<std::uint64_t>("trial_seed");
+        const double v = x + static_cast<double>(s % 1000) * 1e-3;
+        rec.row()
+            .set("x", x)
+            .set("trial", p.get<int>("trial"))
+            .set("v", v, 6)
+            .set("ok", v > 1.5 ? 1 : 0);
+      });
+}
+
+REPRO_FIGURE(zz_repro_trials)
+    .title("synthetic: replicated figure with a trial model")
+    .artifact("zz_trials_trials.csv")
+    .artifact("zz_trials.csv")
+    .shard_model("zz_trials_trials.csv", "zz_trials.csv", zz_trials_aggregate)
+    .seed(77)
+    .smoke_mode()
+    .run(run_zz_trials);
+
+std::size_t count_lines(const std::string& text) {
+  std::size_t n = 0;
+  for (char c : text) n += c == '\n';
+  return n;
+}
 
 // --- minimal JSON well-formedness checker ------------------------------
 //
@@ -429,9 +481,6 @@ TEST_F(ReproDriverTest, ManifestIsWellFormedJsonWithStableSha256) {
   ASSERT_EQ(sha1.size(), 3u);
   EXPECT_EQ(sha1, sha2);
 
-  // The recorded digest is the digest of the file on disk.
-  EXPECT_NE(m1.find(emc::repro::sha256_hex(read_file("zz_selftest_a.csv"))),
-            std::string::npos);
   // Kernel stats flowed from the body into the manifest.
   EXPECT_NE(m1.find("\"events_executed\": 1"), std::string::npos);
 }
@@ -496,4 +545,80 @@ TEST_F(ReproDriverTest, MissingDeclaredArtifactFails) {
   const std::string m = read_file("m.json");
   EXPECT_NE(m.find("\"file\": \"zz_selftest_a.csv\""), std::string::npos);
   EXPECT_NE(m.find("\"status\": \"ok\""), std::string::npos);
+}
+
+// --- replicated figures and --trials -------------------------------------
+
+TEST_F(ReproDriverTest, TrialsOverrideScalesTheTrialAxis) {
+  ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_trials"}), 0);
+  EXPECT_EQ(count_lines(read_file("zz_trials_trials.csv")), 1u + 3u * 8u);
+  EXPECT_EQ(count_lines(read_file("zz_trials.csv")), 1u + 3u);
+
+  // Header + 3 grid points x 20 trials, byte-identical at odd thread
+  // counts (ragged final handoff blocks).
+  ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_trials", "--trials",
+                                    "20", "--threads-cross-check", "1,3,7"}),
+            0);
+  EXPECT_EQ(count_lines(read_file("zz_trials_trials.csv")), 1u + 3u * 20u);
+}
+
+TEST_F(ReproDriverTest, TrialsIsRefusedWithoutATrialModelOrTrials) {
+  EXPECT_EQ(emc::repro::driver_run(
+                {"run", "zz_repro_selftest_a", "--trials", "10"}),
+            2);
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_trials", "--trials", "0"}),
+            2);
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_trials", "--trials",
+                                    "10", "--check", "--refs", refs()}),
+            2);
+}
+
+TEST_F(ReproDriverTest, UnwritableReplicatedCsvFailsTheRun) {
+  // A directory squatting on the trial CSV's path: the stream cannot
+  // open it, so the run must fail instead of returning 0.
+  fs::create_directory("zz_trials_trials.csv");
+  EXPECT_EQ(emc::repro::driver_run(
+                {"run", "zz_repro_trials", "--manifest", "m.json"}),
+            1);
+  EXPECT_NE(read_file("m.json").find("\"status\": \"run_failed\""),
+            std::string::npos);
+  fs::remove("zz_trials_trials.csv");
+
+  // Same for the reduced CSV.
+  fs::remove("zz_trials.csv");
+  fs::create_directory("zz_trials.csv");
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_trials"}), 1);
+}
+
+TEST_F(ReproDriverTest, RetiredScaleOutFlagsAndSubcommandsAreUnknown) {
+  const std::vector<std::vector<std::string>> retired = {
+      {"--shard", "0/2"}, {"--partial", "p"}, {"--cache", "d"}, {"--no-cache"}};
+  for (const auto& flag : retired) {
+    std::vector<std::string> args = {"run", "zz_repro_trials"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    EXPECT_EQ(emc::repro::driver_run(args), 2) << flag.front();
+  }
+  EXPECT_EQ(emc::repro::driver_run({"merge", "a.partial"}), 2);
+  EXPECT_EQ(emc::repro::driver_run({"cache", "stats", "d"}), 2);
+  // None of them ran the figure.
+  EXPECT_FALSE(fs::exists("zz_trials_trials.csv"));
+}
+
+TEST_F(ReproDriverTest, ManifestDigestsAndSizesAreThoseOfTheProducedFiles) {
+  ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_trials",
+                                    "zz_repro_selftest_a", "zz_repro_jobs_0",
+                                    "--manifest", "m.json"}),
+            0);
+  const std::string m = read_file("m.json");
+  const std::regex record(
+      R"re(\{"file": "([^"]+)", "bytes": (\d+), )re"
+      R"re("sha256": "([0-9a-f]{64})"\})re");
+  std::size_t seen = 0;
+  for (auto it = std::sregex_iterator(m.begin(), m.end(), record);
+       it != std::sregex_iterator(); ++it, ++seen) {
+    const std::string bytes = read_file((*it)[1]);
+    EXPECT_EQ((*it)[2], std::to_string(bytes.size())) << (*it)[1];
+    EXPECT_EQ((*it)[3], emc::repro::sha256_hex(bytes)) << (*it)[1];
+  }
+  EXPECT_EQ(seen, 4u) << m;
 }

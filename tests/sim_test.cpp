@@ -302,47 +302,6 @@ TEST(Kernel, EventCapStopsRunaway) {
   EXPECT_LE(k.events_executed(), 1001u);
 }
 
-TEST(Kernel, ResetClearsEverything) {
-  Kernel k;
-  k.schedule(10, [] {});
-  k.run();
-  k.reset();
-  EXPECT_EQ(k.now(), 0u);
-  EXPECT_TRUE(k.idle());
-  EXPECT_EQ(k.events_executed(), 0u);
-  // Stats counters restart with the reset too — stats() means "since
-  // last reset", not "since construction, except some fields".
-  const Kernel::Stats s = k.stats();
-  EXPECT_EQ(s.events_scheduled, 0u);
-  EXPECT_EQ(s.peak_queue_depth, 0u);
-  EXPECT_EQ(s.wall_seconds, 0.0);
-}
-
-TEST(Kernel, EventsBeforeResetNeverFireAfterIt) {
-  // Regression: schedule_at events pending at reset() must die with the
-  // reset — even though the post-reset schedule reuses their slots — and
-  // events_executed() must restart from 0.
-  Kernel k;
-  int pre = 0;
-  int post = 0;
-  k.schedule_at(100, [&] { ++pre; });
-  k.schedule_at(250, [&] { ++pre; });
-  const EventId stale = k.schedule_at(400, [&] { ++pre; });
-  k.run_until(150);
-  EXPECT_EQ(pre, 1);
-  EXPECT_EQ(k.events_executed(), 1u);
-
-  k.reset();
-  EXPECT_EQ(k.events_executed(), 0u);
-  k.schedule_at(250, [&] { ++post; });
-  k.schedule_at(400, [&] { ++post; });
-  k.cancel(stale);  // pre-reset handle: must not kill a post-reset event
-  k.run();
-  EXPECT_EQ(pre, 1) << "pre-reset event fired after reset";
-  EXPECT_EQ(post, 2);
-  EXPECT_EQ(k.events_executed(), 2u);
-}
-
 TEST(Kernel, StatsSnapshotReportsExecutionCounters) {
   Kernel k;
   for (int i = 0; i < 8; ++i) k.schedule(static_cast<Time>(i + 1), [] {});
