@@ -14,6 +14,8 @@ DriveArena::Slot DriveArena::acquire(double delay_cload, double switch_cload,
   } else {
     s = static_cast<Slot>(epoch_.size());
     epoch_.push_back(0);
+    delay_epoch_.push_back(0);
+    vdd_.push_back(0.0);
     delay_.push_back(0);
     charge_.push_back(0.0);
     energy_.push_back(0.0);
@@ -24,6 +26,7 @@ DriveArena::Slot DriveArena::acquire(double delay_cload, double switch_cload,
     strength_.push_back(1.0);
   }
   epoch_[s] = 0;
+  delay_epoch_[s] = 0;
   op_[s] = kOpUnknown;
   delay_cload_[s] = delay_cload;
   switch_cload_[s] = switch_cload;
@@ -43,10 +46,10 @@ bool DriveArena::refresh(Slot s, const supply::Supply& supply,
   const std::uint64_t e = supply.voltage_epoch();
   if (e == epoch_[s]) return op_[s] == kOpUp;
   epoch_[s] = e;
-  const double vdd = supply.voltage();
+  const double vdd = supply.cached_voltage();
+  vdd_[s] = vdd;
   const std::uint8_t prev = op_[s];
   if (!model.operational(vdd)) {
-    delay_[s] = kDriveStalled;
     if (prev != kOpStalled) {
       op_[s] = kOpStalled;
       ++stalled_live_;
@@ -59,10 +62,18 @@ bool DriveArena::refresh(Slot s, const supply::Supply& supply,
     ++recoveries_;
   }
   op_[s] = kOpUp;
-  delay_[s] = model.delay(vdd, delay_cload_[s], vth_offset_[s], strength_[s]);
   charge_[s] = model.switching_charge(vdd, switch_cload_[s]);
   energy_[s] = model.switching_energy(vdd, switch_cload_[s]);
   return true;
+}
+
+sim::Time DriveArena::delay(Slot s, const device::DelayModel& model) {
+  if (delay_epoch_[s] != epoch_[s]) {
+    delay_epoch_[s] = epoch_[s];
+    delay_[s] =
+        model.delay(vdd_[s], delay_cload_[s], vth_offset_[s], strength_[s]);
+  }
+  return delay_[s];
 }
 
 }  // namespace emc::gates

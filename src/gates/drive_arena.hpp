@@ -2,14 +2,20 @@
 //
 // Every switching element (Gate, Toggle) owns one slot holding its
 // quasi-static drive state: the supply-epoch stamp, the operational
-// flag, the cached propagation delay and per-transition charge/energy,
-// plus the device point that parameterizes them (load capacitances,
-// Vth offset, drive strength). One arena lives inside each
-// gates::Context, so a circuit's hot state sits in a handful of dense
-// arrays instead of being scattered across gate objects: the
-// epoch-check every event performs touches one cache-packed lane, and
-// a supply-epoch bump (Fig. 4 style modulated supplies) re-walks
-// arrays the prefetcher likes instead of pointer-chasing the netlist.
+// flag, the supply voltage seen at the last refresh, the per-transition
+// charge/energy and the propagation delay, plus the device point that
+// parameterizes them (load capacitances, Vth offset, drive strength).
+// Charge and energy are refreshed in every supply epoch, because every
+// applied transition bills them. The delay is computed only when
+// scheduling: delay(slot, model) evaluates the delay model on its first
+// read in an epoch (it keeps its own stamp), so the refresh an element
+// does when a transition lands — where nothing reads the delay — costs
+// no delay evaluation. One arena lives inside each gates::Context, so a
+// circuit's hot state sits in a handful of dense arrays instead of
+// being scattered across gate objects: the epoch-check every event
+// performs touches one cache-packed lane, and a supply-epoch bump
+// (Fig. 4 style modulated supplies) re-walks arrays the prefetcher
+// likes instead of pointer-chasing the netlist.
 //
 // Slots are index-stable for the element's lifetime (elements capture
 // their slot in scheduled callbacks) and recycled through a free list
@@ -30,12 +36,6 @@ class Supply;
 }
 
 namespace emc::gates {
-
-/// Sentinel stored in a slot's delay lane while the supply is below the
-/// operating floor: the element is stalled, there is no valid drive
-/// state. (A real delay of kTimeMax is impossible — the delay model is
-/// guarded by the operational check.)
-inline constexpr sim::Time kDriveStalled = sim::kTimeMax;
 
 /// How a switching element treats its state across a brownout (supply
 /// below Tech::vmin_operate). The paper's counters rely on retention —
@@ -71,18 +71,24 @@ class DriveArena {
   void release(Slot s);
 
   /// Revalidate slot `s` against the supply; returns the operational
-  /// flag at the current voltage. Recomputes only when the supply's
-  /// voltage_epoch() has advanced past the slot's stamp — on a constant
-  /// supply the delay model runs exactly once per element.
+  /// flag at the current voltage. Recomputes the flag, charge and
+  /// energy only when the supply's voltage_epoch() has advanced past the
+  /// slot's stamp, reading the rail through Supply::cached_voltage().
   bool refresh(Slot s, const supply::Supply& supply,
                const device::DelayModel& model);
 
-  /// Force the next refresh() of `s` to recompute (the element's own
-  /// device point changed).
-  void invalidate(Slot s) { epoch_[s] = 0; }
+  /// Force the next refresh() and delay() of `s` to recompute (the
+  /// element's own device point changed).
+  void invalidate(Slot s) {
+    epoch_[s] = 0;
+    delay_epoch_[s] = 0;
+  }
 
   // --- cached drive state (valid after a true refresh()) ---
-  sim::Time delay(Slot s) const { return delay_[s]; }
+  /// Propagation delay at the voltage of the last refresh(). Evaluates
+  /// the delay model once per epoch, on the first call after the
+  /// refresh; on a constant supply that is once per element.
+  sim::Time delay(Slot s, const device::DelayModel& model);
   double charge(Slot s) const { return charge_[s]; }
   double energy(Slot s) const { return energy_[s]; }
 
@@ -92,7 +98,7 @@ class DriveArena {
   void set_device(Slot s, double vth_offset, double strength) {
     vth_offset_[s] = vth_offset;
     strength_[s] = strength;
-    invalidate(s);  // delay depends on both
+    invalidate(s);  // delay depends on both; resets both stamps
   }
 
   /// Operational flag of `s` as of its last refresh (false for a slot
@@ -116,6 +122,10 @@ class DriveArena {
  private:
   // Hot lanes: read on every refresh() (i.e. every scheduled output).
   std::vector<std::uint64_t> epoch_;  // 0 = invalid (epochs start at 1)
+  // Epoch delay_ was computed in; 0 = stale. delay_ is valid only while
+  // this equals epoch_.
+  std::vector<std::uint64_t> delay_epoch_;
+  std::vector<double> vdd_;  // supply voltage at the last refresh
   std::vector<sim::Time> delay_;
   std::vector<double> charge_;
   std::vector<double> energy_;

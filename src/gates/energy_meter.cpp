@@ -29,7 +29,8 @@ void EnergyMeter::integrate_leakage() {
     const std::uint64_t epoch = supply_->voltage_epoch();
     if (epoch != leak_epoch_) {
       leak_epoch_ = epoch;
-      leak_power_w_ = leakage_.power(supply_->voltage(), total_leak_width_);
+      leak_power_w_ =
+          leakage_.power(supply_->cached_voltage(), total_leak_width_);
     }
     const double dt = sim::to_seconds(now - last_leak_integration_);
     leakage_j_ += leak_power_w_ * dt;

@@ -55,7 +55,7 @@ void Gate::schedule_output(bool target) {
   pending_ = true;
   pending_value_ = target;
   const std::uint64_t gen = ++generation_;
-  ctx_->kernel.schedule(ctx_->drives.delay(hot_),
+  ctx_->kernel.schedule(ctx_->drives.delay(hot_, ctx_->model),
                         [this, target, gen] { apply_output(target, gen); });
 }
 
@@ -90,7 +90,7 @@ void Gate::enter_stall() {
 }
 
 void Gate::retry() {
-  const double vdd = ctx_->supply.voltage();
+  const double vdd = ctx_->supply.cached_voltage();
   const double resume = ctx_->model.tech().vmin_operate +
                         ctx_->model.tech().vmin_hysteresis;
   if (vdd < resume) {

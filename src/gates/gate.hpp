@@ -34,10 +34,13 @@ namespace emc::gates {
 /// by all gates of a circuit. `drives` is the struct-of-arrays store
 /// for the elements' quasi-static drive state (delay / charge / energy
 /// at the supply state identified by Supply::voltage_epoch()): each
-/// switching element claims a slot at construction, and refresh_drive()
-/// recomputes a slot only when the epoch advances, so on a constant
-/// supply the delay model runs exactly once per element — the
-/// quasi-static approximation the Gate header documents, made explicit.
+/// switching element claims a slot at construction. refresh_drive()
+/// recomputes the operational flag, charge and energy only when the
+/// epoch advances — every epoch, since every applied transition bills
+/// them. drives.delay() computes the delay only when scheduling, at most
+/// once per epoch, so on a constant supply the delay model runs exactly
+/// once per element — the quasi-static approximation the Gate header
+/// documents, made explicit.
 struct Context {
   sim::Kernel& kernel;
   const device::DelayModel& model;

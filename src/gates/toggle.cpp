@@ -32,7 +32,8 @@ void Toggle::try_fire() {
     return;
   }
   in_flight_ = true;
-  ctx_->kernel.schedule(ctx_->drives.delay(hot_), [this] { apply(); });
+  ctx_->kernel.schedule(ctx_->drives.delay(hot_, ctx_->model),
+                        [this] { apply(); });
 }
 
 void Toggle::apply() {
@@ -67,7 +68,7 @@ void Toggle::enter_stall() {
 }
 
 void Toggle::retry() {
-  const double vdd = ctx_->supply.voltage();
+  const double vdd = ctx_->supply.cached_voltage();
   const double resume = ctx_->model.tech().vmin_operate +
                         ctx_->model.tech().vmin_hysteresis;
   if (vdd < resume) {

@@ -16,10 +16,18 @@
 // surfaces, so nothing accumulates on long runs.
 //
 // The priority structure is an implicit binary heap with hole-based
-// sifting (Floyd's bottom-up delete): O(log n) schedule and pop. Peak
-// queue depth on the paper's figures is in the hundreds, where the heap
-// beats bucketed calendar structures; add a second structure only
-// together with a figure whose workload needs it.
+// sifting (Floyd's bottom-up delete): O(log n) schedule and pop.
+// Dispatch is replace-top: pop_due() leaves the popped root in place as
+// a vacated slot (the "hole") instead of removing it. Most fired events
+// schedule their successor at once, and that schedule() writes its entry
+// into the hole with one sift from the root, where a removal followed by
+// a push would sift twice. Any other call that looks at the heap —
+// pop_due(), next_time(), cancel()'s compaction, heap_entries(),
+// clear() — closes the hole first, so it is never observable and the
+// pop order is the strict (t, seq) order either way. Peak queue depth is
+// 57 on fig_survivability and 651 on fig3; at those sizes the heap beats
+// bucketed calendar structures. Add a second structure only together
+// with a figure whose workload needs it.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +98,11 @@ class EventQueue {
   std::size_t slab_capacity() const { return slots_.size(); }
 
   /// Pending heap entries including stale (cancelled) ones awaiting
-  /// purge.
-  std::size_t heap_entries() const { return heap_.size(); }
+  /// purge. A pending hole is closed first and never counted.
+  std::size_t heap_entries() const {
+    close_hole();
+    return heap_.size();
+  }
 
  private:
   struct Slot {
@@ -131,7 +142,12 @@ class EventQueue {
   // Hole-based sift, Floyd's remove_root.
   void heap_push(const Entry& e);
   void heap_remove_root();
+  // Puts `e` at the vacated root and sifts it down to its place.
+  void heap_replace_root(const Entry& e);
   void heap_compact();
+  // Removes the root pop_due() left vacated, if any. Logically const:
+  // the hole is never observable.
+  void close_hole() const;
   // Drops stale entries off the top so heap_.front() is live. Logically
   // const: stale entries are already observably absent.
   void prune_stale_root() const;
@@ -139,7 +155,9 @@ class EventQueue {
   mutable std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // reusable slot indices
-
+  // True while heap_.front() is the entry of the last pop_due(): its
+  // slot is released, and the next schedule() overwrites it.
+  mutable bool hole_ = false;
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t scheduled_ = 0;

@@ -138,9 +138,6 @@ class Kernel {
   using QuiescenceProbe = std::function<ProbeState()>;
   std::size_t add_probe(QuiescenceProbe probe);
   void remove_probe(std::size_t id);
-  /// Drop all probes (they usually capture scenario-lifetime objects,
-  /// which die with the scenario).
-  void clear_probes() { probes_.clear(); }
   std::size_t probe_count() const { return probes_.size(); }
 
   /// Watchdog run: like run_until(budget.horizon) but bounded by a

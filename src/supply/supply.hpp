@@ -83,6 +83,20 @@ class Supply {
     return e;
   }
 
+  /// voltage(), evaluated at most once per voltage_epoch(): later calls
+  /// in the same epoch return the remembered level. The quasi-static
+  /// caches (DriveArena::refresh, EnergyMeter::integrate_leakage) read
+  /// the rail through it, so the refresh that follows a draw reuses the
+  /// level the meter just read instead of recomputing it.
+  double cached_voltage() const {
+    const std::uint64_t e = voltage_epoch();
+    if (e != cached_epoch_) {
+      cached_epoch_ = e;
+      cached_volts_ = voltage();
+    }
+    return cached_volts_;
+  }
+
   /// Cumulative bookkeeping.
   double total_charge_drawn() const { return total_charge_; }
   double total_energy_drawn() const { return total_energy_; }
@@ -134,6 +148,9 @@ class Supply {
   // counter for time-varying supplies; a Kernel is single-threaded.
   mutable std::uint64_t epoch_ = 1;
   mutable sim::Time epoch_time_ = 0;
+  // cached_voltage()'s memo; epoch 0 never occurs, so it starts stale.
+  mutable std::uint64_t cached_epoch_ = 0;
+  mutable double cached_volts_ = 0.0;
   bool time_varying_ = false;
   double total_charge_ = 0.0;
   double total_energy_ = 0.0;

@@ -2,6 +2,7 @@
 // mutex, delay line, completion detector, energy metering, stall/resume.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -105,6 +106,39 @@ TEST(CombGate, PropagationDelayMatchesModel) {
       1.0, factors_for(Op::kInv, 1).cap * f.model.tech().c_inv *
                factors_for(Op::kInv, 1).delay);
   EXPECT_EQ(out.last_change(), expected);
+}
+
+TEST(Gate, DelayFollowsDeviceChangeOnAConstantSupply) {
+  // A battery's voltage epoch never moves, so only the device change
+  // can make the next scheduled delay differ: set_vth_offset must reset
+  // the delay's own stamp as well as the refresh stamp.
+  Fixture f;
+  sim::Wire in(f.kernel, "in", false);
+  sim::Wire out(f.kernel, "out", true);
+  CombGate inv(f.ctx, "inv", Op::kInv, {&in}, out);
+  const double cload = factors_for(Op::kInv, 1).cap * f.model.tech().c_inv *
+                       factors_for(Op::kInv, 1).delay;
+  const std::uint64_t epoch = f.supply.voltage_epoch();
+
+  in.set(true);
+  f.kernel.run();
+  const sim::Time before = f.model.delay(1.0, cload, 0.0, 1.0);
+  EXPECT_EQ(out.last_change(), before);
+
+  inv.set_vth_offset(0.08);
+  const sim::Time t1 = f.kernel.now();
+  in.set(false);
+  f.kernel.run();
+  const sim::Time after = f.model.delay(1.0, cload, 0.08, 1.0);
+  EXPECT_NE(after, before);  // the device change is visible in the delay
+  EXPECT_EQ(out.last_change() - t1, after);
+
+  inv.set_strength(2.0);
+  const sim::Time t2 = f.kernel.now();
+  in.set(true);
+  f.kernel.run();
+  EXPECT_EQ(out.last_change() - t2, f.model.delay(1.0, cload, 0.08, 2.0));
+  EXPECT_EQ(f.supply.voltage_epoch(), epoch);
 }
 
 TEST(CombGate, SelfLoopOscillates) {

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <utility>
 #include <string>
 #include <vector>
@@ -233,6 +235,163 @@ TEST(EventQueue, DrainThenRescheduleReusesTheStructure) {
     action();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// Differential test of the replace-top dispatch: a random mix of every
+// EventQueue operation, checked against a reference that orders live
+// events by (t, seq). After a pop the root is left vacated until the
+// next schedule() fills it; the mix makes every other operation meet
+// that pending hole too. Timestamps come from a narrow window, so most
+// comparisons are FIFO tie-breaks.
+TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
+  struct Harness {
+    EventQueue q;
+    Rng rng{2026};
+    // (t, schedule order) -> live event; the tag is the schedule order.
+    std::map<std::pair<Time, std::uint64_t>, EventId> ref;
+    std::vector<EventId> dead;  // fired, cancelled or cleared ids
+    std::uint64_t next_tag = 0;
+    Time now = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t expected_tag = 0;
+    EventId popped_id = 0;
+
+    bool chance(std::uint64_t pct) { return rng.index(100) < pct; }
+
+    void schedule() {
+      const Time t = now + rng.index(4);
+      const std::uint64_t tag = next_tag++;
+      const EventId id = q.schedule(t, [this, tag] { fire(tag); });
+      ref.emplace(std::make_pair(t, tag), id);
+    }
+
+    void cancel_pending() {
+      if (ref.empty()) return;
+      auto it = std::next(ref.begin(),
+                          static_cast<long>(rng.index(ref.size())));
+      q.cancel(it->second);
+      dead.push_back(it->second);
+      ref.erase(it);
+    }
+
+    void cancel_dead() {
+      if (!dead.empty()) q.cancel(dead[rng.index(dead.size())]);
+    }
+
+    void check_size() const {
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.empty(), ref.empty());
+    }
+
+    void check_next_time() const {
+      ASSERT_EQ(q.next_time(),
+                ref.empty() ? kTimeMax : ref.begin()->first.first);
+    }
+
+    // Calls that must close a pending hole without disturbing anything.
+    void poke_hole() {
+      switch (rng.index(5)) {
+        case 0:
+          check_next_time();
+          break;
+        case 1:
+          ASSERT_GE(q.heap_entries(), q.size());
+          break;
+        case 2:
+          q.cancel(popped_id);  // the id just popped is already dead
+          break;
+        case 3:
+          cancel_pending();
+          break;
+        case 4:
+          cancel_dead();
+          break;
+      }
+      check_size();
+    }
+
+    // The fired action: checks it is the reference's earliest event,
+    // then schedules from inside the dispatch (the replace-top path).
+    void fire(std::uint64_t tag) {
+      ASSERT_EQ(tag, expected_tag);
+      ++fired;
+      if (chance(20)) q.cancel(popped_id);
+      if (chance(15)) cancel_pending();
+      if (chance(3)) {
+        // Mass cancellation (watchdogs retiring) while the hole is
+        // pending: enough stale entries to trigger compaction.
+        for (std::size_t k = ref.size() / 2; k > 0; --k) cancel_pending();
+      }
+      // 0..2 follow-ups, fewer once the queue is deep: the depth hovers
+      // around the 64 entries where compaction starts.
+      const std::uint64_t n = rng.index(ref.size() < 64 ? 3 : 2);
+      for (std::uint64_t i = 0; i < n; ++i) schedule();
+    }
+
+    void pop() {
+      if (ref.empty()) {
+        Time t = 0;
+        Action a;
+        ASSERT_FALSE(q.pop_due(kTimeMax, t, a));
+        return;
+      }
+      const auto head = ref.begin();
+      const auto [t_expect, tag] = head->first;
+      if (t_expect > now && chance(10)) {
+        // Not yet due: pop_due must leave the queue alone.
+        Time t = 0;
+        Action a;
+        ASSERT_FALSE(q.pop_due(t_expect - 1, t, a));
+        check_size();
+        return;
+      }
+      popped_id = head->second;
+      dead.push_back(popped_id);
+      ref.erase(head);
+      expected_tag = tag;
+      auto [t, action] = q.pop();
+      ASSERT_EQ(t, t_expect);
+      now = t;
+      if (chance(30)) poke_hole();
+      action();
+    }
+  };
+
+  Harness h;
+  for (int i = 0; i < 8; ++i) h.schedule();
+  for (int step = 0; step < 200000; ++step) {
+    const std::uint64_t op = h.rng.index(100);
+    if (op < 45) {
+      h.pop();
+    } else if (op < 60) {
+      h.schedule();
+    } else if (op < 70) {
+      h.cancel_pending();
+    } else if (op < 75) {
+      h.cancel_dead();
+    } else if (op < 85) {
+      h.check_next_time();
+    } else if (op < 95) {
+      ASSERT_GE(h.q.heap_entries(), h.q.size());
+    } else if (op < 96) {
+      // Clear, sometimes right after a pop left its hole.
+      h.q.clear();
+      for (const auto& [key, id] : h.ref) h.dead.push_back(id);
+      h.ref.clear();
+    } else if (h.ref.size() < 32) {
+      // Refill so the heap keeps some depth (and compaction runs).
+      for (int i = 0; i < 48; ++i) h.schedule();
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    h.check_size();
+    if (h.dead.size() > 4096) {
+      h.dead.erase(h.dead.begin(), h.dead.begin() + 2048);
+    }
+  }
+  // Drain: whatever is left pops in reference order.
+  while (!h.ref.empty() && !::testing::Test::HasFatalFailure()) h.pop();
+  EXPECT_TRUE(h.q.empty());
+  EXPECT_GT(h.fired, 50000u);
 }
 
 TEST(Action, InlineAndHeapCapturesBothWork) {
