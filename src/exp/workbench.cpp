@@ -1,6 +1,7 @@
 #include "exp/workbench.hpp"
 
 #include <cstdio>
+#include <limits>
 
 #include "analysis/table.hpp"
 #include "sim/random.hpp"
@@ -193,6 +194,12 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
   // inside produce() and dies with it.
   const std::vector<ParamSet> pts = points();
   params_.clear();
+  if (!pts.empty() &&
+      trials_ > std::numeric_limits<std::size_t>::max() / pts.size()) {
+    throw std::overflow_error(name_ + ": " + std::to_string(pts.size()) +
+                              " points x " + std::to_string(trials_) +
+                              " trials overflows the scenario count");
+  }
 
   analysis::SweepRunner runner(columns_, opt_);
   report_ = runner.run_streaming(

@@ -196,7 +196,8 @@ class Workbench {
   /// O(threads + sink state) instead of O(rows): the path that makes
   /// 10^6-trial replicated runs possible. The returned report carries
   /// scenario count, threads, wall time and kernel stats; its table has
-  /// headers but no rows, and scenario_params() is empty.
+  /// headers but no rows, and scenario_params() is empty. Throws
+  /// std::overflow_error when points x trials does not fit a size_t.
   const analysis::SweepReport& run_streaming(const RowSink& sink,
                                              const Body& body);
 

@@ -10,8 +10,8 @@
 //     s.check(ring.circuit());
 //   }
 //
-// The driver (emc_lint, emc_repro --lint) then renders text or JSON and
-// gates on clean().
+// The driver (`emc_repro lint`, `emc_repro run --lint`) then renders
+// text or JSON and gates on clean().
 #pragma once
 
 #include <memory>

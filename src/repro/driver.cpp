@@ -1,22 +1,23 @@
 #include "repro/driver.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/sweep_runner.hpp"
+#include "lint/lint.hpp"
 #include "lint/session.hpp"
 #include "repro/registry.hpp"
 #include "repro/sha256.hpp"
 #include "sta/session.hpp"
-#include "tools/cli_common.hpp"
+#include "sta/sta.hpp"
 
 // Default reference directory: the source tree's bench/refs, baked in at
 // configure time so the driver works from any build directory.
@@ -28,10 +29,14 @@ namespace emc::repro {
 
 namespace {
 
+enum class Verb { kRun, kList, kLint, kSta };
+
 struct CliOptions {
+  Verb verb = Verb::kRun;
   std::vector<std::string> names;
   bool all = false;
-  bool list = false;
+  bool help = false;
+  // run
   bool check = false;
   bool smoke = false;
   bool lint = false;
@@ -43,6 +48,11 @@ struct CliOptions {
   std::string manifest_path;
   std::string refs_dir = EMC_REPRO_REFS_DIR;
   std::uint64_t trials_override = 0;
+  // lint / sta
+  bool json = false;
+  bool rules = false;
+  std::vector<std::string> only;
+  std::string csv_path;  // sta only
 };
 
 struct ArtifactRecord {
@@ -56,6 +66,7 @@ struct FigureResult {
   bool run_failed = false;
   bool lint_failed = false;
   bool sta_failed = false;
+  bool vacuous_model = false;  // --lint/--sta: no model, or no timing arcs
   bool missing_artifact = false;
   bool missing_ref = false;   // vacuous: declared ref absent on disk
   bool ref_mismatch = false;
@@ -70,9 +81,11 @@ struct FigureResult {
     return run_failed || lint_failed || sta_failed || missing_artifact ||
            ref_mismatch || threads_mismatch;
   }
+  bool vacuous() const { return vacuous_model || missing_ref; }
   const char* status() const {
     if (lint_failed) return "lint_failed";
     if (sta_failed) return "sta_failed";
+    if (vacuous_model) return "vacuous_model";
     if (run_failed) return "run_failed";
     if (missing_artifact) return "missing_artifact";
     if (missing_ref) return "missing_ref";
@@ -81,6 +94,14 @@ struct FigureResult {
     return "ok";
   }
 };
+
+/// The exit-code contract every verb shares: findings or failures (1)
+/// outrank vacuousness (2), so CI surfaces the real defect first;
+/// otherwise clean (0).
+int exit_code(bool any_findings, bool any_vacuous) {
+  if (any_findings) return 1;
+  return any_vacuous ? 2 : 0;
+}
 
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -163,6 +184,134 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string indent(const std::string& text) {
+  std::string out;
+  std::stringstream ss(text);
+  std::string line;
+  while (std::getline(ss, line)) out += "    " + line + "\n";
+  return out;
+}
+
+// --- static analysis: the lint and sta verbs and the --lint/--sta gates ---
+
+enum class Analyzer { kLint, kSta };
+
+/// One figure's verdict under one analyzer. The verbs and the run gates
+/// all evaluate a figure through analyze(), so a throwing hook, a missing
+/// model and a vacuous timing model mean the same on every path.
+struct Verdict {
+  bool findings = false;  // active findings, or the hook threw (exit 1)
+  bool vacuous = false;   // no model, or bundles without arcs (exit 2)
+  std::string problem;    // why there is no report: no hook, or it threw
+  std::unique_ptr<lint::Session> session;  // the report; null on a problem
+
+  bool clean() const { return !findings && !vacuous; }
+  const sta::Session* timing() const {
+    return dynamic_cast<const sta::Session*>(session.get());
+  }
+};
+
+Verdict analyze(const Figure& fig, Analyzer an,
+                const std::vector<std::string>& only) {
+  Verdict v;
+  const std::string what = an == Analyzer::kLint ? "lint" : "timing";
+  if (fig.lint == nullptr) {
+    // Vacuous-pass refusal: a figure selected for analysis but carrying
+    // no model would otherwise "pass" without a single rule running.
+    v.vacuous = true;
+    v.problem = "no " + what + " model registered";
+    return v;
+  }
+  try {
+    if (an == Analyzer::kLint) {
+      v.session = std::make_unique<lint::Session>();
+    } else {
+      v.session = std::make_unique<sta::Session>();
+    }
+    fig.lint(*v.session);
+  } catch (const std::exception& e) {
+    v.problem = what + " hook threw: " + e.what();
+  } catch (...) {
+    v.problem = what + " hook threw a non-std exception";
+  }
+  if (!v.problem.empty()) {
+    // A throwing hook fails the figure; it must not take the rest of an
+    // --all run down with it.
+    v.findings = true;
+    v.session.reset();
+    return v;
+  }
+  if (!only.empty()) v.session->filter_rules(only);
+  v.findings = !v.session->clean();
+  // A timing model that records bundles with no arcs behind them is not
+  // timing closure: absence of evidence exits 2, like a missing model.
+  v.vacuous = v.timing() != nullptr && v.timing()->vacuous();
+  return v;
+}
+
+/// The report below a verdict's summary line: vacuous timing subjects,
+/// then the session's text when it failed or carries informational
+/// findings.
+std::string verdict_body(const Verdict& v) {
+  std::string out;
+  if (const sta::Session* t = v.timing()) {
+    for (const auto& s : t->vacuous_subjects()) {
+      out += "vacuous timing model: " + s +
+             " records bundles but no arcs reach them\n";
+    }
+  }
+  if (v.session != nullptr &&
+      (!v.clean() || v.session->findings(lint::Severity::kInfo) > 0)) {
+    out += v.session->text();
+  }
+  return out;
+}
+
+void print_verdict(const Figure& f, const Verdict& v) {
+  const char* mark = v.clean() ? "ok" : v.findings ? "!!" : "??";
+  if (v.session == nullptr) {
+    std::printf("  [%s] %-28s %s\n", mark, f.name.c_str(), v.problem.c_str());
+    return;
+  }
+  const lint::Session& s = *v.session;
+  const std::size_t active = s.findings(lint::Severity::kWarning);
+  if (const sta::Session* t = v.timing()) {
+    std::printf(
+        "  [%s] %-28s %zu subject(s), %zu arc(s), %zu active finding(s)\n",
+        mark, f.name.c_str(), s.results().size(), t->arc_count(), active);
+  } else {
+    std::printf("  [%s] %-28s %zu subject(s), %zu active finding(s)\n", mark,
+                f.name.c_str(), s.results().size(), active);
+  }
+  std::fputs(verdict_body(v).c_str(), stdout);
+}
+
+std::string verdict_json(const Figure& f, const Verdict& v) {
+  std::string out = "{\"figure\":\"" + json_escape(f.name) + "\",\"clean\":";
+  out += v.clean() ? "true" : "false";
+  if (v.session == nullptr) {
+    return out + ",\"error\":\"" + json_escape(v.problem) + "\"}";
+  }
+  if (const sta::Session* t = v.timing()) {
+    out += ",\"vacuous\":";
+    out += t->vacuous() ? "true" : "false";
+    out += ",\"arcs\":" + std::to_string(t->arc_count());
+  }
+  return out + ",\"subjects\":" + v.session->json() + "}";
+}
+
+/// Append `t`'s margin curve to the sta verb's CSV, one row per point,
+/// keyed by figure.
+void write_margin_rows(std::ofstream& csv, const Figure& f,
+                       const sta::Session& t) {
+  const std::string rows = t.margin_csv();
+  for (std::size_t pos = rows.find('\n') + 1; pos < rows.size();) {
+    const std::size_t end = rows.find('\n', pos) + 1;
+    csv << f.name << ',' << rows.substr(pos, end - pos);
+    pos = end;
+  }
+}
+
 /// A RunContext for `opt` at sweep-thread count `threads`.
 RunContext make_context(const CliOptions& opt, std::uint64_t seed,
                         unsigned threads) {
@@ -201,61 +350,21 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   r.fig = &fig;
   r.seed = opt.seed_set ? opt.seed : fig.default_seed;
 
-  // Static lint gate: run the figure's netlist rules *before* spending
-  // any simulation time on it — a structurally broken circuit fails in
-  // milliseconds with a named rule instead of minutes later with a
-  // watchdog verdict.
-  if (opt.lint) {
-    if (fig.lint == nullptr) {
-      r.lint_failed = true;
-      r.detail += "    --lint: figure registers no lint model\n";
-      return r;
+  // Static gates before any simulation time is spent: a structurally
+  // broken circuit (lint) or a bundled-data margin that dies somewhere in
+  // the operating range (sta) fails in milliseconds with a named rule
+  // instead of minutes later with a watchdog verdict.
+  for (const Analyzer an : {Analyzer::kLint, Analyzer::kSta}) {
+    if (!(an == Analyzer::kLint ? opt.lint : opt.sta)) continue;
+    const Verdict v = analyze(fig, an, {});
+    if (v.clean()) continue;
+    if (v.findings) {
+      (an == Analyzer::kLint ? r.lint_failed : r.sta_failed) = true;
+    } else {
+      r.vacuous_model = true;
     }
-    lint::Session session;
-    try {
-      fig.lint(session);
-    } catch (const std::exception& e) {
-      r.lint_failed = true;
-      r.detail += std::string("    lint hook threw: ") + e.what() + "\n";
-      return r;
-    }
-    if (!session.clean()) {
-      r.lint_failed = true;
-      std::stringstream ss(session.text());
-      std::string line;
-      while (std::getline(ss, line)) r.detail += "    " + line + "\n";
-      return r;
-    }
-  }
-
-  // Static timing gate: same hook, run through the sta pipeline. A
-  // bundled-data margin that dies somewhere in the operating range fails
-  // here with a named rule and a voltage, before any event is simulated.
-  if (opt.sta) {
-    if (fig.lint == nullptr) {
-      r.sta_failed = true;
-      r.detail += "    --sta: figure registers no timing model\n";
-      return r;
-    }
-    sta::Session session;
-    try {
-      fig.lint(session);
-    } catch (const std::exception& e) {
-      r.sta_failed = true;
-      r.detail += std::string("    sta hook threw: ") + e.what() + "\n";
-      return r;
-    }
-    if (!session.clean() || session.vacuous()) {
-      r.sta_failed = true;
-      for (const auto& s : session.vacuous_subjects()) {
-        r.detail += "    vacuous timing model: " + s +
-                    " records bundles but no arcs reach them\n";
-      }
-      std::stringstream ss(session.text());
-      std::string line;
-      while (std::getline(ss, line)) r.detail += "    " + line + "\n";
-      return r;
-    }
+    r.detail += indent(v.problem.empty() ? verdict_body(v) : v.problem);
+    return r;
   }
 
   const std::vector<unsigned>& threads = opt.cross_threads;
@@ -393,127 +502,179 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
 
 void print_usage() {
   std::printf(
-      "emc_repro — unified reproduction driver\n"
+      "emc_repro — reproduce, lint and time the registered figures\n"
       "  emc_repro list\n"
-      "  emc_repro --all [flags]\n"
-      "  emc_repro run <figure>... [flags]\n"
-      "flags: --check  --threads-cross-check A,B  --manifest OUT.json\n"
-      "       --jobs N  --smoke  --seed N  --refs DIR  --lint  --sta\n"
-      "       --trials N\n"
-      "%s",
-      cli::kExitCodeHelp);
+      "  emc_repro [run] <figure>...|--all [run flags]\n"
+      "  emc_repro lint <figure>...|--all [--json] [--only RULE,...]\n"
+      "  emc_repro sta <figure>...|--all [--json] [--only RULE,...] "
+      "[--csv FILE]\n"
+      "  emc_repro lint|sta --rules\n"
+      "run flags: --check  --threads-cross-check A,B  --manifest OUT.json\n"
+      "           --jobs N  --smoke  --seed N  --refs DIR  --lint  --sta\n"
+      "           --trials N\n"
+      "exit codes: 0 = everything selected was checked and clean; 1 = active\n"
+      "findings or failures; 2 = usage error or vacuous run (nothing "
+      "checked)\n");
 }
 
 int list_figures() {
-  return cli::list_figures(
-      [](const Figure& f) {
-        return f.title + (f.smoke_capable ? "  [smoke]" : "");
-      },
-      [](const Figure& f) {
-        for (const std::string& a : f.artifacts) {
-          bool is_ref = false;
-          for (const std::string& ref : f.refs) {
-            if (ref == a) is_ref = true;
-          }
-          std::printf("      %s %s\n", is_ref ? "[ref]" : "[art]", a.c_str());
-        }
-      });
-}
-
-/// A whole, positive decimal token: "4" parses; "4x", "", "0" and "-1"
-/// do not.
-bool parse_positive(const std::string& s, unsigned* out) {
-  char* end = nullptr;
-  const long n = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || n <= 0 ||
-      n > static_cast<long>(std::numeric_limits<unsigned>::max())) {
-    return false;
+  const auto figs = Registry::instance().figures();
+  std::printf("%zu registered figure(s):\n", figs.size());
+  for (const Figure* f : figs) {
+    std::printf("  %-28s %s%s%s\n", f->name.c_str(), f->title.c_str(),
+                f->smoke_capable ? "  [smoke]" : "",
+                f->lint != nullptr ? "  [lint model]" : "");
+    for (const std::string& a : f->artifacts) {
+      bool is_ref = false;
+      for (const std::string& ref : f->refs) {
+        if (ref == a) is_ref = true;
+      }
+      std::printf("      %s %s\n", is_ref ? "[ref]" : "[art]", a.c_str());
+    }
   }
-  *out = static_cast<unsigned>(n);
-  return true;
+  return 0;
 }
 
-/// Returns false on malformed input.
+/// Resolve --all or the named figures against the registry. Returns 0
+/// and fills *out, or prints why and returns 2: nothing was selected, a
+/// name is unknown, or the registry is empty.
+int select_figures(const CliOptions& opt, std::vector<const Figure*>* out) {
+  if (!opt.all && opt.names.empty()) {
+    print_usage();
+    return 2;
+  }
+  if (opt.all) {
+    *out = Registry::instance().figures();
+  } else {
+    for (const std::string& n : opt.names) {
+      const Figure* f = Registry::instance().find(n);
+      if (f == nullptr) {
+        std::fprintf(stderr, "emc_repro: unknown figure \"%s\" (try list)\n",
+                     n.c_str());
+        return 2;
+      }
+      out->push_back(f);
+    }
+  }
+  if (out->empty()) {
+    std::fprintf(stderr, "emc_repro: nothing registered\n");
+    return 2;
+  }
+  return 0;
+}
+
+/// A whole unsigned decimal token within T's range: "4" parses; "",
+/// "4x", "-1", "+3", " 7" and out-of-range values do not.
+template <typename T>
+bool parse_count(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Split a comma-separated flag value into its non-empty tokens.
+std::vector<std::string> split_list(const std::string& arg) {
+  std::vector<std::string> out;
+  std::stringstream ss(arg);
+  std::string tok;
+  while (std::getline(ss, tok, ',')) {
+    if (!tok.empty()) out.push_back(tok);
+  }
+  return out;
+}
+
+/// Returns false on malformed input. The first argument may name the
+/// verb; without one the verb is run.
 bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
-  auto next_value = [&](std::size_t* i, std::string* out) {
-    if (*i + 1 >= args.size()) return false;
-    *out = args[++*i];
-    return true;
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
+  std::size_t i = 0;
+  if (!args.empty()) {
+    const std::string& verb = args[0];
+    i = 1;
+    if (verb == "list") {
+      opt->verb = Verb::kList;
+    } else if (verb == "lint") {
+      opt->verb = Verb::kLint;
+    } else if (verb == "sta") {
+      opt->verb = Verb::kSta;
+    } else if (verb != "run") {
+      i = 0;
+    }
+  }
+  const bool run = opt->verb == Verb::kRun;
+  const bool analyzer = opt->verb == Verb::kLint || opt->verb == Verb::kSta;
+  for (; i < args.size(); ++i) {
     const std::string& a = args[i];
     std::string v;
-    if (a == "list") {
-      opt->list = true;
-    } else if (a == "run") {
-      // optional sugar
+    const auto value = [&] {
+      if (i + 1 >= args.size()) {
+        std::fprintf(stderr, "emc_repro: %s needs a value\n", a.c_str());
+        return false;
+      }
+      v = args[++i];
+      return true;
+    };
+    const auto reject = [&](const char* want) {
+      std::fprintf(stderr, "emc_repro: %s wants %s, got \"%s\"\n", a.c_str(),
+                   want, v.c_str());
+      return false;
+    };
+    if (a == "--help" || a == "-h") {
+      opt->help = true;
+      return true;
     } else if (a == "--all") {
       opt->all = true;
-    } else if (a == "--check") {
+    } else if (run && a == "--check") {
       opt->check = true;
-    } else if (a == "--smoke") {
+    } else if (run && a == "--smoke") {
       opt->smoke = true;
-    } else if (a == "--lint") {
+    } else if (run && a == "--lint") {
       opt->lint = true;
-    } else if (a == "--sta") {
+    } else if (run && a == "--sta") {
       opt->sta = true;
-    } else if (a == "--seed") {
-      if (!next_value(&i, &v)) return false;
-      char* end = nullptr;
-      opt->seed = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || end != v.c_str() + v.size()) {
-        std::fprintf(stderr, "emc_repro: --seed wants an integer, got \"%s\"\n",
-                     v.c_str());
-        return false;
-      }
+    } else if (run && a == "--seed") {
+      if (!value()) return false;
+      if (!parse_count(v, &opt->seed)) return reject("an unsigned integer");
       opt->seed_set = true;
-    } else if (a == "--jobs") {
-      if (!next_value(&i, &v)) return false;
-      if (!parse_positive(v, &opt->jobs)) {
-        std::fprintf(stderr,
-                     "emc_repro: --jobs wants a positive integer, got \"%s\"\n",
-                     v.c_str());
-        return false;
+    } else if (run && a == "--jobs") {
+      if (!value()) return false;
+      if (!parse_count(v, &opt->jobs) || opt->jobs == 0) {
+        return reject("a positive integer");
       }
-    } else if (a == "--threads-cross-check") {
-      if (!next_value(&i, &v)) return false;
+    } else if (run && a == "--threads-cross-check") {
+      if (!value()) return false;
       std::stringstream ss(v);
       std::string tok;
       while (std::getline(ss, tok, ',')) {
         unsigned n = 0;
-        if (!parse_positive(tok, &n)) {
-          std::fprintf(stderr,
-                       "emc_repro: --threads-cross-check wants positive "
-                       "integers A,B, got \"%s\"\n",
-                       v.c_str());
-          return false;
+        if (!parse_count(tok, &n) || n == 0) {
+          return reject("positive integers A,B");
         }
         opt->cross_threads.push_back(n);
       }
-      if (opt->cross_threads.size() < 2) return false;
-    } else if (a == "--manifest") {
-      if (!next_value(&i, &v)) return false;
+      if (opt->cross_threads.size() < 2) return reject("positive integers A,B");
+    } else if (run && a == "--manifest") {
+      if (!value()) return false;
       opt->manifest_path = v;
-    } else if (a == "--refs") {
-      if (!next_value(&i, &v)) return false;
+    } else if (run && a == "--refs") {
+      if (!value()) return false;
       opt->refs_dir = v;
-    } else if (a == "--trials") {
-      if (!next_value(&i, &v)) return false;
-      char* end = nullptr;
-      opt->trials_override = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || end != v.c_str() + v.size() ||
+    } else if (run && a == "--trials") {
+      if (!value()) return false;
+      if (!parse_count(v, &opt->trials_override) ||
           opt->trials_override == 0) {
-        std::fprintf(stderr,
-                     "emc_repro: --trials wants a positive integer, got "
-                     "\"%s\"\n",
-                     v.c_str());
-        return false;
+        return reject("a positive integer");
       }
-    } else if (a == "--help" || a == "-h") {
-      opt->list = false;
-      opt->names.clear();
-      print_usage();
-      std::exit(0);
+    } else if (analyzer && a == "--json") {
+      opt->json = true;
+    } else if (analyzer && a == "--rules") {
+      opt->rules = true;
+    } else if (analyzer && a == "--only") {
+      if (!value()) return false;
+      opt->only = split_list(v);
+      if (opt->only.empty()) return reject("RULE[,RULE...]");
+    } else if (opt->verb == Verb::kSta && a == "--csv") {
+      if (!value()) return false;
+      opt->csv_path = v;
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "emc_repro: unknown flag %s\n", a.c_str());
       return false;
@@ -524,15 +685,69 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
   return true;
 }
 
-}  // namespace
-
-int driver_run(const std::vector<std::string>& args) {
-  CliOptions opt;
-  if (!parse_args(args, &opt)) {
-    print_usage();
-    return 2;
+int print_rules(Analyzer an) {
+  std::printf("rule  severity  summary\n");
+  for (const lint::RuleInfo& r : an == Analyzer::kLint ? lint::rule_catalog()
+                                                       : sta::rule_catalog()) {
+    std::printf("%-5s %-9s %s\n", r.id, lint::to_string(r.severity),
+                r.summary);
   }
-  if (opt.list) return list_figures();
+  std::printf(
+      "\nsuppression: Circuit::suppress(rule, subject, reason) at the build\n"
+      "site waives one finding; the reason is mandatory and appears in\n"
+      "reports. Informational findings never fail a run.\n");
+  return 0;
+}
+
+/// The lint and sta verbs: analyze the selected figures without
+/// simulating anything and report text or JSON (sta: plus the margin
+/// curves as CSV).
+int analyze_figures(const CliOptions& opt) {
+  const Analyzer an =
+      opt.verb == Verb::kLint ? Analyzer::kLint : Analyzer::kSta;
+  if (opt.rules) return print_rules(an);
+  std::vector<const Figure*> selected;
+  if (const int rc = select_figures(opt, &selected); rc != 0) return rc;
+
+  std::ofstream csv;
+  if (!opt.csv_path.empty()) {
+    csv.open(opt.csv_path);
+    if (!csv) {
+      std::fprintf(stderr, "emc_repro: cannot write %s\n",
+                   opt.csv_path.c_str());
+      return 2;
+    }
+    csv << "figure,circuit,bundle,vdd,corner,trigger_s,datapath_s,ratio,"
+           "limit,ok\n";
+  }
+
+  bool any_findings = false;
+  bool any_vacuous = false;
+  // The report's "tool" keeps the analyzer's historical name, so report
+  // consumers read the same JSON as before.
+  std::string json = an == Analyzer::kLint ? "{\"tool\":\"emc_lint\""
+                                           : "{\"tool\":\"emc_sta\"";
+  json += ",\"figures\":[";
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    const Figure& f = *selected[i];
+    const Verdict v = analyze(f, an, opt.only);
+    any_findings |= v.findings;
+    any_vacuous |= v.vacuous;
+    if (csv.is_open() && v.timing() != nullptr) {
+      write_margin_rows(csv, f, *v.timing());
+    }
+    if (opt.json) {
+      json += (i ? "," : "") + verdict_json(f, v);
+    } else {
+      print_verdict(f, v);
+    }
+  }
+  if (opt.json) std::printf("%s]}\n", json.c_str());
+  return exit_code(any_findings, any_vacuous);
+}
+
+/// The run verb: execute the selected figures and gate them.
+int run_figures(const CliOptions& opt) {
   if (opt.smoke && opt.check) {
     std::fprintf(stderr,
                  "emc_repro: --check compares full-mode refs; combining it "
@@ -547,13 +762,7 @@ int driver_run(const std::vector<std::string>& args) {
   }
 
   std::vector<const Figure*> selected;
-  if (!opt.all && opt.names.empty()) {
-    print_usage();
-    return 2;
-  }
-  const int sel = cli::select_figures("emc_repro", opt.all, opt.names,
-                                      &selected);
-  if (sel != 0) return sel;
+  if (const int rc = select_figures(opt, &selected); rc != 0) return rc;
 
   // --trials only means something to replicated figures; anything
   // else would silently run its fixed workload.
@@ -582,7 +791,7 @@ int driver_run(const std::vector<std::string>& args) {
   bool any_fail = false;
   bool any_vacuous = false;
   for (const FigureResult& r : results) {
-    const bool ok = !r.failed() && !r.missing_ref;
+    const bool ok = !r.failed() && !r.vacuous();
     std::printf("  [%s] %-28s %6.2f s  %s%s\n", ok ? "ok" : "!!",
                 r.fig->name.c_str(), r.wall_seconds, r.status(),
                 opt.smoke && !r.fig->smoke_capable
@@ -590,7 +799,7 @@ int driver_run(const std::vector<std::string>& args) {
                     : "");
     if (!r.detail.empty()) std::fputs(r.detail.c_str(), stdout);
     any_fail |= r.failed();
-    any_vacuous |= r.missing_ref;
+    any_vacuous |= r.vacuous();
   }
 
   if (!opt.manifest_path.empty()) {
@@ -601,17 +810,35 @@ int driver_run(const std::vector<std::string>& args) {
   // A real drift/run failure (1) outranks missing-ref bookkeeping (2):
   // a developer told only "record the missing ref" would re-run and
   // discover the drift one iteration too late.
-  return cli::exit_code(any_fail, any_vacuous);
+  return exit_code(any_fail, any_vacuous);
+}
+
+}  // namespace
+
+int driver_run(const std::vector<std::string>& args) {
+  CliOptions opt;
+  if (!parse_args(args, &opt)) {
+    print_usage();
+    return 2;
+  }
+  if (opt.help) {
+    print_usage();
+    return 0;
+  }
+  switch (opt.verb) {
+    case Verb::kList:
+      return list_figures();
+    case Verb::kLint:
+    case Verb::kSta:
+      return analyze_figures(opt);
+    case Verb::kRun:
+      break;
+  }
+  return run_figures(opt);
 }
 
 int driver_main(int argc, char** argv) {
   std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  return driver_run(args);
-}
-
-int standalone_main(const char* figure, int argc, char** argv) {
-  std::vector<std::string> args{"run", figure};
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
   return driver_run(args);
 }

@@ -1,10 +1,15 @@
 // emc_repro driver — one CLI over the figure registry.
 //
-//   emc_repro list
+//   emc_repro list                       figures, artifacts, lint models
 //   emc_repro --all [flags]
-//   emc_repro run <figure>... [flags]        ("run" is optional sugar)
+//   emc_repro run <figure>... [flags]    ("run" is optional sugar)
+//   emc_repro lint <figure>...|--all [--json] [--only RULE,...]
+//   emc_repro sta <figure>...|--all [--json] [--only RULE,...] [--csv FILE]
+//   emc_repro lint|sta --rules           the analyzer's rule catalog
 //
-// Flags:
+// The verb, when given, is the first argument.
+//
+// Run flags:
 //   --check                  byte-compare declared ref artifacts against
 //                            <refs-dir>/<file>; prints a unified-diff
 //                            summary on mismatch. A figure declaring a
@@ -36,11 +41,24 @@
 //                            one process in O(grid points) memory);
 //                            incompatible with --check, refused for a
 //                            figure that registers no trial model.
+//   --lint / --sta           gate each figure on its lint / timing
+//                            verdict before it runs; the same evaluation
+//                            as the lint and sta verbs.
 //
-// Exit codes (shared contract, tools/cli_common.hpp): 0 = all ok; 1 = a
-// run failed, a ref mismatched, or a cross-check diverged; 2 = the
-// invocation cannot verify what it was asked to verify (unknown figure,
-// missing ref file, unknown flag, vacuous combination).
+// Numbers (--seed, --jobs, --trials, --threads-cross-check) are whole
+// unsigned decimals: a sign, whitespace or an out-of-range value exits 2.
+//
+// lint runs each figure's lint hook through the netlist rules (see
+// src/lint/lint.hpp); sta runs the same hook through the static timing
+// pipeline (src/sta/sta.hpp) and can append every margin-vs-Vdd curve to
+// a CSV. Neither simulates anything. --only keeps the listed rules.
+//
+// Exit codes, the same for every verb: 0 = everything selected was
+// checked and clean; 1 = a run failed, a ref mismatched, a cross-check
+// diverged, or an analyzer found something (a throwing hook counts);
+// 2 = the invocation cannot verify what it was asked to verify (unknown
+// figure or flag, missing ref file, no lint model, a timing model with
+// no arcs, a vacuous combination). 1 outranks 2.
 #pragma once
 
 #include <string>
@@ -51,11 +69,8 @@ namespace emc::repro {
 /// Full CLI, argv-style (argv[0] is skipped).
 int driver_main(int argc, char** argv);
 
-/// Full CLI on pre-split args (no argv[0]); what tests call.
+/// Full CLI on pre-split args (no argv[0]); what tests call. Never exits
+/// the process: --help returns 0.
 int driver_run(const std::vector<std::string>& args);
-
-/// Entry point for the thin per-figure standalone binaries CMake
-/// generates: behaves like `emc_repro run <figure> <argv[1:]...>`.
-int standalone_main(const char* figure, int argc, char** argv);
 
 }  // namespace emc::repro

@@ -11,9 +11,9 @@
 // artifact list follow automatically.
 //
 // Registration happens from static initializers in the bench translation
-// units, which are linked *directly* into the emc_repro executable (and
-// into their thin standalone binaries) — never through a static library,
-// which would drop unreferenced registration objects.
+// units, which are linked *directly* into the emc_repro executable —
+// never through a static library, which would drop unreferenced
+// registration objects.
 //
 // Usage, at the bottom of a bench .cpp (replacing main()):
 //
@@ -24,8 +24,9 @@
 //       .run(run_fig2);
 //
 // The macro argument doubles as the registry key and must match the
-// source file's stem — CMake generates the standalone target's main()
-// from the same name.
+// source file's stem: perfbench derives figure names from the bench
+// file stems, and a CI step fails when `emc_repro list` and the stems
+// differ.
 #pragma once
 
 #include <cstddef>
@@ -106,7 +107,7 @@ struct ShardModel {
 
 /// One registered reproduction target.
 struct Figure {
-  std::string name;   // registry key == bench file stem == binary name
+  std::string name;   // registry key == bench file stem
   std::string title;  // one-line description for `emc_repro list`
   /// Every file the run writes into the working directory (manifest
   /// scope; also the set compared across thread counts).
@@ -117,9 +118,10 @@ struct Figure {
   std::uint64_t default_seed = 0;
   bool smoke_capable = false;
   RunFn run = nullptr;
-  /// Optional static-lint model (emc_lint / emc_repro --lint). Null =
-  /// the figure has no netlist to check; emc_lint reports that
-  /// explicitly rather than passing vacuously.
+  /// Optional static model, run by `emc_repro lint` / `sta` and the
+  /// --lint / --sta gates. Null = the figure has no netlist to check;
+  /// the driver reports that explicitly (exit 2) rather than passing
+  /// vacuously.
   LintFn lint = nullptr;
   /// Trial model (replicated figures only); empty otherwise.
   ShardModel shard;

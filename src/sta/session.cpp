@@ -1,6 +1,5 @@
 #include "sta/session.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "netlist/module.hpp"
@@ -45,13 +44,6 @@ std::string Session::margin_csv() const {
        << "," << p.ratio << "," << p.limit << "," << (p.ok ? 1 : 0) << "\n";
   }
   return os.str();
-}
-
-bool Session::write_margin_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << margin_csv();
-  return static_cast<bool>(out);
 }
 
 }  // namespace emc::sta

@@ -6,8 +6,8 @@
 // hands it. check(Circuit) here runs sta::analyze instead of
 // lint::analyze and accumulates the margin curves and critical-path
 // edges alongside the per-subject reports, so the same hook body
-// (`s.check(thing.circuit())`) serves emc_lint, emc_sta, and both
-// emc_repro gates without duplication.
+// (`s.check(thing.circuit())`) serves the `emc_repro lint` and `sta`
+// verbs and both run gates without duplication.
 //
 // Petri-net checks have no timing surface — check(net, label) records a
 // legitimately clean empty report so hooks that lint a scheduler
@@ -55,9 +55,9 @@ class Session : public lint::Session {
       const std::string& circuit) const;
 
   /// The margin curves as CSV (circuit,bundle,vdd,corner,trigger_s,
-  /// datapath_s,ratio,limit,ok) — the CI artifact.
+  /// datapath_s,ratio,limit,ok); `emc_repro sta --csv` writes these rows
+  /// keyed by figure.
   std::string margin_csv() const;
-  bool write_margin_csv(const std::string& path) const;
 
  private:
   Options opt_;

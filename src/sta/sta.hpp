@@ -35,7 +35,7 @@
 //
 // A circuit that records bundles but no timing arcs on their paths is a
 // *vacuous* model — the analysis refuses to call it clean (Analysis::
-// vacuous; the emc_sta CLI exits 2, mirroring a missing lint model).
+// vacuous; `emc_repro sta` exits 2, mirroring a missing lint model).
 #pragma once
 
 #include <string>

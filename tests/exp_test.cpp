@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -271,6 +273,21 @@ TEST(Workbench, RunStreamingMatchesMaterializedRunAtAnyThreadCount) {
     EXPECT_EQ(next, 24u);
     EXPECT_EQ(got, want) << "threads = " << threads;
   }
+}
+
+TEST(Workbench, ScenarioCountOverflowThrowsInsteadOfWrapping) {
+  // 3 points x (2^64 / 3 + 1) trials wraps to 2 scenarios in a 64-bit
+  // product; the run must refuse it before a single body runs.
+  Workbench wb("t");
+  wb.grid().over("x", {1, 2, 3});
+  wb.replicate(std::numeric_limits<std::size_t>::max() / 3 + 1, 77);
+  wb.columns({"x"});
+  std::size_t bodies = 0;
+  EXPECT_THROW(wb.run_streaming(
+                   [](std::size_t, const std::vector<std::string>&) {},
+                   [&](const ParamSet&, Recorder&) { ++bodies; }),
+               std::overflow_error);
+  EXPECT_EQ(bodies, 0u);
 }
 
 TEST(Workbench, ScenarioBridgeCarriesLabelAndShim) {

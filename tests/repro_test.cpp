@@ -18,9 +18,14 @@
 //     (exit 2) for a figure without a trial model and for 0 trials;
 //   * the replicated figures' shared streaming tail fails the run when a
 //     CSV cannot be written;
-//   * the retired scale-out flags and subcommands are unknown (exit 2).
+//   * the retired scale-out flags and subcommands are unknown (exit 2);
+//   * the lint and sta verbs and the run --lint/--sta gates give a clean,
+//     a dirty, a throwing and a missing model the exit codes 0, 1, 1, 2;
+//     --only filters rules and sta --csv writes the margin curves;
+//   * --help returns instead of ending the process.
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -28,12 +33,17 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/aggregate.hpp"
+#include "async/bundled.hpp"
 #include "exp/workbench.hpp"
+#include "gates/combinational.hpp"
+#include "lint/session.hpp"
+#include "netlist/module.hpp"
 #include "repro/driver.hpp"
 #include "repro/registry.hpp"
 #include "repro/replicated.hpp"
@@ -167,6 +177,48 @@ REPRO_FIGURE(zz_repro_trials)
     .seed(77)
     .smoke_mode()
     .run(run_zz_trials);
+
+// Four figures with the four kinds of static model: a clean hook, a
+// dirty one, one that throws and none at all. The lint and sta verbs
+// and the run gates must read each the same way.
+void lint_clean(emc::lint::Session& s) {
+  emc::async::BundledCounter bc(s.ctx(), "bc", emc::async::BundledParams{});
+  bc.circuit().declare_operating_range(0.8, 1.0);
+  s.check(bc.circuit());
+}
+
+// Dirty under both analyzers: a floating input (lint W001) and a delay
+// line half as long as its datapath (sta T001).
+void lint_dirty(emc::lint::Session& s) {
+  emc::netlist::Circuit c(s.ctx(), "floating");
+  emc::sim::Wire& in = c.wire("in");
+  emc::sim::Wire& out = c.wire("out");
+  c.comb("buf", emc::gates::Op::kBuf, {&in}, out);
+  s.check(c);
+  emc::async::BundledParams short_line;
+  short_line.margin = 0.5;
+  emc::async::BundledCounter bc(s.ctx(), "bc", short_line);
+  bc.circuit().declare_operating_range(0.8, 1.0);
+  s.check(bc.circuit());
+}
+
+void lint_throwing(emc::lint::Session&) {
+  throw std::runtime_error("synthetic lint hook failure");
+}
+
+int run_lint_fig(const RunContext&) {
+  return write_file("zz_lint.csv", "a\n1\n") ? 0 : 1;
+}
+
+REPRO_FIGURE(zz_lint_clean).artifact("zz_lint.csv").lint(lint_clean).run(
+    run_lint_fig);
+REPRO_FIGURE(zz_lint_dirty).artifact("zz_lint.csv").lint(lint_dirty).run(
+    run_lint_fig);
+REPRO_FIGURE(zz_lint_none).artifact("zz_lint.csv").run(run_lint_fig);
+REPRO_FIGURE(zz_lint_throws)
+    .artifact("zz_lint.csv")
+    .lint(lint_throwing)
+    .run(run_lint_fig);
 
 std::size_t count_lines(const std::string& text) {
   std::size_t n = 0;
@@ -416,16 +468,19 @@ TEST_F(ReproDriverTest, UnknownFigureIsExit2) {
 }
 
 TEST_F(ReproDriverTest, MalformedSeedIsRejected) {
-  EXPECT_EQ(emc::repro::driver_run(
-                {"run", "zz_repro_selftest_a", "--seed", "5x"}),
-            2);
-  EXPECT_EQ(
-      emc::repro::driver_run({"run", "zz_repro_selftest_a", "--seed", "x"}),
-      2);
+  for (const char* bad :
+       {"5x", "x", "-1", " 7", "+3", "18446744073709551616"}) {
+    EXPECT_EQ(emc::repro::driver_run(
+                  {"run", "zz_repro_selftest_a", "--seed", bad}),
+              2)
+        << "--seed \"" << bad << "\"";
+  }
+  EXPECT_FALSE(fs::exists("zz_selftest_a.csv"));
 }
 
 TEST_F(ReproDriverTest, MalformedJobsIsRejected) {
-  for (const char* bad : {"4x", "x", "", "0", "-2"}) {
+  for (const char* bad :
+       {"4x", "x", "", "0", "-2", "-1", " 7", "+3", "4294967296"}) {
     EXPECT_EQ(emc::repro::driver_run(
                   {"run", "zz_repro_selftest_a", "--jobs", bad}),
               2)
@@ -566,11 +621,108 @@ TEST_F(ReproDriverTest, TrialsIsRefusedWithoutATrialModelOrTrials) {
   EXPECT_EQ(emc::repro::driver_run(
                 {"run", "zz_repro_selftest_a", "--trials", "10"}),
             2);
-  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_trials", "--trials", "0"}),
-            2);
+  for (const char* bad : {"0", "-1", " 7", "+3", "18446744073709551616"}) {
+    EXPECT_EQ(
+        emc::repro::driver_run({"run", "zz_repro_trials", "--trials", bad}), 2)
+        << "--trials \"" << bad << "\"";
+  }
+  // 3 grid points x this count wraps a 64-bit scenario count to 2: the
+  // Workbench refuses it and the figure fails instead of passing on two
+  // rows.
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_trials", "--trials",
+                                    "6148914691236517206"}),
+            1);
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_trials", "--trials",
                                     "10", "--check", "--refs", refs()}),
             2);
+}
+
+// --- lint and sta ----------------------------------------------------------
+
+TEST_F(ReproDriverTest, LintStaAndRunGatesReadEachModelTheSameWay) {
+  const std::vector<std::pair<std::string, int>> cases = {
+      {"zz_lint_clean", 0},
+      {"zz_lint_dirty", 1},
+      {"zz_lint_throws", 1},
+      {"zz_lint_none", 2}};
+  for (const auto& [fig, want] : cases) {
+    for (const std::vector<std::string>& args :
+         {std::vector<std::string>{"lint", fig},
+          {"lint", fig, "--json"},
+          {"sta", fig},
+          {"sta", fig, "--json"},
+          {"run", fig, "--lint"},
+          {"run", fig, "--sta"}}) {
+      EXPECT_EQ(emc::repro::driver_run(args), want)
+          << args[0] << " " << fig << " " << args.back();
+    }
+  }
+  // A gate that stops a figure keeps it from running, and the manifest
+  // names why.
+  fs::remove("zz_lint.csv");
+  EXPECT_EQ(emc::repro::driver_run(
+                {"run", "zz_lint_none", "--lint", "--manifest", "m.json"}),
+            2);
+  EXPECT_FALSE(fs::exists("zz_lint.csv"));
+  EXPECT_NE(read_file("m.json").find("\"status\": \"vacuous_model\""),
+            std::string::npos);
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_lint_throws", "--sta",
+                                    "--manifest", "m.json"}),
+            1);
+  EXPECT_NE(read_file("m.json").find("\"status\": \"sta_failed\""),
+            std::string::npos);
+}
+
+TEST_F(ReproDriverTest, OnlyKeepsTheListedRules) {
+  EXPECT_EQ(emc::repro::driver_run({"lint", "zz_lint_dirty", "--only", "C001"}),
+            0);
+  EXPECT_EQ(emc::repro::driver_run(
+                {"lint", "zz_lint_dirty", "--only", "C001,W001"}),
+            1);
+  EXPECT_EQ(emc::repro::driver_run({"sta", "zz_lint_dirty", "--only", "T002"}),
+            0);
+  EXPECT_EQ(emc::repro::driver_run({"sta", "zz_lint_dirty", "--only", "T001"}),
+            1);
+  EXPECT_EQ(emc::repro::driver_run({"lint", "zz_lint_dirty", "--only", ","}),
+            2);
+}
+
+TEST_F(ReproDriverTest, StaCsvCarriesTheMarginCurvesAndNeedsAWritablePath) {
+  ASSERT_EQ(emc::repro::driver_run({"sta", "zz_lint_clean", "--csv", "m.csv"}),
+            0);
+  const std::string csv = read_file("m.csv");
+  EXPECT_EQ(csv.find("figure,circuit,bundle,vdd,corner,trigger_s,datapath_s,"
+                     "ratio,limit,ok\n"),
+            0u);
+  EXPECT_NE(csv.find("\nzz_lint_clean,bc,"), std::string::npos);
+  EXPECT_EQ(emc::repro::driver_run(
+                {"sta", "zz_lint_clean", "--csv", "no_such_dir/m.csv"}),
+            2);
+}
+
+TEST_F(ReproDriverTest, AnalyzerAndRunFlagsStayWithTheirVerbs) {
+  EXPECT_EQ(emc::repro::driver_run({"lint", "zz_lint_clean", "--check"}), 2);
+  EXPECT_EQ(emc::repro::driver_run({"lint", "zz_lint_clean", "--csv", "x"}),
+            2);
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_lint_clean", "--json"}), 2);
+  EXPECT_EQ(emc::repro::driver_run({"lint"}), 2);
+  EXPECT_EQ(emc::repro::driver_run({"lint", "--rules"}), 0);
+  EXPECT_EQ(emc::repro::driver_run({"sta", "--rules"}), 0);
+}
+
+// driver_run is a library entry point: --help must hand control back
+// rather than end the process. The child exits with a sentinel only if
+// driver_run returned 0.
+TEST(ReproDriverDeathTest, HelpReturnsInsteadOfExiting) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--help"},
+        {"run", "--help"},
+        {"lint", "--help"},
+        {"sta", "-h"}}) {
+    EXPECT_EXIT(std::exit(emc::repro::driver_run(args) == 0 ? 42 : 1),
+                ::testing::ExitedWithCode(42), "")
+        << args.front();
+  }
 }
 
 TEST_F(ReproDriverTest, UnwritableReplicatedCsvFailsTheRun) {
