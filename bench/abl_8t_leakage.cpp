@@ -37,7 +37,7 @@ static int run_abl_8t(const emc::repro::RunContext& ctx) {
         .set("min_read_8T_V", r.min_read_8t, 3);
   });
   wb.table().print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   std::printf(
       "\nThe stacked read path cuts bit-line leakage ~%.1fx, which both "
       "saves retention\npower and lowers the sensable Vdd floor (deeper "

@@ -52,7 +52,7 @@ static int run_abl_bundling(const emc::repro::RunContext& ctx) {
       params.scheme = sram::BundlingScheme::kColumnReplica;
     }
     auto ex = exp::ContextConfig::battery(1.0).build();
-    sram::BundledSram s(ex.ctx(), "sram", params);
+    sram::BundledSram s(ex.ctx(), params);
     if (scheme == "fixed-replica") fixed_onset = s.failure_onset_vdd();
     auto overhead = [&](double v) {
       return s.replica_delay_s(v) / s.true_read_delay_s(v);
@@ -66,7 +66,7 @@ static int run_abl_bundling(const emc::repro::RunContext& ctx) {
     rec.add_stats(ex.kernel().stats());
   });
   wb.table().print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
 
   std::printf(
       "\nThe fixed replica dies at %.2f V; banding survives lower but "

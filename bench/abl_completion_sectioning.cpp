@@ -41,7 +41,7 @@ static int run_abl_sectioning(const emc::repro::RunContext& ctx) {
         .set("detector_overhead_x", p.completion_overhead_factor, 3);
   });
   wb.table().print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   analysis::print_anchor("min Vdd with 8-cell sections (paper: below 0.3 V)",
                          0.30, min_vdd[3], "V");
   std::printf(

@@ -70,7 +70,7 @@ static int run_fig11(const emc::repro::RunContext& ctx) {
     codes.push_back(double(res->code));
   }
   table.print();
-  csv.write("fig11_c2d.csv");
+  if (!csv.write("fig11_c2d.csv")) return 1;
 
   // Shape checks against the paper's Fig. 11: monotone rising,
   // logarithmic-saturating towards high Vin.

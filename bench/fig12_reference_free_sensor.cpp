@@ -86,7 +86,7 @@ static int run_fig12(const emc::repro::RunContext& ctx) {
     prev_v = v;
   }
   table.print();
-  csv.write("fig12_refree.csv");
+  if (!csv.write("fig12_refree.csv")) return 1;
 
   // Accuracy: verify on an offset grid.
   exp::Grid verify_grid;

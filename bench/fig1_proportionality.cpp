@@ -114,7 +114,7 @@ static int run_fig1(const emc::repro::RunContext& ctx) {
     rec.add_stats(ck.stats);
   });
   report.table.print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   report.print_summary();
 
   std::uint64_t st_small = 0;

@@ -105,7 +105,7 @@ static int run_fig2(const emc::repro::RunContext& ctx) {
     rec.add_stats(stats);
   });
   report.table.print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   report.print_summary();
 
   // Curves are rebuilt in grid order, so every threshold below is

@@ -2,7 +2,7 @@
 //
 // Full-chain experiment: stochastic harvester -> MPPT -> storage cap ->
 // computational load (task scheduler), with the adaptive controller
-// sensing the store through a probe and modulating scheduler concurrency.
+// reading the store voltage and modulating scheduler concurrency.
 // Compares three systems over the same 300 ms harvest trace:
 //   A. fixed-rate scheduler (traditional, energy-blind)
 //   B. energy-token scheduler, no adaptation (static concurrency)
@@ -31,7 +31,6 @@
 #include "exp/workbench.hpp"
 #include "lint/session.hpp"
 #include "power/adaptive_controller.hpp"
-#include "power/power_meter.hpp"
 #include "repro/registry.hpp"
 #include "sched/energy_token.hpp"
 #include "sched/petri.hpp"
@@ -90,7 +89,6 @@ Outcome run_system(int which, std::uint64_t seed) {
 
   std::unique_ptr<sched::SchedulerBase> sched;
   std::unique_ptr<sched::EnergyTokenPool> pool;
-  std::unique_ptr<power::DirectProbe> probe;
   std::unique_ptr<power::AdaptiveController> ctl;
 
   if (which == 0) {
@@ -101,11 +99,10 @@ Outcome run_system(int which, std::uint64_t seed) {
     sched = std::make_unique<sched::EnergyTokenScheduler>(kernel, model,
                                                           store, 4, *pool);
     if (which == 2) {
-      probe = std::make_unique<power::DirectProbe>(store);
       power::AdaptiveParams ap;
       ap.control_period = sim::us(200);
       ctl = std::make_unique<power::AdaptiveController>(
-          kernel, *probe, ap, [&s = *sched](std::uint32_t level) {
+          kernel, store, ap, [&s = *sched](std::uint32_t level) {
             s.set_max_concurrency(level == 0 ? 0 : level);
           });
       ctl->start();
@@ -156,7 +153,7 @@ static int run_fig3(const emc::repro::RunContext& ctx) {
         .set("useful_uJ", o.stats.useful_energy_j * 1e6, 4);
     rec.add_stats(o.kernel_stats);
   });
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   report.print_summary();
 
   analysis::Table table({"system", "completed", "in_time", "aborted",

@@ -70,7 +70,7 @@ static int run_fig4(const emc::repro::RunContext& ctx) {
                    analysis::Table::num(double(by_phase[bin]) / 50.0, 3)});
   }
   table.print();
-  table.write_csv("fig4_counter_ac.csv");
+  if (!table.write_csv("fig4_counter_ac.csv")) return 1;
 
   std::printf("\nSpeed-independence verdict over 50 AC cycles:\n");
   std::printf("  increments completed : %llu\n",

@@ -84,7 +84,7 @@ static int run_fig7(const emc::repro::RunContext& ctx) {
     rec.add_stats(stats);
   });
   report.table.print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   report.print_summary();
 
   const double lat_low = points.front().write_latency_s;

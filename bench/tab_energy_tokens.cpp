@@ -56,7 +56,7 @@ static int run_tab_energy_tokens(const emc::repro::RunContext& ctx) {
     rec.add_stats(kernel.stats());
   });
   wb.table().print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   std::printf(
       "\nBehaviour is energy-modulated: the job rate tracks the token "
       "arrival rate until\nthe structural bound of the graph saturates; "

@@ -67,7 +67,7 @@ static int run_tab_sram_energy(const emc::repro::RunContext& ctx) {
     csv.add_row({scenarios[i].get<double>("vdd"), points[i].write_pj,
                  points[i].read_pj});
   }
-  csv.write("tab_sram_energy.csv");
+  if (!csv.write("tab_sram_energy.csv")) return 1;
 
   device::DelayModel model{device::Tech::umc90()};
   sram::CellModel cell(model, sram::CellParams{});

@@ -51,7 +51,7 @@ static int run_tab_stochastic(const emc::repro::RunContext& ctx) {
         .set("budget_util", a.utilization, 3);
   });
   wb.table().print();
-  wb.write_csv();
+  if (!wb.write_csv()) return 1;
   std::printf(
       "\nShape ([12]): latency improves with K while the power budget "
       "allows (K <= 3 here),\nthen flattens — extra concurrency cannot be "

@@ -19,7 +19,7 @@
 #include "exp/context_config.hpp"
 #include "exp/workbench.hpp"
 #include "power/adaptive_controller.hpp"
-#include "power/power_meter.hpp"
+#include "sensor/calibration.hpp"
 #include "sensor/reference_free.hpp"
 #include "sram/si_controller.hpp"
 
@@ -68,11 +68,10 @@ int main() {
   }
 
   // Adaptive control: sampling period stretches as the store depletes.
-  power::DirectProbe level_probe(store);
   std::uint32_t level = 4;
   power::AdaptiveParams ap;
   ap.control_period = sim::us(250);
-  power::AdaptiveController ctl(kernel, level_probe, ap,
+  power::AdaptiveController ctl(kernel, store, ap,
                                 [&](std::uint32_t l) { level = l; });
 
   // The sampling loop.

@@ -53,7 +53,7 @@ bool CsvStream::close() {
   return !failed_;
 }
 
-CsvStream::~CsvStream() { close(); }
+CsvStream::~CsvStream() { (void)close(); }
 
 void CsvWriter::add_row(const std::vector<double>& values) {
   rows_.push_back(values);
@@ -61,7 +61,6 @@ void CsvWriter::add_row(const std::vector<double>& values) {
 
 bool CsvWriter::write(const std::string& path) const {
   std::ofstream out(path);
-  if (!out) return false;
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     if (c > 0) out << ',';
     out << headers_[c];
@@ -74,7 +73,12 @@ bool CsvWriter::write(const std::string& path) const {
     }
     out << '\n';
   }
-  return static_cast<bool>(out);
+  out.close();  // a full device fails on the final flush
+  if (!out) {
+    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace emc::analysis

@@ -23,7 +23,7 @@ class CsvStream {
 
   /// Flush and close; false (with a warning on stderr) on I/O failure.
   /// Called from the destructor if not called explicitly.
-  bool close();
+  [[nodiscard]] bool close();
 
   bool ok() const { return !failed_; }
 
@@ -47,8 +47,8 @@ class CsvWriter {
 
   void add_row(const std::vector<double>& values);
 
-  /// Write to `path`; returns false on I/O error.
-  bool write(const std::string& path) const;
+  /// Write to `path`; false (with a warning on stderr) on I/O error.
+  [[nodiscard]] bool write(const std::string& path) const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -5,18 +5,10 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <optional>
 
 namespace emc::analysis {
-
-bool SweepReport::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << table.to_csv();
-  return static_cast<bool>(out);
-}
 
 std::string SweepReport::summary() const {
   char buf[160];

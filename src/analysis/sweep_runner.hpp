@@ -55,9 +55,6 @@ struct SweepReport {
 
   std::string to_csv() const { return table.to_csv(); }
 
-  /// Write the table as CSV; returns false on I/O error.
-  bool write_csv(const std::string& path) const;
-
   /// "N scenarios on T threads: E events in W s (R ev/s)".
   std::string summary() const;
   void print_summary() const;

@@ -71,8 +71,10 @@ std::string Table::to_csv() const {
 }
 
 bool Table::write_csv(const std::string& path) const {
+  // Close before checking: a full device fails on the final flush.
   std::ofstream out(path);
-  if (out) out << to_csv();
+  out << to_csv();
+  out.close();
   if (!out) {
     std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
     return false;

@@ -30,7 +30,7 @@ class Table {
 
   /// Write the CSV rendering to `path`, warning on stderr on I/O
   /// failure. Returns success.
-  bool write_csv(const std::string& path) const;
+  [[nodiscard]] bool write_csv(const std::string& path) const;
 
   void print() const;
 

@@ -57,7 +57,7 @@ class BundledCounter {
   /// Current latched state.
   std::uint64_t state() const { return state_; }
 
-  /// Connectivity inventory (DOT export, static lint). The mutable
+  /// Connectivity inventory (static lint and timing). The mutable
   /// overload lets a figure hook declare the operating range it sweeps
   /// and place build-site suppressions before handing the circuit to an
   /// analyzer.

@@ -67,7 +67,7 @@ class ToggleRippleCounter {
   gates::Toggle& stage(std::size_t i) { return *toggles_[i]; }
   sim::Wire& input() { return *input_; }
 
-  /// Connectivity inventory (DOT export, static lint).
+  /// Connectivity inventory (static lint and timing).
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:
@@ -102,7 +102,7 @@ class DualRailCounter {
   sim::Wire& done() { return *done_wire_; }
   DualRailWord& rails() { return *word_; }
 
-  /// Connectivity inventory (DOT export, static lint). The mutable
+  /// Connectivity inventory (static lint and timing). The mutable
   /// overload lets a figure hook declare the operating range it sweeps
   /// before handing the circuit to an analyzer.
   const netlist::Circuit& circuit() const { return circuit_; }

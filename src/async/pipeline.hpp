@@ -41,7 +41,7 @@ class MullerRing {
 
   sim::Wire& stage_wire(std::size_t i) { return *stage_wires_[i]; }
 
-  /// Connectivity inventory (DOT export, static lint).
+  /// Connectivity inventory (static lint and timing).
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:

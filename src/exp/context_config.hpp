@@ -118,7 +118,6 @@ class Experiment {
   supply::StorageCap* store() { return built_.store(); }
   supply::SampleCap* sample() { return built_.sample(); }
   supply::AcSupply* ac() { return built_.ac(); }
-  supply::DcdcConverter* dcdc() { return built_.dcdc(); }
   supply::Harvester* harvester() { return built_.harvester(); }
   supply::MpptController* mppt() { return built_.mppt(); }
   /// The fault-injection wrapper (null unless the supply config was

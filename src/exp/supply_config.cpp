@@ -77,18 +77,6 @@ SupplyConfig SupplyConfig::piecewise(
   return c;
 }
 
-SupplyConfig SupplyConfig::dcdc(const SupplyConfig& input_cap,
-                                supply::DcdcParams params, bool auto_start) {
-  require_cap(input_cap, "dcdc");
-  SupplyConfig c = input_cap;  // carries the cap description + modifiers
-  c.kind_ = Kind::kDcdc;
-  c.cap_name_ = input_cap.name_;  // an explicit cap name is preserved
-  c.name_ = "dcdc";
-  c.dcdc_params_ = params;
-  c.auto_start_ = auto_start;
-  return c;
-}
-
 SupplyConfig SupplyConfig::harvested(const SupplyConfig& store_cap,
                                      supply::HarvesterProfile profile,
                                      std::uint64_t seed, sim::Time tick,
@@ -176,24 +164,6 @@ BuiltSupply SupplyConfig::build(sim::Kernel& kernel,
       b.primary_ = std::move(s);
       break;
     }
-    case Kind::kDcdc: {
-      // The input store keeps an explicitly given name; the defaulted
-      // "cap" becomes "<converter>.in".
-      const std::string in_name =
-          cap_name_ == "cap" ? name_ + ".in" : cap_name_;
-      auto in = std::make_unique<supply::StorageCap>(kernel, in_name, cap_f_,
-                                                     cap_v0_);
-      apply_cap_modifiers(*in);
-      auto conv = std::make_unique<supply::DcdcConverter>(kernel, name_, *in,
-                                                          dcdc_params_);
-      b.store_ = in.get();
-      b.dcdc_ = conv.get();
-      b.load_rail_ = conv.get();
-      b.primary_ = std::move(in);
-      b.converter_ = std::move(conv);
-      if (auto_start_) b.dcdc_->start();
-      break;
-    }
     case Kind::kHarvested: {
       auto store = std::make_unique<supply::StorageCap>(kernel, name_, cap_f_,
                                                         cap_v0_);
@@ -226,7 +196,6 @@ BuiltSupply SupplyConfig::build(sim::Kernel& kernel,
 void BuiltSupply::start() {
   if (harvester_) harvester_->start();
   if (mppt_) mppt_->start();
-  if (dcdc_) dcdc_->start();
 }
 
 }  // namespace emc::exp

@@ -2,11 +2,11 @@
 //
 // A SupplyConfig is a copyable *description* of a power source — which
 // variant (battery / AC / storage cap / sample cap / piecewise ramp /
-// DC-DC regulated store / harvested store), and its numbers. Nothing is
-// simulated until `build(Kernel&)` elaborates the description into live
-// supply objects, so a scenario's power regime is plain data: it can sit
-// in a table, be swept over, printed, or compared — no per-bench factory
-// lambdas capturing half the world.
+// harvested store), and its numbers. Nothing is simulated until
+// `build(Kernel&)` elaborates the description into live supply objects,
+// so a scenario's power regime is plain data: it can sit in a table, be
+// swept over, printed, or compared — no per-bench factory lambdas
+// capturing half the world.
 //
 // BuiltSupply owns everything the description needed (the supply chain,
 // the harvester's RNG, the MPPT controller) with stable addresses, and
@@ -25,15 +25,14 @@
 #include "sim/kernel.hpp"
 #include "supply/ac_supply.hpp"
 #include "supply/battery.hpp"
-#include "supply/dcdc.hpp"
 #include "supply/harvester.hpp"
 #include "supply/mppt.hpp"
 #include "supply/storage_cap.hpp"
 
 namespace emc::exp {
 
-/// Thrown on structurally invalid supply descriptions (e.g. a DC-DC
-/// converter fed from a non-capacitor config). Unconditional — Release
+/// Thrown on structurally invalid supply descriptions (e.g. a harvested
+/// store described by a non-capacitor config). Unconditional — Release
 /// sweeps fail loudly too.
 class ConfigError : public std::runtime_error {
  public:
@@ -50,7 +49,6 @@ class SupplyConfig {
     kStorageCap,
     kSampleCap,
     kPiecewise,
-    kDcdc,
     kHarvested,
   };
 
@@ -75,11 +73,6 @@ class SupplyConfig {
   static SupplyConfig piecewise(
       std::vector<std::pair<sim::Time, double>> points,
       sim::Time retry_hint = sim::us(1));
-
-  /// Regulated rail: a DC-DC converter fed from a storage capacitor
-  /// described by `input_cap` (must be a storage_cap/sample_cap config).
-  static SupplyConfig dcdc(const SupplyConfig& input_cap,
-                           supply::DcdcParams params, bool auto_start = true);
 
   /// Harvested store: stochastic harvester (seeded Markov power process)
   /// + optional MPPT depositing into a storage capacitor described by
@@ -145,9 +138,6 @@ class SupplyConfig {
 
   Kind kind_ = Kind::kBattery;
   std::string name_ = "vdd";
-  /// Composite variants (kDcdc): the input cap's own name, preserved
-  /// from the nested descriptor ("cap" = defaulted, gets "<name>.in").
-  std::string cap_name_ = "cap";
 
   // kBattery
   double volts_ = 1.0;
@@ -156,8 +146,7 @@ class SupplyConfig {
   double ac_amplitude_ = 0.0;
   double ac_frequency_ = 1e6;
   bool ac_rectified_ = false;
-  // kStorageCap / kSampleCap (also the input/store cap of kDcdc and
-  // kHarvested)
+  // kStorageCap / kSampleCap (also the store cap of kHarvested)
   double cap_f_ = 0.0;
   double cap_v0_ = 0.0;
   double cap_wake_threshold_ = -1.0;  ///< <0 = leave class default
@@ -166,15 +155,12 @@ class SupplyConfig {
   // kPiecewise
   std::vector<std::pair<sim::Time, double>> pw_points_;
   sim::Time pw_retry_ = sim::us(1);
-  // kDcdc
-  supply::DcdcParams dcdc_params_;
   // kHarvested
   supply::HarvesterProfile harvest_profile_;
   std::uint64_t harvest_seed_ = 1;
   sim::Time harvest_tick_ = sim::us(10);
   bool with_mppt_ = true;
   supply::MpptParams mppt_params_;
-  // kDcdc / kHarvested
   bool auto_start_ = true;
   // any variant
   bool faultable_ = false;
@@ -184,8 +170,8 @@ class SupplyConfig {
 /// of the owned supplies are stable across moves.
 class BuiltSupply {
  public:
-  /// The rail gates should draw from (the converter output for kDcdc,
-  /// the store for kHarvested, the supply itself otherwise).
+  /// The rail gates should draw from (the store for kHarvested, the
+  /// supply itself otherwise).
   supply::Supply& supply() { return *load_rail_; }
   const supply::Supply& supply() const { return *load_rail_; }
 
@@ -194,7 +180,6 @@ class BuiltSupply {
   supply::StorageCap* store() { return store_; }
   supply::SampleCap* sample() { return sample_; }
   supply::AcSupply* ac() { return ac_; }
-  supply::DcdcConverter* dcdc() { return dcdc_; }
   supply::Harvester* harvester() { return harvester_.get(); }
   supply::MpptController* mppt() { return mppt_.get(); }
   /// The fault-injection wrapper (null unless the config was marked
@@ -202,7 +187,7 @@ class BuiltSupply {
   /// the load rail supply() returns.
   fault::FaultableSupply* fault() { return fault_.get(); }
 
-  /// Start the harvester/MPPT (and DC-DC) stages if they were built with
+  /// Start the harvester/MPPT stages of a config built with
   /// auto_start = false.
   void start();
 
@@ -211,7 +196,6 @@ class BuiltSupply {
   BuiltSupply() = default;
 
   std::unique_ptr<supply::Supply> primary_;     // battery/AC/cap/piecewise
-  std::unique_ptr<supply::DcdcConverter> converter_;
   std::unique_ptr<sim::Rng> rng_;               // owned for the harvester
   std::unique_ptr<supply::Harvester> harvester_;
   std::unique_ptr<supply::MpptController> mppt_;
@@ -220,7 +204,6 @@ class BuiltSupply {
   supply::StorageCap* store_ = nullptr;
   supply::SampleCap* sample_ = nullptr;
   supply::AcSupply* ac_ = nullptr;
-  supply::DcdcConverter* dcdc_ = nullptr;
 };
 
 }  // namespace emc::exp

@@ -1,6 +1,5 @@
 #include "exp/workbench.hpp"
 
-#include <cstdio>
 #include <limits>
 
 #include "analysis/table.hpp"
@@ -235,11 +234,7 @@ const analysis::SweepReport& Workbench::run(const Body& body) {
 bool Workbench::write_csv() { return write_csv(name_ + ".csv"); }
 
 bool Workbench::write_csv(const std::string& path) {
-  const bool ok = report_.write_csv(path);
-  if (!ok) {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-  }
-  return ok;
+  return report_.table.write_csv(path);
 }
 
 }  // namespace emc::exp

@@ -213,8 +213,8 @@ class Workbench {
 
   /// Write the run's table to `<name>.csv` (or an explicit path),
   /// printing a warning on I/O failure. Returns success.
-  bool write_csv();
-  bool write_csv(const std::string& path);
+  [[nodiscard]] bool write_csv();
+  [[nodiscard]] bool write_csv(const std::string& path);
 
  private:
   /// Grid points before the trial axis: the scenarios() list, or the

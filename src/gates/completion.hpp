@@ -43,8 +43,8 @@ class CompletionDetector {
 
   /// Record the detector's internal structure (per-bit OR gates, the
   /// C-element reduction tree, internal wires, edges) into `c`'s
-  /// connectivity inventory so DOT export and the static linter see the
-  /// completion-detection path instead of a blank spot.
+  /// connectivity inventory so the static linter and timing analyzer see
+  /// the completion-detection path instead of a blank spot.
   void describe_into(netlist::Circuit& c) const;
 
  private:

@@ -56,8 +56,8 @@ class DelayLine {
   std::size_t flipped_taps() const;
 
   /// Record this chain's structure (stage gates, tap wires, edges) into
-  /// `c`'s connectivity inventory so DOT export and the static linter
-  /// see through the composite instead of a blank spot.
+  /// `c`'s connectivity inventory so the static linter and timing
+  /// analyzer see through the composite instead of a blank spot.
   void describe_into(netlist::Circuit& c) const;
 
  private:

@@ -56,13 +56,6 @@ std::map<std::string, double> EnergyMeter::energy_by_prefix(
   return out;
 }
 
-std::map<std::string, std::uint64_t> EnergyMeter::transitions_by_prefix(
-    std::size_t depth) const {
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& e : gates_) out[prefix_of(e.name, depth)] += e.transitions;
-  return out;
-}
-
 void EnergyMeter::reset() {
   for (auto& e : gates_) {
     e.transitions = 0;

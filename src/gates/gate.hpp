@@ -133,7 +133,7 @@ class Gate {
   Context& ctx() { return *ctx_; }
   const Context& ctx() const { return *ctx_; }
 
-  /// Derived classes with internal state (toggle, mutex) may need to know
+  /// Derived classes with internal state (toggle) may need to know
   /// when the scheduled output actually commits.
   virtual void on_output_committed() {}
 

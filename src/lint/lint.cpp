@@ -97,7 +97,7 @@ void rule_unrecorded(const Graph& g, Report& r) {
 // --- C001: combinational cycles --------------------------------------------
 void rule_comb_cycles(const Graph& g, Report& r) {
   // Element-level adjacency restricted to pure combinational elements;
-  // state-holding kinds (C-element, toggle, mutex, endpoint, unknown)
+  // state-holding kinds (C-element, toggle, endpoint, unknown)
   // legitimately close feedback loops and therefore break them here.
   std::vector<std::string> names;
   std::map<std::string, std::size_t> id;

@@ -15,7 +15,7 @@
 //                              one wire (drive fight)
 //   W003  unrecorded element   an inventoried element with zero incident
 //                              edges — a builder forgot note_edge(), so
-//                              the graph (DOT and lint alike) is blind
+//                              the graph (lint and timing alike) is blind
 //                              to it; fails loudly so gaps cannot creep
 //                              back in
 //   C001  combinational cycle  a feedback loop whose every element is

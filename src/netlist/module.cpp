@@ -7,7 +7,6 @@ const char* to_string(ElementKind k) {
     case ElementKind::kComb: return "comb";
     case ElementKind::kCElement: return "c-element";
     case ElementKind::kToggle: return "toggle";
-    case ElementKind::kMutex: return "mutex";
     case ElementKind::kEndpoint: return "endpoint";
     case ElementKind::kOther: return "other";
   }
@@ -26,7 +25,6 @@ bool is_state_holding(ElementKind k) {
       return false;
     case ElementKind::kCElement:
     case ElementKind::kToggle:
-    case ElementKind::kMutex:
     case ElementKind::kEndpoint:
     case ElementKind::kOther:  // unknown: assume it may hold state
       return true;

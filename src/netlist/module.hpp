@@ -12,12 +12,12 @@
 // testbench ports, external/foreign nets), elements (with an
 // ElementKind, so an analyzer sees "C-element" instead of a name
 // string), name-pair edges, handshake channels, and rule suppressions.
-// netlist::to_dot renders the edges; emc::lint's static rule passes
-// (src/lint/) consume the whole inventory. comb() and emplace<> record
-// elements automatically; edges for emplace<>'d gates must still be
-// note_edge()'d by the builder — the linter's W003 rule fails loudly on
-// any element with zero recorded edges, so a forgotten note_edge cannot
-// silently produce an incomplete graph again.
+// emc::lint's static rule passes (src/lint/) consume the whole
+// inventory. comb() and emplace<> record elements automatically; edges
+// for emplace<>'d gates must still be note_edge()'d by the builder — the
+// linter's W003 rule fails loudly on any element with zero recorded
+// edges, so a forgotten note_edge cannot silently produce an incomplete
+// graph again.
 #pragma once
 
 #include <cassert>
@@ -37,20 +37,18 @@ namespace emc::gates {
 // emplace<T> sees the complete T at its instantiation site.
 class CElement;
 class Toggle;
-class Mutex;
 }  // namespace emc::gates
 
 namespace emc::netlist {
 
 /// What kind of thing an element is, as far as structural analysis is
-/// concerned. State-holding kinds (C-element, toggle, mutex, endpoint)
+/// concerned. State-holding kinds (C-element, toggle, endpoint)
 /// legitimately sit on feedback cycles; pure combinational kinds on a
 /// cycle are an oscillation hazard (lint rule C001).
 enum class ElementKind {
   kComb,      ///< combinational gate (CombGate / FunctionGate)
   kCElement,  ///< Muller C-element (state-holding, completion logic)
   kToggle,    ///< TOGGLE element (state-holding divider)
-  kMutex,     ///< mutual-exclusion element (state-holding arbiter)
   kEndpoint,  ///< behavioural endpoint: latch rank, controller, source/sink
   kOther,     ///< unknown element type — treated conservatively
 };
@@ -167,8 +165,6 @@ constexpr ElementKind kind_of() {
     return ElementKind::kCElement;
   } else if constexpr (std::is_same_v<T, gates::Toggle>) {
     return ElementKind::kToggle;
-  } else if constexpr (std::is_same_v<T, gates::Mutex>) {
-    return ElementKind::kMutex;
   } else {
     return ElementKind::kOther;
   }

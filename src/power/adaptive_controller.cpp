@@ -2,14 +2,13 @@
 
 namespace emc::power {
 
-AdaptiveController::AdaptiveController(sim::Kernel& kernel, VddProbe& probe,
-                                       AdaptiveParams params, LevelKnob knob,
-                                       HybridController* hybrid)
+AdaptiveController::AdaptiveController(sim::Kernel& kernel,
+                                       supply::Supply& store,
+                                       AdaptiveParams params, LevelKnob knob)
     : kernel_(&kernel),
-      probe_(&probe),
+      store_(&store),
       params_(std::move(params)),
-      knob_(std::move(knob)),
-      hybrid_(hybrid) {}
+      knob_(std::move(knob)) {}
 
 void AdaptiveController::start() {
   if (running_) return;
@@ -31,22 +30,16 @@ std::uint32_t AdaptiveController::level_for(double vdd) const {
 void AdaptiveController::tick() {
   if (!running_) return;
   ++ticks_;
-  probe_->estimate([this](double vdd, bool valid) {
-    if (valid) {
-      last_estimate_ = vdd;
-      sensing_energy_j_ += probe_->cost_j();
-      const std::uint32_t lvl = level_for(vdd);
-      if (lvl != level_) {
-        level_ = lvl;
-        ++level_changes_;
-        if (knob_) knob_(level_);
-      }
-      if (hybrid_ != nullptr) hybrid_->update(vdd);
-    }
-    if (running_) {
-      kernel_->schedule(params_.control_period, [this] { tick(); });
-    }
-  });
+  last_estimate_ = store_->voltage();
+  const std::uint32_t lvl = level_for(last_estimate_);
+  if (lvl != level_) {
+    level_ = lvl;
+    ++level_changes_;
+    if (knob_) knob_(level_);
+  }
+  if (running_) {
+    kernel_->schedule(params_.control_period, [this] { tick(); });
+  }
 }
 
 }  // namespace emc::power

@@ -3,25 +3,21 @@
 // Closes the two-way loop the paper's conclusion demands: "(i) perform
 // task scheduling according to the power profile, and (ii) optimize the
 // supply to the load needs". Periodically it:
-//   1. estimates the store voltage through a VddProbe (paying the
-//      sensing energy),
-//   2. maps the estimate to an admission level through banded hysteresis
-//      (the "power profile"),
+//   1. reads the store voltage,
+//   2. maps it to an admission level through banded hysteresis (the
+//      "power profile"),
 //   3. drives an arbitrary load knob (scheduler concurrency, counter
-//      enable, SRAM burst size) with that level,
-//   4. updates the hybrid Design-1/2 mode.
+//      enable, SRAM burst size) with that level.
 // The level policy is deliberately simple — the experiments compare it
 // against a fixed-rate controller, not against an oracle.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "power/hybrid.hpp"
-#include "power/power_meter.hpp"
 #include "sim/kernel.hpp"
+#include "supply/supply.hpp"
 
 namespace emc::power {
 
@@ -37,9 +33,8 @@ class AdaptiveController {
  public:
   using LevelKnob = std::function<void(std::uint32_t level)>;
 
-  AdaptiveController(sim::Kernel& kernel, VddProbe& probe,
-                     AdaptiveParams params, LevelKnob knob,
-                     HybridController* hybrid = nullptr);
+  AdaptiveController(sim::Kernel& kernel, supply::Supply& store,
+                     AdaptiveParams params, LevelKnob knob);
 
   void start();
   void stop() { running_ = false; }
@@ -51,23 +46,20 @@ class AdaptiveController {
   double last_estimate() const { return last_estimate_; }
   std::uint64_t control_ticks() const { return ticks_; }
   std::uint64_t level_changes() const { return level_changes_; }
-  double sensing_energy_j() const { return sensing_energy_j_; }
 
  private:
   void tick();
   std::uint32_t level_for(double vdd) const;
 
   sim::Kernel* kernel_;
-  VddProbe* probe_;
+  supply::Supply* store_;
   AdaptiveParams params_;
   LevelKnob knob_;
-  HybridController* hybrid_;
   bool running_ = false;
   std::uint32_t level_ = 0;
   double last_estimate_ = 0.0;
   std::uint64_t ticks_ = 0;
   std::uint64_t level_changes_ = 0;
-  double sensing_energy_j_ = 0.0;
 };
 
 }  // namespace emc::power

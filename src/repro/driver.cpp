@@ -452,11 +452,6 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
 bool write_manifest(const std::string& path, const CliOptions& opt,
                     const std::vector<FigureResult>& results) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "emc_repro: cannot write manifest %s\n",
-                 path.c_str());
-    return false;
-  }
   out << "{\n";
   out << "  \"tool\": \"emc_repro\",\n";
   out << "  \"mode\": \"" << (opt.smoke ? "smoke" : "full") << "\",\n";
@@ -497,6 +492,12 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
     out << (r.artifacts.empty() ? "]" : "\n      ]") << "\n    }";
   }
   out << (results.empty() ? "]" : "\n  ]") << "\n}\n";
+  // Close before checking: a full device fails on the final flush.
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "emc_repro: cannot write manifest %s\n",
+                 path.c_str());
+  }
   return static_cast<bool>(out);
 }
 
@@ -743,6 +744,14 @@ int analyze_figures(const CliOptions& opt) {
     }
   }
   if (opt.json) std::printf("%s]}\n", json.c_str());
+  if (csv.is_open()) {
+    csv.close();  // a full device fails on the final flush
+    if (!csv) {
+      std::fprintf(stderr, "emc_repro: cannot write %s\n",
+                   opt.csv_path.c_str());
+      return 2;
+    }
+  }
   return exit_code(any_findings, any_vacuous);
 }
 

@@ -65,7 +65,7 @@ class ReferenceFreeSensor {
   /// Closed-form expected code at constant `vdd` (the Fig. 5 ratio).
   double expected_code(double vdd) const;
 
-  /// Connectivity inventory (DOT export, static lint).
+  /// Connectivity inventory (static lint and timing).
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:

@@ -48,7 +48,7 @@ class RingOscillatorSensor {
 
   bool measuring() const { return measuring_; }
 
-  /// Connectivity inventory (DOT export, static lint).
+  /// Connectivity inventory (static lint and timing).
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:

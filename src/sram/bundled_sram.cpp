@@ -1,8 +1,5 @@
 #include "sram/bundled_sram.hpp"
 
-#include <cassert>
-#include <cmath>
-
 namespace emc::sram {
 
 const char* to_string(BundlingScheme s) {
@@ -17,16 +14,11 @@ const char* to_string(BundlingScheme s) {
   return "?";
 }
 
-BundledSram::BundledSram(gates::Context& ctx, std::string name,
-                         BundledSramParams params)
-    : ctx_(&ctx),
-      name_(std::move(name)),
+BundledSram::BundledSram(const gates::Context& ctx, BundledSramParams params)
+    : model_(&ctx.model),
       params_(params),
       cell_(ctx.model, params.cell),
-      bitline_(cell_, params.bitline),
-      energy_(std::make_unique<SramEnergyModel>(bitline_, params.timings,
-                                                params.anchors)),
-      array_(std::make_unique<SramArray>(params.geometry, cell_)) {
+      bitline_(cell_, params.bitline) {
   // Size the replica chains (in inverter stages) at their calibration
   // voltages.
   const auto stages_at = [&](double vcal, double margin) {
@@ -36,15 +28,10 @@ BundledSram::BundledSram(gates::Context& ctx, std::string name,
   replica_stages_hi_ = stages_at(params_.calibration_vdd, params_.margin);
   replica_stages_lo_ =
       stages_at(params_.low_band_calibration_vdd, params_.margin);
-  if (ctx.meter != nullptr) {
-    meter_id_ =
-        ctx.meter->add(name_ + ".macro", energy_->leak_width_units());
-    metered_ = true;
-  }
 }
 
 double BundledSram::replica_delay_s(double vdd) const {
-  const double d_inv = ctx_->model.inverter_delay_seconds(vdd);
+  const double d_inv = model_->inverter_delay_seconds(vdd);
   switch (params_.scheme) {
     case BundlingScheme::kFixedReplica:
       return replica_stages_hi_ * d_inv;
@@ -68,100 +55,11 @@ double BundledSram::true_read_delay_s(double vdd) const {
 
 double BundledSram::failure_onset_vdd() const {
   // Scan downward for the first voltage where the replica under-waits.
-  const auto& tech = ctx_->model.tech();
+  const auto& tech = model_->tech();
   for (double v = tech.vmax; v >= tech.vmin_operate; v -= 0.005) {
     if (replica_delay_s(v) < true_read_delay_s(v)) return v;
   }
   return 0.0;
-}
-
-void BundledSram::read(std::size_t addr, SiSram::ReadCallback cb) {
-  assert(!busy_ && "single-port; serialize externally");
-  busy_ = true;
-  const sim::Time started = ctx_->kernel.now();
-  // The controller waits the replica delay plus the fixed control
-  // overhead, then latches whatever the bit-lines show.
-  const double vdd = ctx_->supply.voltage();
-  const bool mistimed = replica_delay_s(vdd) < true_read_delay_s(vdd);
-  access_ = std::make_unique<SteppedAccess>(
-      ctx_->kernel, ctx_->supply, ctx_->model,
-      [this](double v) {
-        const double d_inv = ctx_->model.inverter_delay_seconds(v);
-        return (energy_->timings().decode_stages +
-                energy_->timings().control_read_stages) *
-                   d_inv +
-               energy_->precharge_time_s(v) + replica_delay_s(v);
-      },
-      4,
-      [this, addr, mistimed, started, cb = std::move(cb)]() mutable {
-        finish_read(addr, mistimed, started, std::move(cb));
-      });
-  access_->start();
-}
-
-void BundledSram::finish_read(std::size_t addr, bool mistimed,
-                              sim::Time started, SiSram::ReadCallback cb) {
-  OpResult r;
-  r.started = started;
-  r.finished = ctx_->kernel.now();
-  r.latency_s = sim::to_seconds(r.finished - r.started);
-  const double vdd = ctx_->supply.voltage();
-  const double e = energy_->dynamic_read_j(vdd);
-  r.energy_j = e;
-  ctx_->supply.draw(vdd > 0.0 ? e / vdd : 0.0, e);
-  if (metered_) ctx_->meter->record_transition(meter_id_, e);
-  std::uint16_t data = array_->read_word(addr);
-  if (mistimed) {
-    ++mistimed_;
-    r.ok = false;
-    // The sense latched a half-developed bit-line: some bits stick at the
-    // precharge value. Model: high-order half unresolved.
-    data = static_cast<std::uint16_t>(data | 0xFF00u);
-  }
-  ++reads_done_;
-  busy_ = false;
-  if (cb) cb(data, r);
-}
-
-void BundledSram::write(std::size_t addr, std::uint16_t value,
-                        SiSram::WriteCallback cb) {
-  assert(!busy_ && "single-port; serialize externally");
-  busy_ = true;
-  const sim::Time started = ctx_->kernel.now();
-  const double vdd0 = ctx_->supply.voltage();
-  const bool mistimed = replica_delay_s(vdd0) < true_read_delay_s(vdd0);
-  access_ = std::make_unique<SteppedAccess>(
-      ctx_->kernel, ctx_->supply, ctx_->model,
-      [this](double v) {
-        const double d_inv = ctx_->model.inverter_delay_seconds(v);
-        return (energy_->timings().decode_stages +
-                energy_->timings().control_write_stages) *
-                   d_inv +
-               energy_->precharge_time_s(v) + replica_delay_s(v) +
-               bitline_.write_delay_seconds(v);
-      },
-      4,
-      [this, addr, value, mistimed, started, cb = std::move(cb)]() mutable {
-        OpResult r;
-        r.started = started;
-        r.finished = ctx_->kernel.now();
-        r.latency_s = sim::to_seconds(r.finished - r.started);
-        const double vdd = ctx_->supply.voltage();
-        const double e = energy_->dynamic_write_j(vdd);
-        r.energy_j = e;
-        ctx_->supply.draw(vdd > 0.0 ? e / vdd : 0.0, e);
-        if (metered_) ctx_->meter->record_transition(meter_id_, e);
-        if (mistimed || !cell_.write_ok(vdd)) {
-          r.ok = false;
-          ++mistimed_;
-        } else {
-          array_->write_word(addr, value);
-        }
-        ++writes_done_;
-        busy_ = false;
-        if (cb) cb(r);
-      });
-  access_->start();
 }
 
 }  // namespace emc::sram

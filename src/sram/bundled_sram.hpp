@@ -6,21 +6,16 @@
 // inverters at 1 V but ~158 at 190 mV; (b) multiple delay lines selected
 // per Vdd band (needs voltage references); (c) a duplicated SRAM column
 // as the delay element — the "smart latency bundling" of [8], which
-// tracks perfectly but costs a column. All three are implemented here so
-// the benches can score them against genuine completion detection.
+// tracks perfectly but costs a column. Each scheme is modelled here
+// analytically, as the wait it imposes against the true bit-line
+// development, so the benches can score them against genuine completion
+// detection.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
+#include "device/delay_model.hpp"
 #include "gates/gate.hpp"
-#include "sram/array.hpp"
 #include "sram/bitline.hpp"
-#include "sram/energy.hpp"
-#include "sram/si_controller.hpp"
+#include "sram/cell.hpp"
 
 namespace emc::sram {
 
@@ -33,11 +28,8 @@ enum class BundlingScheme {
 const char* to_string(BundlingScheme s);
 
 struct BundledSramParams {
-  ArrayGeometry geometry{64, 16};
   CellParams cell{};
   BitlineParams bitline{};
-  SramPhaseTimings timings{};
-  SramEnergyAnchors anchors{};
   BundlingScheme scheme = BundlingScheme::kFixedReplica;
   /// Replica sizing voltage and margin for kFixedReplica.
   double calibration_vdd = 1.0;
@@ -53,16 +45,9 @@ struct BundledSramParams {
 
 class BundledSram {
  public:
-  BundledSram(gates::Context& ctx, std::string name, BundledSramParams params);
+  BundledSram(const gates::Context& ctx, BundledSramParams params);
 
   const BundledSramParams& params() const { return params_; }
-
-  /// Timed read: latency comes from the replica; the result is correct
-  /// only if the replica delay covered the true bit-line development.
-  void read(std::size_t addr, SiSram::ReadCallback cb);
-  void write(std::size_t addr, std::uint16_t value, SiSram::WriteCallback cb);
-
-  bool busy() const { return busy_; }
 
   /// Replica delay at `vdd` [s] (what the controller waits).
   double replica_delay_s(double vdd) const;
@@ -71,31 +56,13 @@ class BundledSram {
   /// Largest Vdd below which reads mistime (replica < truth), by scan.
   double failure_onset_vdd() const;
 
-  std::uint64_t reads_completed() const { return reads_done_; }
-  std::uint64_t mistimed_reads() const { return mistimed_; }
-  SramArray& array() { return *array_; }
-  const SramEnergyModel& energy_model() const { return *energy_; }
-
  private:
-  void finish_read(std::size_t addr, bool mistimed, sim::Time started,
-                   SiSram::ReadCallback cb);
-
-  gates::Context* ctx_;
-  std::string name_;
+  const device::DelayModel* model_;
   BundledSramParams params_;
   CellModel cell_;
   BitlineDynamics bitline_;
-  std::unique_ptr<SramEnergyModel> energy_;
-  std::unique_ptr<SramArray> array_;
-  std::unique_ptr<SteppedAccess> access_;
   double replica_stages_hi_ = 0.0;
   double replica_stages_lo_ = 0.0;
-  bool busy_ = false;
-  std::uint64_t reads_done_ = 0;
-  std::uint64_t writes_done_ = 0;
-  std::uint64_t mistimed_ = 0;
-  gates::EnergyMeter::GateId meter_id_ = 0;
-  bool metered_ = false;
 };
 
 }  // namespace emc::sram

@@ -88,7 +88,7 @@ class SiSram {
   sim::Wire& w_we() { return *we_; }
   sim::Wire& w_done() { return *done_; }
 
-  /// Connectivity inventory (DOT export, static lint).
+  /// Connectivity inventory (static lint and timing).
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:

@@ -11,9 +11,6 @@ void Session::check(const netlist::Circuit& c) {
   arc_count_ += a.arc_count;
   if (a.vacuous) vacuous_subjects_.push_back(c.name());
   for (auto& p : a.curve) curve_.emplace_back(c.name(), std::move(p));
-  if (!a.critical_edges.empty()) {
-    critical_.emplace_back(c.name(), std::move(a.critical_edges));
-  }
   add_result(c.name(), std::move(a.report));
 }
 
@@ -23,15 +20,6 @@ void Session::check(const sched::EnergyPetriNet& net,
   // checked (so the session is not vacuously empty) with a clean report.
   (void)net;
   add_result(label, lint::Report{});
-}
-
-const std::vector<std::pair<std::string, std::string>>&
-Session::critical_edges(const std::string& circuit) const {
-  static const std::vector<std::pair<std::string, std::string>> kEmpty;
-  for (const auto& [name, edges] : critical_) {
-    if (name == circuit) return edges;
-  }
-  return kEmpty;
 }
 
 std::string Session::margin_csv() const {

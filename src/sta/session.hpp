@@ -4,10 +4,10 @@
 // Figures register ONE lint hook; whether it performs netlist lint or
 // static timing analysis depends on the Session subclass the driver
 // hands it. check(Circuit) here runs sta::analyze instead of
-// lint::analyze and accumulates the margin curves and critical-path
-// edges alongside the per-subject reports, so the same hook body
-// (`s.check(thing.circuit())`) serves the `emc_repro lint` and `sta`
-// verbs and both run gates without duplication.
+// lint::analyze and accumulates the margin curves alongside the
+// per-subject reports, so the same hook body (`s.check(thing.circuit())`)
+// serves the `emc_repro lint` and `sta` verbs and both run gates without
+// duplication.
 //
 // Petri-net checks have no timing surface — check(net, label) records a
 // legitimately clean empty report so hooks that lint a scheduler
@@ -49,11 +49,6 @@ class Session : public lint::Session {
     return curve_;
   }
 
-  /// Critical-path DOT edges of every violated constraint, per circuit
-  /// (feed netlist::DotStyle::highlight_edges to render them red).
-  const std::vector<std::pair<std::string, std::string>>& critical_edges(
-      const std::string& circuit) const;
-
   /// The margin curves as CSV (circuit,bundle,vdd,corner,trigger_s,
   /// datapath_s,ratio,limit,ok); `emc_repro sta --csv` writes these rows
   /// keyed by figure.
@@ -64,9 +59,6 @@ class Session : public lint::Session {
   std::vector<std::string> vacuous_subjects_;
   std::size_t arc_count_ = 0;
   std::vector<std::pair<std::string, MarginPoint>> curve_;
-  std::vector<
-      std::pair<std::string, std::vector<std::pair<std::string, std::string>>>>
-      critical_;
 };
 
 }  // namespace emc::sta

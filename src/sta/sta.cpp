@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "device/delay_model.hpp"
@@ -108,43 +107,20 @@ double arc_delay(const device::DelayModel& model, const netlist::TimingArc& a,
 /// Longest arrival time per node from the graph sources, all of which are
 /// taken to switch at t = 0 (for a bundled stage that is exactly the
 /// capture event: the latch flips the state wires and relaunches `go` in
-/// the same instant). `pred` holds the critical incoming arc per node.
-struct Arrival {
-  std::vector<double> dist;
-  std::vector<std::ptrdiff_t> pred;
-};
+/// the same instant).
+using Arrival = std::vector<double>;
 
 Arrival propagate(const WireGraph& g, const device::DelayModel& model,
                   double vdd, const device::DeviceSample& s) {
-  Arrival r;
-  r.dist.assign(g.names.size(), 0.0);
-  r.pred.assign(g.names.size(), -1);
+  Arrival dist(g.names.size(), 0.0);
   for (std::size_t u : g.topo) {
     for (std::size_t ai : g.out_kept[u]) {
       const auto& a = *g.arcs[ai];
       const std::size_t v = g.index.at(a.to);
-      const double d = r.dist[u] + arc_delay(model, a, vdd, s);
-      if (d > r.dist[v]) {
-        r.dist[v] = d;
-        r.pred[v] = static_cast<std::ptrdiff_t>(ai);
-      }
+      dist[v] = std::max(dist[v], dist[u] + arc_delay(model, a, vdd, s));
     }
   }
-  return r;
-}
-
-/// Walk the critical path into `node` backwards, appending the DOT-level
-/// (from, via) and (via, to) edge pairs of every arc on it.
-void collect_critical(const WireGraph& g, const Arrival& arrival,
-                      std::size_t node,
-                      std::set<std::pair<std::string, std::string>>* out) {
-  std::size_t v = node;
-  while (v < g.names.size() && arrival.pred[v] >= 0) {
-    const auto& a = *g.arcs[static_cast<std::size_t>(arrival.pred[v])];
-    out->insert({a.from, a.via});
-    out->insert({a.via, a.to});
-    v = g.node(a.from);
-  }
+  return dist;
 }
 
 std::string fmt_v(double v) {
@@ -222,7 +198,6 @@ Analysis analyze(const netlist::Circuit& c, const Options& opt) {
   }
 
   // --- T001: bundled-data margin, per recorded bundle -----------------------
-  std::set<std::pair<std::string, std::string>> critical;
   // Per-grid-point nominal bundle health, reused by T003.
   std::vector<bool> bundles_ok_nominal(grid.size(), true);
 
@@ -254,12 +229,12 @@ Analysis analyze(const netlist::Circuit& c, const Options& opt) {
         double dp = -1.0;
         std::size_t dp_at = targets.front();
         for (std::size_t t : targets) {
-          if (dp_arr.dist[t] > dp) {
-            dp = dp_arr.dist[t];
+          if (dp_arr[t] > dp) {
+            dp = dp_arr[t];
             dp_at = t;
           }
         }
-        const double tr = tr_arr.dist[trig];
+        const double tr = tr_arr[trig];
         const double ratio = (std::isfinite(dp) && dp > 0.0)
                                  ? tr / dp
                                  : std::numeric_limits<double>::quiet_NaN();
@@ -305,13 +280,8 @@ Analysis analyze(const netlist::Circuit& c, const Options& opt) {
         << ") - the latch captures unsettled data there";
       f.detail = d.str();
       out.report.add(std::move(f));
-      const Arrival& dp_arr = worst_corner ? arr_slow[worst_i] : arr_nom[worst_i];
-      const Arrival& tr_arr = worst_corner ? arr_fast[worst_i] : arr_nom[worst_i];
-      collect_critical(g, dp_arr, worst_target, &critical);
-      collect_critical(g, tr_arr, trig, &critical);
     }
   }
-  out.critical_edges.assign(critical.begin(), critical.end());
 
   // --- T002: drifting isochronic forks --------------------------------------
   // A wire forking into arcs with matched thresholds keeps a constant

@@ -39,7 +39,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "device/variation.hpp"
@@ -79,9 +78,6 @@ struct Analysis {
   lint::Report report;
   /// Margin curves for every bundle (nominal and corner rows).
   std::vector<MarginPoint> curve;
-  /// DOT-highlightable (from, to) edge pairs of the critical paths of
-  /// every violated bundle constraint (netlist::DotStyle input).
-  std::vector<std::pair<std::string, std::string>> critical_edges;
   /// Timing arcs recorded on the circuit (0 + bundles => vacuous).
   std::size_t arc_count = 0;
   /// Bundles present but not a single arc on their trigger or datapath:

@@ -28,7 +28,7 @@ class StorageCap : public Supply {
   /// fires wake callbacks when the resume threshold is crossed.
   double deposit_energy(double joules);
 
-  /// Direct charge injection [C] (used by DC-DC models and tests).
+  /// Direct charge injection [C] (SampleCap::sample and tests).
   void deposit_charge(double coulombs);
 
   double capacitance() const { return capacitance_; }

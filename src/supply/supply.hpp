@@ -72,7 +72,8 @@ class Supply {
   /// commanded level changes) call bump_voltage_epoch(); subclasses whose
   /// voltage is a function of *time* (AC, waveform) mark themselves
   /// time-varying, advancing the epoch whenever simulation time has;
-  /// regulated converters chain to their input via an epoch parent.
+  /// wrappers (fault::FaultableSupply) chain to the rail they wrap via an
+  /// epoch parent.
   std::uint64_t voltage_epoch() const {
     if (time_varying_ && kernel_->now() != epoch_time_) {
       epoch_time_ = kernel_->now();
@@ -118,7 +119,7 @@ class Supply {
   /// supplies): every new timestamp invalidates quasi-static caches.
   void set_time_varying_voltage() { time_varying_ = true; }
 
-  /// Chain this supply's epoch to the supply it regulates from: any
+  /// Chain this supply's epoch to the supply it forwards: any
   /// voltage change of `parent` invalidates this supply's consumers too.
   void set_voltage_epoch_parent(const Supply* parent) {
     epoch_parent_ = parent;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -265,6 +266,21 @@ TEST(Csv, WritesFile) {
   std::getline(in, line);
   EXPECT_EQ(line, "1,2");
   std::remove(path.c_str());
+}
+
+// /dev/full accepts the open and every buffered write; only the final
+// flush fails, so each writer must close its stream before reporting.
+TEST(Csv, WritersReportAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Table t({"a", "b"});
+  t.add_row({"1", "2"});
+  EXPECT_FALSE(t.write_csv("/dev/full"));
+  CsvWriter w({"a", "b"});
+  w.add_row({1.0, 2.0});
+  EXPECT_FALSE(w.write("/dev/full"));
+  CsvStream s("/dev/full", {"a", "b"});
+  s.row({"1", "2"});
+  EXPECT_FALSE(s.close());
 }
 
 }  // namespace

@@ -356,23 +356,6 @@ TEST(SupplyConfig, PiecewiseElaborates) {
   EXPECT_NEAR(b.supply().voltage(), 1.0, 1e-12);
 }
 
-TEST(SupplyConfig, DcdcElaboratesRegulatedChain) {
-  sim::Kernel kernel;
-  supply::DcdcParams params;
-  params.vout = 0.6;
-  auto b = SupplyConfig::dcdc(SupplyConfig::storage_cap(10e-6, 1.0), params)
-               .build(kernel);
-  ASSERT_NE(b.dcdc(), nullptr);
-  ASSERT_NE(b.store(), nullptr);  // the input store is reachable
-  EXPECT_EQ(bare_rail(b), b.dcdc());
-  // auto-started: regulating already.
-  EXPECT_DOUBLE_EQ(b.supply().voltage(), 0.6);
-  // Output draws are billed to the input store.
-  const double q_before = b.store()->charge();
-  b.supply().draw(1e-9, 0.6e-9);
-  EXPECT_LT(b.store()->charge(), q_before);
-}
-
 TEST(SupplyConfig, HarvestedElaboratesSeededChain) {
   sim::Kernel kernel;
   auto b = SupplyConfig::harvested(
@@ -399,28 +382,12 @@ TEST(SupplyConfig, HarvestedElaboratesSeededChain) {
 }
 
 TEST(SupplyConfig, CompositeVariantsRequireCapInputs) {
-  // Unconditional (not assert()): Release builds must refuse a DC-DC fed
-  // from a battery instead of elaborating a 0 F store.
-  EXPECT_THROW(
-      SupplyConfig::dcdc(SupplyConfig::battery(1.0), supply::DcdcParams{}),
-      ConfigError);
+  // Unconditional (not assert()): Release builds must refuse a harvested
+  // store described by an AC source instead of elaborating a 0 F store.
   EXPECT_THROW(SupplyConfig::harvested(
                    SupplyConfig::ac(0.2, 0.1, 1e6),
                    supply::HarvesterProfile::vibration_200uw(), 1),
                ConfigError);
-}
-
-TEST(SupplyConfig, DcdcPreservesExplicitInputCapName) {
-  sim::Kernel kernel;
-  auto named = SupplyConfig::dcdc(
-                   SupplyConfig::storage_cap(1e-6, 1.0).name("vin"),
-                   supply::DcdcParams{})
-                   .build(kernel);
-  EXPECT_EQ(named.store()->name(), "vin");
-  auto defaulted = SupplyConfig::dcdc(SupplyConfig::storage_cap(1e-6, 1.0),
-                                      supply::DcdcParams{})
-                       .build(kernel);
-  EXPECT_EQ(defaulted.store()->name(), "dcdc.in");
 }
 
 TEST(SupplyConfig, HarvestedWithoutMpptOrAutostart) {

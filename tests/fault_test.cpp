@@ -21,6 +21,7 @@
 //   * EMC_FAULT_SMOKE=1 forces the wrapper under every built config.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -39,6 +40,7 @@
 #include "gates/combinational.hpp"
 #include "sensor/calibration.hpp"
 #include "supply/battery.hpp"
+#include "supply/storage_cap.hpp"
 
 namespace emc::fault {
 namespace {
@@ -366,7 +368,7 @@ TEST(FaultPlanTest, FaultedSweepIsThreadCountInvariant) {
           .set("served", ctr.transitions_served())
           .set("status", sim::to_string(v.status));
     });
-    wb.write_csv(path);
+    ASSERT_TRUE(wb.write_csv(path));
   };
   run_at(1, "zz_fault_sweep_t1.csv");
   run_at(4, "zz_fault_sweep_t4.csv");
@@ -495,6 +497,22 @@ TEST(FaultableSupplyTest, ScalesByMinActiveWindowAndForwards) {
   fs.begin_fault(0.0);
   fs.end_fault(0.0);
   EXPECT_TRUE(woke);
+}
+
+// The wrapper must see every voltage change of the rail it forwards, and
+// an invalid draw through it must leave that rail untouched.
+TEST(FaultableSupplyTest, ChainsEpochAndGuardsDrawsOfItsInnerStore) {
+  sim::Kernel kernel;
+  supply::StorageCap store(kernel, "store", 1e-6, 1.0);
+  FaultableSupply fs(store);
+  const std::uint64_t e0 = fs.voltage_epoch();
+  store.draw(1e-9, 1e-9);
+  EXPECT_GT(fs.voltage_epoch(), e0);
+  const double q0 = store.charge();
+  fs.draw(std::nan(""), std::nan(""));
+  EXPECT_DOUBLE_EQ(store.charge(), q0);
+  EXPECT_EQ(fs.rejected_draws(), 1u);
+  EXPECT_EQ(store.rejected_draws(), 1u);
 }
 
 TEST(FaultSmoke, EnvVarForcesTheWrapperUnderEveryBuild) {

@@ -1,5 +1,5 @@
 // Gate-library tests: truth tables (parameterized), C-element, toggle,
-// mutex, delay line, completion detector, energy metering, stall/resume.
+// delay line, completion detector, energy metering, stall/resume.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include "gates/completion.hpp"
 #include "gates/delay_line.hpp"
 #include "gates/energy_meter.hpp"
-#include "gates/mutex.hpp"
 #include "gates/toggle.hpp"
 #include "supply/battery.hpp"
 #include "supply/storage_cap.hpp"
@@ -245,63 +244,6 @@ TEST(Toggle, QueuesBurstsWithoutLoss) {
   f.kernel.run();
   EXPECT_EQ(t.fires(), 10u);
   EXPECT_EQ(dot.transitions() + blank.transitions(), 10u);
-}
-
-// ---- mutex -------------------------------------------------------------------
-
-TEST(Mutex, GrantsSingleRequester) {
-  Fixture f;
-  sim::Rng rng(3);
-  sim::Wire r1(f.kernel, "r1", false), r2(f.kernel, "r2", false);
-  sim::Wire g1(f.kernel, "g1", false), g2(f.kernel, "g2", false);
-  Mutex mx(f.ctx, "mx", r1, r2, g1, g2, &rng);
-  r1.set(true);
-  f.kernel.run();
-  EXPECT_TRUE(g1.read());
-  EXPECT_FALSE(g2.read());
-  r1.set(false);
-  f.kernel.run();
-  EXPECT_FALSE(g1.read());
-}
-
-TEST(Mutex, MutualExclusionUnderContention) {
-  Fixture f;
-  sim::Rng rng(7);
-  sim::Wire r1(f.kernel, "r1", false), r2(f.kernel, "r2", false);
-  sim::Wire g1(f.kernel, "g1", false), g2(f.kernel, "g2", false);
-  Mutex mx(f.ctx, "mx", r1, r2, g1, g2, &rng);
-  bool both_granted = false;
-  auto check = [&](const sim::Wire&) {
-    if (g1.read() && g2.read()) both_granted = true;
-  };
-  g1.on_change(check);
-  g2.on_change(check);
-  // Hammer with overlapping requests.
-  for (int i = 0; i < 50; ++i) {
-    const sim::Time base = sim::ns(10) * (i + 1);
-    f.kernel.schedule_at(base, [&] { r1.set(true); });
-    f.kernel.schedule_at(base + sim::ps(i % 7), [&] { r2.set(true); });
-    f.kernel.schedule_at(base + sim::ns(4), [&] { r1.set(false); });
-    f.kernel.schedule_at(base + sim::ns(5), [&] { r2.set(false); });
-  }
-  f.kernel.run();
-  EXPECT_FALSE(both_granted);
-  EXPECT_GT(mx.grants(), 50u);  // both sides eventually served
-  EXPECT_GT(mx.metastable_events(), 0u);
-}
-
-TEST(SynchronizerModel, MtbfGrowsWithWindowAndShrinksAtLowVdd) {
-  device::DelayModel model{device::Tech::umc90()};
-  SynchronizerModel sync{&model};
-  const double m1 = sync.mtbf_seconds(1.0, 1e8, 1e6, 2e-9);
-  const double m2 = sync.mtbf_seconds(1.0, 1e8, 1e6, 4e-9);
-  EXPECT_GT(m2, m1 * 1e6);  // exponential in the window
-  // Same absolute window is worth far less at 0.3 V (tau grew).
-  const double m3 = sync.mtbf_seconds(0.3, 1e8, 1e6, 2e-9);
-  EXPECT_LT(m3, m1 / 1e3);
-  // Inverse relation round-trips.
-  const double w = sync.required_window_s(0.5, 1e8, 1e6, 3.15e7);
-  EXPECT_NEAR(sync.mtbf_seconds(0.5, 1e8, 1e6, w), 3.15e7, 3.15e7 * 0.01);
 }
 
 // ---- delay line ---------------------------------------------------------------

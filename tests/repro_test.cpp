@@ -698,6 +698,23 @@ TEST_F(ReproDriverTest, StaCsvCarriesTheMarginCurvesAndNeedsAWritablePath) {
   EXPECT_EQ(emc::repro::driver_run(
                 {"sta", "zz_lint_clean", "--csv", "no_such_dir/m.csv"}),
             2);
+  // /dev/full accepts the open and every buffered write; only the final
+  // flush fails.
+  if (fs::exists("/dev/full")) {
+    EXPECT_EQ(emc::repro::driver_run(
+                  {"sta", "zz_lint_clean", "--csv", "/dev/full"}),
+              2);
+  }
+}
+
+// /dev/full accepts the open and every buffered write; only the final
+// flush fails. A writer that checks its stream before closing it reports
+// success there.
+TEST_F(ReproDriverTest, ManifestOnAFullDeviceIsExit2) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_EQ(emc::repro::driver_run(
+                {"run", "zz_repro_selftest_a", "--manifest", "/dev/full"}),
+            2);
 }
 
 TEST_F(ReproDriverTest, AnalyzerAndRunFlagsStayWithTheirVerbs) {

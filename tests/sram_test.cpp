@@ -343,30 +343,14 @@ TEST(SramEnergy, ControllerBillsRoughlyModelEnergy) {
 // ---- bundled baselines ---------------------------------------------------------------
 
 TEST(BundledSram, FixedReplicaCorrectAtCalibrationFailsLow) {
-  Fixture hi(1.0);
-  BundledSram s_hi(hi.ctx, "bsram", BundledSramParams{});
-  bool ok = false;
-  s_hi.write(1, 0x42, [&](const OpResult& r) { ok = r.ok; });
-  hi.kernel.run();
-  EXPECT_TRUE(ok);
-  std::optional<std::uint16_t> got;
-  s_hi.read(1, [&](std::uint16_t v, const OpResult& r) {
-    EXPECT_TRUE(r.ok);
-    got = v;
-  });
-  hi.kernel.run();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 0x42);
-
-  // Same design at 0.25 V: the replica under-waits (Fig. 5) and the read
-  // is mistimed.
-  Fixture lo(0.25);
-  BundledSram s_lo(lo.ctx, "bsram", BundledSramParams{});
-  bool read_ok = true;
-  s_lo.read(1, [&](std::uint16_t, const OpResult& r) { read_ok = r.ok; });
-  lo.kernel.run();
-  EXPECT_FALSE(read_ok);
-  EXPECT_EQ(s_lo.mistimed_reads(), 1u);
+  Fixture f;
+  const BundledSram s(f.ctx, BundledSramParams{});
+  // At its 1.0 V calibration point the replica (sized with margin)
+  // covers the true bit-line development...
+  EXPECT_GE(s.replica_delay_s(1.0), s.true_read_delay_s(1.0));
+  // ...but the same design at 0.25 V under-waits (Fig. 5): the read is
+  // latched before the bit-line has developed.
+  EXPECT_LT(s.replica_delay_s(0.25), s.true_read_delay_s(0.25));
 }
 
 TEST(BundledSram, FailureOnsetOrdering) {
@@ -378,9 +362,9 @@ TEST(BundledSram, FailureOnsetOrdering) {
   banded.scheme = BundlingScheme::kBandedReplica;
   BundledSramParams column;
   column.scheme = BundlingScheme::kColumnReplica;
-  BundledSram s1(f.ctx, "s1", fixed);
-  BundledSram s2(f.ctx, "s2", banded);
-  BundledSram s3(f.ctx, "s3", column);
+  BundledSram s1(f.ctx, fixed);
+  BundledSram s2(f.ctx, banded);
+  BundledSram s3(f.ctx, column);
   const double v1 = s1.failure_onset_vdd();
   const double v2 = s2.failure_onset_vdd();
   const double v3 = s3.failure_onset_vdd();

@@ -1,5 +1,5 @@
 // Supply model tests: battery/waveform, AC, storage caps, harvester,
-// DC-DC, MPPT.
+// MPPT.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "supply/ac_supply.hpp"
 #include "supply/battery.hpp"
-#include "supply/dcdc.hpp"
 #include "supply/harvester.hpp"
 #include "supply/mppt.hpp"
 #include "supply/storage_cap.hpp"
@@ -116,9 +115,10 @@ TEST(StorageCap, NegativeDepositChargeRemovesCharge) {
   sim::Kernel k;
   StorageCap cap(k, "store", 1e-9, 1.0);
   cap.set_max_voltage(1.2);
-  // DC-DC input side: a negative injection is a withdrawal. V = Q/C
-  // must track, nothing may be attributed to the clamp, and the floor
-  // at zero charge must hold for over-withdrawal.
+  // Resampling to a lower voltage (SampleCap::sample) injects negative
+  // charge: a withdrawal. V = Q/C must track, nothing may be attributed
+  // to the clamp, and the floor at zero charge must hold for
+  // over-withdrawal.
   cap.deposit_charge(-0.4e-9);
   EXPECT_NEAR(cap.voltage(), 0.6, 1e-15);
   EXPECT_NEAR(cap.stored_energy(), 0.5 * 1e-9 * 0.36, 1e-21);
@@ -200,40 +200,6 @@ TEST(Harvester, EfficiencyScalesDeposits) {
   EXPECT_NEAR(h.total_energy_harvested(), 0.05e-6, 2e-9);
 }
 
-TEST(Dcdc, RegulatesWhileInputHealthy) {
-  sim::Kernel k;
-  StorageCap in(k, "store", 1e-6, 0.9);
-  DcdcConverter dc(k, "dcdc", in, DcdcParams{});
-  dc.start();
-  EXPECT_DOUBLE_EQ(dc.voltage(), 1.0);
-  // Output draw is billed to the input with loss.
-  const double e_in_before = in.stored_energy();
-  dc.draw(1e-12, 1e-12);
-  EXPECT_LT(in.stored_energy(), e_in_before - 1e-12);
-  EXPECT_GT(dc.conversion_loss_j(), 0.0);
-}
-
-TEST(Dcdc, BrownsOutBelowVinMin) {
-  sim::Kernel k;
-  DcdcParams p;
-  p.vin_min = 0.5;
-  StorageCap in(k, "store", 1e-6, 0.4);
-  DcdcConverter dc(k, "dcdc", in, p);
-  dc.start();
-  EXPECT_DOUBLE_EQ(dc.voltage(), 0.0);
-}
-
-TEST(Dcdc, QuiescentPowerDrainsInput) {
-  sim::Kernel k;
-  StorageCap in(k, "store", 1e-6, 0.9);
-  DcdcConverter dc(k, "dcdc", in, DcdcParams{});
-  dc.start();
-  const double before = in.stored_energy();
-  k.run_until(sim::ms(5));
-  EXPECT_LT(in.stored_energy(), before);
-  EXPECT_NEAR(dc.quiescent_loss_j(), 5e-9, 1e-9);  // 1 uW * 5 ms
-}
-
 TEST(Mppt, ConvergesNearMaximumPowerPoint) {
   sim::Kernel k;
   sim::Rng rng(5);
@@ -283,16 +249,6 @@ TEST(VoltageEpoch, AcSupplyAdvancesWithTime) {
   EXPECT_GT(ac.voltage_epoch(), e0);
 }
 
-TEST(VoltageEpoch, DcdcChainsToItsInputStore) {
-  sim::Kernel k;
-  StorageCap store(k, "store", 1e-6, 1.0);
-  DcdcConverter dcdc(k, "dcdc", store, DcdcParams{});
-  dcdc.start();
-  const std::uint64_t e0 = dcdc.voltage_epoch();
-  store.draw(1e-9, 1e-9);  // input-side change must reach load caches
-  EXPECT_GT(dcdc.voltage_epoch(), e0);
-}
-
 // --- defensive invariants (fault-injection hardening) ------------------
 //
 // A NaN-poisoned model or a faulted upstream must not corrupt a store:
@@ -316,16 +272,6 @@ TEST(DrawGuard, RejectsNaNInfAndNegativeDraws) {
   EXPECT_LT(cap.charge(), q0);
   EXPECT_EQ(cap.draw_count(), 1u);
   EXPECT_EQ(cap.rejected_draws(), 5u);
-}
-
-TEST(DrawGuard, DcdcRejectsInvalidDraws) {
-  sim::Kernel k;
-  StorageCap store(k, "store", 1e-6, 1.0);
-  DcdcConverter dcdc(k, "dcdc", store, DcdcParams{});
-  const double q0 = store.charge();
-  dcdc.draw(std::nan(""), std::nan(""));
-  EXPECT_DOUBLE_EQ(store.charge(), q0);
-  EXPECT_EQ(dcdc.rejected_draws(), 1u);
 }
 
 TEST(DepositGuard, StorageCapIgnoresNonFiniteDeposits) {

@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Per-file line coverage of src/ from a gcc --coverage build.
+
+Usage: python3 tools/src_coverage.py BUILD_DIR [--summary FILE]
+
+Run the binaries of a build configured with --coverage first; this
+script then asks gcov for every src/**/*.cpp how many of its own lines
+ran, prints one row per file (also written to --summary), and exits 1
+when any file has no .gcda (never linked into a binary that ran) or
+executed 0 lines. Lines inlined from headers count toward the header,
+not the .cpp.
+"""
+import argparse
+import pathlib
+import re
+import subprocess
+import sys
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+OBJ_DIR = pathlib.Path("CMakeFiles", "emc_core.dir")
+
+
+def own_lines(gcda: pathlib.Path, source: pathlib.Path):
+    """(executed, total) lines of `source` in `gcda`'s gcov report."""
+    out = subprocess.run(["gcov", "-n", str(gcda)], cwd=gcda.parent,
+                         capture_output=True, text=True, check=True).stdout
+    blocks = re.findall(r"File '([^']*)'\nLines executed:([\d.]+)% of (\d+)",
+                        out)
+    for path, pct, total in blocks:
+        if (gcda.parent / path).resolve() == source:
+            total = int(total)
+            return round(float(pct) * total / 100.0), total
+    return 0, 0  # no executable line of its own
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("build_dir", type=pathlib.Path)
+    ap.add_argument("--summary", type=pathlib.Path)
+    args = ap.parse_args()
+
+    rows, failures = [], []
+    for source in sorted((REPO / "src").rglob("*.cpp")):
+        rel = source.relative_to(REPO)
+        gcda = args.build_dir / OBJ_DIR / rel.with_name(rel.name + ".gcda")
+        if not gcda.exists():
+            rows.append(f"{rel}  not run (no .gcda)")
+            failures.append(rel)
+            continue
+        executed, total = own_lines(gcda.resolve(), source)
+        pct = 100.0 * executed / total if total else 0.0
+        rows.append(f"{rel}  {executed}/{total} lines ({pct:.1f}%)")
+        if executed == 0:
+            failures.append(rel)
+
+    report = "\n".join(rows) + "\n"
+    if failures:
+        report += f"\n{len(failures)} src/ file(s) never executed:\n"
+        report += "".join(f"  {f}\n" for f in failures)
+    sys.stdout.write(report)
+    if args.summary:
+        args.summary.write_text(report)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
