@@ -12,7 +12,6 @@
 // through the Workbench pool.
 #include <cstdio>
 
-#include "analysis/csv.hpp"
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
 #include "exp/context_config.hpp"
@@ -43,7 +42,7 @@ static int run_fig11(const emc::repro::RunContext& ctx) {
 
   analysis::Table table({"vin_V", "code", "transitions", "charge_nC",
                          "conv_time_us", "trans_per_nC"});
-  analysis::CsvWriter csv({"vin_V", "code"});
+  analysis::Table csv({"vin_V", "code"});
   std::vector<double> vins;
   std::vector<double> codes;
   for (const auto& p : grid.build()) {
@@ -65,12 +64,13 @@ static int run_fig11(const emc::repro::RunContext& ctx) {
                  ? double(res->transitions) / (res->charge_used_c * 1e9)
                  : 0.0,
              4)});
-    csv.add_row({vin, double(res->code)});
+    csv.add_row({analysis::Table::num(vin, 6),
+                 analysis::Table::num(double(res->code), 6)});
     vins.push_back(vin);
     codes.push_back(double(res->code));
   }
   table.print();
-  if (!csv.write("fig11_c2d.csv")) return 1;
+  if (!csv.write_csv("fig11_c2d.csv")) return 1;
 
   // Shape checks against the paper's Fig. 11: monotone rising,
   // logarithmic-saturating towards high Vin.

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <optional>
 
-#include "analysis/csv.hpp"
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
 #include "exp/context_config.hpp"
@@ -66,7 +65,7 @@ static int run_fig12(const emc::repro::RunContext& ctx) {
 
   sensor::CalibrationTable table_lut;
   analysis::Table table({"vdd_V", "thermometer_code", "mV_per_code"});
-  analysis::CsvWriter csv({"vdd_V", "code"});
+  analysis::Table csv({"vdd_V", "code"});
   double prev_code = 0.0, prev_v = 0.0;
   for (const auto& p : cal_grid.build()) {
     const double v = p.get<double>("vdd");
@@ -80,13 +79,13 @@ static int run_fig12(const emc::repro::RunContext& ctx) {
         prev_code > 0.0 ? 1000.0 * (v - prev_v) / (prev_code - code) : 0.0;
     table.add_row({analysis::Table::num(v), std::to_string(r->code),
                    prev_code > 0.0 ? analysis::Table::num(sens, 3) : "-"});
-    csv.add_row({v, code});
+    csv.add_row({analysis::Table::num(v, 6), analysis::Table::num(code, 6)});
     table_lut.add(code, v);
     prev_code = code;
     prev_v = v;
   }
   table.print();
-  if (!csv.write("fig12_refree.csv")) return 1;
+  if (!csv.write_csv("fig12_refree.csv")) return 1;
 
   // Accuracy: verify on an offset grid.
   exp::Grid verify_grid;

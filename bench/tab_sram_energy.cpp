@@ -9,8 +9,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "analysis/csv.hpp"
 #include "analysis/sweep.hpp"
+#include "analysis/table.hpp"
 #include "device/delay_model.hpp"
 #include "exp/workbench.hpp"
 #include "lint/session.hpp"
@@ -61,13 +61,14 @@ static int run_tab_sram_energy(const emc::repro::RunContext& ctx) {
   });
   wb.table().print();
 
-  analysis::CsvWriter csv({"vdd_V", "write_pJ", "read_pJ"});
+  analysis::Table csv({"vdd_V", "write_pJ", "read_pJ"});
   const auto& scenarios = wb.scenario_params();
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    csv.add_row({scenarios[i].get<double>("vdd"), points[i].write_pj,
-                 points[i].read_pj});
+    csv.add_row({analysis::Table::num(scenarios[i].get<double>("vdd"), 6),
+                 analysis::Table::num(points[i].write_pj, 6),
+                 analysis::Table::num(points[i].read_pj, 6)});
   }
-  if (!csv.write("tab_sram_energy.csv")) return 1;
+  if (!csv.write_csv("tab_sram_energy.csv")) return 1;
 
   device::DelayModel model{device::Tech::umc90()};
   sram::CellModel cell(model, sram::CellParams{});

@@ -55,30 +55,4 @@ bool CsvStream::close() {
 
 CsvStream::~CsvStream() { (void)close(); }
 
-void CsvWriter::add_row(const std::vector<double>& values) {
-  rows_.push_back(values);
-}
-
-bool CsvWriter::write(const std::string& path) const {
-  std::ofstream out(path);
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c > 0) out << ',';
-    out << headers_[c];
-  }
-  out << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  }
-  out.close();  // a full device fails on the final flush
-  if (!out) {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace emc::analysis

@@ -1,4 +1,4 @@
-// Minimal CSV writer for experiment artifacts.
+// Streaming CSV writer for experiment artifacts.
 #pragma once
 
 #include <fstream>
@@ -38,23 +38,6 @@ class CsvStream {
   std::size_t rows_ = 0;
   bool failed_ = false;
   bool closed_ = false;
-};
-
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> headers)
-      : headers_(std::move(headers)) {}
-
-  void add_row(const std::vector<double>& values);
-
-  /// Write to `path`; false (with a warning on stderr) on I/O error.
-  [[nodiscard]] bool write(const std::string& path) const;
-
-  std::size_t rows() const { return rows_.size(); }
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<double>> rows_;
 };
 
 }  // namespace emc::analysis

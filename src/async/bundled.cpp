@@ -94,7 +94,6 @@ BundledCounter::BundledCounter(gates::Context& ctx, std::string name,
   if (ctx.meter != nullptr) {
     latch_meter_ = ctx.meter->add(circuit_.name() + ".latch",
                                   6.0 * static_cast<double>(params_.bits));
-    metered_ = true;
   }
 
   line_->output().subscribe<&BundledCounter::on_line_output>(this);
@@ -138,12 +137,8 @@ void BundledCounter::on_line_output() {
   const double vdd = ctx.supply.voltage();
   const double cload =
       3.0 * ctx.model.tech().c_inv * static_cast<double>(params_.bits);
-  ctx.supply.draw(ctx.model.switching_charge(vdd, cload),
-                  ctx.model.switching_energy(vdd, cload));
-  if (metered_) {
-    ctx.meter->record_transition(latch_meter_,
-                                 ctx.model.switching_energy(vdd, cload));
-  }
+  ctx.bill(latch_meter_, ctx.model.switching_charge(vdd, cload),
+           ctx.model.switching_energy(vdd, cload));
   if (running_) launch();
 }
 

@@ -80,7 +80,6 @@ class BundledCounter {
   std::uint64_t count_ = 0;
   std::uint64_t errors_ = 0;
   gates::EnergyMeter::GateId latch_meter_ = 0;
-  bool metered_ = false;
 };
 
 }  // namespace emc::async

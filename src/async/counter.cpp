@@ -156,7 +156,6 @@ DualRailCounter::DualRailCounter(gates::Context& ctx, std::string name,
 
   if (ctx.meter != nullptr) {
     latch_meter_ = ctx.meter->add(circuit_.name() + ".latch", 8.0 * bits);
-    metered_ = true;
   }
   done_wire_->subscribe<&DualRailCounter::on_done_change>(this);
 }
@@ -192,12 +191,8 @@ void DualRailCounter::on_done_change() {
   const double vdd = ctx.supply.voltage();
   const double cload =
       4.0 * ctx.model.tech().c_inv * static_cast<double>(width_);
-  ctx.supply.draw(ctx.model.switching_charge(vdd, cload),
-                  ctx.model.switching_energy(vdd, cload));
-  if (metered_) {
-    ctx.meter->record_transition(latch_meter_,
-                                 ctx.model.switching_energy(vdd, cload));
-  }
+  ctx.bill(latch_meter_, ctx.model.switching_charge(vdd, cload),
+           ctx.model.switching_energy(vdd, cload));
   if (!running_) run_->set(false);
 }
 

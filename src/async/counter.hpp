@@ -124,7 +124,6 @@ class DualRailCounter {
   std::unique_ptr<DualRailWord> word_;
   std::unique_ptr<gates::CompletionDetector> cd_;
   gates::EnergyMeter::GateId latch_meter_ = 0;
-  bool metered_ = false;
 };
 
 }  // namespace emc::async

@@ -108,11 +108,6 @@ SupplyConfig& SupplyConfig::trace(bool on) {
   return *this;
 }
 
-SupplyConfig& SupplyConfig::mppt_params(supply::MpptParams p) {
-  mppt_params_ = p;
-  return *this;
-}
-
 void SupplyConfig::apply_cap_modifiers(supply::StorageCap& cap) const {
   if (cap_wake_threshold_ >= 0.0) cap.set_wake_threshold(cap_wake_threshold_);
   if (cap_max_voltage_ > 0.0) cap.set_max_voltage(cap_max_voltage_);
@@ -177,7 +172,7 @@ BuiltSupply SupplyConfig::build(sim::Kernel& kernel,
           kernel, harvest_profile_, *store, *b.rng_, harvest_tick_);
       if (with_mppt_) {
         b.mppt_ = std::make_unique<supply::MpptController>(
-            kernel, *b.harvester_, mppt_params_);
+            kernel, *b.harvester_, supply::MpptParams{});
       }
       b.store_ = store.get();
       b.load_rail_ = store.get();

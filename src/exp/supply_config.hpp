@@ -101,8 +101,6 @@ class SupplyConfig {
   /// Storage-cap variants: record the voltage history at every
   /// draw/deposit.
   SupplyConfig& trace(bool on = true);
-  /// Harvested variant: override the MPPT controller parameters.
-  SupplyConfig& mppt_params(supply::MpptParams p);
 
   /// Interpose a fault::FaultableSupply between the load and the rail —
   /// the injection point FaultPlans bind to (BuiltSupply::fault() /
@@ -160,7 +158,6 @@ class SupplyConfig {
   std::uint64_t harvest_seed_ = 1;
   sim::Time harvest_tick_ = sim::us(10);
   bool with_mppt_ = true;
-  supply::MpptParams mppt_params_;
   bool auto_start_ = true;
   // any variant
   bool faultable_ = false;

@@ -2,8 +2,6 @@
 
 #include "async/handshake.hpp"
 #include "fault/faultable_supply.hpp"
-#include "gates/gate.hpp"
-#include "sensor/calibration.hpp"
 #include "sim/random.hpp"
 #include "supply/harvester.hpp"
 
@@ -51,21 +49,6 @@ FaultPlan& FaultPlan::harvester_blackouts(double rate_hz,
   return *this;
 }
 
-FaultPlan& FaultPlan::gate_upsets(double rate_hz) {
-  FaultSpec& s = push(FaultKind::kGateUpset);
-  s.rate_hz = rate_hz;
-  return *this;
-}
-
-FaultPlan& FaultPlan::gate_stuck_at(double rate_hz, double mean_duration_s,
-                                    bool value) {
-  FaultSpec& s = push(FaultKind::kGateStuckAt);
-  s.rate_hz = rate_hz;
-  s.mean_duration_s = mean_duration_s;
-  s.value = value;
-  return *this;
-}
-
 FaultPlan& FaultPlan::handshake_stalls(double rate_hz,
                                        double mean_duration_s) {
   FaultSpec& s = push(FaultKind::kHandshakeStall);
@@ -81,20 +64,9 @@ FaultPlan& FaultPlan::handshake_stall_window(sim::Time start,
   return *this;
 }
 
-FaultPlan& FaultPlan::sensor_drift(double rate_hz, double gain_sigma,
-                                   double offset_sigma_v) {
-  FaultSpec& s = push(FaultKind::kSensorDrift);
-  s.rate_hz = rate_hz;
-  s.drift_gain_sigma = gain_sigma;
-  s.drift_offset_sigma_v = offset_sigma_v;
-  return *this;
-}
-
 std::vector<Window> FaultPlan::windows_for(const FaultSpec& spec) const {
   std::vector<Window> ws = spec.windows;
   if (!ws.empty() || spec.rate_hz <= 0.0 || horizon_ == 0) return ws;
-  const bool point =
-      spec.kind == FaultKind::kGateUpset || spec.kind == FaultKind::kSensorDrift;
   sim::Rng rng = sim::Rng::keyed(seed_, spec.stream * 2);
   const double mean_gap_s = 1.0 / spec.rate_hz;
   sim::Time t = 0;
@@ -104,7 +76,7 @@ std::vector<Window> FaultPlan::windows_for(const FaultSpec& spec) const {
     const sim::Time start = sat_add(t, gap);
     if (start >= horizon_) break;
     sim::Time dur = 0;
-    if (!point && spec.mean_duration_s > 0.0) {
+    if (spec.mean_duration_s > 0.0) {
       dur = sim::from_seconds(rng.exponential_mean(spec.mean_duration_s));
       if (dur == 0) dur = 1;  // a windowed fault spans at least one tick
     }
@@ -135,10 +107,6 @@ FaultReport FaultPlan::elaborate(sim::Kernel& kernel,
   for (const FaultSpec& spec : specs_) {
     const std::vector<Window> ws = windows_for(spec);
     if (ws.empty()) continue;
-    // Payloads (target picks, drift magnitudes) draw from the spec's
-    // companion stream — one keyed Rng per spec, consumed in window
-    // order, so the schedule stays pure in (seed, stream).
-    sim::Rng payload = sim::Rng::keyed(seed_, spec.stream * 2 + 1);
     switch (spec.kind) {
       case FaultKind::kSupplyBrownout: {
         FaultableSupply* s = targets.supply;
@@ -160,46 +128,15 @@ FaultReport FaultPlan::elaborate(sim::Kernel& kernel,
         }
         break;
       }
-      case FaultKind::kGateUpset: {
-        if (targets.gates.empty()) break;
-        for (const Window& w : ws) {
-          gates::Gate* g = targets.gates[payload.index(targets.gates.size())];
-          kernel.schedule_at(w.start, [g] { g->inject_upset(); });
-          ++rep.scheduled_events;
-          ++rep.point_faults;
-        }
-        break;
-      }
-      case FaultKind::kGateStuckAt: {
-        if (targets.gates.empty()) break;
-        for (const Window& w : ws) {
-          gates::Gate* g = targets.gates[payload.index(targets.gates.size())];
-          const bool v = spec.value;
-          schedule_window(
-              w, [g, v] { g->force_stuck_at(v); }, [g] { g->release_stuck(); });
-        }
-        break;
-      }
       case FaultKind::kHandshakeStall: {
         if (targets.sinks.empty()) break;
+        // Target picks draw from the spec's companion stream, consumed
+        // in window order, so the schedule stays pure in (seed, stream).
+        sim::Rng payload = sim::Rng::keyed(seed_, spec.stream * 2 + 1);
         for (const Window& w : ws) {
           async::HandshakeSink* k =
               targets.sinks[payload.index(targets.sinks.size())];
           schedule_window(w, [k] { k->stall(); }, [k] { k->resume(); });
-        }
-        break;
-      }
-      case FaultKind::kSensorDrift: {
-        sensor::CalibrationTable* c = targets.calibration;
-        if (c == nullptr) break;
-        for (const Window& w : ws) {
-          const double gain = payload.gaussian(1.0, spec.drift_gain_sigma);
-          const double off = payload.gaussian(0.0, spec.drift_offset_sigma_v);
-          kernel.schedule_at(w.start, [c, gain, off] {
-            c->apply_drift(gain, off);
-          });
-          ++rep.scheduled_events;
-          ++rep.point_faults;
         }
         break;
       }

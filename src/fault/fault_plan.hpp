@@ -1,20 +1,18 @@
 // Deterministic fault injection: FaultPlan.
 //
 // A FaultPlan is a copyable *description* of an environment's fault
-// processes — supply brownout/dropout windows, harvester blackouts,
-// gate transient upsets and stuck-at intervals, handshake stalls,
-// sensor miscalibration drift — that elaborate() turns into plain
-// scheduled events on a Kernel. Nothing about the injection lives in
-// the kernel loop: a faulted simulation is an ordinary simulation whose
-// event set happens to include fault begin/end callbacks.
+// processes — supply brownout/dropout windows, harvester blackouts and
+// handshake stalls — that elaborate() turns into plain scheduled events
+// on a Kernel. Nothing about the injection lives in the kernel loop: a
+// faulted simulation is an ordinary simulation whose event set happens
+// to include fault begin/end callbacks.
 //
 // Determinism contract: every stochastic draw is keyed through the
 // counter-based Rng — windows from Rng::keyed(seed, 2 * stream),
-// per-event payloads (target index, drift magnitudes) from
-// Rng::keyed(seed, 2 * stream + 1), where `stream` is the spec's
-// insertion ordinal. A spec's schedule is therefore pure in
-// (seed, stream): independent of elaboration order and of the sweep
-// thread count. Building the same plan twice, or elaborating one plan
+// per-window target picks from Rng::keyed(seed, 2 * stream + 1), where
+// `stream` is the spec's insertion ordinal. A spec's schedule is
+// therefore pure in (seed, stream): independent of elaboration order and
+// of the sweep thread count. Building the same plan twice, or elaborating one plan
 // onto two kernels (the "same environment, two circuits" idiom), yields
 // byte-identical fault schedules.
 //
@@ -29,17 +27,11 @@
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
 
-namespace emc::gates {
-class Gate;
-}
 namespace emc::async {
 class HandshakeSink;
 }
 namespace emc::supply {
 class Harvester;
-}
-namespace emc::sensor {
-class CalibrationTable;
 }
 
 namespace emc::fault {
@@ -49,10 +41,7 @@ class FaultableSupply;
 enum class FaultKind : std::uint8_t {
   kSupplyBrownout,    ///< rail scaled by `scale` for the window (0 = dropout)
   kHarvesterBlackout, ///< harvester output gated to zero for the window
-  kGateUpset,         ///< point event: flip one gate's output
-  kGateStuckAt,       ///< one gate held at `value` for the window
   kHandshakeStall,    ///< one sink stops acking for the window
-  kSensorDrift,       ///< point event: affine miscalibration step
 };
 
 /// One fault window [start, start + duration). duration == kTimeMax
@@ -63,24 +52,20 @@ struct Window {
 };
 
 /// One fault process: a kind, its stochastic window parameters (or an
-/// explicit window list), and the kind-specific payload.
+/// explicit window list), and the brownout payload.
 struct FaultSpec {
   FaultKind kind = FaultKind::kSupplyBrownout;
   std::uint64_t stream = 0;  ///< RNG stream id (= insertion ordinal)
 
   // Stochastic generation over [0, horizon): exponential inter-arrival
   // at `rate_hz` mean arrivals per simulated second, exponential
-  // durations of mean `mean_duration_s` (0 for point faults). Ignored
-  // when `windows` is non-empty.
+  // durations of mean `mean_duration_s`. Ignored when `windows` is
+  // non-empty.
   double rate_hz = 0.0;
   double mean_duration_s = 0.0;
   std::vector<Window> windows;  ///< explicit windows (used verbatim)
 
-  // Payload.
-  double scale = 0.0;            ///< kSupplyBrownout: residual rail fraction
-  bool value = false;            ///< kGateStuckAt
-  double drift_gain_sigma = 0.0;    ///< kSensorDrift: gain ~ N(1, sigma)
-  double drift_offset_sigma_v = 0.0;  ///< kSensorDrift: offset ~ N(0, sigma)
+  double scale = 0.0;  ///< kSupplyBrownout: residual rail fraction
 };
 
 /// What elaborate() scheduled (per plan; zero-target specs elaborate to
@@ -88,7 +73,6 @@ struct FaultSpec {
 struct FaultReport {
   std::uint64_t scheduled_events = 0;  ///< begin + end events
   std::uint64_t windows = 0;           ///< windowed faults placed
-  std::uint64_t point_faults = 0;      ///< upsets + drift steps placed
 };
 
 class FaultPlan {
@@ -115,14 +99,10 @@ class FaultPlan {
   }
 
   FaultPlan& harvester_blackouts(double rate_hz, double mean_duration_s);
-  FaultPlan& gate_upsets(double rate_hz);
-  FaultPlan& gate_stuck_at(double rate_hz, double mean_duration_s, bool value);
   FaultPlan& handshake_stalls(double rate_hz, double mean_duration_s);
   /// One explicit stall window (duration kTimeMax = permanent — the
   /// deliberate-deadlock scenario the watchdog tests use).
   FaultPlan& handshake_stall_window(sim::Time start, sim::Time duration);
-  FaultPlan& sensor_drift(double rate_hz, double gain_sigma,
-                          double offset_sigma_v);
 
   std::uint64_t seed() const { return seed_; }
   sim::Time horizon() const { return horizon_; }
@@ -136,15 +116,12 @@ class FaultPlan {
 
   /// The injection surface a plan binds to. Any field may be left empty:
   /// specs without a matching target elaborate to nothing. Target
-  /// *order* is part of the schedule for multi-target kinds (gate and
-  /// sink picks are drawn as indices), so build the vectors in a
-  /// deterministic order.
+  /// *order* is part of the schedule (sink picks are drawn as
+  /// indices), so build `sinks` in a deterministic order.
   struct Targets {
     FaultableSupply* supply = nullptr;
     supply::Harvester* harvester = nullptr;
-    std::vector<gates::Gate*> gates;
     std::vector<async::HandshakeSink*> sinks;
-    sensor::CalibrationTable* calibration = nullptr;
   };
 
   /// Schedule every spec's windows onto `kernel` against `targets`.

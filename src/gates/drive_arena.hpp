@@ -37,19 +37,6 @@ class Supply;
 
 namespace emc::gates {
 
-/// How a switching element treats its state across a brownout (supply
-/// below Tech::vmin_operate). The paper's counters rely on retention —
-/// "continue, state intact, on the next crest" — but real arrays lose
-/// state when the retention voltage is violated, so the policy is
-/// explicit on gates::Context and both are first-class:
-///  * kRetainState — outputs and queued work survive the stall; on
-///    recovery the element resumes exactly where it parked (historical
-///    behaviour, and the default).
-///  * kLoseState — recovery is a power-on reset: outputs re-initialize
-///    low, queued input events are dropped, phase/sequencing state
-///    rewinds. Elements count the losses (Gate/Toggle::state_losses()).
-enum class BrownoutPolicy : std::uint8_t { kRetainState, kLoseState };
-
 class DriveArena {
  public:
   using Slot = std::uint32_t;

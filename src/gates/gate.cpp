@@ -8,10 +8,7 @@ Gate::Gate(Context& ctx, std::string name, sim::Wire& out, double delay_stages,
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(cap_factor * c_inv * delay_stages,
                             cap_factor * c_inv, vth_offset, /*strength=*/1.0);
-  if (ctx_->meter != nullptr) {
-    meter_id_ = ctx_->meter->add(name_, leak_width);
-    metered_ = true;
-  }
+  if (ctx_->meter != nullptr) meter_id_ = ctx_->meter->add(name_, leak_width);
   // Wake with the supply: a recharged storage cap re-animates every
   // parked gate. Registration happens once, here, for the gate's
   // lifetime; the callback is a no-op unless the gate is stalled.
@@ -27,7 +24,6 @@ void Gate::listen(sim::Wire& w) {
 }
 
 void Gate::on_input_change() {
-  if (stuck_) return;  // the fault holds the output; inputs are ignored
   const bool target = evaluate(out_->read());
   if (stalled_) {
     // Park with the freshest target; the retry path re-evaluates anyway.
@@ -69,10 +65,7 @@ void Gate::apply_output(bool target, std::uint64_t generation) {
     enter_stall();
     return;
   }
-  ctx_->supply.draw(ctx_->drives.charge(hot_), ctx_->drives.energy(hot_));
-  if (metered_) {
-    ctx_->meter->record_transition(meter_id_, ctx_->drives.energy(hot_));
-  }
+  ctx_->bill(meter_id_, ctx_->drives.charge(hot_), ctx_->drives.energy(hot_));
   ++fires_;
   out_->set(target);
   on_output_committed();
@@ -108,38 +101,9 @@ void Gate::retry() {
   // moving — quiescence probes read it, and a stale stalled flag would
   // misreport a recovered circuit as kQuiesced.
   ctx_->refresh_drive(hot_);
-  if (ctx_->brownout_policy == BrownoutPolicy::kLoseState) {
-    // Power-on reset: the retention voltage was violated, so the node
-    // re-initializes low (an undriven settling — no supply charge is
-    // billed) and any in-flight transition is void.
-    ++state_losses_;
-    pending_ = false;
-    ++generation_;
-    out_->set(false);
-  }
-  if (stuck_) return;  // the fault outlives the brownout
   // Re-derive the target from the (possibly changed) inputs.
   const bool target = evaluate(out_->read());
   if (target != out_->read()) schedule_output(target);
-}
-
-void Gate::inject_upset() {
-  ++upsets_;
-  out_->set(!out_->read());
-  if (!stalled_ && !stuck_) on_input_change();  // self-correction path
-}
-
-void Gate::force_stuck_at(bool v) {
-  stuck_ = true;
-  pending_ = false;  // retract any in-flight transition
-  ++generation_;
-  out_->set(v);
-}
-
-void Gate::release_stuck() {
-  if (!stuck_) return;
-  stuck_ = false;
-  if (!stalled_) on_input_change();
 }
 
 }  // namespace emc::gates

@@ -5,7 +5,7 @@
 // from the *current* supply voltage (quasi-static approximation — supply
 // transients are slow compared with one gate delay, and capacitor
 // droop per transition is ~1e-5 of Vdd). When the transition matures the
-// gate draws C*V and C*V^2 from the supply and reports to the meter.
+// gate bills C*V and C*V^2 through Context::bill (supply, then meter).
 //
 // Inertial semantics: re-evaluation while a transition is in flight either
 // confirms it (kept), or retracts it (pulse shorter than the gate delay is
@@ -41,21 +41,30 @@ namespace emc::gates {
 /// once per epoch, so on a constant supply the delay model runs exactly
 /// once per element — the quasi-static approximation the Gate header
 /// documents, made explicit.
+///
+/// Elements keep their state across a brownout: a stalled element
+/// resumes exactly where it parked, which is the retention the paper's
+/// Fig. 4 counter relies on.
 struct Context {
   sim::Kernel& kernel;
   const device::DelayModel& model;
   supply::Supply& supply;
-  EnergyMeter* meter = nullptr;  ///< optional
+  EnergyMeter* meter = nullptr;  ///< optional; set before elements are built
   DriveArena drives{};           ///< per-element hot state (SoA)
-  /// What elements do with their state across a brownout (see
-  /// BrownoutPolicy). Retention is the default — the historical
-  /// behaviour every recorded figure assumes.
-  BrownoutPolicy brownout_policy = BrownoutPolicy::kRetainState;
 
   /// Revalidate drive slot `s` against this context's supply; returns
   /// whether the element is operational at the current voltage.
   bool refresh_drive(DriveArena::Slot s) {
     return drives.refresh(s, supply, model);
+  }
+
+  /// Bill one switching event: draw `charge` and `energy` from the
+  /// supply, then record `energy` against meter entry `id` when the
+  /// circuit is metered. The one place an element pays for a transition,
+  /// so the rail and the meter add the same values in the same order.
+  void bill(EnergyMeter::GateId id, double charge, double energy) {
+    supply.draw(charge, energy);
+    if (meter != nullptr) meter->record_transition(id, energy);
   }
 };
 
@@ -84,26 +93,6 @@ class Gate {
 
   bool stalled() const { return stalled_; }
   std::uint64_t fires() const { return fires_; }
-  /// Power-on resets applied on brownout recovery (kLoseState only).
-  std::uint64_t state_losses() const { return state_losses_; }
-
-  // --- fault-injection hooks (driven by emc::fault::FaultPlan) ---
-
-  /// Transient upset (SEU model): flip the output node now, without
-  /// drawing supply charge (the upset is parasitic, not a driven
-  /// transition). An operational combinational gate then re-evaluates
-  /// and drives itself back — the downstream sees a glitch; a
-  /// state-holding gate (C-element) keeps the flipped value until its
-  /// inputs next agree. A stalled or stuck gate just keeps the flip.
-  void inject_upset();
-
-  /// Stuck-at fault: hold the output at `v` and ignore input changes
-  /// until release_stuck(). Any in-flight transition is retracted.
-  void force_stuck_at(bool v);
-  /// Clear the stuck-at fault and re-evaluate from the live inputs.
-  void release_stuck();
-  bool stuck() const { return stuck_; }
-  std::uint64_t upsets() const { return upsets_; }
 
   /// Per-instance threshold mismatch accessor (Monte-Carlo analyses).
   /// The device point lives in the context's DriveArena slot; setters
@@ -150,17 +139,13 @@ class Gate {
   sim::Wire* out_;
   DriveArena::Slot hot_;  ///< this gate's lane in ctx_->drives
   EnergyMeter::GateId meter_id_ = 0;
-  bool metered_ = false;
 
   bool pending_ = false;
   bool pending_value_ = false;
   std::uint64_t generation_ = 0;
   bool stalled_ = false;
   bool stall_target_ = false;
-  bool stuck_ = false;
   std::uint64_t fires_ = 0;
-  std::uint64_t state_losses_ = 0;
-  std::uint64_t upsets_ = 0;
 };
 
 }  // namespace emc::gates

@@ -8,10 +8,7 @@ Toggle::Toggle(Context& ctx, std::string name, sim::Wire& in, sim::Wire& dot,
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(c_inv * kDelayStages, kCapFactor * c_inv,
                             vth_offset, /*strength=*/1.0);
-  if (ctx_->meter != nullptr) {
-    meter_id_ = ctx_->meter->add(name_, kLeakWidth);
-    metered_ = true;
-  }
+  if (ctx_->meter != nullptr) meter_id_ = ctx_->meter->add(name_, kLeakWidth);
   in.subscribe<&Toggle::on_input>(this);
   ctx_->supply.on_wake([this] {
     if (stalled_) retry();
@@ -42,10 +39,7 @@ void Toggle::apply() {
     enter_stall();
     return;
   }
-  ctx_->supply.draw(ctx_->drives.charge(hot_), ctx_->drives.energy(hot_));
-  if (metered_) {
-    ctx_->meter->record_transition(meter_id_, ctx_->drives.energy(hot_));
-  }
+  ctx_->bill(meter_id_, ctx_->drives.charge(hot_), ctx_->drives.energy(hot_));
   --unserved_;
   ++fires_;
   if (phase_dot_) {
@@ -84,17 +78,6 @@ void Toggle::retry() {
   // Keep the arena's operational lane honest even when nothing is queued
   // (quiescence probes read it).
   ctx_->refresh_drive(hot_);
-  if (ctx_->brownout_policy == BrownoutPolicy::kLoseState) {
-    // Power-on reset: queued events and the phase are dynamic state and
-    // do not survive a retention violation; outputs settle low undriven
-    // (no supply charge billed). Downstream elements resetting in the
-    // same wake cascade discard the resulting edges.
-    ++state_losses_;
-    unserved_ = 0;
-    phase_dot_ = true;
-    dot_->set(false);
-    blank_->set(false);
-  }
   try_fire();
 }
 

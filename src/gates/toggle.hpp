@@ -41,11 +41,6 @@ class Toggle {
   /// Total completed fires (= input transitions served).
   std::uint64_t fires() const { return fires_; }
   bool stalled() const { return stalled_; }
-  /// Power-on resets applied on brownout recovery (kLoseState only):
-  /// queued input events are dropped, outputs re-initialize low and the
-  /// phase rewinds to `dot` — the "no event is ever lost" exactness
-  /// guarantee explicitly does NOT survive a retention violation.
-  std::uint64_t state_losses() const { return state_losses_; }
 
   /// Equivalent-gate footprint of one fire (documented model constants).
   static constexpr double kDelayStages = 3.0;
@@ -65,14 +60,12 @@ class Toggle {
   sim::Wire* blank_;
   DriveArena::Slot hot_;  ///< this element's lane in ctx_->drives
   EnergyMeter::GateId meter_id_ = 0;
-  bool metered_ = false;
 
   std::uint64_t unserved_ = 0;  ///< input events not yet fired
   bool in_flight_ = false;
   bool phase_dot_ = true;  ///< which output moves next
   bool stalled_ = false;
   std::uint64_t fires_ = 0;
-  std::uint64_t state_losses_ = 0;
 };
 
 }  // namespace emc::gates

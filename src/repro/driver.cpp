@@ -773,17 +773,20 @@ int run_figures(const CliOptions& opt) {
   std::vector<const Figure*> selected;
   if (const int rc = select_figures(opt, &selected); rc != 0) return rc;
 
-  // --trials only means something to replicated figures; anything
-  // else would silently run its fixed workload.
-  if (opt.trials_override != 0) {
-    for (const Figure* f : selected) {
-      if (!f->replicated()) {
-        std::fprintf(stderr,
-                     "emc_repro: figure \"%s\" registers no trial model "
-                     "(--trials needs one)\n",
-                     f->name.c_str());
-        return 2;
-      }
+  // --trials only means something to replicated figures and --seed to
+  // figures that register a seed; anything else would silently run its
+  // fixed workload while the manifest recorded the override.
+  for (const Figure* f : selected) {
+    const char* missing = nullptr;
+    if (opt.trials_override != 0 && !f->replicated()) {
+      missing = "no trial model (--trials needs one)";
+    } else if (opt.seed_set && f->default_seed == 0) {
+      missing = "no seed (--seed needs one)";
+    }
+    if (missing != nullptr) {
+      std::fprintf(stderr, "emc_repro: figure \"%s\" registers %s\n",
+                   f->name.c_str(), missing);
+      return 2;
     }
   }
 

@@ -32,7 +32,8 @@
 //   --smoke                  run bodies in smoke mode (shrunk MC trial
 //                            counts); incompatible with --check, whose
 //                            refs are full-mode recordings.
-//   --seed N                 override every figure's default seed.
+//   --seed N                 override every figure's default seed;
+//                            refused for a figure that registers none.
 //   --refs DIR               reference directory (default: the source
 //                            tree's bench/refs, baked at configure time).
 //   --trials N               override the replicated figures' trial

@@ -14,6 +14,18 @@ Registry& Registry::instance() {
   return *r;
 }
 
+FigureBuilder& FigureBuilder::seed(std::uint64_t s) {
+  if (s == 0) {
+    std::fprintf(stderr,
+                 "repro: figure \"%s\" registers seed 0, which reads as "
+                 "unseeded\n",
+                 fig_.name.c_str());
+    std::abort();
+  }
+  fig_.default_seed = s;
+  return *this;
+}
+
 void Registry::add(Figure f) {
   if (f.name.empty() || f.run == nullptr) {
     std::fprintf(stderr,

@@ -172,10 +172,9 @@ class FigureBuilder {
     fig_.artifacts.push_back(file);
     return *this;
   }
-  FigureBuilder& seed(std::uint64_t s) {
-    fig_.default_seed = s;
-    return *this;
-  }
+  /// The seed the body reads from RunContext::seed; a figure that
+  /// registers one accepts `--seed`. 0 means "unseeded" and aborts.
+  FigureBuilder& seed(std::uint64_t s);
   /// The body honors RunContext::smoke().
   FigureBuilder& smoke_mode() {
     fig_.smoke_capable = true;

@@ -10,12 +10,6 @@ void CalibrationTable::add(double code, double volts) {
   sorted_ = false;
 }
 
-void CalibrationTable::apply_drift(double gain, double offset_v) {
-  if (!std::isfinite(gain) || !std::isfinite(offset_v)) return;
-  for (auto& [code, volts] : points_) volts = volts * gain + offset_v;
-  ++drift_steps_;
-}
-
 void CalibrationTable::sort_by_code() const {
   if (sorted_) return;
   std::sort(points_.begin(), points_.end());

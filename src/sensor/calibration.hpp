@@ -8,7 +8,6 @@
 // sweep — the paper's "accuracy of 10 mV" figure of merit.
 #pragma once
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -31,15 +30,6 @@ class CalibrationTable {
   /// unique inverse).
   bool monotone() const;
 
-  /// Fault hook (emc::fault): miscalibration drift. The *stored* table
-  /// no longer matches the physical device — every calibration voltage
-  /// is remapped to `volts * gain + offset_v`, so subsequent lookups are
-  /// systematically wrong by exactly that affine error. Non-finite
-  /// parameters are rejected (no change). Steps compound; drift_steps()
-  /// counts the applications.
-  void apply_drift(double gain, double offset_v);
-  std::uint64_t drift_steps() const { return drift_steps_; }
-
   const std::vector<std::pair<double, double>>& points() const {
     return points_;
   }
@@ -49,7 +39,6 @@ class CalibrationTable {
 
   mutable std::vector<std::pair<double, double>> points_;  // (code, volts)
   mutable bool sorted_ = false;
-  std::uint64_t drift_steps_ = 0;
 };
 
 struct AccuracyReport {

@@ -108,16 +108,6 @@ bool EventQueue::pop_due(Time deadline, Time& t, Action& action) {
   return true;
 }
 
-std::pair<Time, Action> EventQueue::pop() {
-  assert(live_ > 0 && "pop() on empty EventQueue");
-  Time t{};
-  Action action;
-  const bool ok = pop_due(kTimeMax, t, action);
-  assert(ok);
-  (void)ok;
-  return {t, std::move(action)};
-}
-
 void EventQueue::clear() {
   // Release every armed slot (bumping its generation so outstanding ids
   // die) but keep the slab and free list: a cleared queue is about to be

@@ -70,13 +70,9 @@ class EventQueue {
   /// Time of the earliest live event; kTimeMax when empty.
   Time next_time() const;
 
-  /// Remove and return the earliest live event.
-  /// Precondition: !empty().
-  std::pair<Time, Action> pop();
-
   /// Fused dispatch step: if a live event exists with time <= `deadline`,
   /// remove it, deliver its time and action, and return true. One call
-  /// replaces the empty()/next_time()/pop() triple on the kernel's hot
+  /// replaces an empty()/next_time()/pop triple on the kernel's hot
   /// loop.
   bool pop_due(Time deadline, Time& t, Action& action);
 

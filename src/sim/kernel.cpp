@@ -1,7 +1,5 @@
 #include "sim/kernel.hpp"
 
-#include <algorithm>
-
 namespace emc::sim {
 
 const char* to_string(RunStatus s) {
@@ -19,8 +17,9 @@ const char* to_string(RunStatus s) {
 }
 
 bool Kernel::step() {
-  if (queue_.empty()) return false;
-  auto [t, action] = queue_.pop();
+  Time t = 0;
+  Action action;
+  if (!queue_.pop_due(kTimeMax, t, action)) return false;
   now_ = t;
   ++executed_;
   action.consume();
@@ -59,18 +58,6 @@ std::uint64_t Kernel::run_until(Time deadline) {
   return n;
 }
 
-std::size_t Kernel::add_probe(QuiescenceProbe probe) {
-  const std::size_t id = next_probe_id_++;
-  probes_.push_back(Probe{id, std::move(probe)});
-  return id;
-}
-
-void Kernel::remove_probe(std::size_t id) {
-  probes_.erase(std::remove_if(probes_.begin(), probes_.end(),
-                               [id](const Probe& p) { return p.id == id; }),
-                probes_.end());
-}
-
 RunVerdict Kernel::run_guarded(const Budget& budget) {
   RunVerdict v;
   const std::uint64_t start = executed_;
@@ -89,8 +76,8 @@ RunVerdict Kernel::run_guarded(const Budget& budget) {
 
   v.events = executed_ - start;
   v.end_time = now_;
-  for (const Probe& p : probes_) {
-    switch (p.fn()) {
+  for (const QuiescenceProbe& probe : probes_) {
+    switch (probe()) {
       case ProbeState::kStalled:
         ++v.stalled_probes;
         break;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -67,9 +68,9 @@ class Kernel {
     std::uint64_t events_scheduled = 0;
     std::size_t peak_queue_depth = 0;
     std::size_t slab_capacity = 0;
-    // Wall time accumulated across run_until()/run() calls. Direct
-    // step() loops are not timed — per-event clock reads would dominate
-    // the hot path — so events_per_second() reads 0 for them.
+    // Wall time accumulated across run_until()/run() calls. step() is
+    // not timed — per-event clock reads would dominate the hot path —
+    // so events_per_second() reads 0 for a kernel driven only by step().
     double wall_seconds = 0.0;
 
     double events_per_second() const {
@@ -121,7 +122,8 @@ class Kernel {
   /// Cancel a pending event (no-op if already fired).
   void cancel(EventId id) { queue_.cancel(id); }
 
-  /// Run one event. Returns false if the queue was empty.
+  /// Run one event. Returns false if the queue was empty. For drivers
+  /// that act between single events (sched::EnergyPetriNet::run).
   bool step();
 
   /// Run until the queue drains or `deadline` is passed. Events at exactly
@@ -134,11 +136,9 @@ class Kernel {
   /// A quiescence probe: called (only) when a guarded run stops, to
   /// classify an empty queue. Register one per protocol actor or per
   /// stall-capable subsystem (e.g. "is any gate parked?", "is the
-  /// handshake source mid-cycle?"). Returns an id for remove_probe().
+  /// handshake source mid-cycle?"). Probes live as long as the kernel.
   using QuiescenceProbe = std::function<ProbeState()>;
-  std::size_t add_probe(QuiescenceProbe probe);
-  void remove_probe(std::size_t id);
-  std::size_t probe_count() const { return probes_.size(); }
+  void add_probe(QuiescenceProbe probe) { probes_.push_back(std::move(probe)); }
 
   /// Watchdog run: like run_until(budget.horizon) but bounded by a
   /// per-call event budget and classified on exit. Reaching the horizon
@@ -186,19 +186,13 @@ class Kernel {
     return s < a ? kTimeMax : s;
   }
 
-  struct Probe {
-    std::size_t id;
-    QuiescenceProbe fn;
-  };
-
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t event_cap_ = 500'000'000;
   bool cap_hit_ = false;
   double wall_seconds_ = 0.0;
-  std::vector<Probe> probes_;
-  std::size_t next_probe_id_ = 0;
+  std::vector<QuiescenceProbe> probes_;
 };
 
 }  // namespace emc::sim

@@ -38,7 +38,6 @@ SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params,
     // periphery leakage so global leakage integration is correct.
     meter_id_ =
         ctx.meter->add(circuit_.name() + ".macro", energy_->leak_width_units());
-    metered_ = true;
   }
 
   // The phase sequencer (pump/finish) is behavioural, but its port
@@ -84,8 +83,7 @@ void SiSram::bill(double fraction) {
                    (current_->is_write ? energy_->dynamic_write_j(vdd)
                                        : energy_->dynamic_read_j(vdd));
   current_->result.energy_j += e;
-  ctx_->supply.draw(vdd > 0.0 ? e / vdd : 0.0, e);
-  if (metered_) ctx_->meter->record_transition(meter_id_, e);
+  ctx_->bill(meter_id_, vdd > 0.0 ? e / vdd : 0.0, e);
 }
 
 void SiSram::phase_logic(double stages, std::function<void()> next) {

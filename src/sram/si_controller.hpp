@@ -129,7 +129,6 @@ class SiSram {
   sim::Wire* done_;
 
   gates::EnergyMeter::GateId meter_id_ = 0;
-  bool metered_ = false;
 
   std::uint64_t reads_done_ = 0;
   std::uint64_t writes_done_ = 0;

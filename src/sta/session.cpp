@@ -7,7 +7,7 @@
 namespace emc::sta {
 
 void Session::check(const netlist::Circuit& c) {
-  Analysis a = analyze(c, opt_);
+  Analysis a = analyze(c);
   arc_count_ += a.arc_count;
   if (a.vacuous) vacuous_subjects_.push_back(c.name());
   for (auto& p : a.curve) curve_.emplace_back(c.name(), std::move(p));

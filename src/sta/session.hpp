@@ -25,8 +25,6 @@ namespace emc::sta {
 
 class Session : public lint::Session {
  public:
-  explicit Session(Options opt = {}) : opt_(std::move(opt)) {}
-
   void check(const netlist::Circuit& c) override;
   void check(const sched::EnergyPetriNet& net,
              const std::string& label) override;
@@ -55,7 +53,6 @@ class Session : public lint::Session {
   std::string margin_csv() const;
 
  private:
-  Options opt_;
   std::vector<std::string> vacuous_subjects_;
   std::size_t arc_count_ = 0;
   std::vector<std::pair<std::string, MarginPoint>> curve_;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "device/delay_model.hpp"
+#include "device/variation.hpp"
 #include "gates/gate.hpp"
 #include "lint/graph.hpp"
 
@@ -15,6 +16,18 @@ namespace emc::sta {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Vdd grid resolution over the operating range (inclusive endpoints).
+constexpr std::size_t kGridPoints = 21;
+// Process spread for the worst-case corner pairing: a conservative local
+// box of +/- 15 mV Vth and +/- 6 % drive at kSigmaK = 3.
+constexpr double kVthSigmaV = 0.005;
+constexpr double kStrengthSigma = 0.02;
+// How many local sigmas the corner box extends.
+constexpr double kSigmaK = 3.0;
+// T002: allowed growth factor of a fork's branch skew between the top
+// and the bottom of the operating range.
+constexpr double kForkDriftTolerance = 1.25;
 
 // ---------------------------------------------------------------------------
 // Wire-level timing graph: nodes are wire names, edges are TimingArcs.
@@ -163,7 +176,7 @@ const std::vector<lint::RuleInfo>& rule_catalog() {
   return kCatalog;
 }
 
-Analysis analyze(const netlist::Circuit& c, const Options& opt) {
+Analysis analyze(const netlist::Circuit& c) {
   Analysis out;
   out.range = c.operating_range();
   const device::DelayModel& model = c.ctx().model;
@@ -171,21 +184,22 @@ Analysis analyze(const netlist::Circuit& c, const Options& opt) {
   out.arc_count = g.arcs.size();
 
   // Vdd grid, lo..hi inclusive.
-  const std::size_t points = std::max<std::size_t>(opt.grid_points, 2);
   std::vector<double> grid;
   if (out.range.hi <= out.range.lo) {
     grid.push_back(out.range.lo);
   } else {
-    for (std::size_t i = 0; i < points; ++i) {
+    for (std::size_t i = 0; i < kGridPoints; ++i) {
       grid.push_back(out.range.lo + (out.range.hi - out.range.lo) *
                                         static_cast<double>(i) /
-                                        static_cast<double>(points - 1));
+                                        static_cast<double>(kGridPoints - 1));
     }
   }
 
   const device::DeviceSample nominal{};
-  const device::DeviceSample slow = opt.variation.worst_slow(opt.sigma_k);
-  const device::DeviceSample fast = opt.variation.worst_fast(opt.sigma_k);
+  const device::Variation variation =
+      device::Variation::local(kVthSigmaV, kStrengthSigma);
+  const device::DeviceSample slow = variation.worst_slow(kSigmaK);
+  const device::DeviceSample fast = variation.worst_fast(kSigmaK);
 
   // Arrival times per grid point: nominal, plus the adversarial pairing
   // (slowest datapath device vs fastest delay-line device).
@@ -310,7 +324,7 @@ Analysis analyze(const netlist::Circuit& c, const Options& opt) {
       }
       const double skew_hi = hi_max / hi_min;
       const double skew_lo = lo_max / lo_min;  // inf if a branch dies first
-      if (skew_lo <= skew_hi * opt.fork_drift_tolerance) continue;
+      if (skew_lo <= skew_hi * kForkDriftTolerance) continue;
       lint::Finding f;
       f.rule = "T002";
       f.severity = lint::Severity::kWarning;
@@ -321,7 +335,7 @@ Analysis analyze(const netlist::Circuit& c, const Options& opt) {
            "skew "
         << fmt_ratio(skew_hi) << "x at " << fmt_v(v_hi) << " V grows to "
         << fmt_ratio(skew_lo) << "x at " << fmt_v(v_lo) << " V (limit "
-        << fmt_ratio(skew_hi * opt.fork_drift_tolerance)
+        << fmt_ratio(skew_hi * kForkDriftTolerance)
         << "x); the slow branch through '"
         << (slow_branch != nullptr ? slow_branch->via : std::string{})
         << "' has a higher effective threshold than its siblings";

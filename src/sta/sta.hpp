@@ -41,25 +41,10 @@
 #include <string>
 #include <vector>
 
-#include "device/variation.hpp"
 #include "lint/lint.hpp"
 #include "netlist/module.hpp"
 
 namespace emc::sta {
-
-struct Options {
-  /// Vdd grid resolution over the operating range (inclusive endpoints).
-  std::size_t grid_points = 21;
-  /// Process spread for the worst-case corner pairing. The default is a
-  /// conservative local box (+/- 15 mV Vth, +/- 6 % drive at k = 3);
-  /// figures with a characterized process pass their own.
-  device::Variation variation = device::Variation::local(0.005, 0.02);
-  /// How many local sigmas the corner box extends.
-  double sigma_k = 3.0;
-  /// T002: allowed growth factor of a fork's branch skew between the top
-  /// and the bottom of the operating range.
-  double fork_drift_tolerance = 1.25;
-};
 
 /// One point of a margin-vs-Vdd curve (the machine-readable artifact the
 /// CI gate uploads). `corner` marks the adversarial-pairing evaluation.
@@ -96,6 +81,6 @@ const std::vector<lint::RuleInfo>& rule_catalog();
 /// Run the timing pipeline over `c`'s recorded arcs and bundles.
 /// Build-site suppressions for T-rules are applied (stale ones surface
 /// as S001), exactly like the lint pipeline.
-Analysis analyze(const netlist::Circuit& c, const Options& opt = {});
+Analysis analyze(const netlist::Circuit& c);
 
 }  // namespace emc::sta

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -254,11 +255,11 @@ TEST(Csv, StreamMatchesTableCsv) {
 }
 
 TEST(Csv, WritesFile) {
-  CsvWriter w({"a", "b"});
-  w.add_row({1.0, 2.0});
-  w.add_row({3.0, 4.0});
+  Table w({"a", "b"});
+  w.add_row({Table::num(1.0, 6), Table::num(2.0, 6)});
+  w.add_row({Table::num(3.0, 6), Table::num(4.0, 6)});
   const std::string path = ::testing::TempDir() + "/emc_analysis.csv";
-  ASSERT_TRUE(w.write(path));
+  ASSERT_TRUE(w.write_csv(path));
   std::ifstream in(path);
   std::string line;
   std::getline(in, line);
@@ -268,6 +269,20 @@ TEST(Csv, WritesFile) {
   std::remove(path.c_str());
 }
 
+// The figures write numeric CSV cells as Table::num(v, 6): the same bytes
+// an ostream prints at its default precision, which the recorded refs
+// were written with.
+TEST(Csv, SixDigitCellsMatchStreamDefault) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {0.0, -0.0, 1.0, 0.05, 1.0 / 3.0, 123456.0,
+                         1234567.0, 1e-5, 2.5e-12, -7.125e21, inf, -inf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    std::ostringstream os;
+    os << v;
+    EXPECT_EQ(Table::num(v, 6), os.str()) << v;
+  }
+}
+
 // /dev/full accepts the open and every buffered write; only the final
 // flush fails, so each writer must close its stream before reporting.
 TEST(Csv, WritersReportAFullDevice) {
@@ -275,9 +290,6 @@ TEST(Csv, WritersReportAFullDevice) {
   Table t({"a", "b"});
   t.add_row({"1", "2"});
   EXPECT_FALSE(t.write_csv("/dev/full"));
-  CsvWriter w({"a", "b"});
-  w.add_row({1.0, 2.0});
-  EXPECT_FALSE(w.write("/dev/full"));
   CsvStream s("/dev/full", {"a", "b"});
   s.row({"1", "2"});
   EXPECT_FALSE(s.close());

@@ -4,8 +4,8 @@
 //   * replay: the same FaultPlan seed on the same circuit produces
 //     byte-equal RunVerdicts and counters on every run, over randomized
 //     >=10k-event fault schedules;
-//   * brownout semantics: kRetainState resumes counting with no state
-//     loss; kLoseState applies a power-on reset and counts it;
+//   * brownout semantics: a stalled counter keeps its state and resumes
+//     counting exactly on recovery;
 //   * the kernel watchdog: a deliberately deadlocked handshake is
 //     classified kDeadlocked (no hang, no abort), energy exhaustion is
 //     kQuiesced, a tripped event budget is kBudgetExhausted and leaves
@@ -13,9 +13,6 @@
 //   * FaultPlan purity: windows_for is pure in (seed, stream ordinal),
 //     and a fault-driven Workbench sweep is byte-identical at sweep
 //     thread counts 1, 4 and 7;
-//   * gate fault hooks: transient upsets self-correct on combinational
-//     gates and persist on state-holding C-elements; stuck-at faults
-//     hold through input changes and release cleanly;
 //   * FaultableSupply: transparent with no windows, min-scale under
 //     overlap, forwards draws/wakes, bumps the voltage epoch;
 //   * EMC_FAULT_SMOKE=1 forces the wrapper under every built config.
@@ -31,29 +28,15 @@
 
 #include "async/counter.hpp"
 #include "async/handshake.hpp"
-#include "device/delay_model.hpp"
 #include "exp/context_config.hpp"
 #include "exp/workbench.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/faultable_supply.hpp"
-#include "gates/celement.hpp"
-#include "gates/combinational.hpp"
-#include "sensor/calibration.hpp"
 #include "supply/battery.hpp"
 #include "supply/storage_cap.hpp"
 
 namespace emc::fault {
 namespace {
-
-struct Fixture {
-  sim::Kernel kernel;
-  device::DelayModel model{device::Tech::umc90()};
-  supply::Battery supply;
-  gates::Context ctx;
-
-  explicit Fixture(double vdd = 1.0)
-      : supply(kernel, "vdd", vdd), ctx{kernel, model, supply, nullptr} {}
-};
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -136,7 +119,6 @@ TEST(Brownout, RetainStateResumesCountingWithoutLoss) {
   auto ex = exp::ContextConfig::with(
                 exp::SupplyConfig::battery(0.35).faultable())
                 .build(kernel);
-  ASSERT_EQ(ex.ctx().brownout_policy, gates::BrownoutPolicy::kRetainState);
   async::ToggleRippleCounter ctr(ex.ctx(), "osc", 3);
   ctr.start();
 
@@ -155,38 +137,8 @@ TEST(Brownout, RetainStateResumesCountingWithoutLoss) {
   EXPECT_GT(ctr.transitions_served(), mid);  // resumed after recovery
   EXPECT_GT(ex.ctx().drives.stall_entries(), 0u);
   EXPECT_GT(ex.ctx().drives.recoveries(), 0u);
-  for (std::size_t i = 0; i < ctr.stages(); ++i) {
-    EXPECT_EQ(ctr.stage(i).state_losses(), 0u) << "stage " << i;
-  }
   // Retention keeps the decode exactness guarantee across the brownout.
   EXPECT_EQ(ctr.decode(), ctr.transitions_served() % 8u);
-}
-
-TEST(Brownout, LoseStateAppliesCountedPowerOnReset) {
-  sim::Kernel kernel;
-  auto ex = exp::ContextConfig::with(
-                exp::SupplyConfig::battery(0.35).faultable())
-                .build(kernel);
-  ex.ctx().brownout_policy = gates::BrownoutPolicy::kLoseState;
-  async::ToggleRippleCounter ctr(ex.ctx(), "osc", 3);
-  ctr.start();
-
-  FaultPlan plan(1, sim::us(60));
-  plan.dropout_window(sim::us(20), sim::us(10));
-  FaultPlan::Targets t;
-  t.supply = ex.fault_supply();
-  plan.elaborate(kernel, t);
-
-  kernel.run_until(sim::us(25));
-  const std::uint64_t mid = ctr.transitions_served();
-  kernel.run_until(sim::us(60));
-  EXPECT_GT(ctr.transitions_served(), mid);  // oscillation restarts
-
-  std::uint64_t losses = 0;
-  for (std::size_t i = 0; i < ctr.stages(); ++i) {
-    losses += ctr.stage(i).state_losses();
-  }
-  EXPECT_GT(losses, 0u);
 }
 
 // --- kernel watchdog ---------------------------------------------------
@@ -313,7 +265,7 @@ TEST(FaultPlanTest, WindowsArePureInSeedAndOrdinal) {
   FaultPlan a(42, sim::us(500));
   a.dropouts(1e5, 5e-6).handshake_stalls(2e4, 1e-5);
   FaultPlan b(42, sim::us(500));
-  b.dropouts(1e5, 5e-6).gate_upsets(1e5);
+  b.dropouts(1e5, 5e-6).harvester_blackouts(1e5, 5e-6);
 
   const auto wa = a.windows_for(a.specs()[0]);
   const auto wb = b.windows_for(b.specs()[0]);
@@ -380,86 +332,6 @@ TEST(FaultPlanTest, FaultedSweepIsThreadCountInvariant) {
   std::remove("zz_fault_sweep_t1.csv");
   std::remove("zz_fault_sweep_t4.csv");
   std::remove("zz_fault_sweep_t7.csv");
-}
-
-TEST(FaultPlanTest, ElaborateDrivesGateAndSensorTargets) {
-  Fixture f;
-  sim::Wire in(f.kernel, "in", false), out(f.kernel, "out", false);
-  gates::CombGate inv(f.ctx, "inv", gates::Op::kInv, {&in}, out);
-  inv.touch();
-  f.kernel.run();
-
-  sensor::CalibrationTable cal;
-  cal.add(0.0, 0.0);
-  cal.add(100.0, 1.0);
-  const double before = cal.lookup(50.0);
-
-  FaultPlan plan(5, sim::ms(1));
-  plan.gate_upsets(2e4).sensor_drift(2e4, 0.05, 0.01);
-  FaultPlan::Targets t;
-  t.gates.push_back(&inv);
-  t.calibration = &cal;
-  const FaultReport rep = plan.elaborate(f.kernel, t);
-  EXPECT_GT(rep.point_faults, 0u);
-  EXPECT_EQ(rep.windows, 0u);
-
-  f.kernel.run();
-  EXPECT_GT(inv.upsets(), 0u);
-  EXPECT_GT(cal.drift_steps(), 0u);
-  EXPECT_EQ(inv.upsets() + cal.drift_steps(), rep.point_faults);
-  EXPECT_NE(cal.lookup(50.0), before);
-}
-
-// --- gate fault hooks --------------------------------------------------
-
-TEST(GateFaults, UpsetSelfCorrectsOnCombinationalGate) {
-  Fixture f;
-  sim::Wire in(f.kernel, "in", false), out(f.kernel, "out", false);
-  gates::CombGate inv(f.ctx, "inv", gates::Op::kInv, {&in}, out);
-  inv.touch();
-  f.kernel.run();
-  ASSERT_TRUE(out.read());
-
-  inv.inject_upset();
-  EXPECT_FALSE(out.read());  // flipped immediately, no charge drawn
-  f.kernel.run();
-  EXPECT_TRUE(out.read());  // the operational gate drove itself back
-  EXPECT_EQ(inv.upsets(), 1u);
-}
-
-TEST(GateFaults, UpsetPersistsOnCElement) {
-  Fixture f;
-  sim::Wire a(f.kernel, "a", true), b(f.kernel, "b", false);
-  sim::Wire out(f.kernel, "out", false);
-  gates::CElement c(f.ctx, "c", {&a, &b}, out);
-  c.touch();
-  f.kernel.run();
-  ASSERT_FALSE(out.read());  // inputs disagree: holds 0
-
-  c.inject_upset();
-  EXPECT_TRUE(out.read());
-  f.kernel.run();
-  EXPECT_TRUE(out.read());  // still disagreeing inputs: the flip sticks
-}
-
-TEST(GateFaults, StuckAtHoldsThroughInputChangesUntilReleased) {
-  Fixture f;
-  sim::Wire in(f.kernel, "in", true), out(f.kernel, "out", false);
-  gates::CombGate inv(f.ctx, "inv", gates::Op::kInv, {&in}, out);
-  inv.touch();
-  f.kernel.run();
-  ASSERT_FALSE(out.read());
-
-  inv.force_stuck_at(false);
-  EXPECT_TRUE(inv.stuck());
-  in.set(false);  // correct output would now be 1
-  f.kernel.run();
-  EXPECT_FALSE(out.read());  // ignored while stuck
-
-  inv.release_stuck();
-  f.kernel.run();
-  EXPECT_FALSE(inv.stuck());
-  EXPECT_TRUE(out.read());  // re-evaluated from live inputs
 }
 
 // --- FaultableSupply ---------------------------------------------------

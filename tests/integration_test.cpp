@@ -8,7 +8,11 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "async/bundled.hpp"
 #include "async/counter.hpp"
 #include "async/pipeline.hpp"
 #include "device/delay_model.hpp"
@@ -24,21 +28,64 @@
 namespace emc {
 namespace {
 
-// Energy drawn from the supply equals the meter's dynamic total: the two
-// ledgers are independent code paths and must agree exactly for metered
-// circuits (no leakage integration involved on a Battery-free cap run).
+// Energy drawn from the supply equals the meter's dynamic total at every
+// billing site — gate, toggle, dual-rail latch, bundled latch and SI SRAM
+// macro. Each site bills through gates::Context::bill, which adds the same
+// values to both ledgers in the same order, so they agree exactly.
 TEST(Integration, EnergyLedgersAgree) {
-  sim::Kernel kernel;
-  device::DelayModel model{device::Tech::umc90()};
-  supply::Battery vdd(kernel, "vdd", 0.8);
-  gates::EnergyMeter meter(kernel, device::Tech::umc90(), &vdd);
-  gates::Context ctx{kernel, model, vdd, &meter};
-  async::MullerRing ring(ctx, "ring", 8, 3);
-  ring.start();
-  kernel.run_until(sim::us(2));
-  EXPECT_GT(vdd.total_energy_drawn(), 0.0);
-  EXPECT_NEAR(vdd.total_energy_drawn(), meter.dynamic_energy(),
-              meter.dynamic_energy() * 1e-9);
+  // Builds one circuit on a fresh metered 0.8 V battery context, runs
+  // it, and returns the meter's dynamic energy for entry `site`.
+  struct Ledgers {
+    double drawn = 0.0;
+    double metered = 0.0;
+    double site = 0.0;
+  };
+  const auto ledgers = [](const std::string& site, const auto& build_and_run) {
+    sim::Kernel kernel;
+    device::DelayModel model{device::Tech::umc90()};
+    supply::Battery vdd(kernel, "vdd", 0.8);
+    gates::EnergyMeter meter(kernel, device::Tech::umc90(), &vdd);
+    gates::Context ctx{kernel, model, vdd, &meter};
+    build_and_run(ctx);
+    Ledgers l{vdd.total_energy_drawn(), meter.dynamic_energy(), 0.0};
+    for (gates::EnergyMeter::GateId id = 0; id < meter.gate_count(); ++id) {
+      if (meter.gate_name(id) == site) l.site = meter.gate_dynamic_energy(id);
+    }
+    return l;
+  };
+  const std::vector<std::pair<std::string, Ledgers>> cases = {
+      {"ring.ce0", ledgers("ring.ce0", [](gates::Context& ctx) {
+         async::MullerRing ring(ctx, "ring", 8, 3);
+         ring.start();
+         ctx.kernel.run_until(sim::us(2));
+       })},
+      {"ctr.T0", ledgers("ctr.T0", [](gates::Context& ctx) {
+         async::ToggleRippleCounter ctr(ctx, "ctr", 4);
+         ctr.start();
+         ctx.kernel.run_until(sim::us(2));
+       })},
+      {"drc.latch", ledgers("drc.latch", [](gates::Context& ctx) {
+         async::DualRailCounter ctr(ctx, "drc", 2);
+         ctr.start();
+         ctx.kernel.run_until(sim::us(1));
+       })},
+      {"bc.latch", ledgers("bc.latch", [](gates::Context& ctx) {
+         async::BundledCounter ctr(ctx, "bc", async::BundledParams{});
+         ctr.start();
+         ctx.kernel.run_until(sim::us(1));
+       })},
+      {"sram.macro", ledgers("sram.macro", [](gates::Context& ctx) {
+         sram::SiSram sram(ctx, "sram", sram::SiSramParams{});
+         sram.write(3, 0x5a, nullptr);
+         sram.read(3, nullptr);
+         ctx.kernel.run();
+       })},
+  };
+  for (const auto& [site, l] : cases) {
+    EXPECT_GT(l.site, 0.0) << site << " was never billed";
+    EXPECT_GT(l.drawn, 0.0) << site;
+    EXPECT_EQ(l.drawn, l.metered) << site;
+  }
 }
 
 // Cap-powered run: the energy removed from the capacitor (by the exact

@@ -5,7 +5,8 @@
 // here is fully controlled: tiny deterministic bodies that write CSV
 // artifacts into a per-test temporary working directory. What is pinned:
 //   * sha256 against FIPS 180-4 known-answer vectors;
-//   * duplicate figure names abort (a build error, not a preference);
+//   * duplicate figure names and a registered seed of 0 abort (build
+//     errors, not preferences);
 //   * --check fails with exit 2 — never passes vacuously — when a
 //     declared ref CSV does not exist on disk;
 //   * the --manifest JSON is well-formed, its artifact sha256s are
@@ -16,6 +17,7 @@
 //     sweep thread count (exit 1) and passes a clean one (exit 0);
 //   * --trials scales a replicated figure's trial axis and is refused
 //     (exit 2) for a figure without a trial model and for 0 trials;
+//   * --seed is refused (exit 2) for a figure that registers no seed;
 //   * the replicated figures' shared streaming tail fails the run when a
 //     CSV cannot be written;
 //   * the retired scale-out flags and subcommands are unknown (exit 2);
@@ -424,6 +426,11 @@ TEST(ReproRegistryDeathTest, DuplicateNameAborts) {
       "duplicate figure registration");
 }
 
+TEST(ReproRegistryDeathTest, SeedZeroAborts) {
+  EXPECT_DEATH(emc::repro::FigureBuilder("zz_seed_zero").seed(0),
+               "registers seed 0");
+}
+
 TEST(ReproRegistryTest, SyntheticFiguresRegisteredAndSorted) {
   const auto figs = emc::repro::Registry::instance().figures();
   ASSERT_GE(figs.size(), 7u);
@@ -498,13 +505,14 @@ TEST_F(ReproDriverTest, MalformedThreadsCrossCheckIsRejected) {
 }
 
 TEST_F(ReproDriverTest, RealDriftOutranksMissingRefInExitCode) {
-  ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a"}), 0);
-  fs::copy_file("zz_selftest_a.csv", fs::path(refs()) / "zz_selftest_a.csv");
-  // selftest_a drifts (different seed) AND missing_ref lacks its ref:
-  // the actionable failure (1) must win over the bookkeeping signal (2).
+  // selftest_a drifts (its recorded ref differs) AND missing_ref lacks
+  // its ref: the actionable failure (1) must win over the bookkeeping
+  // signal (2).
+  ASSERT_TRUE(write_file((fs::path(refs()) / "zz_selftest_a.csv").string(),
+                         "x,y\n0,0\n"));
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a",
                                     "zz_repro_missing_ref", "--check",
-                                    "--seed", "9", "--refs", refs()}),
+                                    "--refs", refs()}),
             1);
 }
 
@@ -615,6 +623,23 @@ TEST_F(ReproDriverTest, TrialsOverrideScalesTheTrialAxis) {
                                     "20", "--threads-cross-check", "1,3,7"}),
             0);
   EXPECT_EQ(count_lines(read_file("zz_trials_trials.csv")), 1u + 3u * 20u);
+}
+
+TEST_F(ReproDriverTest, SeedIsRefusedForAFigureThatRegistersNone) {
+  // An unseeded figure would run its fixed workload while the manifest
+  // recorded the seed.
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_missing_ref", "--seed",
+                                    "7", "--manifest", "m.json"}),
+            2);
+  EXPECT_FALSE(fs::exists("zz_missing_ref.csv"));
+  EXPECT_FALSE(fs::exists("m.json"));
+  // One unseeded figure in the selection refuses the whole run.
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a",
+                                    "zz_repro_missing_ref", "--seed", "7"}),
+            2);
+  EXPECT_EQ(emc::repro::driver_run(
+                {"run", "zz_repro_selftest_a", "--seed", "7"}),
+            0);
 }
 
 TEST_F(ReproDriverTest, TrialsIsRefusedWithoutATrialModelOrTrials) {

@@ -1,9 +1,10 @@
-// Kernel, event queue, signal and trace unit tests.
+// Kernel, event queue, wire and trace unit tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -39,13 +40,22 @@ TEST(Time, Format) {
   EXPECT_EQ(format_time(fs(999)), "999.000 fs");
 }
 
+/// Pops the earliest event, runs it and returns its time.
+Time pop_and_run(EventQueue& q) {
+  Time t = 0;
+  Action action;
+  EXPECT_TRUE(q.pop_due(kTimeMax, t, action));
+  action();
+  return t;
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
   q.schedule(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_and_run(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -55,7 +65,7 @@ TEST(EventQueue, FifoAmongEqualTimestamps) {
   for (int i = 0; i < 20; ++i) {
     q.schedule(42, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_and_run(q);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -67,7 +77,7 @@ TEST(EventQueue, CancelSkipsEvent) {
   q.schedule(30, [&] { ++fired; });
   q.cancel(victim);
   EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_and_run(q);
   EXPECT_EQ(fired, 2);
 }
 
@@ -105,7 +115,7 @@ TEST(EventQueue, FifoPreservedUnderMixedScheduleCancel) {
     }
   }
   for (EventId id : victims) q.cancel(id);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_and_run(q);
   ASSERT_EQ(order.size(), 20u);
   for (std::size_t i = 1; i < order.size(); ++i) {
     EXPECT_LT(order[i - 1], order[i]);
@@ -122,7 +132,7 @@ TEST(EventQueue, CancelledEntriesPurgedNotAccumulated) {
     q.cancel(id);
     // Popping intervening live events flushes the stale heap entries.
     q.schedule(static_cast<Time>(round), [] {});
-    q.pop().second();
+    pop_and_run(q);
     EXPECT_LE(q.heap_entries(), 2u);
   }
   // The slab reuses the same couple of slots the whole time.
@@ -146,7 +156,7 @@ TEST(EventQueue, FarFutureCancelsCompactedNotAccumulated) {
   // A live event scheduled afterwards still pops normally.
   int fired = 0;
   q.schedule(10, [&] { ++fired; });
-  q.pop().second();
+  pop_and_run(q);
   EXPECT_EQ(fired, 1);
 }
 
@@ -160,7 +170,7 @@ TEST(EventQueue, StaleIdAfterSlotReuseIsNoop) {
   const EventId new_id = q.schedule(20, [&] { ++fired; });  // reuses slot
   q.cancel(old_id);  // stale handle — must not touch new_id's event
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_and_run(q);
   EXPECT_EQ(fired, 1);
   q.cancel(new_id);  // already fired: harmless
 }
@@ -176,15 +186,15 @@ TEST(EventQueue, DoubleCancelAndCancelAfterClear) {
   q.cancel(b);  // id from before clear(): no-op
   int fired = 0;
   q.schedule(10, [&] { ++fired; });  // may reuse b's slot
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_and_run(q);
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, PeakLiveTracksHighWaterMark) {
   EventQueue q;
   for (int i = 0; i < 5; ++i) q.schedule(10 + i, [] {});
-  q.pop().second();
-  q.pop().second();
+  pop_and_run(q);
+  pop_and_run(q);
   q.schedule(50, [] {});
   EXPECT_EQ(q.peak_live(), 5u);
   EXPECT_EQ(q.total_scheduled(), 6u);
@@ -203,9 +213,7 @@ TEST(EventQueue, ClearInvalidatesOutstandingIds) {
   q.schedule(7, [&fired] { fired += 1000; });
   for (const EventId id : ids) q.cancel(id);
   EXPECT_EQ(q.size(), 1u);
-  auto [t, action] = q.pop();
-  action();
-  EXPECT_EQ(t, 7u);
+  EXPECT_EQ(pop_and_run(q), 7u);
   EXPECT_EQ(fired, 1000);
 }
 
@@ -219,10 +227,9 @@ TEST(EventQueue, DrainThenRescheduleReusesTheStructure) {
   }
   Time prev = 0;
   while (!q.empty()) {
-    auto [t, action] = q.pop();
+    const Time t = pop_and_run(q);
     EXPECT_GE(t, prev);
     prev = t;
-    action();
   }
   // After a full drain, timestamps earlier than the last pop are legal
   // again and pop in order.
@@ -230,10 +237,7 @@ TEST(EventQueue, DrainThenRescheduleReusesTheStructure) {
   q.schedule(3, [&order] { order.push_back(3); });
   q.schedule(1, [&order] { order.push_back(1); });
   q.schedule(2, [&order] { order.push_back(2); });
-  while (!q.empty()) {
-    auto [t, action] = q.pop();
-    action();
-  }
+  while (!q.empty()) pop_and_run(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -349,7 +353,9 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
       dead.push_back(popped_id);
       ref.erase(head);
       expected_tag = tag;
-      auto [t, action] = q.pop();
+      Time t = 0;
+      Action action;
+      ASSERT_TRUE(q.pop_due(kTimeMax, t, action));
       ASSERT_EQ(t, t_expect);
       now = t;
       if (chance(30)) poke_hole();
@@ -485,7 +491,8 @@ TEST(Signal, NotifiesOnChangeOnly) {
   Kernel k;
   Wire w(k, "w", false);
   int notified = 0;
-  w.on_change([&](const Wire&) { ++notified; });
+  w.subscribe_raw(&notified,
+                  [](void* ctx, const Wire&) { ++*static_cast<int*>(ctx); });
   w.set(false);  // no change
   EXPECT_EQ(notified, 0);
   w.set(true);
@@ -493,45 +500,6 @@ TEST(Signal, NotifiesOnChangeOnly) {
   w.set(true);  // no change
   EXPECT_EQ(notified, 1);
   EXPECT_EQ(w.transitions(), 1u);
-}
-
-TEST(Signal, ScheduledWriteAppliesLater) {
-  Kernel k;
-  Wire w(k, "w", false);
-  w.schedule(true, 100);
-  EXPECT_FALSE(w.read());
-  EXPECT_TRUE(w.has_pending());
-  k.run();
-  EXPECT_TRUE(w.read());
-  EXPECT_EQ(w.last_change(), 100u);
-}
-
-TEST(Signal, InertialRetraction) {
-  Kernel k;
-  Wire w(k, "w", false);
-  w.schedule(true, 100);
-  w.schedule(false, 50);  // retracts the earlier pending write
-  k.run();
-  EXPECT_FALSE(w.read());
-  EXPECT_EQ(w.transitions(), 0u);  // never actually moved
-}
-
-TEST(Signal, SetRetractsPending) {
-  Kernel k;
-  Wire w(k, "w", false);
-  w.schedule(true, 100);
-  w.set(false);  // asserts current value; pending must die
-  k.run();
-  EXPECT_FALSE(w.read());
-}
-
-TEST(Signal, TypedSignalWorks) {
-  Kernel k;
-  Signal<int> s(k, "count", 7);
-  EXPECT_EQ(s.read(), 7);
-  s.schedule(9, 10);
-  k.run();
-  EXPECT_EQ(s.read(), 9);
 }
 
 TEST(AnalogTrace, InterpolatesBetweenSamples) {
@@ -720,20 +688,25 @@ TEST(SignalListeners, RegistrationOrderPreserved) {
   Kernel k;
   Wire w(k, "w", false);
   std::vector<int> order;
-  // Mix all three registration flavours and spill past the inline
-  // capacity (4 slots): delivery must stay in registration order.
+  // Mix both typed member shapes and the raw form, and spill past the
+  // inline capacity (4 slots): delivery must stay in registration order.
   struct Rec {
     std::vector<int>* order;
     int tag;
     void fire() { order->push_back(tag); }
+    void fire_with(const Wire& wire) {
+      EXPECT_TRUE(wire.read());
+      order->push_back(tag);
+    }
   };
   std::vector<Rec> recs;
-  recs.reserve(4);
+  recs.reserve(5);
   for (int i = 0; i < 4; ++i) {
     recs.push_back(Rec{&order, i});
     w.subscribe<&Rec::fire>(&recs.back());
   }
-  w.on_change([&order](const Wire&) { order.push_back(4); });
+  recs.push_back(Rec{&order, 4});
+  w.subscribe<&Rec::fire_with>(&recs.back());
   w.subscribe_raw(&order, [](void* ctx, const Wire&) {
     static_cast<std::vector<int>*>(ctx)->push_back(5);
   });
@@ -750,14 +723,24 @@ TEST(SignalListeners, SubscribeMidNotificationDoesNotInvalidateWalk) {
   Wire w(k, "w", false);
   std::vector<int> order;
   std::function<void()> add_more;
-  w.on_change([&](const Wire&) {
+  // A deque keeps every listener at a stable address while it grows.
+  struct Callback {
+    std::function<void()> fn;
+    void call() { fn(); }
+  };
+  std::deque<Callback> listeners;
+  const auto listen = [&](std::function<void()> fn) {
+    listeners.push_back(Callback{std::move(fn)});
+    w.subscribe<&Callback::call>(&listeners.back());
+  };
+  listen([&] {
     order.push_back(0);
     add_more();
   });
-  w.on_change([&](const Wire&) { order.push_back(1); });
+  listen([&] { order.push_back(1); });
   add_more = [&] {
     for (int tag = 10; tag < 16; ++tag) {
-      w.on_change([&order, tag](const Wire&) { order.push_back(tag); });
+      listen([&order, tag] { order.push_back(tag); });
     }
   };
   w.set(true);
@@ -767,54 +750,6 @@ TEST(SignalListeners, SubscribeMidNotificationDoesNotInvalidateWalk) {
   add_more = [] {};
   w.set(false);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 12, 13, 14, 15}));
-}
-
-TEST(SignalListeners, SelfUnsubscribeMidNotificationIsSafe) {
-  // A one-shot probe removing itself from inside its own callback must
-  // neither destroy the closure it is executing (boxed listener) nor
-  // shift the walk so the next listener misses the in-flight change.
-  Kernel k;
-  Wire w(k, "w", false);
-  std::vector<int> order;
-  Subscription one_shot;
-  one_shot = w.on_change([&](const Wire&) {
-    order.push_back(0);
-    w.unsubscribe(one_shot);
-    order.push_back(0);  // closure must still be alive here
-  });
-  w.on_change([&order](const Wire&) { order.push_back(1); });
-  w.set(true);
-  EXPECT_EQ(order, (std::vector<int>{0, 0, 1}));
-  EXPECT_EQ(w.listener_count(), 1u);
-  order.clear();
-  w.set(false);
-  EXPECT_EQ(order, (std::vector<int>{1}));
-}
-
-TEST(SignalListeners, UnsubscribeRemovesAndPreservesOrder) {
-  Kernel k;
-  Wire w(k, "w", false);
-  std::vector<int> order;
-  auto tagger = [&order](int tag) {
-    return [&order, tag](const Wire&) { order.push_back(tag); };
-  };
-  Subscription s0 = w.on_change(tagger(0));
-  Subscription s1 = w.on_change(tagger(1));
-  Subscription s2 = w.on_change(tagger(2));
-  EXPECT_TRUE(s0.active() && s1.active() && s2.active());
-  EXPECT_EQ(w.listener_count(), 3u);
-  w.unsubscribe(s1);
-  EXPECT_EQ(w.listener_count(), 2u);
-  w.set(true);
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-  w.unsubscribe(s1);  // double-remove is a no-op
-  w.unsubscribe(Subscription{});
-  EXPECT_EQ(w.listener_count(), 2u);
-  w.unsubscribe(s0);
-  w.unsubscribe(s2);
-  order.clear();
-  w.set(false);
-  EXPECT_TRUE(order.empty());
 }
 
 // --- Kernel::Stats aggregation semantics --------------------------------

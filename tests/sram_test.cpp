@@ -282,7 +282,9 @@ TEST(SiSram, HandshakeWiresTraceProperly) {
   Fixture f;
   SiSram sram(f.ctx, "sram", SiSramParams{});
   std::uint64_t wl_edges = 0;
-  sram.w_wl().on_change([&](const sim::Wire&) { ++wl_edges; });
+  sram.w_wl().subscribe_raw(&wl_edges, [](void* ctx, const sim::Wire&) {
+    ++*static_cast<std::uint64_t*>(ctx);
+  });
   sram.write(0, 1, nullptr);
   sram.read(0, nullptr);
   f.kernel.run();
