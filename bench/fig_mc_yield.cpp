@@ -9,7 +9,11 @@
 //     detector waits for the slowest bit),
 //   * a 16-stage logic path (per-gate Vth + strength draws; the path is
 //     the sum of its sampled stage delays),
-// and decides three pass/fail verdicts at that Vdd:
+// and decides three pass/fail verdicts at that Vdd. The column's worst
+// Vth does not depend on Vdd, so each chip's column is drawn once, before
+// the sweep (one double per trial), and every Vdd row reuses it; the path
+// draws stay in the row body, where their delays are evaluated at that
+// row's Vdd. The verdicts:
 //   * sram_ok  — the worst cell is still sensable against the section's
 //     aggregate bit-line leakage, and writes succeed,
 //   * logic_ok — the sampled path is no slower than kLogicMargin x the
@@ -18,8 +22,11 @@
 // analysis::Aggregate folds the trials into yield-vs-Vdd curves plus the
 // path-delay spread. Determinism contract: byte-identical CSVs at any
 // EMC_SWEEP_THREADS, and trial t is the same virtual chip at every Vdd.
+// Memory: O(grid points) for the streamed rows plus 8 B per trial for
+// the column table.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/aggregate.hpp"
 #include "analysis/sweep.hpp"
@@ -79,14 +86,26 @@ static int run_fig_mc_yield(const emc::repro::RunContext& ctx) {
 
   const device::Variation variation =
       device::Variation::local(kVthSigma, kStrengthSigma);
+  // Read-only, shared by every row on every worker.
+  const device::DelayModel model{device::Tech::umc90()};
+  const sram::CellModel cell(model, sram::CellParams{});
+
+  // Each chip's SRAM column, drawn once: trial t's worst-cell Vth.
+  std::vector<double> column_worst_vth(wb.trials());
+  analysis::SweepRunner::for_indexed(
+      column_worst_vth.size(),
+      analysis::SweepRunner::resolve_threads(ctx.threads),
+      [&](std::size_t t) {
+        column_worst_vth[t] =
+            device::VariationSampler(variation, wb.trial_seed(t))
+                .worst_vth(kSramBaseId, kSramCells);
+      });
 
   const auto body = [&](const exp::ParamSet& p, exp::Recorder& rec) {
     const double v = p.get<double>("vdd");
+    const int trial = p.get<int>("trial");
     const device::VariationSampler sampler(variation,
                                            p.get<std::uint64_t>("trial_seed"));
-
-    device::DelayModel model{device::Tech::umc90()};
-    sram::CellModel cell(model, sram::CellParams{});
 
     // Logic path: nominal vs sampled stage-by-stage delay.
     const double nominal_path =
@@ -102,14 +121,14 @@ static int run_fig_mc_yield(const emc::repro::RunContext& ctx) {
 
     // SRAM column: the slowest sampled cell must still beat the leakage
     // of the whole section, and the cell must be writable.
-    const double worst_vth = sampler.worst_vth(kSramBaseId, kSramCells);
+    const double worst_vth = column_worst_vth[static_cast<std::size_t>(trial)];
     const bool sram_ok = cell.sensable(v, kSramCells, worst_vth) &&
                          cell.write_ok(v) &&
                          model.operational(v);
 
     rec.row()
         .set("vdd_V", v)
-        .set("trial", p.get<int>("trial"))
+        .set("trial", trial)
         .set("path_ratio", path_ratio, 4)
         .set("worst_vth_mV", worst_vth * 1e3, 4)
         .set("sram_ok", sram_ok ? 1 : 0)

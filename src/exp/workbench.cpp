@@ -165,8 +165,15 @@ Workbench& Workbench::threads(unsigned n) {
 
 Workbench& Workbench::replicate(std::size_t n_trials, std::uint64_t base_seed) {
   trials_ = n_trials == 0 ? 1 : n_trials;
+  replicated_ = true;
   base_seed_ = base_seed;
   return *this;
+}
+
+std::uint64_t Workbench::trial_seed(std::size_t t) const {
+  // Seeds depend on (base_seed, trial) only, so trial t is the same
+  // virtual chip at every grid point.
+  return sim::derive_seed(base_seed_, t) >> 1;
 }
 
 std::vector<ParamSet> Workbench::points() const {
@@ -175,13 +182,9 @@ std::vector<ParamSet> Workbench::points() const {
 
 ParamSet Workbench::expand_trial(const ParamSet& point, std::size_t t) const {
   ParamSet q = point;
-  if (trials_ > 1) {
-    // Seeds depend on (base_seed, trial) only, so trial t is the same
-    // virtual chip at every grid point. Masked to the positive int64
-    // range ParamSet integers live in.
+  if (replicated_) {
     q.set("trial", static_cast<std::int64_t>(t));
-    q.set("trial_seed",
-          static_cast<std::int64_t>(sim::derive_seed(base_seed_, t) >> 1));
+    q.set("trial_seed", static_cast<std::int64_t>(trial_seed(t)));
   }
   return q;
 }

@@ -168,11 +168,19 @@ class Workbench {
   /// analysis::Aggregate), and trial t has the *same* seed at every grid
   /// point: one virtual chip swept across the grid (common random
   /// numbers). Bodies route the seed with
-  /// `ContextConfig::trial(params)` or read "trial_seed" directly.
+  /// `ContextConfig::trial(params)` or read "trial_seed" directly. A
+  /// replicated workbench carries both parameters at any trial count,
+  /// 1 included (n_trials 0 is read as 1).
   Workbench& replicate(std::size_t n_trials, std::uint64_t base_seed);
 
-  /// Replication factor (1 = no replication).
+  /// Replication factor (1 for a workbench that never replicated).
   std::size_t trials() const { return trials_; }
+
+  /// The "trial_seed" every scenario of trial `t` carries:
+  /// sim::derive_seed(base_seed, t), masked to the positive int64 range
+  /// ParamSet integers live in. Pure in (base_seed, t), so a figure can
+  /// draw per-trial state once, outside its body, and index it by trial.
+  std::uint64_t trial_seed(std::size_t t) const;
 
   /// The column schema (what sink rows are ordered by).
   const std::vector<std::string>& schema() const { return columns_; }
@@ -232,6 +240,7 @@ class Workbench {
   bool explicit_scenarios_ = false;
   std::vector<std::string> columns_;
   std::size_t trials_ = 1;
+  bool replicated_ = false;
   std::uint64_t base_seed_ = 0;
   analysis::SweepRunner::Options opt_;
   analysis::SweepReport report_;

@@ -224,6 +224,26 @@ TEST(Replicate, TrialAxisIsFastestAndSeedsShareTrials) {
   }
   EXPECT_NE(params[0].get<std::uint64_t>("trial_seed"),
             params[1].get<std::uint64_t>("trial_seed"));
+  // The seed has one owner: every scenario carries trial_seed(trial).
+  for (const auto& p : params) {
+    EXPECT_EQ(p.get<std::uint64_t>("trial_seed"),
+              wb.trial_seed(static_cast<std::size_t>(p.get<int>("trial"))));
+  }
+
+  // A replicated workbench carries the trial axis at one trial too.
+  exp::Workbench one("replicate_one");
+  one.grid().over("vdd", {0.3, 0.6});
+  one.replicate(1, 99);
+  one.columns({"vdd_V"});
+  one.run([](const exp::ParamSet& p, exp::Recorder& rec) {
+    rec.row().set("vdd_V", p.get<double>("vdd"));
+  });
+  ASSERT_EQ(one.scenario_params().size(), 2u);
+  for (const auto& p : one.scenario_params()) {
+    EXPECT_EQ(p.get<int>("trial"), 0);
+    EXPECT_EQ(p.get<std::uint64_t>("trial_seed"), one.trial_seed(0));
+  }
+  EXPECT_EQ(one.trial_seed(0), wb.trial_seed(0));
 }
 
 TEST(Replicate, CsvByteIdenticalAcrossThreadCounts) {

@@ -614,8 +614,27 @@ TEST_F(ReproDriverTest, MissingDeclaredArtifactFails) {
 
 TEST_F(ReproDriverTest, TrialsOverrideScalesTheTrialAxis) {
   ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_trials"}), 0);
-  EXPECT_EQ(count_lines(read_file("zz_trials_trials.csv")), 1u + 3u * 8u);
+  const std::string eight = read_file("zz_trials_trials.csv");
+  EXPECT_EQ(count_lines(eight), 1u + 3u * 8u);
   EXPECT_EQ(count_lines(read_file("zz_trials.csv")), 1u + 3u);
+
+  // Trial t is the same chip at any trial count, so a 1-trial run is
+  // the header plus the 8-trial run's trial-0 rows.
+  std::istringstream lines(eight);
+  std::string line;
+  std::getline(lines, line);
+  std::string trial0 = line + "\n";
+  while (std::getline(lines, line)) {
+    std::istringstream cells(line);  // x, trial, v, ok
+    std::string x, trial;
+    std::getline(cells, x, ',');
+    std::getline(cells, trial, ',');
+    if (trial == "0") trial0 += line + "\n";
+  }
+  ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_trials", "--trials", "1"}),
+            0);
+  EXPECT_EQ(count_lines(trial0), 1u + 3u);
+  EXPECT_EQ(read_file("zz_trials_trials.csv"), trial0);
 
   // Header + 3 grid points x 20 trials, byte-identical at odd thread
   // counts (ragged final handoff blocks).
