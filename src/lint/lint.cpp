@@ -1,12 +1,12 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "analysis/json.hpp"
 #include "lint/graph.hpp"
 #include "netlist/module.hpp"
 #include "sched/petri.hpp"
@@ -15,36 +15,6 @@
 namespace emc::lint {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string join(const std::vector<std::string>& v, const char* sep) {
   std::string out;
@@ -340,28 +310,28 @@ std::string Report::text() const {
 }
 
 std::string Report::json(const std::string& subject_name) const {
+  using analysis::json_quote;
   std::ostringstream os;
-  os << "{\"subject\":\"" << json_escape(subject_name)
-     << "\",\"clean\":" << (clean() ? "true" : "false") << ",\"findings\":[";
+  os << "{\"subject\":" << json_quote(subject_name)
+     << ",\"clean\":" << (clean() ? "true" : "false") << ",\"findings\":[";
   bool first = true;
   for (const auto& f : findings_) {
     if (!first) os << ",";
     first = false;
-    os << "{\"rule\":\"" << json_escape(f.rule) << "\",\"severity\":\""
-       << to_string(f.severity) << "\",\"subject\":\""
-       << json_escape(f.subject) << "\",\"detail\":\"" << json_escape(f.detail)
-       << "\"";
+    os << "{\"rule\":" << json_quote(f.rule) << ",\"severity\":\""
+       << to_string(f.severity) << "\",\"subject\":" << json_quote(f.subject)
+       << ",\"detail\":" << json_quote(f.detail);
     if (!f.members.empty()) {
       os << ",\"members\":[";
       for (std::size_t i = 0; i < f.members.size(); ++i) {
         if (i > 0) os << ",";
-        os << "\"" << json_escape(f.members[i]) << "\"";
+        os << json_quote(f.members[i]);
       }
       os << "]";
     }
     if (f.suppressed()) {
-      os << ",\"suppressed\":true,\"reason\":\""
-         << json_escape(f.suppressed_reason) << "\"";
+      os << ",\"suppressed\":true,\"reason\":"
+         << json_quote(f.suppressed_reason);
     }
     os << "}";
   }

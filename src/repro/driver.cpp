@@ -1,5 +1,6 @@
 #include "repro/driver.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/json.hpp"
 #include "analysis/sweep_runner.hpp"
 #include "lint/lint.hpp"
 #include "lint/session.hpp"
@@ -28,6 +30,8 @@
 namespace emc::repro {
 
 namespace {
+
+using analysis::json_quote;
 
 enum class Verb { kRun, kList, kLint, kSta };
 
@@ -61,47 +65,50 @@ struct ArtifactRecord {
   std::string sha256;
 };
 
+/// How a check came out, ordered so that the worst of several is their
+/// std::max: a failure outranks vacuousness (nothing was verified), so
+/// CI surfaces the real defect first.
+enum class Outcome { kPass, kVacuous, kFail };
+
+/// The exit-code contract every verb shares.
+int exit_code(Outcome o) {
+  return o == Outcome::kFail ? 1 : o == Outcome::kVacuous ? 2 : 0;
+}
+
+const char* mark(Outcome o) {
+  return o == Outcome::kFail ? "!!" : o == Outcome::kVacuous ? "??" : "ok";
+}
+
+/// A check that did not pass: the manifest status it stands for, how
+/// bad it is, and the explanation printed below the figure's summary.
+struct Verdict {
+  const char* status;
+  Outcome outcome;
+  std::string detail;
+};
+
 struct FigureResult {
   const Figure* fig = nullptr;
-  bool run_failed = false;
-  bool lint_failed = false;
-  bool sta_failed = false;
-  bool vacuous_model = false;  // --lint/--sta: no model, or no timing arcs
-  bool missing_artifact = false;
-  bool missing_ref = false;   // vacuous: declared ref absent on disk
-  bool ref_mismatch = false;
-  bool threads_mismatch = false;
   double wall_seconds = 0.0;
   std::uint64_t seed = 0;
   sim::Kernel::Stats stats;
   std::vector<ArtifactRecord> artifacts;
-  std::string detail;  // human-readable failure explanation
+  std::vector<Verdict> verdicts;  // in run order; empty = every check passed
 
-  bool failed() const {
-    return run_failed || lint_failed || sta_failed || missing_artifact ||
-           ref_mismatch || threads_mismatch;
+  /// The first verdict with the worst outcome, so a failing check is
+  /// never filed under a vacuous one that ran before it; "ok" when every
+  /// check passed.
+  const Verdict& worst() const {
+    static const Verdict kOk{"ok", Outcome::kPass, ""};
+    const Verdict* w = &kOk;
+    for (const Verdict& v : verdicts) {
+      if (v.outcome > w->outcome) w = &v;
+    }
+    return *w;
   }
-  bool vacuous() const { return vacuous_model || missing_ref; }
-  const char* status() const {
-    if (lint_failed) return "lint_failed";
-    if (sta_failed) return "sta_failed";
-    if (vacuous_model) return "vacuous_model";
-    if (run_failed) return "run_failed";
-    if (missing_artifact) return "missing_artifact";
-    if (missing_ref) return "missing_ref";
-    if (ref_mismatch) return "ref_mismatch";
-    if (threads_mismatch) return "threads_mismatch";
-    return "ok";
-  }
+  Outcome outcome() const { return worst().outcome; }
+  const char* status() const { return worst().status; }
 };
-
-/// The exit-code contract every verb shares: findings or failures (1)
-/// outrank vacuousness (2), so CI surfaces the real defect first;
-/// otherwise clean (0).
-int exit_code(bool any_findings, bool any_vacuous) {
-  if (any_findings) return 1;
-  return any_vacuous ? 2 : 0;
-}
 
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -162,28 +169,6 @@ std::string diff_summary(const std::string& ref_name, const std::string& ref,
   return out.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string indent(const std::string& text) {
   std::string out;
   std::stringstream ss(text);
@@ -196,108 +181,109 @@ std::string indent(const std::string& text) {
 
 enum class Analyzer { kLint, kSta };
 
-/// One figure's verdict under one analyzer. The verbs and the run gates
-/// all evaluate a figure through analyze(), so a throwing hook, a missing
+/// One figure under one analyzer. The verbs and the run gates all
+/// evaluate a figure through analyze(), so a throwing hook, a missing
 /// model and a vacuous timing model mean the same on every path.
-struct Verdict {
-  bool findings = false;  // active findings, or the hook threw (exit 1)
-  bool vacuous = false;   // no model, or bundles without arcs (exit 2)
-  std::string problem;    // why there is no report: no hook, or it threw
+struct Analysis {
+  Outcome outcome = Outcome::kPass;
+  std::string problem;  // why there is no report: no hook, or it threw
   std::unique_ptr<lint::Session> session;  // the report; null on a problem
 
-  bool clean() const { return !findings && !vacuous; }
   const sta::Session* timing() const {
     return dynamic_cast<const sta::Session*>(session.get());
   }
 };
 
-Verdict analyze(const Figure& fig, Analyzer an,
-                const std::vector<std::string>& only) {
-  Verdict v;
+Analysis analyze(const Figure& fig, Analyzer an,
+                 const std::vector<std::string>& only) {
+  Analysis a;
   const std::string what = an == Analyzer::kLint ? "lint" : "timing";
   if (fig.lint == nullptr) {
     // Vacuous-pass refusal: a figure selected for analysis but carrying
     // no model would otherwise "pass" without a single rule running.
-    v.vacuous = true;
-    v.problem = "no " + what + " model registered";
-    return v;
+    a.outcome = Outcome::kVacuous;
+    a.problem = "no " + what + " model registered";
+    return a;
   }
   try {
     if (an == Analyzer::kLint) {
-      v.session = std::make_unique<lint::Session>();
+      a.session = std::make_unique<lint::Session>();
     } else {
-      v.session = std::make_unique<sta::Session>();
+      a.session = std::make_unique<sta::Session>();
     }
-    fig.lint(*v.session);
+    fig.lint(*a.session);
   } catch (const std::exception& e) {
-    v.problem = what + " hook threw: " + e.what();
+    a.problem = what + " hook threw: " + e.what();
   } catch (...) {
-    v.problem = what + " hook threw a non-std exception";
+    a.problem = what + " hook threw a non-std exception";
   }
-  if (!v.problem.empty()) {
+  if (!a.problem.empty()) {
     // A throwing hook fails the figure; it must not take the rest of an
     // --all run down with it.
-    v.findings = true;
-    v.session.reset();
-    return v;
+    a.outcome = Outcome::kFail;
+    a.session.reset();
+    return a;
   }
-  if (!only.empty()) v.session->filter_rules(only);
-  v.findings = !v.session->clean();
+  if (!only.empty()) a.session->filter_rules(only);
   // A timing model that records bundles with no arcs behind them is not
   // timing closure: absence of evidence exits 2, like a missing model.
-  v.vacuous = v.timing() != nullptr && v.timing()->vacuous();
-  return v;
+  const bool vacuous = a.timing() != nullptr && a.timing()->vacuous();
+  a.outcome = !a.session->clean() ? Outcome::kFail
+              : vacuous           ? Outcome::kVacuous
+                                  : Outcome::kPass;
+  return a;
 }
 
-/// The report below a verdict's summary line: vacuous timing subjects,
-/// then the session's text when it failed or carries informational
+/// The report below an analysis's summary line: vacuous timing subjects,
+/// then the session's text when it did not pass or carries informational
 /// findings.
-std::string verdict_body(const Verdict& v) {
+std::string analysis_body(const Analysis& a) {
   std::string out;
-  if (const sta::Session* t = v.timing()) {
+  if (const sta::Session* t = a.timing()) {
     for (const auto& s : t->vacuous_subjects()) {
       out += "vacuous timing model: " + s +
              " records bundles but no arcs reach them\n";
     }
   }
-  if (v.session != nullptr &&
-      (!v.clean() || v.session->findings(lint::Severity::kInfo) > 0)) {
-    out += v.session->text();
+  if (a.session != nullptr &&
+      (a.outcome != Outcome::kPass ||
+       a.session->findings(lint::Severity::kInfo) > 0)) {
+    out += a.session->text();
   }
   return out;
 }
 
-void print_verdict(const Figure& f, const Verdict& v) {
-  const char* mark = v.clean() ? "ok" : v.findings ? "!!" : "??";
-  if (v.session == nullptr) {
-    std::printf("  [%s] %-28s %s\n", mark, f.name.c_str(), v.problem.c_str());
+void print_analysis(const Figure& f, const Analysis& a) {
+  const char* m = mark(a.outcome);
+  if (a.session == nullptr) {
+    std::printf("  [%s] %-28s %s\n", m, f.name.c_str(), a.problem.c_str());
     return;
   }
-  const lint::Session& s = *v.session;
+  const lint::Session& s = *a.session;
   const std::size_t active = s.findings(lint::Severity::kWarning);
-  if (const sta::Session* t = v.timing()) {
+  if (const sta::Session* t = a.timing()) {
     std::printf(
-        "  [%s] %-28s %zu subject(s), %zu arc(s), %zu active finding(s)\n",
-        mark, f.name.c_str(), s.results().size(), t->arc_count(), active);
+        "  [%s] %-28s %zu subject(s), %zu arc(s), %zu active finding(s)\n", m,
+        f.name.c_str(), s.results().size(), t->arc_count(), active);
   } else {
-    std::printf("  [%s] %-28s %zu subject(s), %zu active finding(s)\n", mark,
+    std::printf("  [%s] %-28s %zu subject(s), %zu active finding(s)\n", m,
                 f.name.c_str(), s.results().size(), active);
   }
-  std::fputs(verdict_body(v).c_str(), stdout);
+  std::fputs(analysis_body(a).c_str(), stdout);
 }
 
-std::string verdict_json(const Figure& f, const Verdict& v) {
-  std::string out = "{\"figure\":\"" + json_escape(f.name) + "\",\"clean\":";
-  out += v.clean() ? "true" : "false";
-  if (v.session == nullptr) {
-    return out + ",\"error\":\"" + json_escape(v.problem) + "\"}";
+std::string analysis_json(const Figure& f, const Analysis& a) {
+  std::string out = "{\"figure\":" + json_quote(f.name) + ",\"clean\":";
+  out += a.outcome == Outcome::kPass ? "true" : "false";
+  if (a.session == nullptr) {
+    return out + ",\"error\":" + json_quote(a.problem) + "}";
   }
-  if (const sta::Session* t = v.timing()) {
+  if (const sta::Session* t = a.timing()) {
     out += ",\"vacuous\":";
     out += t->vacuous() ? "true" : "false";
     out += ",\"arcs\":" + std::to_string(t->arc_count());
   }
-  return out + ",\"subjects\":" + v.session->json() + "}";
+  return out + ",\"subjects\":" + a.session->json() + "}";
 }
 
 /// Append `t`'s margin curve to the sta verb's CSV, one row per point,
@@ -323,9 +309,10 @@ RunContext make_context(const CliOptions& opt, std::uint64_t seed,
   return ctx;
 }
 
-/// Run `fig`'s body under `ctx`. A throw or a nonzero return marks `r`
-/// run_failed, with `what` naming the attempt in its detail: a figure
-/// body that throws must not take the rest of an --all run down with it.
+/// Run `fig`'s body under `ctx`. A throw or a nonzero return adds a
+/// run_failed verdict to `r`, with `what` naming the attempt in its
+/// detail: a figure body that throws must not take the rest of an --all
+/// run down with it.
 bool run_body(const Figure& fig, const RunContext& ctx, const std::string& what,
               FigureResult& r) {
   std::string error;
@@ -338,8 +325,8 @@ bool run_body(const Figure& fig, const RunContext& ctx, const std::string& what,
   } catch (...) {
     error = " threw a non-std exception";
   }
-  r.run_failed = true;
-  r.detail += "    " + what + error + "\n";
+  r.verdicts.push_back(
+      {"run_failed", Outcome::kFail, "    " + what + error + "\n"});
   return false;
 }
 
@@ -356,14 +343,12 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   // instead of minutes later with a watchdog verdict.
   for (const Analyzer an : {Analyzer::kLint, Analyzer::kSta}) {
     if (!(an == Analyzer::kLint ? opt.lint : opt.sta)) continue;
-    const Verdict v = analyze(fig, an, {});
-    if (v.clean()) continue;
-    if (v.findings) {
-      (an == Analyzer::kLint ? r.lint_failed : r.sta_failed) = true;
-    } else {
-      r.vacuous_model = true;
-    }
-    r.detail += indent(v.problem.empty() ? verdict_body(v) : v.problem);
+    const Analysis a = analyze(fig, an, {});
+    if (a.outcome == Outcome::kPass) continue;
+    const char* failed = an == Analyzer::kLint ? "lint_failed" : "sta_failed";
+    r.verdicts.push_back(
+        {a.outcome == Outcome::kFail ? failed : "vacuous_model", a.outcome,
+         indent(a.problem.empty() ? analysis_body(a) : a.problem)});
     return r;
   }
 
@@ -387,13 +372,13 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
     std::error_code ec;
     rec.bytes = std::filesystem::file_size(file, ec);
     if (rec.sha256.empty() || ec) {
-      r.missing_artifact = true;
-      r.detail += "    declared artifact not produced: " + file + "\n";
+      r.verdicts.push_back({"missing_artifact", Outcome::kFail,
+                            indent("declared artifact not produced: " + file)});
       continue;
     }
     r.artifacts.push_back(std::move(rec));
   }
-  if (r.missing_artifact) return r;
+  if (r.artifacts.size() < fig.artifacts.size()) return r;
 
   if (opt.check) {
     for (const std::string& file : fig.refs) {
@@ -403,14 +388,16 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
         // Vacuous-pass refusal: a declared-but-absent reference means
         // the gate would silently check nothing. Exit 2, like the perf
         // gate on a mode-mismatched baseline.
-        r.missing_ref = true;
-        r.detail += "    declared ref missing on disk: " + ref_path + "\n";
+        r.verdicts.push_back(
+            {"missing_ref", Outcome::kVacuous,
+             indent("declared ref missing on disk: " + ref_path)});
         continue;
       }
       std::string produced;
       if (!read_file(file, &produced) || produced != ref_bytes) {
-        r.ref_mismatch = true;
-        r.detail += diff_summary(ref_path, ref_bytes, file, produced);
+        r.verdicts.push_back(
+            {"ref_mismatch", Outcome::kFail,
+             diff_summary(ref_path, ref_bytes, file, produced)});
       }
     }
   }
@@ -433,17 +420,18 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
       const std::string& file = fig.artifacts[i];
       const std::string digest = sha256_file_hex(file);
       if (digest.empty()) {
-        r.missing_artifact = true;
-        r.detail += "    artifact vanished on re-run: " + file + "\n";
+        r.verdicts.push_back({"missing_artifact", Outcome::kFail,
+                              indent("artifact vanished on re-run: " + file)});
         continue;
       }
       if (digest == r.artifacts[i].sha256) continue;
       std::string again;
       read_file(file, &again);
       const std::string at0 = "threads=" + std::to_string(threads.front());
-      r.threads_mismatch = true;
-      r.detail += "    " + file + " differs between " + at0 + " and " + at +
-                  ":\n" + diff_summary(at0, first[i], at, again);
+      r.verdicts.push_back(
+          {"threads_mismatch", Outcome::kFail,
+           "    " + file + " differs between " + at0 + " and " + at + ":\n" +
+               diff_summary(at0, first[i], at, again)});
     }
   }
   return r;
@@ -465,8 +453,8 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const FigureResult& r = results[i];
     out << (i ? "," : "") << "\n    {\n";
-    out << "      \"name\": \"" << json_escape(r.fig->name) << "\",\n";
-    out << "      \"title\": \"" << json_escape(r.fig->title) << "\",\n";
+    out << "      \"name\": " << json_quote(r.fig->name) << ",\n";
+    out << "      \"title\": " << json_quote(r.fig->title) << ",\n";
     out << "      \"status\": \"" << r.status() << "\",\n";
     out << "      \"smoke_capable\": "
         << (r.fig->smoke_capable ? "true" : "false") << ",\n";
@@ -485,8 +473,8 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
     out << "      \"artifacts\": [";
     for (std::size_t a = 0; a < r.artifacts.size(); ++a) {
       const ArtifactRecord& rec = r.artifacts[a];
-      out << (a ? "," : "") << "\n        {\"file\": \""
-          << json_escape(rec.file) << "\", \"bytes\": " << rec.bytes
+      out << (a ? "," : "") << "\n        {\"file\": " << json_quote(rec.file)
+          << ", \"bytes\": " << rec.bytes
           << ", \"sha256\": \"" << rec.sha256 << "\"}";
     }
     out << (r.artifacts.empty() ? "]" : "\n      ]") << "\n    }";
@@ -722,8 +710,7 @@ int analyze_figures(const CliOptions& opt) {
            "limit,ok\n";
   }
 
-  bool any_findings = false;
-  bool any_vacuous = false;
+  Outcome worst = Outcome::kPass;
   // The report's "tool" keeps the analyzer's historical name, so report
   // consumers read the same JSON as before.
   std::string json = an == Analyzer::kLint ? "{\"tool\":\"emc_lint\""
@@ -731,16 +718,15 @@ int analyze_figures(const CliOptions& opt) {
   json += ",\"figures\":[";
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const Figure& f = *selected[i];
-    const Verdict v = analyze(f, an, opt.only);
-    any_findings |= v.findings;
-    any_vacuous |= v.vacuous;
-    if (csv.is_open() && v.timing() != nullptr) {
-      write_margin_rows(csv, f, *v.timing());
+    const Analysis a = analyze(f, an, opt.only);
+    worst = std::max(worst, a.outcome);
+    if (csv.is_open() && a.timing() != nullptr) {
+      write_margin_rows(csv, f, *a.timing());
     }
     if (opt.json) {
-      json += (i ? "," : "") + verdict_json(f, v);
+      json += (i ? "," : "") + analysis_json(f, a);
     } else {
-      print_verdict(f, v);
+      print_analysis(f, a);
     }
   }
   if (opt.json) std::printf("%s]}\n", json.c_str());
@@ -752,7 +738,7 @@ int analyze_figures(const CliOptions& opt) {
       return 2;
     }
   }
-  return exit_code(any_findings, any_vacuous);
+  return exit_code(worst);
 }
 
 /// The run verb: execute the selected figures and gate them.
@@ -800,18 +786,15 @@ int run_figures(const CliOptions& opt) {
   std::printf("\n=== emc_repro: %zu figure(s)%s%s ===\n", selected.size(),
               opt.check ? ", --check" : "",
               opt.cross_threads.empty() ? "" : ", --threads-cross-check");
-  bool any_fail = false;
-  bool any_vacuous = false;
+  Outcome worst = Outcome::kPass;
   for (const FigureResult& r : results) {
-    const bool ok = !r.failed() && !r.vacuous();
-    std::printf("  [%s] %-28s %6.2f s  %s%s\n", ok ? "ok" : "!!",
+    std::printf("  [%s] %-28s %6.2f s  %s%s\n", mark(r.outcome()),
                 r.fig->name.c_str(), r.wall_seconds, r.status(),
                 opt.smoke && !r.fig->smoke_capable
                     ? "  (ran full workload: figure is not smoke-capable)"
                     : "");
-    if (!r.detail.empty()) std::fputs(r.detail.c_str(), stdout);
-    any_fail |= r.failed();
-    any_vacuous |= r.vacuous();
+    for (const Verdict& v : r.verdicts) std::fputs(v.detail.c_str(), stdout);
+    worst = std::max(worst, r.outcome());
   }
 
   if (!opt.manifest_path.empty()) {
@@ -822,7 +805,7 @@ int run_figures(const CliOptions& opt) {
   // A real drift/run failure (1) outranks missing-ref bookkeeping (2):
   // a developer told only "record the missing ref" would re-run and
   // discover the drift one iteration too late.
-  return exit_code(any_fail, any_vacuous);
+  return exit_code(worst);
 }
 
 }  // namespace

@@ -59,7 +59,9 @@
 // diverged, or an analyzer found something (a throwing hook counts);
 // 2 = the invocation cannot verify what it was asked to verify (unknown
 // figure or flag, missing ref file, no lint model, a timing model with
-// no arcs, a vacuous combination). 1 outranks 2.
+// no arcs, a vacuous combination). 1 outranks 2; in the same way a
+// figure's manifest status names its first failing check, else its first
+// vacuous one, else "ok", and the run summary marks it [!!], [??] or [ok].
 #pragma once
 
 #include <string>

@@ -7,15 +7,14 @@
 //     bill over MullerRing / counters / SiSram, with the deliberate
 //     oscillators' C001 suppressions honored);
 //   * Session aggregates reports, refuses to vacuously pass an empty
-//     session, and emits well-formed JSON (checked by the same
-//     recursive-descent JsonChecker the repro tests use);
+//     session, and emits well-formed JSON (checked by the
+//     recursive-descent JsonChecker in json_checker.hpp, shared with the
+//     repro tests);
 //   * the capstone: a handshake source with no sink is flagged D001/H001
 //     statically AND classified `deadlocked` by Kernel::run_guarded
 //     dynamically — the two views of the same broken protocol agree.
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,8 +36,12 @@
 #include "sram/si_controller.hpp"
 #include "supply/battery.hpp"
 
+#include "json_checker.hpp"
+
 namespace emc::lint {
 namespace {
+
+using test::JsonChecker;
 
 struct Fixture {
   sim::Kernel kernel;
@@ -410,120 +413,7 @@ TEST(LintSession, DirtySubjectDirtiesSession) {
   EXPECT_NE(s.text().find("W001"), std::string::npos);
 }
 
-// ---- JSON well-formedness (same checker as repro_test) ------------------
-
-// Recursive descent over the full JSON grammar (no semantic model); a
-// parse reaching end-of-input with balanced structure == well-formed.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek('}')) return true;
-      if (!expect(',')) return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek(']')) return true;
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek(']')) return true;
-      if (!expect(',')) return false;
-    }
-  }
-  bool string() {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= s_.size() || !std::isxdigit(s_[pos_++])) return false;
-          }
-        } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
-          return false;
-        }
-      }
-    }
-    return false;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek('-')) {
-    }
-    while (pos_ < s_.size() &&
-           (std::isdigit(s_[pos_]) || s_[pos_] == '.' || s_[pos_] == 'e' ||
-            s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool expect(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(s_[pos_])) ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+// ---- JSON well-formedness -------------------------------------------------
 
 TEST(LintJson, SessionJsonWellFormedIncludingDefectDetails) {
   Session s;

@@ -9,6 +9,8 @@
 //     errors, not preferences);
 //   * --check fails with exit 2 — never passes vacuously — when a
 //     declared ref CSV does not exist on disk;
+//   * each manifest status a check can write, and that a failing check
+//     outranks a vacuous one in the status as it does in the exit code;
 //   * the --manifest JSON is well-formed, its artifact sha256s are
 //     stable across two runs, and each digest and size is that of the
 //     file on disk;
@@ -25,10 +27,8 @@
 //     a dirty, a throwing and a missing model the exit codes 0, 1, 1, 2;
 //     --only filters rules and sta --csv writes the margin curves;
 //   * --help returns instead of ending the process.
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -51,8 +51,11 @@
 #include "repro/replicated.hpp"
 #include "repro/sha256.hpp"
 
+#include "json_checker.hpp"
+
 namespace fs = std::filesystem;
 using emc::repro::RunContext;
+using emc::test::JsonChecker;
 
 namespace {
 
@@ -134,6 +137,29 @@ REPRO_FIGURE(zz_repro_throws)
     .title("synthetic: body throws — must not kill the batch")
     .ref_csv("zz_throws.csv")
     .run(run_throwing);
+
+// Two refs: a --check test records one with other bytes and leaves the
+// other absent.
+int run_two_refs(const RunContext&) {
+  return write_file("zz_two_refs_a.csv", "a\n1\n") &&
+                 write_file("zz_two_refs_b.csv", "b\n2\n")
+             ? 0
+             : 1;
+}
+
+REPRO_FIGURE(zz_repro_two_refs)
+    .title("synthetic: declares two refs")
+    .ref_csv("zz_two_refs_a.csv")
+    .ref_csv("zz_two_refs_b.csv")
+    .run(run_two_refs);
+
+// Declares an artifact its body never writes.
+int run_writes_nothing(const RunContext&) { return 0; }
+
+REPRO_FIGURE(zz_repro_no_artifact)
+    .title("synthetic: declared artifact never produced")
+    .artifact("zz_never.csv")
+    .run(run_writes_nothing);
 
 REPRO_FIGURE(zz_repro_jobs_0).title("synthetic").ref_csv("zz_jobs_0.csv").run(
     run_jobs_fig<0>);
@@ -228,122 +254,6 @@ std::size_t count_lines(const std::string& text) {
   return n;
 }
 
-// --- minimal JSON well-formedness checker ------------------------------
-//
-// Recursive descent over the full JSON grammar (no semantic model); a
-// parse reaching end-of-input with balanced structure == well-formed.
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek('}')) return true;
-      if (!expect(',')) return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek(']')) return true;
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek(']')) return true;
-      if (!expect(',')) return false;
-    }
-  }
-  bool string() {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= s_.size() || !std::isxdigit(s_[pos_++])) return false;
-          }
-        } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
-          return false;
-        }
-      }
-    }
-    return false;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek('-')) {
-    }
-    while (pos_ < s_.size() &&
-           (std::isdigit(s_[pos_]) || s_[pos_] == '.' || s_[pos_] == 'e' ||
-            s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool expect(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(s_[pos_])) ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 std::vector<std::string> extract_sha256s(const std::string& json) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -353,6 +263,16 @@ std::vector<std::string> extract_sha256s(const std::string& json) {
     out.push_back(json.substr(pos, 64));
   }
   return out;
+}
+
+// The status m.json records for `figure`, or "" when it has no entry.
+std::string manifest_status(const std::string& figure) {
+  const std::regex entry("\"name\": \"" + figure +
+                         "\",\\s*\"title\": \"[^\"]*\",\\s*"
+                         "\"status\": \"([a-z_]+)\"");
+  const std::string m = read_file("m.json");
+  std::smatch match;
+  return std::regex_search(m, match, entry) ? match[1].str() : "";
 }
 
 // Each test runs in its own temporary working directory (figure bodies
@@ -455,10 +375,19 @@ TEST_F(ReproDriverTest, CheckFailsWithExit2WhenDeclaredRefMissing) {
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a", "--check",
                                     "--refs", refs()}),
             0);
+  ::testing::internal::CaptureStdout();
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a",
                                     "zz_repro_missing_ref", "--check",
-                                    "--refs", refs()}),
+                                    "--refs", refs(), "--manifest", "m.json"}),
             2);
+  const std::string summary = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(manifest_status("zz_repro_selftest_a"), "ok");
+  EXPECT_EQ(manifest_status("zz_repro_missing_ref"), "missing_ref");
+  // The summary marks a vacuous figure ?? and a clean one ok.
+  EXPECT_NE(summary.find("[??] zz_repro_missing_ref"), std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("[ok] zz_repro_selftest_a"), std::string::npos)
+      << summary;
 }
 
 TEST_F(ReproDriverTest, CheckFailsWithExit1OnRefMismatch) {
@@ -466,8 +395,10 @@ TEST_F(ReproDriverTest, CheckFailsWithExit1OnRefMismatch) {
   fs::copy_file("zz_selftest_a.csv", fs::path(refs()) / "zz_selftest_a.csv");
   // A different seed changes the artifact, so the recorded ref mismatches.
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a", "--check",
-                                    "--seed", "8", "--refs", refs()}),
+                                    "--seed", "8", "--refs", refs(),
+                                    "--manifest", "m.json"}),
             1);
+  EXPECT_EQ(manifest_status("zz_repro_selftest_a"), "ref_mismatch");
 }
 
 TEST_F(ReproDriverTest, UnknownFigureIsExit2) {
@@ -514,6 +445,24 @@ TEST_F(ReproDriverTest, RealDriftOutranksMissingRefInExitCode) {
                                     "zz_repro_missing_ref", "--check",
                                     "--refs", refs()}),
             1);
+}
+
+// The status agrees with the exit code: a failing check outranks a
+// vacuous one inside one figure too, so the manifest never files a real
+// drift or divergence under missing-ref bookkeeping.
+TEST_F(ReproDriverTest, FailingCheckOutranksMissingRefInStatus) {
+  ASSERT_TRUE(write_file((fs::path(refs()) / "zz_two_refs_b.csv").string(),
+                         "b\n3\n"));
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_two_refs", "--check",
+                                    "--refs", refs(), "--manifest", "m.json"}),
+            1);
+  EXPECT_EQ(manifest_status("zz_repro_two_refs"), "ref_mismatch");
+
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_thread_dep", "--check",
+                                    "--refs", refs(), "--threads-cross-check",
+                                    "1,4", "--manifest", "m.json"}),
+            1);
+  EXPECT_EQ(manifest_status("zz_repro_thread_dep"), "threads_mismatch");
 }
 
 TEST_F(ReproDriverTest, SmokePlusCheckIsRefusedAsVacuous) {
@@ -576,8 +525,10 @@ TEST_F(ReproDriverTest, Jobs4ProducesByteIdenticalArtifactsToJobs1) {
 
 TEST_F(ReproDriverTest, ThreadsCrossCheckCatchesThreadDependentOutput) {
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_thread_dep",
-                                    "--threads-cross-check", "1,4"}),
+                                    "--threads-cross-check", "1,4",
+                                    "--manifest", "m.json"}),
             1);
+  EXPECT_EQ(manifest_status("zz_repro_thread_dep"), "threads_mismatch");
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a",
                                     "--threads-cross-check", "1,4"}),
             0);
@@ -598,16 +549,15 @@ TEST_F(ReproDriverTest, ThrowingFigureDoesNotKillTheBatch) {
 }
 
 TEST_F(ReproDriverTest, MissingDeclaredArtifactFails) {
-  // zz_repro_selftest_a writes its artifact; delete the declaration
-  // mismatch case by running a figure whose artifact we remove between
-  // declaration and inventory is not constructible here — instead pin
-  // the inverse: a clean run inventories exactly the declared artifact.
-  ASSERT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a",
-                                    "--manifest", "m.json"}),
-            0);
-  const std::string m = read_file("m.json");
-  EXPECT_NE(m.find("\"file\": \"zz_selftest_a.csv\""), std::string::npos);
-  EXPECT_NE(m.find("\"status\": \"ok\""), std::string::npos);
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_no_artifact",
+                                    "zz_repro_selftest_a", "--manifest",
+                                    "m.json"}),
+            1);
+  EXPECT_EQ(manifest_status("zz_repro_no_artifact"), "missing_artifact");
+  // The clean figure beside it inventories exactly its declared artifact.
+  EXPECT_EQ(manifest_status("zz_repro_selftest_a"), "ok");
+  EXPECT_NE(read_file("m.json").find("\"file\": \"zz_selftest_a.csv\""),
+            std::string::npos);
 }
 
 // --- replicated figures and --trials -------------------------------------
@@ -715,6 +665,10 @@ TEST_F(ReproDriverTest, LintStaAndRunGatesReadEachModelTheSameWay) {
             1);
   EXPECT_NE(read_file("m.json").find("\"status\": \"sta_failed\""),
             std::string::npos);
+  EXPECT_EQ(emc::repro::driver_run(
+                {"run", "zz_lint_dirty", "--lint", "--manifest", "m.json"}),
+            1);
+  EXPECT_EQ(manifest_status("zz_lint_dirty"), "lint_failed");
 }
 
 TEST_F(ReproDriverTest, OnlyKeepsTheListedRules) {
