@@ -43,7 +43,6 @@ static int run_abl_8t(const emc::repro::RunContext& ctx) {
       "saves retention\npower and lowers the sensable Vdd floor (deeper "
       "voltage range for the same array).\n",
       reduction.front());
-  ctx.add_stats(wb.report().kernel_stats);
   return 0;
 }
 

@@ -49,7 +49,6 @@ static int run_abl_sectioning(const emc::repro::RunContext& ctx) {
       "fewer leaking\ncells per detector, so the cell current dominates "
       "down to lower Vdd — at the\nprice of one completion detector per "
       "section.\n");
-  ctx.add_stats(wb.report().kernel_stats);
   return 0;
 }
 

@@ -88,7 +88,6 @@ static int run_tab_sram_energy(const emc::repro::RunContext& ctx) {
       "discussion of the %.0f mV offset.\n",
       v_min, energy.energy_per_write(v_min) * 1e12,
       std::fabs(v_min - 0.4) * 1000.0);
-  ctx.add_stats(wb.report().kernel_stats);
   return 0;
 }
 

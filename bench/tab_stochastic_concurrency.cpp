@@ -57,7 +57,6 @@ static int run_tab_stochastic(const emc::repro::RunContext& ctx) {
       "allows (K <= 3 here),\nthen flattens — extra concurrency cannot be "
       "powered. The analytic chain and the\nevent simulation agree within "
       "sampling noise.\n");
-  ctx.add_stats(wb.report().kernel_stats);
   return 0;
 }
 

@@ -107,15 +107,12 @@ double P2Quantile::value() const {
   return q_[2];
 }
 
-StatsAccumulator::StatsAccumulator(std::size_t exact_threshold)
-    : exact_threshold_(exact_threshold) {}
-
 void StatsAccumulator::add(double x) {
   ++count_;
   welford_.add(x);
   if (!spilled_) {
     samples_.push_back(x);
-    if (samples_.size() > exact_threshold_) spill();
+    if (samples_.size() > kExactThreshold) spill();
     return;
   }
   q5_.add(x);

@@ -96,16 +96,12 @@ class YieldCounter {
 
 /// Hybrid exact/streaming distribution summary: mean, stddev, and the
 /// p5/p50/p95 quantiles Aggregate reports. Exact (legacy-identical)
-/// while count <= exact_threshold; O(1)-memory streaming after.
+/// while count <= kExactThreshold; O(1)-memory streaming after.
 class StatsAccumulator {
  public:
-  /// Default threshold: every existing figure's per-group trial count is
-  /// far below this, so current aggregate refs reduce through the exact
-  /// path unchanged.
-  static constexpr std::size_t kDefaultExactThreshold = 4096;
-
-  explicit StatsAccumulator(
-      std::size_t exact_threshold = kDefaultExactThreshold);
+  /// Every recorded figure's per-group trial count is far below this,
+  /// so the aggregate refs reduce through the exact path.
+  static constexpr std::size_t kExactThreshold = 4096;
 
   void add(double x);
 
@@ -125,7 +121,6 @@ class StatsAccumulator {
  private:
   void spill();
 
-  std::size_t exact_threshold_;
   std::uint64_t count_ = 0;
   bool spilled_ = false;
   std::vector<double> samples_;  // retained on the exact path only

@@ -53,18 +53,12 @@ Aggregate& Aggregate::precision(int digits) {
   return *this;
 }
 
-Aggregate& Aggregate::exact_threshold(std::size_t rows) {
-  exact_threshold_ = rows;
-  return *this;
-}
-
 Aggregate::Sink::Sink(const Aggregate& spec,
                       const std::vector<std::string>& headers)
     : group_by_(spec.group_by_),
       stats_cols_(spec.stats_cols_),
       yield_cols_(spec.yield_cols_),
-      precision_(spec.precision_),
-      exact_threshold_(spec.exact_threshold_) {
+      precision_(spec.precision_) {
   for (const auto& c : group_by_) key_idx_.push_back(column_index(headers, c));
   for (const auto& c : stats_cols_) {
     stat_idx_.push_back(column_index(headers, c));
@@ -76,8 +70,8 @@ Aggregate::Sink::Sink(const Aggregate& spec,
 
 void Aggregate::Sink::consume(const std::vector<std::string>& cells) {
   // Group lookup: joined key (cells never carry control characters, so
-  // the 0x1f join is injective) into a map of first-appearance indices —
-  // O(1) per row where the historical reduce() scanned linearly.
+  // the 0x1f join is injective) into a map of first-appearance indices,
+  // O(1) per row.
   std::string key;
   for (std::size_t k : key_idx_) {
     key += cells[k];
@@ -90,7 +84,7 @@ void Aggregate::Sink::consume(const std::vector<std::string>& cells) {
     groups_.emplace_back();
     g = &groups_.back();
     for (std::size_t k : key_idx_) g->key_cells.push_back(cells[k]);
-    g->stats.assign(stat_idx_.size(), StatsAccumulator(exact_threshold_));
+    g->stats.assign(stat_idx_.size(), StatsAccumulator());
     g->yields.assign(yield_idx_.size(), YieldCounter());
   } else {
     g = &groups_[it->second];
@@ -146,12 +140,6 @@ Table Aggregate::Sink::finish() const {
 
 Aggregate::Sink Aggregate::sink(const std::vector<std::string>& headers) const {
   return Sink(*this, headers);
-}
-
-Table Aggregate::reduce(const Table& in) const {
-  Sink s = sink(in.headers());
-  for (std::size_t r = 0; r < in.row_count(); ++r) s.consume(in.row(r));
-  return s.finish();
 }
 
 }  // namespace emc::analysis

@@ -9,18 +9,14 @@
 // deterministic output table — the aggregate CSV inherits the sweep's
 // byte-identical-at-any-thread-count contract.
 //
-// Two consumption modes over the same accumulators:
-//
-//   * streaming — `sink(headers)` binds the column schema once and
-//     returns a Sink that consumes rows as the sweep produces them
-//     (exp::Workbench::run_streaming feeds it from the worker callback).
-//     Memory is O(groups): per group a hybrid StatsAccumulator per
-//     stats column (exact sample retention up to exact_threshold(),
-//     then Welford + P² spill — see analysis/accumulator.hpp) plus a
-//     YieldCounter per yield column. A million-trial run never holds a
-//     million rows.
-//   * materialized — `reduce(Table)` stays as a thin wrapper: it opens a
-//     sink on the table's headers, feeds every row, and finishes.
+// Rows stream in: `sink(headers)` binds the column schema once and
+// returns a Sink that consumes rows as the sweep produces them
+// (exp::Workbench::run_streaming feeds it from the worker callback).
+// Memory is O(groups): per group a hybrid StatsAccumulator per stats
+// column (exact sample retention up to StatsAccumulator::kExactThreshold,
+// then Welford + P² spill — see analysis/accumulator.hpp) plus a
+// YieldCounter per yield column. A million-trial run never holds a
+// million rows.
 //
 //   auto agg = analysis::Aggregate({"vdd_V"})
 //                  .stats("ratio")
@@ -31,8 +27,8 @@
 //   // columns: vdd_V, trials, ratio_mean, ratio_stddev, ratio_p5,
 //   //          ratio_p50, ratio_p95, read_ok_yield
 //
-// Below exact_threshold() rows per group (default 4096 — far above
-// every recorded figure's trial count) the reduction is byte-identical
+// Up to kExactThreshold rows per group (4096 — far above every
+// recorded figure's trial count) the reduction is byte-identical
 // to the historical sort-based implementation, so existing aggregate
 // reference CSVs are unchanged. Cells that fail to parse as numbers
 // (the "-" placeholder) are skipped; a group whose value column has no
@@ -64,11 +60,6 @@ class Aggregate {
   /// Output precision for the reduced numeric cells (Table::num digits).
   Aggregate& precision(int digits);
 
-  /// Per-group row count up to which quantiles use the exact sort-based
-  /// path (byte-identical to the historical reduction); beyond it a
-  /// group's stats spill to O(1)-memory Welford + P² estimators.
-  Aggregate& exact_threshold(std::size_t rows);
-
   /// Streaming consumer bound to one input schema. Copies the spec, so
   /// it stays valid after the Aggregate it came from is gone.
   class Sink {
@@ -98,7 +89,6 @@ class Aggregate {
     std::vector<std::string> stats_cols_;
     std::vector<std::string> yield_cols_;
     int precision_;
-    std::size_t exact_threshold_;
     std::vector<std::size_t> key_idx_;
     std::vector<std::size_t> stat_idx_;
     std::vector<std::size_t> yield_idx_;
@@ -111,17 +101,11 @@ class Aggregate {
   /// Throws std::invalid_argument when a named column is missing.
   Sink sink(const std::vector<std::string>& headers) const;
 
-  /// Reduce `in` (one row per trial) to one row per group — a thin
-  /// wrapper over sink(): bind, feed every row, finish. Throws
-  /// std::invalid_argument when a named column is missing from `in`.
-  Table reduce(const Table& in) const;
-
  private:
   std::vector<std::string> group_by_;
   std::vector<std::string> stats_cols_;
   std::vector<std::string> yield_cols_;
   int precision_ = 4;
-  std::size_t exact_threshold_ = StatsAccumulator::kDefaultExactThreshold;
 };
 
 }  // namespace emc::analysis

@@ -55,25 +55,4 @@ double correlation(const std::vector<double>& x,
   return cov / std::sqrt(vx * vy);
 }
 
-LinearFit fit_linear(const std::vector<double>& x,
-                     const std::vector<double>& y) {
-  LinearFit f;
-  if (x.size() != y.size() || x.size() < 2) return f;
-  const auto n = static_cast<double>(x.size());
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  if (denom == 0.0) return f;
-  f.slope = (n * sxy - sx * sy) / denom;
-  f.intercept = (sy - f.slope * sx) / n;
-  const double r = correlation(x, y);
-  f.r_squared = r * r;
-  return f;
-}
-
 }  // namespace emc::analysis

@@ -32,13 +32,4 @@ double percentile(std::vector<double> samples, double p);
 /// Pearson correlation between two equal-length series.
 double correlation(const std::vector<double>& x, const std::vector<double>& y);
 
-/// Least-squares slope/intercept of y on x.
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r_squared = 0.0;
-};
-LinearFit fit_linear(const std::vector<double>& x,
-                     const std::vector<double>& y);
-
 }  // namespace emc::analysis

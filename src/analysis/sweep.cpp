@@ -5,27 +5,6 @@
 
 namespace emc::analysis {
 
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  std::vector<double> out;
-  if (n == 0) return out;
-  if (n == 1) {
-    out.push_back(lo);
-    return out;
-  }
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(lo + (hi - lo) * static_cast<double>(i) /
-                           static_cast<double>(n - 1));
-  }
-  return out;
-}
-
-std::vector<double> logspace(double lo, double hi, std::size_t n) {
-  auto lin = linspace(std::log(lo), std::log(hi), n);
-  for (auto& v : lin) v = std::exp(v);
-  return lin;
-}
-
 std::vector<double> vdd_grid() {
   std::vector<double> grid;
   for (double v = 0.15; v <= 1.101; v += 0.05) grid.push_back(v);

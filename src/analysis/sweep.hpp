@@ -1,15 +1,9 @@
-// Parameter-sweep helpers for the figure benches.
+// The Vdd sweep grid of the figure benches.
 #pragma once
 
 #include <vector>
 
 namespace emc::analysis {
-
-/// `n` points linearly spaced over [lo, hi] inclusive.
-std::vector<double> linspace(double lo, double hi, std::size_t n);
-
-/// `n` points log-spaced over [lo, hi] inclusive (lo, hi > 0).
-std::vector<double> logspace(double lo, double hi, std::size_t n);
 
 /// The Vdd grid used throughout the experiments: the paper's operating
 /// range 0.15-1.1 V at 50 mV steps plus the anchor points (0.19, 0.4,

@@ -2,42 +2,6 @@
 
 namespace emc::async {
 
-const char* to_string(RailState s) {
-  switch (s) {
-    case RailState::kNull:
-      return "NULL";
-    case RailState::kValid0:
-      return "0";
-    case RailState::kValid1:
-      return "1";
-    case RailState::kIllegal:
-      return "ILLEGAL";
-  }
-  return "?";
-}
-
-bool DualRailWord::all_valid() const {
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    const RailState s = bit_state(i);
-    if (s != RailState::kValid0 && s != RailState::kValid1) return false;
-  }
-  return true;
-}
-
-bool DualRailWord::all_null() const {
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    if (bit_state(i) != RailState::kNull) return false;
-  }
-  return true;
-}
-
-bool DualRailWord::any_illegal() const {
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    if (bit_state(i) == RailState::kIllegal) return true;
-  }
-  return false;
-}
-
 std::optional<std::uint64_t> DualRailWord::value() const {
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < bits_.size(); ++i) {
@@ -52,21 +16,6 @@ std::optional<std::uint64_t> DualRailWord::value() const {
     }
   }
   return v;
-}
-
-void DualRailWord::force_value(std::uint64_t v) {
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    const bool one = ((v >> i) & 1u) != 0;
-    bits_[i].t->set(one);
-    bits_[i].f->set(!one);
-  }
-}
-
-void DualRailWord::force_null() {
-  for (auto& b : bits_) {
-    b.t->set(false);
-    b.f->set(false);
-  }
 }
 
 }  // namespace emc::async

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "gates/completion.hpp"
@@ -18,8 +17,6 @@
 namespace emc::async {
 
 enum class RailState : std::uint8_t { kNull, kValid0, kValid1, kIllegal };
-
-const char* to_string(RailState s);
 
 inline RailState rail_state(bool t, bool f) {
   if (t && f) return RailState::kIllegal;
@@ -42,16 +39,8 @@ class DualRailWord {
     return rail_state(bits_[i].t->read(), bits_[i].f->read());
   }
 
-  bool all_valid() const;
-  bool all_null() const;
-  bool any_illegal() const;
-
   /// Decoded value when all bits are valid; nullopt otherwise.
   std::optional<std::uint64_t> value() const;
-
-  /// Drive the word to a value / to NULL (test stimulus; bypasses gates).
-  void force_value(std::uint64_t v);
-  void force_null();
 
  private:
   std::vector<gates::DualRailWire> bits_;

@@ -2,25 +2,15 @@
 
 namespace emc::exp {
 
-Experiment ContextConfig::build(sim::Kernel& kernel) const {
-  return Experiment(nullptr, kernel, *this);
-}
+Experiment ContextConfig::build() const { return Experiment(*this); }
 
-Experiment ContextConfig::build() const {
-  auto owned = std::make_unique<sim::Kernel>();
-  sim::Kernel& k = *owned;
-  return Experiment(std::move(owned), k, *this);
-}
-
-Experiment::Experiment(std::unique_ptr<sim::Kernel> owned, sim::Kernel& kernel,
-                       const ContextConfig& cfg)
-    : owned_kernel_(std::move(owned)),
-      kernel_(&kernel),
+Experiment::Experiment(const ContextConfig& cfg)
+    : kernel_(std::make_unique<sim::Kernel>()),
       model_(std::make_unique<device::DelayModel>(cfg.tech_config())),
-      built_(cfg.supply_config().build(kernel, cfg.trial_seed_value())),
+      built_(cfg.supply_config().build(*kernel_, cfg.trial_seed_value())),
       sampler_(cfg.variation_config(), cfg.trial_seed_value()) {
   if (cfg.meter_enabled()) {
-    meter_ = std::make_unique<gates::EnergyMeter>(kernel, cfg.tech_config(),
+    meter_ = std::make_unique<gates::EnergyMeter>(*kernel_, cfg.tech_config(),
                                                   &built_.supply());
   }
   ctx_ = std::make_unique<gates::Context>(

@@ -5,10 +5,10 @@
 // ContextConfig makes that assembly *data*: a copyable descriptor of the
 // technology, the supply (a SupplyConfig), the delay-model choice and
 // whether energy is metered. `Experiment` is the elaborated result — it
-// owns the whole stack (optionally including the Kernel) with stable
-// addresses and hands out the gates::Context circuits want.
+// owns the whole stack, Kernel included, with stable addresses and
+// hands out the gates::Context circuits want.
 //
-//   auto ex = exp::ContextConfig::battery(0.8).build();   // own kernel
+//   auto ex = exp::ContextConfig::battery(0.8).build();
 //   async::MullerRing ring(ex.ctx(), "ring", 6, 2);
 //   ex.kernel().run_until(sim::ms(5));
 #pragma once
@@ -87,8 +87,6 @@ class ContextConfig {
   const device::Variation& variation_config() const { return variation_; }
   std::uint64_t trial_seed_value() const { return trial_seed_; }
 
-  /// Elaborate onto an external kernel (the bench owns the clock).
-  Experiment build(sim::Kernel& kernel) const;
   /// Elaborate with a fresh kernel owned by the Experiment — the
   /// one-kernel-per-scenario pattern every sweep body uses.
   Experiment build() const;
@@ -101,7 +99,7 @@ class ContextConfig {
   std::uint64_t trial_seed_ = 0;
 };
 
-/// A live experiment stack: kernel (owned or borrowed), delay model,
+/// A live experiment stack: its own kernel, delay model,
 /// supply chain, optional energy meter, and the gates::Context that ties
 /// them together. Movable; all addresses handed out are stable. One
 /// Experiment serves one scenario: sweep bodies build a fresh one each
@@ -116,7 +114,6 @@ class Experiment {
 
   /// Typed accessors into the supply chain (null when absent).
   supply::StorageCap* store() { return built_.store(); }
-  supply::SampleCap* sample() { return built_.sample(); }
   supply::AcSupply* ac() { return built_.ac(); }
   supply::Harvester* harvester() { return built_.harvester(); }
   supply::MpptController* mppt() { return built_.mppt(); }
@@ -133,11 +130,9 @@ class Experiment {
 
  private:
   friend class ContextConfig;
-  Experiment(std::unique_ptr<sim::Kernel> owned, sim::Kernel& kernel,
-             const ContextConfig& cfg);
+  explicit Experiment(const ContextConfig& cfg);
 
-  std::unique_ptr<sim::Kernel> owned_kernel_;  // null when borrowed
-  sim::Kernel* kernel_;
+  std::unique_ptr<sim::Kernel> kernel_;
   std::unique_ptr<device::DelayModel> model_;
   BuiltSupply built_;
   std::unique_ptr<gates::EnergyMeter> meter_;

@@ -14,8 +14,6 @@ const char* type_name(const ParamSet::Value& v) {
       return "double";
     case 1:
       return "int";
-    case 2:
-      return "bool";
     default:
       return "string";
   }
@@ -28,16 +26,6 @@ const char* type_name(const ParamSet::Value& v) {
 }
 
 }  // namespace
-
-ParamSet& ParamSet::set(const std::string& name, std::uint64_t v) {
-  if (v > static_cast<std::uint64_t>(
-              std::numeric_limits<std::int64_t>::max())) {
-    throw ParamError("ParamSet: parameter \"" + name +
-                     "\" exceeds the integer range (" + std::to_string(v) +
-                     ")");
-  }
-  return put(name, static_cast<std::int64_t>(v));
-}
 
 ParamSet& ParamSet::put(const std::string& name, Value v) {
   for (auto& e : entries_) {
@@ -71,32 +59,23 @@ const ParamSet::Value& ParamSet::find_or_throw(const std::string& name) const {
   return *v;
 }
 
-std::vector<std::string> ParamSet::keys() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.first);
-  return out;
-}
-
-std::string ParamSet::to_display(const Value& v) {
-  switch (v.index()) {
-    case 0:
-      return analysis::Table::num(std::get<double>(v));
-    case 1:
-      return std::to_string(std::get<std::int64_t>(v));
-    case 2:
-      return std::get<bool>(v) ? "true" : "false";
-    default:
-      return std::get<std::string>(v);
-  }
-}
-
 std::string ParamSet::label() const {
   if (!label_.empty()) return label_;
   std::string out;
   for (const auto& e : entries_) {
     if (!out.empty()) out += ' ';
-    out += e.first + "=" + to_display(e.second);
+    out += e.first + "=";
+    switch (e.second.index()) {
+      case 0:
+        out += analysis::Table::num(std::get<double>(e.second));
+        break;
+      case 1:
+        out += std::to_string(std::get<std::int64_t>(e.second));
+        break;
+      default:
+        out += std::get<std::string>(e.second);
+        break;
+    }
   }
   return out;
 }
@@ -139,12 +118,6 @@ std::uint64_t ParamSet::as<std::uint64_t>(const std::string& name,
                      "\" is negative, requested unsigned");
   }
   return static_cast<std::uint64_t>(i);
-}
-
-template <>
-bool ParamSet::as<bool>(const std::string& name, const Value& v) {
-  if (std::holds_alternative<bool>(v)) return std::get<bool>(v);
-  throw_type(name, v, "bool");
 }
 
 template <>

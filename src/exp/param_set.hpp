@@ -31,7 +31,7 @@ class ParamError : public std::runtime_error {
 
 class ParamSet {
  public:
-  using Value = std::variant<double, std::int64_t, bool, std::string>;
+  using Value = std::variant<double, std::int64_t, std::string>;
 
   ParamSet() = default;
 
@@ -47,10 +47,9 @@ class ParamSet {
   ParamSet& set(const std::string& name, unsigned v) {
     return put(name, static_cast<std::int64_t>(v));
   }
-  /// Unsigned values beyond int64 range are refused (ParamError) rather
-  /// than silently wrapping negative.
-  ParamSet& set(const std::string& name, std::uint64_t v);
-  ParamSet& set(const std::string& name, bool v) { return put(name, v); }
+  /// There are no bool parameters; without this a bool would promote
+  /// silently to the int overload.
+  ParamSet& set(const std::string& name, bool v) = delete;
   ParamSet& set(const std::string& name, std::string v) {
     return put(name, Value(std::move(v)));
   }
@@ -60,7 +59,7 @@ class ParamSet {
 
   /// Checked typed access; throws ParamError on unknown key or type
   /// mismatch. Supported T: double, std::int64_t, int, std::uint64_t,
-  /// bool, std::string.
+  /// std::string.
   template <typename T>
   T get(const std::string& name) const {
     return as<T>(name, find_or_throw(name));
@@ -76,22 +75,16 @@ class ParamSet {
 
   bool has(const std::string& name) const { return find(name) != nullptr; }
 
-  /// Parameter names in insertion order.
-  std::vector<std::string> keys() const;
-
   std::size_t size() const { return entries_.size(); }
 
   /// Reporting label: the explicit label if one was set, otherwise
-  /// "name=value" pairs in insertion order ("vdd=0.25 seed=11").
+  /// "name=value" pairs in insertion order ("vdd=0.25 seed=11"), doubles
+  /// rendered by Table::num.
   std::string label() const;
   ParamSet& set_label(std::string label) {
     label_ = std::move(label);
     return *this;
   }
-
-  /// Render one value the way labels do: Table::num for doubles,
-  /// to_string for integers.
-  static std::string to_display(const Value& v);
 
  private:
   ParamSet& put(const std::string& name, Value v);
@@ -115,8 +108,6 @@ int ParamSet::as<int>(const std::string& name, const Value& v);
 template <>
 std::uint64_t ParamSet::as<std::uint64_t>(const std::string& name,
                                           const Value& v);
-template <>
-bool ParamSet::as<bool>(const std::string& name, const Value& v);
 template <>
 std::string ParamSet::as<std::string>(const std::string& name, const Value& v);
 

@@ -19,11 +19,9 @@ bool fault_smoke_forced() {
 }
 
 void require_cap(const SupplyConfig& c, const char* variant) {
-  if (c.kind() != SupplyConfig::Kind::kStorageCap &&
-      c.kind() != SupplyConfig::Kind::kSampleCap) {
+  if (c.kind() != SupplyConfig::Kind::kStorageCap) {
     throw ConfigError(std::string("SupplyConfig::") + variant +
-                      ": the nested config must be a storage_cap or "
-                      "sample_cap");
+                      ": the nested config must be a storage_cap");
   }
 }
 
@@ -56,14 +54,6 @@ SupplyConfig SupplyConfig::storage_cap(double capacitance_f,
   c.name_ = "cap";
   c.cap_f_ = capacitance_f;
   c.cap_v0_ = initial_volts;
-  return c;
-}
-
-SupplyConfig SupplyConfig::sample_cap(double capacitance_f,
-                                      double sampled_volts) {
-  SupplyConfig c = storage_cap(capacitance_f, sampled_volts);
-  c.kind_ = Kind::kSampleCap;
-  c.name_ = "sample";
   return c;
 }
 
@@ -137,16 +127,6 @@ BuiltSupply SupplyConfig::build(sim::Kernel& kernel,
       auto s = std::make_unique<supply::StorageCap>(kernel, name_, cap_f_,
                                                     cap_v0_);
       apply_cap_modifiers(*s);
-      b.store_ = s.get();
-      b.load_rail_ = s.get();
-      b.primary_ = std::move(s);
-      break;
-    }
-    case Kind::kSampleCap: {
-      auto s = std::make_unique<supply::SampleCap>(kernel, name_, cap_f_,
-                                                   cap_v0_);
-      apply_cap_modifiers(*s);
-      b.sample_ = s.get();
       b.store_ = s.get();
       b.load_rail_ = s.get();
       b.primary_ = std::move(s);

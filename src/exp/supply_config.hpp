@@ -1,8 +1,8 @@
 // Declarative supply descriptors.
 //
 // A SupplyConfig is a copyable *description* of a power source — which
-// variant (battery / AC / storage cap / sample cap / piecewise ramp /
-// harvested store), and its numbers. Nothing is simulated until
+// variant (battery / AC / storage cap / piecewise ramp / harvested
+// store), and its numbers. Nothing is simulated until
 // `build(Kernel&)` elaborates the description into live supply objects,
 // so a scenario's power regime is plain data: it can sit in a table, be
 // swept over, printed, or compared — no per-bench factory lambdas
@@ -47,7 +47,6 @@ class SupplyConfig {
     kBattery,
     kAc,
     kStorageCap,
-    kSampleCap,
     kPiecewise,
     kHarvested,
   };
@@ -65,9 +64,6 @@ class SupplyConfig {
   /// Storage capacitor of `capacitance` [F] pre-charged to
   /// `initial_volts` — computation runs until the charge runs out.
   static SupplyConfig storage_cap(double capacitance_f, double initial_volts);
-
-  /// The C2D converter's sampling capacitor (same physics, sampled name).
-  static SupplyConfig sample_cap(double capacitance_f, double sampled_volts);
 
   /// Piecewise-linear voltage profile over (time, volts) breakpoints.
   static SupplyConfig piecewise(
@@ -144,7 +140,7 @@ class SupplyConfig {
   double ac_amplitude_ = 0.0;
   double ac_frequency_ = 1e6;
   bool ac_rectified_ = false;
-  // kStorageCap / kSampleCap (also the store cap of kHarvested)
+  // kStorageCap (also the store cap of kHarvested)
   double cap_f_ = 0.0;
   double cap_v0_ = 0.0;
   double cap_wake_threshold_ = -1.0;  ///< <0 = leave class default
@@ -175,7 +171,6 @@ class BuiltSupply {
   /// Typed accessors into the chain; null when the variant has no such
   /// stage.
   supply::StorageCap* store() { return store_; }
-  supply::SampleCap* sample() { return sample_; }
   supply::AcSupply* ac() { return ac_; }
   supply::Harvester* harvester() { return harvester_.get(); }
   supply::MpptController* mppt() { return mppt_.get(); }
@@ -199,7 +194,6 @@ class BuiltSupply {
   std::unique_ptr<fault::FaultableSupply> fault_;
   supply::Supply* load_rail_ = nullptr;
   supply::StorageCap* store_ = nullptr;
-  supply::SampleCap* sample_ = nullptr;
   supply::AcSupply* ac_ = nullptr;
 };
 

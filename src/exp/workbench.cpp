@@ -56,15 +56,10 @@ std::vector<std::string> Grid::axis_names() const {
   return out;
 }
 
-Grid& Grid::add(ParamSet point) {
-  extra_.push_back(std::move(point));
-  return *this;
-}
-
 std::size_t Grid::size() const {
   std::size_t n = axes_.empty() ? 0 : 1;
   for (const auto& a : axes_) n *= a.values.size();
-  return n + extra_.size();
+  return n;
 }
 
 std::vector<ParamSet> Grid::build() const {
@@ -92,9 +87,6 @@ std::vector<ParamSet> Grid::build() const {
           case 1:
             p.set(axis.name, std::get<std::int64_t>(v));
             break;
-          case 2:
-            p.set(axis.name, std::get<bool>(v));
-            break;
           default:
             p.set(axis.name, std::get<std::string>(v));
             break;
@@ -116,7 +108,6 @@ std::vector<ParamSet> Grid::build() const {
       if (done) break;
     }
   }
-  for (const auto& p : extra_) out.push_back(p);
   return out;
 }
 

@@ -44,8 +44,8 @@ class SchemaError : public std::runtime_error {
 /// Cartesian scenario-grid builder. Axes are added with over(); build()
 /// emits one ParamSet per grid point with the first axis varying slowest
 /// — deterministic, so scenario indices are stable across runs and
-/// thread counts. Explicit (non-cartesian) points can be appended with
-/// add(); they follow the cartesian block in insertion order.
+/// thread counts. Non-cartesian scenario lists go through
+/// Workbench::scenarios() instead.
 class Grid {
  public:
   Grid& over(const std::string& name, std::vector<double> values);
@@ -61,9 +61,6 @@ class Grid {
     return over(name, std::vector<int>(values));
   }
 
-  /// Append one explicit scenario (after any cartesian block).
-  Grid& add(ParamSet point);
-
   /// Number of scenarios build() will emit.
   std::size_t size() const;
 
@@ -78,7 +75,6 @@ class Grid {
     std::vector<ParamSet::Value> values;
   };
   std::vector<Axis> axes_;
-  std::vector<ParamSet> extra_;
 };
 
 class Workbench;

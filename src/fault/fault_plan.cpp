@@ -33,14 +33,6 @@ FaultPlan& FaultPlan::brownouts(double rate_hz, double mean_duration_s,
   return *this;
 }
 
-FaultPlan& FaultPlan::brownout_window(sim::Time start, sim::Time duration,
-                                      double residual_scale) {
-  FaultSpec& s = push(FaultKind::kSupplyBrownout);
-  s.windows.push_back(Window{start, duration});
-  s.scale = residual_scale;
-  return *this;
-}
-
 FaultPlan& FaultPlan::harvester_blackouts(double rate_hz,
                                           double mean_duration_s) {
   FaultSpec& s = push(FaultKind::kHarvesterBlackout);
@@ -57,16 +49,9 @@ FaultPlan& FaultPlan::handshake_stalls(double rate_hz,
   return *this;
 }
 
-FaultPlan& FaultPlan::handshake_stall_window(sim::Time start,
-                                             sim::Time duration) {
-  FaultSpec& s = push(FaultKind::kHandshakeStall);
-  s.windows.push_back(Window{start, duration});
-  return *this;
-}
-
 std::vector<Window> FaultPlan::windows_for(const FaultSpec& spec) const {
-  std::vector<Window> ws = spec.windows;
-  if (!ws.empty() || spec.rate_hz <= 0.0 || horizon_ == 0) return ws;
+  std::vector<Window> ws;
+  if (spec.rate_hz <= 0.0 || horizon_ == 0) return ws;
   sim::Rng rng = sim::Rng::keyed(seed_, spec.stream * 2);
   const double mean_gap_s = 1.0 / spec.rate_hz;
   sim::Time t = 0;
@@ -90,14 +75,14 @@ std::vector<Window> FaultPlan::windows_for(const FaultSpec& spec) const {
 FaultReport FaultPlan::elaborate(sim::Kernel& kernel,
                                  const Targets& targets) const {
   FaultReport rep;
-  // Schedule a begin/end pair for one window; permanent windows
-  // (duration kTimeMax, or an end beyond the time axis) get no end.
+  // Schedule a begin/end pair for one window; a permanent window (an
+  // end beyond the time axis) gets no end.
   const auto schedule_window = [&](const Window& w, sim::Action begin,
                                    sim::Action end) {
     kernel.schedule_at(w.start, std::move(begin));
     ++rep.scheduled_events;
     const sim::Time end_t = sat_add(w.start, w.duration);
-    if (w.duration != sim::kTimeMax && end_t != sim::kTimeMax) {
+    if (end_t != sim::kTimeMax) {
       kernel.schedule_at(end_t, std::move(end));
       ++rep.scheduled_events;
     }

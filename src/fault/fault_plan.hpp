@@ -44,26 +44,24 @@ enum class FaultKind : std::uint8_t {
   kHandshakeStall,    ///< one sink stops acking for the window
 };
 
-/// One fault window [start, start + duration). duration == kTimeMax
-/// marks a permanent fault: no end event is scheduled.
+/// One fault window [start, start + duration). A window whose end
+/// falls beyond the time axis is permanent: no end event is scheduled.
 struct Window {
   sim::Time start = 0;
   sim::Time duration = 0;
 };
 
-/// One fault process: a kind, its stochastic window parameters (or an
-/// explicit window list), and the brownout payload.
+/// One fault process: a kind, its stochastic window parameters, and the
+/// brownout payload.
 struct FaultSpec {
   FaultKind kind = FaultKind::kSupplyBrownout;
   std::uint64_t stream = 0;  ///< RNG stream id (= insertion ordinal)
 
   // Stochastic generation over [0, horizon): exponential inter-arrival
   // at `rate_hz` mean arrivals per simulated second, exponential
-  // durations of mean `mean_duration_s`. Ignored when `windows` is
-  // non-empty.
+  // durations of mean `mean_duration_s`.
   double rate_hz = 0.0;
   double mean_duration_s = 0.0;
-  std::vector<Window> windows;  ///< explicit windows (used verbatim)
 
   double scale = 0.0;  ///< kSupplyBrownout: residual rail fraction
 };
@@ -91,25 +89,16 @@ class FaultPlan {
   FaultPlan& dropouts(double rate_hz, double mean_duration_s) {
     return brownouts(rate_hz, mean_duration_s, 0.0);
   }
-  /// One explicit brownout window (deterministic tests/scenarios).
-  FaultPlan& brownout_window(sim::Time start, sim::Time duration,
-                             double residual_scale);
-  FaultPlan& dropout_window(sim::Time start, sim::Time duration) {
-    return brownout_window(start, duration, 0.0);
-  }
 
   FaultPlan& harvester_blackouts(double rate_hz, double mean_duration_s);
   FaultPlan& handshake_stalls(double rate_hz, double mean_duration_s);
-  /// One explicit stall window (duration kTimeMax = permanent — the
-  /// deliberate-deadlock scenario the watchdog tests use).
-  FaultPlan& handshake_stall_window(sim::Time start, sim::Time duration);
 
   std::uint64_t seed() const { return seed_; }
   sim::Time horizon() const { return horizon_; }
   const std::vector<FaultSpec>& specs() const { return specs_; }
 
-  /// The windows a spec elaborates to — explicit windows first, then the
-  /// keyed stochastic draw. Pure in (seed(), spec.stream): repeated
+  /// The windows a spec elaborates to: the keyed stochastic draw. Pure
+  /// in (seed(), spec.stream): repeated
   /// calls, other specs, other plans with the same seed and ordinal all
   /// agree. Exposed for tests and for "same environment on two kernels".
   std::vector<Window> windows_for(const FaultSpec& spec) const;

@@ -18,41 +18,18 @@ CElement::CElement(Context& ctx, std::string name,
                    double vth_offset)
     : Gate(ctx, std::move(name), out, kDelayStages, cap_for(inputs.size()),
            vth_offset, leak_for(inputs.size())),
-      both_(std::move(inputs)) {
-  assert(!both_.empty());
-  for (auto* w : both_) listen(*w);
-}
-
-CElement::CElement(Context& ctx, std::string name,
-                   std::vector<sim::Wire*> both, std::vector<sim::Wire*> plus,
-                   std::vector<sim::Wire*> minus, sim::Wire& out,
-                   double vth_offset)
-    : Gate(ctx, std::move(name), out, kDelayStages,
-           cap_for(both.size() + plus.size() + minus.size()), vth_offset,
-           leak_for(both.size() + plus.size() + minus.size())),
-      both_(std::move(both)),
-      plus_(std::move(plus)),
-      minus_(std::move(minus)) {
-  assert(!(both_.empty() && plus_.empty() && minus_.empty()));
-  for (auto* w : both_) listen(*w);
-  for (auto* w : plus_) listen(*w);
-  for (auto* w : minus_) listen(*w);
+      inputs_(std::move(inputs)) {
+  assert(!inputs_.empty());
+  for (auto* w : inputs_) listen(*w);
 }
 
 bool CElement::evaluate(bool current) const {
-  auto all = [](const std::vector<sim::Wire*>& ws, bool v) {
-    for (auto* w : ws)
-      if (w->read() != v) return false;
-    return true;
-  };
-  if (!current) {
-    // Rising condition: all "both" and all "plus" inputs high.
-    if (all(both_, true) && all(plus_, true)) return true;
-    return false;
+  // Switch only when every input disagrees with the held output: rise
+  // on all ones, fall on all zeros.
+  for (auto* w : inputs_) {
+    if (w->read() == current) return current;
   }
-  // Falling condition: all "both" and all "minus" inputs low.
-  if (all(both_, false) && all(minus_, false)) return false;
-  return true;
+  return !current;
 }
 
 }  // namespace emc::gates

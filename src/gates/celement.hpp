@@ -3,9 +3,7 @@
 //
 // Output rises when *all* inputs are 1, falls when *all* are 0, and holds
 // otherwise. Completion detection, handshake joins and the SI SRAM
-// controller are built from these. The asymmetric variant has "plus"
-// inputs that only participate in the rising condition and "minus" inputs
-// that only participate in the falling one (standard Petrify notation).
+// controller are built from these.
 #pragma once
 
 #include <vector>
@@ -17,12 +15,6 @@ namespace emc::gates {
 class CElement final : public Gate {
  public:
   CElement(Context& ctx, std::string name, std::vector<sim::Wire*> inputs,
-           sim::Wire& out, double vth_offset = 0.0);
-
-  /// Asymmetric form: `both` inputs gate both edges, `plus` only the
-  /// rising edge, `minus` only the falling edge.
-  CElement(Context& ctx, std::string name, std::vector<sim::Wire*> both,
-           std::vector<sim::Wire*> plus, std::vector<sim::Wire*> minus,
            sim::Wire& out, double vth_offset = 0.0);
 
   /// Timing-arc factors, matching what the constructor charges: a
@@ -39,9 +31,7 @@ class CElement final : public Gate {
   bool evaluate(bool current) const override;
 
  private:
-  std::vector<sim::Wire*> both_;
-  std::vector<sim::Wire*> plus_;
-  std::vector<sim::Wire*> minus_;
+  std::vector<sim::Wire*> inputs_;
 };
 
 }  // namespace emc::gates

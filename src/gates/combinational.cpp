@@ -4,30 +4,6 @@
 
 namespace emc::gates {
 
-const char* to_string(Op op) {
-  switch (op) {
-    case Op::kBuf:
-      return "BUF";
-    case Op::kInv:
-      return "INV";
-    case Op::kAnd:
-      return "AND";
-    case Op::kNand:
-      return "NAND";
-    case Op::kOr:
-      return "OR";
-    case Op::kNor:
-      return "NOR";
-    case Op::kXor:
-      return "XOR";
-    case Op::kXnor:
-      return "XNOR";
-    case Op::kMaj3:
-      return "MAJ3";
-  }
-  return "?";
-}
-
 CellFactors factors_for(Op op, std::size_t fanin) {
   // Inverter-relative logical effort-style factors: series stacks slow a
   // gate roughly linearly in fanin; XOR costs ~two stages.

@@ -26,8 +26,6 @@ enum class Op {
   kMaj3,  // majority-of-3 (carry logic)
 };
 
-const char* to_string(Op op);
-
 /// Relative delay / capacitance factors per op (reference inverter = 1).
 struct CellFactors {
   double delay;

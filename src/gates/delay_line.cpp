@@ -70,12 +70,4 @@ void DelayLine::describe_into(netlist::Circuit& c) const {
   }
 }
 
-std::size_t DelayLine::flipped_taps() const {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < taps_.size(); ++i) {
-    if (taps_[i]->read() != baseline_[i]) ++n;
-  }
-  return n;
-}
-
 }  // namespace emc::gates

@@ -51,10 +51,6 @@ class DelayLine {
   /// yields k.
   std::size_t thermometer_code() const;
 
-  /// Total flipped taps anywhere (diagnostic; equals the thermometer
-  /// code when the wavefront is clean).
-  std::size_t flipped_taps() const;
-
   /// Record this chain's structure (stage gates, tap wires, edges) into
   /// `c`'s connectivity inventory so the static linter and timing
   /// analyzer see through the composite instead of a blank spot.

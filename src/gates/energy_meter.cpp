@@ -56,15 +56,4 @@ std::map<std::string, double> EnergyMeter::energy_by_prefix(
   return out;
 }
 
-void EnergyMeter::reset() {
-  for (auto& e : gates_) {
-    e.transitions = 0;
-    e.dynamic_j = 0.0;
-  }
-  total_transitions_ = 0;
-  dynamic_j_ = 0.0;
-  leakage_j_ = 0.0;
-  last_leak_integration_ = kernel_->now();
-}
-
 }  // namespace emc::gates

@@ -54,9 +54,6 @@ class EnergyMeter {
   /// hierarchical name ("sram.ctl.c1" at depth 2 -> "sram.ctl").
   std::map<std::string, double> energy_by_prefix(std::size_t depth) const;
 
-  /// Zero all counters (keep registrations); used between sweep points.
-  void reset();
-
  private:
   struct Entry {
     std::string name;

@@ -403,20 +403,25 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   }
 
   // Determinism cross-check: re-run at each further thread count and
-  // demand byte-identical artifacts. The first run's bytes are kept only
-  // here, for the diff a divergence prints.
+  // demand artifacts with the first run's digests. The first run's files
+  // are set aside on disk (renamed next to themselves, so names stay
+  // disjoint under --jobs), read back only for the diff a divergence
+  // prints, and put back at the end: the files left are the ones the
+  // manifest's digests describe, and no aside copy remains.
   if (threads.size() < 2) return r;
-  std::vector<std::string> first(fig.artifacts.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    read_file(fig.artifacts[i], &first[i]);
+  std::vector<std::string> aside(fig.artifacts.size());
+  for (std::size_t i = 0; i < aside.size(); ++i) {
+    aside[i] = fig.artifacts[i] + ".threads-cross-check";
+    std::error_code ec;
+    std::filesystem::rename(fig.artifacts[i], aside[i], ec);
   }
   for (std::size_t t = 1; t < threads.size(); ++t) {
     const std::string at = "threads=" + std::to_string(threads[t]);
     if (!run_body(fig, make_context(opt, r.seed, threads[t]),
                   "re-run at " + at, r)) {
-      return r;
+      break;
     }
-    for (std::size_t i = 0; i < first.size(); ++i) {
+    for (std::size_t i = 0; i < aside.size(); ++i) {
       const std::string& file = fig.artifacts[i];
       const std::string digest = sha256_file_hex(file);
       if (digest.empty()) {
@@ -425,14 +430,20 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
         continue;
       }
       if (digest == r.artifacts[i].sha256) continue;
+      std::string first;
       std::string again;
+      read_file(aside[i], &first);
       read_file(file, &again);
       const std::string at0 = "threads=" + std::to_string(threads.front());
       r.verdicts.push_back(
           {"threads_mismatch", Outcome::kFail,
            "    " + file + " differs between " + at0 + " and " + at + ":\n" +
-               diff_summary(at0, first[i], at, again)});
+               diff_summary(at0, first, at, again)});
     }
+  }
+  for (std::size_t i = 0; i < aside.size(); ++i) {
+    std::error_code ec;
+    std::filesystem::rename(aside[i], fig.artifacts[i], ec);
   }
   return r;
 }

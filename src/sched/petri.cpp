@@ -26,10 +26,6 @@ EnergyPetriNet::TransitionId EnergyPetriNet::add_transition(
   return transitions_.size() - 1;
 }
 
-void EnergyPetriNet::set_marking(PlaceId p, std::uint64_t tokens) {
-  places_[p].tokens = tokens;
-}
-
 void EnergyPetriNet::add_energy(std::uint64_t tokens) {
   places_[energy_place_].tokens += tokens;
 }

@@ -38,7 +38,6 @@ class EnergyPetriNet {
                               sim::Time duration = sim::us(1));
 
   std::uint64_t marking(PlaceId p) const { return places_[p].tokens; }
-  void set_marking(PlaceId p, std::uint64_t tokens);
   void add_energy(std::uint64_t tokens);
 
   /// A transition is enabled when every input place is marked and the

@@ -21,22 +21,4 @@ std::vector<Task> TaskGenerator::poisson(sim::Time horizon) {
   return out;
 }
 
-std::vector<Task> TaskGenerator::periodic(sim::Time horizon) {
-  std::vector<Task> out;
-  double t_s = 0.0;
-  const double horizon_s = sim::to_seconds(horizon);
-  while (t_s < horizon_s) {
-    Task task;
-    task.id = next_id_++;
-    task.work_ops = work_ops_;
-    task.release = sim::from_seconds(t_s);
-    task.deadline = rel_deadline_s_ > 0.0
-                        ? sim::from_seconds(t_s + rel_deadline_s_)
-                        : sim::kTimeMax;
-    out.push_back(task);
-    t_s += mean_ia_s_;
-  }
-  return out;
-}
-
 }  // namespace emc::sched

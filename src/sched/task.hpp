@@ -34,7 +34,7 @@ struct Task {
   }
 };
 
-/// Poisson/periodic task sources for the scheduling benches.
+/// Poisson task source for the scheduling benches.
 class TaskGenerator {
  public:
   TaskGenerator(double mean_interarrival_s, double work_ops,
@@ -46,7 +46,6 @@ class TaskGenerator {
 
   /// Produce arrivals over [0, horizon).
   std::vector<Task> poisson(sim::Time horizon);
-  std::vector<Task> periodic(sim::Time horizon);
 
  private:
   double mean_ia_s_;

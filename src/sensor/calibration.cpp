@@ -31,29 +31,6 @@ double CalibrationTable::lookup(double code) const {
   return v0 + f * (v1 - v0);
 }
 
-bool CalibrationTable::monotone() const {
-  if (points_.size() < 2) return true;
-  sort_by_code();
-  // Collapse duplicate codes first: a flat quantization step (two
-  // voltages sharing one code) is not a monotonicity violation, it is
-  // the sensor's resolution limit; the inverse uses the mean voltage.
-  std::vector<std::pair<double, double>> merged;
-  for (const auto& [c, v] : points_) {
-    if (!merged.empty() && merged.back().first == c) {
-      merged.back().second = 0.5 * (merged.back().second + v);
-    } else {
-      merged.emplace_back(c, v);
-    }
-  }
-  bool increasing = true;
-  bool decreasing = true;
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    if (merged[i].second < merged[i - 1].second) increasing = false;
-    if (merged[i].second > merged[i - 1].second) decreasing = false;
-  }
-  return increasing || decreasing;
-}
-
 AccuracyReport evaluate_accuracy(
     const CalibrationTable& table,
     const std::vector<std::pair<double, double>>& verification) {

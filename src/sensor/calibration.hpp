@@ -26,10 +26,6 @@ class CalibrationTable {
   /// increasing and decreasing code-vs-voltage relations.
   double lookup(double code) const;
 
-  /// True if codes are strictly monotone in voltage (required for a
-  /// unique inverse).
-  bool monotone() const;
-
   const std::vector<std::pair<double, double>>& points() const {
     return points_;
   }

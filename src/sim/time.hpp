@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace emc::sim {
 
@@ -38,8 +37,5 @@ Time from_seconds(double seconds);
 
 /// Convert ticks to seconds for analogue models and reporting.
 constexpr double to_seconds(Time t) { return static_cast<double>(t) * 1e-15; }
-
-/// Human-readable rendering with an auto-selected unit ("12.3 ns").
-std::string format_time(Time t);
 
 }  // namespace emc::sim

@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace emc::sim {
 
@@ -61,45 +60,6 @@ void VcdWriter::finalize() {
     out_ << change << '\n';
   }
   out_.close();
-}
-
-double AnalogTrace::min_value() const {
-  double v = 0.0;
-  bool first = true;
-  for (const auto& [t, x] : points_) {
-    (void)t;
-    if (first || x < v) v = x;
-    first = false;
-  }
-  return v;
-}
-
-double AnalogTrace::max_value() const {
-  double v = 0.0;
-  bool first = true;
-  for (const auto& [t, x] : points_) {
-    (void)t;
-    if (first || x > v) v = x;
-    first = false;
-  }
-  return v;
-}
-
-double AnalogTrace::at(Time t) const {
-  if (points_.empty()) return 0.0;
-  if (t <= points_.front().first) return points_.front().second;
-  if (t >= points_.back().first) return points_.back().second;
-  // Binary search for the surrounding pair; points_ is appended in time
-  // order by construction.
-  auto it = std::lower_bound(
-      points_.begin(), points_.end(), t,
-      [](const auto& p, Time when) { return p.first < when; });
-  assert(it != points_.begin() && it != points_.end());
-  const auto& [t1, v1] = *it;
-  const auto& [t0, v0] = *(it - 1);
-  if (t1 == t0) return v1;
-  const double f = static_cast<double>(t - t0) / static_cast<double>(t1 - t0);
-  return v0 + f * (v1 - v0);
 }
 
 void AnalogTrace::write_csv(const std::string& path) const {

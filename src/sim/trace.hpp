@@ -79,13 +79,6 @@ class AnalogTrace {
   /// Last sampled value (0.0 when empty).
   double last() const { return points_.empty() ? 0.0 : points_.back().second; }
 
-  /// Min / max over all samples (0.0 when empty).
-  double min_value() const;
-  double max_value() const;
-
-  /// Linear interpolation at time t (clamped to the sampled range).
-  double at(Time t) const;
-
   /// Write "time_s,value" rows (with header) to `path`.
   void write_csv(const std::string& path) const;
 

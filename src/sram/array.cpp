@@ -1,6 +1,5 @@
 #include "sram/array.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace emc::sram {
@@ -8,9 +7,7 @@ namespace emc::sram {
 SramArray::SramArray(ArrayGeometry geometry, const CellModel& cell)
     : geometry_(geometry),
       cell_(&cell),
-      data_(geometry.words, 0),
-      valid_(geometry.words, true),
-      mismatch_(geometry.cells(), 0.0) {}
+      data_(geometry.words, 0) {}
 
 std::uint16_t SramArray::read_word(std::size_t addr) const {
   assert(addr < geometry_.words);
@@ -22,33 +19,6 @@ void SramArray::write_word(std::size_t addr, std::uint16_t value) {
   assert(addr < geometry_.words);
   ++writes_;
   data_[addr] = value;
-  valid_[addr] = true;
-}
-
-void SramArray::randomize_mismatch(sim::Rng& rng, double sigma_v) {
-  for (auto& m : mismatch_) m = rng.gaussian(0.0, sigma_v);
-}
-
-double SramArray::worst_mismatch(std::size_t addr) const {
-  assert(addr < geometry_.words);
-  double worst = 0.0;
-  for (std::size_t b = 0; b < geometry_.bits; ++b) {
-    worst = std::max(worst, mismatch_[addr * geometry_.bits + b]);
-  }
-  return worst;
-}
-
-std::size_t SramArray::brownout(sim::Rng& rng) {
-  std::size_t lost = 0;
-  for (std::size_t w = 0; w < geometry_.words; ++w) {
-    if (valid_[w]) {
-      valid_[w] = false;
-      // Decayed cells settle to random values.
-      data_[w] = static_cast<std::uint16_t>(rng.index(1u << 16));
-      ++lost;
-    }
-  }
-  return lost;
 }
 
 }  // namespace emc::sram

@@ -1,17 +1,14 @@
-// SRAM data array: geometry, contents, per-cell variation.
+// SRAM data array: geometry and contents.
 //
 // The paper's instance is 1 kbit organized 64x16 (64 words of 16 bits) in
-// UMC 90 nm. The array holds the data plane (timing and energy live in
-// the controllers) plus optional Monte-Carlo threshold mismatch per cell
-// for the failure analysis, and implements retention loss on deep
-// brown-out.
+// UMC 90 nm. The array holds the data plane; timing and energy live in
+// the controllers.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "sim/random.hpp"
 #include "sram/cell.hpp"
 
 namespace emc::sram {
@@ -33,17 +30,6 @@ class SramArray {
   std::uint16_t read_word(std::size_t addr) const;
   void write_word(std::size_t addr, std::uint16_t value);
 
-  /// Apply Gaussian Vth mismatch (sigma in volts) to every cell.
-  void randomize_mismatch(sim::Rng& rng, double sigma_v);
-  /// Worst (slowest, i.e. most positive) mismatch on the addressed word's
-  /// cells — the read completes when its slowest bit develops.
-  double worst_mismatch(std::size_t addr) const;
-
-  /// Supply fell below retention: contents decay to unknown; reads after
-  /// this return garbage until rewritten. Returns cells lost.
-  std::size_t brownout(sim::Rng& rng);
-  bool retained(std::size_t addr) const { return valid_[addr]; }
-
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }
 
@@ -51,8 +37,6 @@ class SramArray {
   ArrayGeometry geometry_;
   const CellModel* cell_;
   std::vector<std::uint16_t> data_;
-  std::vector<bool> valid_;
-  std::vector<double> mismatch_;  ///< per cell, row-major
   mutable std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
 };

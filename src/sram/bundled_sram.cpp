@@ -2,18 +2,6 @@
 
 namespace emc::sram {
 
-const char* to_string(BundlingScheme s) {
-  switch (s) {
-    case BundlingScheme::kFixedReplica:
-      return "fixed-replica";
-    case BundlingScheme::kBandedReplica:
-      return "banded-replica";
-    case BundlingScheme::kColumnReplica:
-      return "column-replica";
-  }
-  return "?";
-}
-
 BundledSram::BundledSram(const gates::Context& ctx, BundledSramParams params)
     : model_(&ctx.model),
       params_(params),

@@ -25,8 +25,6 @@ enum class BundlingScheme {
   kColumnReplica,  ///< duplicated column with completion detection [8]
 };
 
-const char* to_string(BundlingScheme s);
-
 struct BundledSramParams {
   CellParams cell{};
   BitlineParams bitline{};

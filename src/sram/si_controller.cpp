@@ -13,8 +13,7 @@ constexpr double kFracDrive = 0.30;
 constexpr double kFracControl = 0.10;
 }  // namespace
 
-SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params,
-               sim::Rng* rng)
+SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params)
     : ctx_(&ctx),
       circuit_(ctx, std::move(name)),
       params_(params),
@@ -29,9 +28,6 @@ SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params,
       wl_(&circuit_.wire("wl")),
       we_(&circuit_.wire("we")),
       done_(&circuit_.wire("done")) {
-  if (rng != nullptr && params_.vth_sigma > 0.0) {
-    array_->randomize_mismatch(*rng, params_.vth_sigma);
-  }
   if (ctx.meter != nullptr) {
     // One meter entry covers the whole macro: its dynamic energy is the
     // per-op billing below; its leak width is the calibrated array+
@@ -116,13 +112,11 @@ void SiSram::phase_precharge(std::function<void()> next) {
 }
 
 void SiSram::phase_bitline(bool is_write_drive, std::function<void()> next) {
-  const double mismatch = array_->worst_mismatch(current_->addr);
   access_ = std::make_unique<SteppedAccess>(
       ctx_->kernel, ctx_->supply, ctx_->model,
-      [this, is_write_drive, mismatch](double vdd) {
-        return is_write_drive
-                   ? bitline_.write_delay_seconds(vdd)
-                   : bitline_.read_delay_seconds(vdd, mismatch);
+      [this, is_write_drive](double vdd) {
+        return is_write_drive ? bitline_.write_delay_seconds(vdd)
+                              : bitline_.read_delay_seconds(vdd);
       },
       bitline_.params().substeps, [this, next = std::move(next)] {
         if (access_->stall_events() > 0) current_->result.stalled = true;

@@ -40,8 +40,6 @@ struct SiSramParams {
   BitlineParams bitline{};
   SramPhaseTimings timings{};
   SramEnergyAnchors anchors{};
-  /// Gaussian per-cell Vth mismatch applied when an Rng is supplied.
-  double vth_sigma = 0.0;
 };
 
 struct OpResult {
@@ -59,8 +57,7 @@ class SiSram {
   using ReadCallback = std::function<void(std::uint16_t, const OpResult&)>;
   using WriteCallback = std::function<void(const OpResult&)>;
 
-  SiSram(gates::Context& ctx, std::string name, SiSramParams params,
-         sim::Rng* rng = nullptr);
+  SiSram(gates::Context& ctx, std::string name, SiSramParams params);
 
   const SiSramParams& params() const { return params_; }
   SramArray& array() { return *array_; }

@@ -4,43 +4,8 @@
 
 namespace emc::supply {
 
-const char* to_string(HarvestState s) {
-  switch (s) {
-    case HarvestState::kDead:
-      return "DEAD";
-    case HarvestState::kWeak:
-      return "WEAK";
-    case HarvestState::kNormal:
-      return "NORMAL";
-    case HarvestState::kBurst:
-      return "BURST";
-  }
-  return "?";
-}
-
 HarvesterProfile HarvesterProfile::vibration_200uw() {
   return HarvesterProfile{};
-}
-
-HarvesterProfile HarvesterProfile::intermittent_20uw() {
-  HarvesterProfile p;
-  p.power_w = {0.0, 10e-6, 40e-6, 150e-6};
-  p.dwell_s = {10e-3, 5e-3, 2e-3, 0.5e-3};
-  p.jump = {{
-      {0.0, 0.8, 0.2, 0.0},
-      {0.6, 0.0, 0.35, 0.05},
-      {0.3, 0.5, 0.0, 0.2},
-      {0.1, 0.5, 0.4, 0.0},
-  }};
-  return p;
-}
-
-HarvesterProfile HarvesterProfile::steady(double watts) {
-  HarvesterProfile p;
-  p.power_w = {watts, watts, watts, watts};
-  p.dwell_s = {1.0, 1.0, 1.0, 1.0};
-  p.jitter = 0.0;
-  return p;
 }
 
 Harvester::Harvester(sim::Kernel& kernel, HarvesterProfile profile,
@@ -96,7 +61,6 @@ void Harvester::step() {
     store_->deposit_energy(joules);
     harvested_j_ += joules;
   }
-  if (tracing_) power_trace_.sample(kernel_->now(), p);
   kernel_->schedule(tick_, [this] { step(); });
 }
 

@@ -11,17 +11,13 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "sim/random.hpp"
-#include "sim/trace.hpp"
 #include "supply/storage_cap.hpp"
 
 namespace emc::supply {
 
 enum class HarvestState : std::uint8_t { kDead = 0, kWeak, kNormal, kBurst };
-
-const char* to_string(HarvestState s);
 
 struct HarvesterProfile {
   /// Mean output power per state [W].
@@ -42,10 +38,6 @@ struct HarvesterProfile {
   /// Bursty vibration profile averaging ~200 uW — the regime of the
   /// paper's holistic examples.
   static HarvesterProfile vibration_200uw();
-  /// Feeble, mostly-dead source (~20 uW) for stress tests.
-  static HarvesterProfile intermittent_20uw();
-  /// Constant source (no state changes) for calibration.
-  static HarvesterProfile steady(double watts);
 };
 
 class Harvester {
@@ -78,9 +70,6 @@ class Harvester {
   }
   bool blacked_out() const { return blackout_depth_ > 0; }
 
-  void enable_trace() { tracing_ = true; }
-  const sim::AnalogTrace& power_trace() const { return power_trace_; }
-
  private:
   void step();
   void maybe_transition();
@@ -97,8 +86,6 @@ class Harvester {
   double jitter_factor_ = 1.0;
   std::uint32_t blackout_depth_ = 0;
   bool running_ = false;
-  bool tracing_ = false;
-  sim::AnalogTrace power_trace_{"p_harvest"};
 };
 
 }  // namespace emc::supply

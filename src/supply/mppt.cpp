@@ -36,7 +36,6 @@ void MpptController::step() {
   x_ = std::clamp(x_ + direction_ * params_.step, 0.0, 1.0);
   harvester_->set_efficiency(extraction_at(x_));
   ++steps_;
-  if (tracing_) trace_.sample(kernel_->now(), extraction_at(x_));
   kernel_->schedule(params_.window, [this] { step(); });
 }
 

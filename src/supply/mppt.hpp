@@ -13,7 +13,6 @@
 // efficiency is fed to the Harvester as its conversion efficiency.
 #pragma once
 
-#include "sim/trace.hpp"
 #include "supply/harvester.hpp"
 
 namespace emc::supply {
@@ -37,9 +36,6 @@ class MpptController {
   double extraction_efficiency() const { return extraction_at(x_); }
   std::uint64_t steps_taken() const { return steps_; }
 
-  void enable_trace() { tracing_ = true; }
-  const sim::AnalogTrace& trace() const { return trace_; }
-
  private:
   void step();
   double extraction_at(double x) const;
@@ -53,8 +49,6 @@ class MpptController {
   double last_total_ = 0.0;
   std::uint64_t steps_ = 0;
   bool running_ = false;
-  bool tracing_ = false;
-  sim::AnalogTrace trace_{"mppt_eta"};
 };
 
 }  // namespace emc::supply

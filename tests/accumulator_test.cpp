@@ -2,8 +2,8 @@
 // sort-based quantiles on fixed seeded vectors (tolerance documented in
 // analysis/accumulator.hpp), the hybrid StatsAccumulator's exact-path
 // equivalence with the legacy Accumulator/percentile pair, and the
-// streaming Aggregate::Sink's equivalence with the materialized
-// reduce() path including group-order determinism.
+// streaming Aggregate::Sink's equivalence with that pair per group,
+// including group-order determinism.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -143,7 +143,7 @@ TEST(StatsAccumulator, ExactPathMatchesLegacyPair) {
   // Accumulator + percentile() reduction bit-for-bit — that is what
   // keeps existing aggregate reference CSVs byte-identical.
   const auto v = seeded_uniform(404, 60);
-  analysis::StatsAccumulator s(/*exact_threshold=*/4096);
+  analysis::StatsAccumulator s;
   analysis::Accumulator legacy;
   for (double x : v) {
     s.add(x);
@@ -158,9 +158,9 @@ TEST(StatsAccumulator, ExactPathMatchesLegacyPair) {
 }
 
 TEST(StatsAccumulator, SpillsAtThresholdAndStaysAccurate) {
-  const std::size_t kThreshold = 256;
+  const std::size_t kThreshold = analysis::StatsAccumulator::kExactThreshold;
   const auto v = seeded_uniform(505, 10000);
-  analysis::StatsAccumulator s(kThreshold);
+  analysis::StatsAccumulator s;
   for (std::size_t i = 0; i < v.size(); ++i) {
     s.add(v[i]);
     // exact() flips exactly when the count first exceeds the threshold.
@@ -180,8 +180,11 @@ TEST(StatsAccumulator, SpillsAtThresholdAndStaysAccurate) {
 }
 
 TEST(StatsAccumulator, SpilledPathRejectsUntrackedQuantiles) {
-  analysis::StatsAccumulator s(/*exact_threshold=*/8);
-  for (int i = 0; i < 20; ++i) s.add(static_cast<double>(i));
+  analysis::StatsAccumulator s;
+  for (std::size_t i = 0; i <= analysis::StatsAccumulator::kExactThreshold;
+       ++i) {
+    s.add(static_cast<double>(i));
+  }
   ASSERT_FALSE(s.exact());
   EXPECT_NO_THROW(s.percentile(5.0));
   EXPECT_NO_THROW(s.percentile(50.0));
@@ -205,19 +208,44 @@ analysis::Table trial_table(std::size_t groups, std::size_t trials,
   return t;
 }
 
-TEST(AggregateSink, MatchesMaterializedReduce) {
-  const analysis::Table in = trial_table(4, 50, 606);
+TEST(AggregateSink, MatchesLegacyReductionPerGroup) {
+  // Below the exact threshold every reduced cell is what the historical
+  // Accumulator + percentile() reduction of the group's samples prints.
+  const std::size_t kGroups = 4;
+  const std::size_t kTrials = 50;
+  const analysis::Table in = trial_table(kGroups, kTrials, 606);
   const analysis::Aggregate spec =
       analysis::Aggregate({"point"}).stats("value").yield("ok");
-
-  const analysis::Table reduced = spec.reduce(in);
 
   analysis::Aggregate::Sink sink = spec.sink(in.headers());
   for (std::size_t r = 0; r < in.row_count(); ++r) sink.consume(in.row(r));
   EXPECT_EQ(sink.rows(), in.row_count());
-  EXPECT_EQ(sink.groups(), 4u);
+  EXPECT_EQ(sink.groups(), kGroups);
 
-  EXPECT_EQ(sink.finish().to_csv(), reduced.to_csv());
+  const analysis::Table out = sink.finish();
+  ASSERT_EQ(out.row_count(), kGroups);
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    std::vector<double> v;
+    analysis::Accumulator acc;
+    std::size_t pass = 0;
+    for (std::size_t k = 0; k < kTrials; ++k) {
+      const auto& row = in.row(g * kTrials + k);
+      v.push_back(std::stod(row[2]));
+      acc.add(v.back());
+      if (row[3] == "1") ++pass;
+    }
+    const auto num = [](double x) { return analysis::Table::num(x, 4); };
+    const std::vector<std::string> expect = {
+        in.row(g * kTrials)[0],
+        std::to_string(kTrials),
+        num(acc.mean()),
+        num(acc.stddev()),
+        num(analysis::percentile(v, 5.0)),
+        num(analysis::percentile(v, 50.0)),
+        num(analysis::percentile(v, 95.0)),
+        num(static_cast<double>(pass) / static_cast<double>(kTrials))};
+    EXPECT_EQ(out.row(g), expect) << "group " << g;
+  }
 }
 
 TEST(AggregateSink, GroupOrderIsFirstAppearance) {
@@ -271,11 +299,10 @@ TEST(AggregateSink, MissingColumnThrows) {
 TEST(AggregateSpilledStillDeterministic, SameOrderSameBytes) {
   // Even past the exact threshold (P² path), identical consumption
   // order must give identical output bytes.
-  const analysis::Table in = trial_table(2, 600, 707);
-  const analysis::Aggregate spec = analysis::Aggregate({"point"})
-                                       .stats("value")
-                                       .yield("ok")
-                                       .exact_threshold(100);
+  const analysis::Table in =
+      trial_table(2, analysis::StatsAccumulator::kExactThreshold + 100, 707);
+  const analysis::Aggregate spec =
+      analysis::Aggregate({"point"}).stats("value").yield("ok");
   analysis::Aggregate::Sink a = spec.sink(in.headers());
   analysis::Aggregate::Sink b = spec.sink(in.headers());
   for (std::size_t r = 0; r < in.row_count(); ++r) {

@@ -1,4 +1,4 @@
-// Analysis-utility tests: accumulators, percentiles, fits, sweeps,
+// Analysis-utility tests: accumulators, percentiles, the Vdd grid,
 // tables, CSV.
 #include <gtest/gtest.h>
 
@@ -55,31 +55,6 @@ TEST(Correlation, PerfectAndNone) {
   EXPECT_NEAR(correlation(x, y), 1.0, 1e-12);
   std::vector<double> z{5, 5, 5, 5};
   EXPECT_DOUBLE_EQ(correlation(x, z), 0.0);
-}
-
-TEST(LinearFit, RecoversLine) {
-  std::vector<double> x{0, 1, 2, 3};
-  std::vector<double> y{1, 3, 5, 7};
-  const LinearFit f = fit_linear(x, y);
-  EXPECT_NEAR(f.slope, 2.0, 1e-12);
-  EXPECT_NEAR(f.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(f.r_squared, 1.0, 1e-12);
-}
-
-TEST(Sweep, LinspaceEndsInclusive) {
-  const auto v = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 1.0);
-  EXPECT_DOUBLE_EQ(v[2], 0.5);
-  EXPECT_TRUE(linspace(0, 1, 0).empty());
-  EXPECT_EQ(linspace(3, 9, 1).size(), 1u);
-}
-
-TEST(Sweep, LogspaceGeometric) {
-  const auto v = logspace(1.0, 100.0, 3);
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_NEAR(v[1], 10.0, 1e-9);
 }
 
 TEST(Sweep, VddGridContainsAnchors) {

@@ -73,13 +73,18 @@ TEST(DualRail, StatesAndDecode) {
   sim::Wire t0(f.kernel, "t0", false), f0(f.kernel, "f0", false);
   sim::Wire t1(f.kernel, "t1", false), f1(f.kernel, "f1", false);
   DualRailWord w({{&t0, &f0}, {&t1, &f1}});
-  EXPECT_TRUE(w.all_null());
+  EXPECT_EQ(w.bit_state(0), RailState::kNull);
   EXPECT_FALSE(w.value().has_value());
-  w.force_value(2);
-  EXPECT_TRUE(w.all_valid());
+  f0.set(true);  // bit 0 = 0
+  EXPECT_FALSE(w.value().has_value());  // bit 1 still NULL
+  t1.set(true);  // bit 1 = 1
   EXPECT_EQ(w.value().value(), 2u);
-  w.force_null();
-  EXPECT_TRUE(w.all_null());
+  t1.set(false);
+  f1.set(true);  // bit 1 = 0
+  EXPECT_EQ(w.value().value(), 0u);
+  t0.set(true);  // bit 0 illegal
+  EXPECT_EQ(w.bit_state(0), RailState::kIllegal);
+  EXPECT_FALSE(w.value().has_value());
 }
 
 TEST(DualRailChecker, CountsIllegalAndAlternation) {

@@ -67,10 +67,10 @@ bool operator==(const FaultedOutcome& a, const FaultedOutcome& b) {
 /// One faulted oscillator scenario: near-threshold battery, randomized
 /// dropout + brownout streams, 200 us horizon.
 FaultedOutcome run_faulted(std::uint64_t seed) {
-  sim::Kernel kernel;
   auto ex = exp::ContextConfig::with(
                 exp::SupplyConfig::battery(0.35).faultable())
-                .build(kernel);
+                .build();
+  sim::Kernel& kernel = ex.kernel();
   async::ToggleRippleCounter ctr(ex.ctx(), "osc", 4);
   ctr.start();
 
@@ -115,18 +115,17 @@ TEST(FaultReplay, SameSeedGivesIdenticalVerdicts) {
 // --- brownout semantics ------------------------------------------------
 
 TEST(Brownout, RetainStateResumesCountingWithoutLoss) {
-  sim::Kernel kernel;
   auto ex = exp::ContextConfig::with(
                 exp::SupplyConfig::battery(0.35).faultable())
-                .build(kernel);
+                .build();
+  sim::Kernel& kernel = ex.kernel();
   async::ToggleRippleCounter ctr(ex.ctx(), "osc", 3);
   ctr.start();
 
-  FaultPlan plan(1, sim::us(60));
-  plan.dropout_window(sim::us(20), sim::us(10));
-  FaultPlan::Targets t;
-  t.supply = ex.fault_supply();
-  plan.elaborate(kernel, t);
+  // One dropout window, [20 us, 30 us).
+  fault::FaultableSupply* rail = ex.fault_supply();
+  kernel.schedule_at(sim::us(20), [rail] { rail->begin_fault(0.0); });
+  kernel.schedule_at(sim::us(30), [rail] { rail->end_fault(0.0); });
 
   kernel.run_until(sim::us(25));  // mid-dropout
   const std::uint64_t mid = ctr.transitions_served();
@@ -144,20 +143,16 @@ TEST(Brownout, RetainStateResumesCountingWithoutLoss) {
 // --- kernel watchdog ---------------------------------------------------
 
 TEST(Watchdog, DeadlockedHandshakeIsClassifiedNotHungOn) {
-  sim::Kernel kernel;
-  auto ex = exp::ContextConfig::battery(1.0).build(kernel);
+  auto ex = exp::ContextConfig::battery(1.0).build();
+  sim::Kernel& kernel = ex.kernel();
   sim::Wire req(kernel, "req", false), ack(kernel, "ack", false);
   async::Channel ch{&req, &ack};
   async::HandshakeSource src(ex.ctx(), "src", ch);
   async::HandshakeSink sink(ex.ctx(), "sink", ch, 2.0);
   src.start(100000);  // far more cycles than fit before the stall
 
-  // A permanent stall window: the sink stops acking and never recovers.
-  FaultPlan plan(0, sim::us(10));
-  plan.handshake_stall_window(sim::ns(10), sim::kTimeMax);
-  FaultPlan::Targets t;
-  t.sinks.push_back(&sink);
-  plan.elaborate(kernel, t);
+  // A permanent stall: the sink stops acking and never recovers.
+  kernel.schedule_at(sim::ns(10), [&sink] { sink.stall(); });
 
   kernel.add_probe([&] {
     return src.mid_protocol() ? sim::ProbeState::kBusy
@@ -172,11 +167,12 @@ TEST(Watchdog, DeadlockedHandshakeIsClassifiedNotHungOn) {
 }
 
 TEST(Watchdog, EnergyExhaustionIsQuiesced) {
-  // A sample cap too small to carry the batch: the circuit freezes when
-  // the charge runs out (retry_hint = kTimeMax, no wake possible).
-  sim::Kernel kernel;
-  auto ex = exp::ContextConfig::with(exp::SupplyConfig::sample_cap(2e-12, 0.5))
-                .build(kernel);
+  // A storage cap too small to carry the batch: the circuit freezes
+  // when the charge runs out and no harvester ever wakes it.
+  auto ex =
+      exp::ContextConfig::with(exp::SupplyConfig::storage_cap(2e-12, 0.5))
+          .build();
+  sim::Kernel& kernel = ex.kernel();
   async::ToggleRippleCounter ctr(ex.ctx(), "osc", 3);
   ctr.start();
   kernel.add_probe([&] {
@@ -190,8 +186,8 @@ TEST(Watchdog, EnergyExhaustionIsQuiesced) {
 }
 
 TEST(Watchdog, BudgetExhaustionIsReportedAndRecoverable) {
-  sim::Kernel kernel;
-  auto ex = exp::ContextConfig::battery(1.0).build(kernel);
+  auto ex = exp::ContextConfig::battery(1.0).build();
+  sim::Kernel& kernel = ex.kernel();
   async::ToggleRippleCounter ctr(ex.ctx(), "osc", 3);
   ctr.start();
   sim::Budget tight;
@@ -209,8 +205,8 @@ TEST(Watchdog, BudgetExhaustionIsReportedAndRecoverable) {
 }
 
 TEST(Watchdog, CleanCompletionIsCompleted) {
-  sim::Kernel kernel;
-  auto ex = exp::ContextConfig::battery(1.0).build(kernel);
+  auto ex = exp::ContextConfig::battery(1.0).build();
+  sim::Kernel& kernel = ex.kernel();
   sim::Wire req(kernel, "req", false), ack(kernel, "ack", false);
   async::Channel ch{&req, &ack};
   async::HandshakeSource src(ex.ctx(), "src", ch);
@@ -231,18 +227,14 @@ TEST(Watchdog, StalledSinkProbeReadsQuiescedNotDeadlocked) {
   // Same wedged handshake, but the probe knows the sink is fault-stalled
   // — the census then reads "would resume if the fault cleared", which
   // classifies as quiesced rather than deadlocked.
-  sim::Kernel kernel;
-  auto ex = exp::ContextConfig::battery(1.0).build(kernel);
+  auto ex = exp::ContextConfig::battery(1.0).build();
+  sim::Kernel& kernel = ex.kernel();
   sim::Wire req(kernel, "req", false), ack(kernel, "ack", false);
   async::Channel ch{&req, &ack};
   async::HandshakeSource src(ex.ctx(), "src", ch);
   async::HandshakeSink sink(ex.ctx(), "sink", ch, 2.0);
   src.start(1000);
-  FaultPlan plan(0, sim::us(10));
-  plan.handshake_stall_window(sim::ns(10), sim::kTimeMax);
-  FaultPlan::Targets t;
-  t.sinks.push_back(&sink);
-  plan.elaborate(kernel, t);
+  kernel.schedule_at(sim::ns(10), [&sink] { sink.stall(); });
   kernel.add_probe([&] {
     if (!src.mid_protocol()) return sim::ProbeState::kIdle;
     return sink.stalled() ? sim::ProbeState::kStalled
@@ -300,10 +292,10 @@ TEST(FaultPlanTest, FaultedSweepIsThreadCountInvariant) {
     wb.replicate(3, 77);
     wb.columns({"dropout_hz", "trial", "served", "status"});
     wb.run([](const exp::ParamSet& p, exp::Recorder& rec) {
-      sim::Kernel kernel;
       auto ex = exp::ContextConfig::with(
                     exp::SupplyConfig::battery(0.35).faultable())
-                    .build(kernel);
+                    .build();
+      sim::Kernel& kernel = ex.kernel();
       async::ToggleRippleCounter ctr(ex.ctx(), "osc", 3);
       ctr.start();
       FaultPlan plan(p.get<std::uint64_t>("trial_seed"), sim::us(50));

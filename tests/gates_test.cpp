@@ -204,26 +204,6 @@ TEST(CElement, RisesOnAllOnesFallsOnAllZeros) {
   EXPECT_FALSE(c.read());
 }
 
-TEST(CElement, AsymmetricPlusMinus) {
-  Fixture f;
-  sim::Wire both(f.kernel, "both", false), plus(f.kernel, "plus", false),
-      minus(f.kernel, "minus", true), out(f.kernel, "out", false);
-  CElement ce(f.ctx, "ce", {&both}, {&plus}, {&minus}, out);
-  both.set(true);
-  f.kernel.run();
-  EXPECT_FALSE(out.read());  // plus not yet high
-  plus.set(true);
-  f.kernel.run();
-  EXPECT_TRUE(out.read());
-  // Falling needs both=0 and minus=0; plus is irrelevant now.
-  both.set(false);
-  f.kernel.run();
-  EXPECT_TRUE(out.read());
-  minus.set(false);
-  f.kernel.run();
-  EXPECT_FALSE(out.read());
-}
-
 // ---- toggle -----------------------------------------------------------------
 
 TEST(Toggle, AlternatesDotAndBlank) {
@@ -265,7 +245,6 @@ TEST(DelayLine, WavefrontPropagatesInOrder) {
   in.set(true);
   f.kernel.run();
   EXPECT_EQ(line.thermometer_code(), 16u);
-  EXPECT_EQ(line.flipped_taps(), 16u);
 }
 
 TEST(DelayLine, PartialWavefrontGivesPartialCode) {
@@ -353,9 +332,6 @@ TEST(EnergyMeter, AccountsTransitionsAndRollsUp) {
   f.kernel.run();
   f.meter.integrate_leakage();
   EXPECT_GT(f.meter.leakage_energy(), 0.0);
-  f.meter.reset();
-  EXPECT_EQ(f.meter.total_transitions(), 0u);
-  EXPECT_EQ(f.meter.total_energy(), 0.0);
 }
 
 TEST(EnergyMeter, EnergyScalesWithVddSquared) {

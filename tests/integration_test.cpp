@@ -143,6 +143,20 @@ TEST(Integration, SharedCapCouplesCircuits) {
   EXPECT_LT(*loaded, (*clean * 9) / 10);  // >=10% of the charge stolen
 }
 
+/// A feeble, mostly-dead source (~20 uW) that browns the store out.
+supply::HarvesterProfile intermittent_20uw() {
+  supply::HarvesterProfile p;
+  p.power_w = {0.0, 10e-6, 40e-6, 150e-6};
+  p.dwell_s = {10e-3, 5e-3, 2e-3, 0.5e-3};
+  p.jump = {{
+      {0.0, 0.8, 0.2, 0.0},
+      {0.6, 0.0, 0.35, 0.05},
+      {0.3, 0.5, 0.0, 0.2},
+      {0.1, 0.5, 0.4, 0.0},
+  }};
+  return p;
+}
+
 // Full chain: harvester charges a store; an SI SRAM and the reference-
 // free sensor run from it concurrently through repeated brown-outs.
 // Nothing corrupts: every completed write reads back, every sensor
@@ -154,9 +168,8 @@ TEST(Integration, HarvesterSramSensorChainSurvivesBrownouts) {
   supply::StorageCap store(kernel, "store", 100e-12, 0.5);
   store.set_wake_threshold(0.18);
   store.set_max_voltage(1.0);
-  supply::Harvester harvester(
-      kernel, supply::HarvesterProfile::intermittent_20uw(), store, rng,
-      sim::us(10));
+  supply::Harvester harvester(kernel, intermittent_20uw(), store, rng,
+                              sim::us(10));
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &store);
   gates::Context ctx{kernel, model, store, &meter};
   sram::SiSram sram(ctx, "sram", sram::SiSramParams{});

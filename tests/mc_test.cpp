@@ -310,6 +310,14 @@ TEST(Replicate, HarvestedSupplyReKeysPerTrial) {
 
 // ---- Aggregate -------------------------------------------------------------
 
+/// Feed every row of `in` through a sink bound to its headers.
+analysis::Table reduce(const analysis::Aggregate& spec,
+                       const analysis::Table& in) {
+  analysis::Aggregate::Sink sink = spec.sink(in.headers());
+  for (std::size_t r = 0; r < in.row_count(); ++r) sink.consume(in.row(r));
+  return sink.finish();
+}
+
 TEST(Aggregate, ReducesStatsAndYieldPerGroup) {
   analysis::Table in({"vdd", "trial", "x", "ok"});
   // Group "0.3": x = 1..4; ok = 1,1,0,1 (75%).
@@ -322,7 +330,7 @@ TEST(Aggregate, ReducesStatsAndYieldPerGroup) {
   in.add_row({"0.6", "1", "5", "1"});
 
   const analysis::Table out =
-      analysis::Aggregate({"vdd"}).stats("x").yield("ok").reduce(in);
+      reduce(analysis::Aggregate({"vdd"}).stats("x").yield("ok"), in);
   ASSERT_EQ(out.row_count(), 2u);
   const auto& h = out.headers();
   const std::vector<std::string> expect_headers = {
@@ -346,7 +354,7 @@ TEST(Aggregate, SkipsUnparsableCellsAndKeepsGroupOrder) {
   in.add_row({"a", "-"});
   in.add_row({"b", "4"});
   in.add_row({"a", "-"});
-  const analysis::Table out = analysis::Aggregate({"k"}).stats("x").reduce(in);
+  const analysis::Table out = reduce(analysis::Aggregate({"k"}).stats("x"), in);
   ASSERT_EQ(out.row_count(), 2u);
   EXPECT_EQ(out.row(0)[0], "b");  // first appearance first
   EXPECT_EQ(out.row(0)[2], "3");  // mean of 2, 4
@@ -356,9 +364,9 @@ TEST(Aggregate, SkipsUnparsableCellsAndKeepsGroupOrder) {
 
 TEST(Aggregate, UnknownColumnThrows) {
   analysis::Table in({"a"});
-  EXPECT_THROW(analysis::Aggregate({"a"}).stats("nope").reduce(in),
+  EXPECT_THROW(analysis::Aggregate({"a"}).stats("nope").sink(in.headers()),
                std::invalid_argument);
-  EXPECT_THROW(analysis::Aggregate({"nope"}).reduce(in),
+  EXPECT_THROW(analysis::Aggregate({"nope"}).sink(in.headers()),
                std::invalid_argument);
 }
 

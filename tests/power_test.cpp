@@ -6,6 +6,7 @@
 #include "power/qos.hpp"
 #include "supply/harvester.hpp"
 #include "supply/storage_cap.hpp"
+#include "steady_profile.hpp"
 
 namespace emc::power {
 namespace {
@@ -69,7 +70,7 @@ TEST(AdaptiveController, RecoversLevelsWhenHarvested) {
   sim::Kernel k;
   sim::Rng rng(4);
   supply::StorageCap store(k, "store", 1e-6, 0.1);
-  supply::Harvester h(k, supply::HarvesterProfile::steady(500e-6), store,
+  supply::Harvester h(k, test::steady_profile(500e-6), store,
                       rng, sim::us(10));
   AdaptiveParams ap;
   ap.control_period = sim::us(100);

@@ -27,6 +27,7 @@
 //     a dirty, a throwing and a missing model the exit codes 0, 1, 1, 2;
 //     --only filters rules and sta --csv writes the margin curves;
 //   * --help returns instead of ending the process.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -532,6 +533,28 @@ TEST_F(ReproDriverTest, ThreadsCrossCheckCatchesThreadDependentOutput) {
   EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a",
                                     "--threads-cross-check", "1,4"}),
             0);
+}
+
+TEST_F(ReproDriverTest, DivergentCrossCheckPrintsItsDiffAndLeavesNoAsideFile) {
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_thread_dep",
+                                    "--threads-cross-check", "1,4"}),
+            1);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  // The diff reads the first run's bytes back from where they were set
+  // aside, and shows the row each thread count wrote.
+  EXPECT_NE(out.find("    --- threads=1\n    +++ threads=4\n"
+                     "    @@ line 2 @@\n    -1\n    +4\n"),
+            std::string::npos)
+      << out;
+  // The first run's file is back in place, and nothing else was left.
+  EXPECT_EQ(read_file("zz_thread_dep.csv"), "threads\n1\n");
+  std::vector<std::string> left;
+  for (const auto& e : fs::directory_iterator(".")) {
+    left.push_back(e.path().filename().string());
+  }
+  std::sort(left.begin(), left.end());
+  EXPECT_EQ(left, (std::vector<std::string>{"refs", "zz_thread_dep.csv"}));
 }
 
 TEST_F(ReproDriverTest, ThrowingFigureDoesNotKillTheBatch) {

@@ -27,15 +27,6 @@ TEST(TaskGenerator, PoissonRespectsHorizonAndRate) {
   }
 }
 
-TEST(TaskGenerator, PeriodicIsRegular) {
-  sim::Rng rng(1);
-  TaskGenerator gen(1e-3, 50.0, 0.0, rng);
-  const auto tasks = gen.periodic(sim::ms(10));
-  ASSERT_EQ(tasks.size(), 10u);
-  EXPECT_EQ(tasks[1].release - tasks[0].release, sim::ms(1));
-  EXPECT_EQ(tasks[0].deadline, sim::kTimeMax);
-}
-
 TEST(Task, EnergyScalesWithVddSquared) {
   Task t;
   t.work_ops = 100;

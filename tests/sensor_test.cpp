@@ -4,6 +4,7 @@
 // inversion, ~10 mV accuracy), calibration tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -39,19 +40,10 @@ TEST(CalibrationTable, LookupInterpolatesAndClamps) {
   t.add(10.0, 1.0);
   t.add(20.0, 0.5);
   t.add(30.0, 0.25);
-  EXPECT_TRUE(t.monotone());
   EXPECT_DOUBLE_EQ(t.lookup(10.0), 1.0);
   EXPECT_DOUBLE_EQ(t.lookup(15.0), 0.75);
   EXPECT_DOUBLE_EQ(t.lookup(5.0), 1.0);    // clamp low code
   EXPECT_DOUBLE_EQ(t.lookup(99.0), 0.25);  // clamp high code
-}
-
-TEST(CalibrationTable, DetectsNonMonotone) {
-  CalibrationTable t;
-  t.add(1.0, 0.2);
-  t.add(2.0, 0.8);
-  t.add(3.0, 0.5);
-  EXPECT_FALSE(t.monotone());
 }
 
 TEST(CalibrationTable, AccuracyReport) {
@@ -273,12 +265,17 @@ TEST(ReferenceFree, TenMilliVoltAccuracyOverPaperRange) {
     if (!r || !r->valid) return std::nullopt;
     return double(r->code);
   };
+  std::vector<double> codes;  // in rising-voltage order
   for (double v = 0.20; v <= 1.001; v += 0.04) {
     auto c = code_at(v);
     ASSERT_TRUE(c.has_value()) << v;
     table.add(*c, v);
+    codes.push_back(*c);
   }
-  ASSERT_TRUE(table.monotone());
+  // A unique inverse needs the code monotone in voltage (equal codes are
+  // the quantization step, not a violation).
+  ASSERT_TRUE(std::is_sorted(codes.begin(), codes.end()) ||
+              std::is_sorted(codes.rbegin(), codes.rend()));
   std::vector<std::pair<double, double>> verification;
   for (double v = 0.22; v <= 0.981; v += 0.08) {
     auto c = code_at(v);

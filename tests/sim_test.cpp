@@ -34,12 +34,6 @@ TEST(Time, Conversions) {
   EXPECT_EQ(from_seconds(1e30), kTimeMax);
 }
 
-TEST(Time, Format) {
-  EXPECT_EQ(format_time(ps(1500)), "1.500 ns");
-  EXPECT_EQ(format_time(0), "0 fs");
-  EXPECT_EQ(format_time(fs(999)), "999.000 fs");
-}
-
 /// Pops the earliest event, runs it and returns its time.
 Time pop_and_run(EventQueue& q) {
   Time t = 0;
@@ -500,17 +494,6 @@ TEST(Signal, NotifiesOnChangeOnly) {
   w.set(true);  // no change
   EXPECT_EQ(notified, 1);
   EXPECT_EQ(w.transitions(), 1u);
-}
-
-TEST(AnalogTrace, InterpolatesBetweenSamples) {
-  AnalogTrace t("v");
-  t.sample(0, 0.0);
-  t.sample(100, 1.0);
-  EXPECT_DOUBLE_EQ(t.at(50), 0.5);
-  EXPECT_DOUBLE_EQ(t.at(0), 0.0);
-  EXPECT_DOUBLE_EQ(t.at(200), 1.0);  // clamped
-  EXPECT_DOUBLE_EQ(t.min_value(), 0.0);
-  EXPECT_DOUBLE_EQ(t.max_value(), 1.0);
 }
 
 TEST(VcdWriter, RecordsChanges) {

@@ -10,6 +10,7 @@
 #include "supply/harvester.hpp"
 #include "supply/mppt.hpp"
 #include "supply/storage_cap.hpp"
+#include "steady_profile.hpp"
 
 namespace emc::supply {
 namespace {
@@ -165,7 +166,7 @@ TEST(Harvester, SteadyProfileDeliversExpectedEnergy) {
   sim::Kernel k;
   sim::Rng rng(1);
   StorageCap cap(k, "store", 10e-6, 0.0);  // large cap: voltage stays low
-  Harvester h(k, HarvesterProfile::steady(100e-6), cap, rng, sim::us(10));
+  Harvester h(k, test::steady_profile(100e-6), cap, rng, sim::us(10));
   h.start();
   k.run_until(sim::ms(10));
   // 100 uW for 10 ms = 1 uJ (one tick of quantization slack).
@@ -178,7 +179,6 @@ TEST(Harvester, MarkovProfileVisitsStates) {
   sim::Rng rng(99);
   StorageCap cap(k, "store", 10e-6, 0.0);
   Harvester h(k, HarvesterProfile::vibration_200uw(), cap, rng, sim::us(10));
-  h.enable_trace();
   h.start();
   k.run_until(sim::ms(100));
   // Average power should be in the vicinity of the profile's mix
@@ -186,14 +186,13 @@ TEST(Harvester, MarkovProfileVisitsStates) {
   const double avg = h.total_energy_harvested() / 100e-3;
   EXPECT_GT(avg, 30e-6);
   EXPECT_LT(avg, 800e-6);
-  EXPECT_GT(h.power_trace().size(), 100u);
 }
 
 TEST(Harvester, EfficiencyScalesDeposits) {
   sim::Kernel k;
   sim::Rng rng(1);
   StorageCap cap(k, "store", 10e-6, 0.0);
-  Harvester h(k, HarvesterProfile::steady(100e-6), cap, rng, sim::us(10));
+  Harvester h(k, test::steady_profile(100e-6), cap, rng, sim::us(10));
   h.set_efficiency(0.5);
   h.start();
   k.run_until(sim::ms(1));
@@ -204,7 +203,7 @@ TEST(Mppt, ConvergesNearMaximumPowerPoint) {
   sim::Kernel k;
   sim::Rng rng(5);
   StorageCap cap(k, "store", 100e-6, 0.0);
-  Harvester h(k, HarvesterProfile::steady(200e-6), cap, rng, sim::us(10));
+  Harvester h(k, test::steady_profile(200e-6), cap, rng, sim::us(10));
   MpptParams mp;
   mp.x_initial = 0.1;  // far from the true MPP at 0.62
   MpptController mppt(k, h, mp);
@@ -306,7 +305,7 @@ TEST(HarvesterBlackout, GatesPowerWithoutDisturbingTheStream) {
   sim::Kernel k;
   sim::Rng rng(1);
   StorageCap cap(k, "store", 10e-6, 0.0);
-  Harvester h(k, HarvesterProfile::steady(100e-6), cap, rng, sim::us(10));
+  Harvester h(k, test::steady_profile(100e-6), cap, rng, sim::us(10));
   h.start();
   k.schedule(sim::ms(2), [&] { h.begin_blackout(); });
   k.schedule(sim::ms(2), [&] { h.begin_blackout(); });  // nests
@@ -320,7 +319,7 @@ TEST(HarvesterBlackout, GatesPowerWithoutDisturbingTheStream) {
   sim::Kernel k2;
   sim::Rng rng2(1);
   StorageCap cap2(k2, "store", 10e-6, 0.0);
-  Harvester h2(k2, HarvesterProfile::steady(100e-6), cap2, rng2, sim::us(10));
+  Harvester h2(k2, test::steady_profile(100e-6), cap2, rng2, sim::us(10));
   h2.begin_blackout();
   EXPECT_DOUBLE_EQ(h2.instantaneous_power(), 0.0);
   h2.end_blackout();
