@@ -6,12 +6,16 @@
 // Replicated: each Vdd point runs kTrials Monte-Carlo chips
 // (exp::Workbench::replicate), every trial sampling the SRAM word's
 // worst cell threshold and the ruler inverter's own draw from its
-// counter-based seed stream. The printed table and fig5_mismatch.csv
+// counter-based seed stream. Neither draw depends on Vdd, so each chip
+// is drawn once, before the sweep (exp::Workbench::per_trial, 24 B per
+// trial), and the models are built once per run; a row only evaluates
+// the two delays at its Vdd. The printed table and fig5_mismatch.csv
 // carry the trial distribution (mean / p5 / p95) around the nominal
 // curve — the paper's ratio is the mean; the spread is what the banded
 // workarounds would have to margin for.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/aggregate.hpp"
 #include "analysis/sweep.hpp"
@@ -32,6 +36,12 @@ constexpr double kVthSigma = 0.020;  // 20 mV local mismatch
 constexpr std::size_t kWordBits = 16;
 constexpr std::uint64_t kRulerId = 0;     // the reference inverter
 constexpr std::uint64_t kCellBaseId = 1;  // the addressed word's cells
+
+/// One virtual chip: the ruler inverter's draw and the word's worst cell.
+struct Chip {
+  emc::device::DeviceSample ruler;
+  double word_worst_vth = 0.0;
+};
 
 /// Trials -> band reduction (the figure's registered trial model).
 emc::analysis::Aggregate fig5_aggregate() {
@@ -54,25 +64,27 @@ static int run_fig5(const emc::repro::RunContext& ctx) {
               "sram_in_inverters"});
 
   const device::Variation variation = device::Variation::local(kVthSigma);
+  const std::vector<Chip> chips = wb.per_trial([&](std::uint64_t seed) {
+    const device::VariationSampler sampler(variation, seed);
+    return Chip{sampler.sample(kRulerId),
+                sampler.worst_vth(kCellBaseId, kWordBits)};
+  });
+  // Read-only, shared by every row on every worker.
+  const device::DelayModel model{device::Tech::umc90()};
+  const sram::CellModel cell(model, sram::CellParams{});
+  const sram::BitlineDynamics bitline(cell, sram::BitlineParams{});
 
   const auto body = [&](const exp::ParamSet& p, exp::Recorder& rec) {
     const double v = p.get<double>("vdd");
-    const device::VariationSampler sampler(variation,
-                                           p.get<std::uint64_t>("trial_seed"));
-    device::DelayModel model{device::Tech::umc90()};
-    sram::CellModel cell(model, sram::CellParams{});
-    sram::BitlineDynamics bitline(cell, sram::BitlineParams{});
-
+    const int trial = p.get<int>("trial");
+    const Chip& chip = chips[static_cast<std::size_t>(trial)];
     // The ruler inverter carries its own sample; the read is gated by
     // the slowest cell of the addressed word.
-    const device::DeviceSample ruler = sampler.sample(kRulerId);
-    const double d_inv =
-        model.delay_seconds(v, model.tech().c_inv, ruler);
-    const double worst = sampler.worst_vth(kCellBaseId, kWordBits);
-    const double d_sram = bitline.read_delay_seconds(v, worst);
+    const double d_inv = model.delay_seconds(v, model.tech().c_inv, chip.ruler);
+    const double d_sram = bitline.read_delay_seconds(v, chip.word_worst_vth);
     rec.row()
         .set("vdd_V", v)
-        .set("trial", p.get<int>("trial"))
+        .set("trial", trial)
         .set("inv_delay_ps", d_inv * 1e12, 4)
         .set("sram_read_ns", d_sram * 1e9, 4)
         .set("sram_in_inverters", d_sram / d_inv, 4);
@@ -84,7 +96,6 @@ static int run_fig5(const emc::repro::RunContext& ctx) {
     return 1;
   }
 
-  device::DelayModel model{device::Tech::umc90()};
   analysis::print_anchor("SRAM read in inverters at 1.0 V", 50.0,
                          model.sram_delay_in_inverters(1.0), "inv");
   analysis::print_anchor("SRAM read in inverters at 0.19 V", 158.0,

@@ -9,11 +9,11 @@
 //     detector waits for the slowest bit),
 //   * a 16-stage logic path (per-gate Vth + strength draws; the path is
 //     the sum of its sampled stage delays),
-// and decides three pass/fail verdicts at that Vdd. The column's worst
-// Vth does not depend on Vdd, so each chip's column is drawn once, before
-// the sweep (one double per trial), and every Vdd row reuses it; the path
-// draws stay in the row body, where their delays are evaluated at that
-// row's Vdd. The verdicts:
+// and decides three pass/fail verdicts at that Vdd. None of the draws
+// depends on Vdd, so each chip is drawn once, before the sweep
+// (exp::Workbench::per_trial: the column's worst Vth and the 16 stage
+// samples), and every Vdd row reuses it; the row body only evaluates
+// the path's stage delays at its Vdd. The verdicts:
 //   * sram_ok  — the worst cell is still sensable against the section's
 //     aggregate bit-line leakage, and writes succeed,
 //   * logic_ok — the sampled path is no slower than kLogicMargin x the
@@ -22,8 +22,9 @@
 // analysis::Aggregate folds the trials into yield-vs-Vdd curves plus the
 // path-delay spread. Determinism contract: byte-identical CSVs at any
 // EMC_SWEEP_THREADS, and trial t is the same virtual chip at every Vdd.
-// Memory: O(grid points) for the streamed rows plus 8 B per trial for
-// the column table.
+// Memory: O(grid points) for the streamed rows plus 264 B per trial for
+// the chip table.
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -60,6 +61,12 @@ constexpr double kStrengthSigma = 0.05;
 constexpr std::uint64_t kLogicBaseId = 0;
 constexpr std::uint64_t kSramBaseId = 1000;
 
+/// One virtual chip: everything a trial draws, none of it Vdd-dependent.
+struct Chip {
+  double column_worst_vth = 0.0;  // the SRAM column's worst cell
+  std::array<emc::device::DeviceSample, kLogicStages> path;  // logic stages
+};
+
 /// The trials -> yield-curve reduction (the figure's registered trial
 /// model).
 emc::analysis::Aggregate fig_mc_yield_aggregate() {
@@ -90,38 +97,34 @@ static int run_fig_mc_yield(const emc::repro::RunContext& ctx) {
   const device::DelayModel model{device::Tech::umc90()};
   const sram::CellModel cell(model, sram::CellParams{});
 
-  // Each chip's SRAM column, drawn once: trial t's worst-cell Vth.
-  std::vector<double> column_worst_vth(wb.trials());
-  analysis::SweepRunner::for_indexed(
-      column_worst_vth.size(),
-      analysis::SweepRunner::resolve_threads(ctx.threads),
-      [&](std::size_t t) {
-        column_worst_vth[t] =
-            device::VariationSampler(variation, wb.trial_seed(t))
-                .worst_vth(kSramBaseId, kSramCells);
-      });
+  const std::vector<Chip> chips = wb.per_trial([&](std::uint64_t seed) {
+    const device::VariationSampler sampler(variation, seed);
+    Chip chip;
+    chip.column_worst_vth = sampler.worst_vth(kSramBaseId, kSramCells);
+    for (std::size_t i = 0; i < kLogicStages; ++i) {
+      chip.path[i] = sampler.sample(kLogicBaseId + i);
+    }
+    return chip;
+  });
 
   const auto body = [&](const exp::ParamSet& p, exp::Recorder& rec) {
     const double v = p.get<double>("vdd");
     const int trial = p.get<int>("trial");
-    const device::VariationSampler sampler(variation,
-                                           p.get<std::uint64_t>("trial_seed"));
+    const Chip& chip = chips[static_cast<std::size_t>(trial)];
 
     // Logic path: nominal vs sampled stage-by-stage delay.
     const double nominal_path =
         static_cast<double>(kLogicStages) * model.inverter_delay_seconds(v);
     double sampled_path = 0.0;
-    for (std::size_t i = 0; i < kLogicStages; ++i) {
-      const device::DeviceSample d = sampler.sample(kLogicBaseId + i);
-      sampled_path +=
-          model.delay_seconds(v, model.tech().c_inv, d);
+    for (const device::DeviceSample& d : chip.path) {
+      sampled_path += model.delay_seconds(v, model.tech().c_inv, d);
     }
     const double path_ratio = sampled_path / nominal_path;
     const bool logic_ok = model.operational(v) && path_ratio <= kLogicMargin;
 
     // SRAM column: the slowest sampled cell must still beat the leakage
     // of the whole section, and the cell must be writable.
-    const double worst_vth = column_worst_vth[static_cast<std::size_t>(trial)];
+    const double worst_vth = chip.column_worst_vth;
     const bool sram_ok = cell.sensable(v, kSramCells, worst_vth) &&
                          cell.write_ok(v) &&
                          model.operational(v);

@@ -8,9 +8,18 @@
 // composed, which is exactly what completion detection absorbs and what
 // a bundled design would have to margin for at the worst corner AND the
 // worst chip.
+//
+// The section's worst cell does not depend on the corner (the mismatch
+// is local only), so each chip is drawn once, before the sweep
+// (exp::Workbench::per_trial, 8 B per trial); each corner's tech,
+// models and nominal report are built once per run. A row only
+// evaluates its corner's read floor and delays at its chip's worst cell.
 #include <cstdio>
+#include <deque>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/aggregate.hpp"
 #include "device/variation.hpp"
@@ -26,6 +35,24 @@ constexpr std::size_t kTrials = 24;
 constexpr std::size_t kSmokeTrials = 4;
 constexpr double kVthSigma = 0.020;  // 20 mV local cell mismatch
 constexpr std::uint64_t kCellBaseId = 0;
+
+/// One process corner, built once per run: its delay, cell and
+/// bit-line models (each holds a pointer to the one before, so a Corner
+/// stays where it was built) and its mismatch-free nominal report.
+struct Corner {
+  Corner(const emc::device::Tech& tech, emc::sram::CornerReport report)
+      : model(tech),
+        cell(model, emc::sram::CellParams{}),
+        bitline(cell, emc::sram::BitlineParams{}),
+        nominal(std::move(report)) {}
+  Corner(const Corner&) = delete;
+  Corner& operator=(const Corner&) = delete;
+
+  emc::device::DelayModel model;
+  emc::sram::CellModel cell;
+  emc::sram::BitlineDynamics bitline;
+  emc::sram::CornerReport nominal;
+};
 
 /// Trials -> distribution reduction (the figure's registered trial
 /// model).
@@ -50,10 +77,15 @@ static int run_tab_sram_corners(const emc::repro::RunContext& ctx) {
   // corner_techs(), so a corner added or renamed in
   // sram::FailureAnalysis can neither silently drop out of the table
   // nor be computed at the wrong technology.
+  const auto techs = sram::FailureAnalysis::corner_techs();
+  // One nominal report per corner_techs() entry, in the same order.
+  const std::vector<sram::CornerReport> nominal =
+      sram::FailureAnalysis().corners();
+  std::deque<Corner> corners;
   std::vector<std::string> corner_names;
-  for (const auto& [name, tech] : sram::FailureAnalysis::corner_techs()) {
-    (void)tech;
-    corner_names.push_back(name);
+  for (std::size_t i = 0; i < techs.size(); ++i) {
+    corners.emplace_back(techs[i].second, nominal[i]);
+    corner_names.push_back(techs[i].first);
   }
   wb.grid().over("corner", corner_names);
   wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
@@ -61,49 +93,40 @@ static int run_tab_sram_corners(const emc::repro::RunContext& ctx) {
               "read@1V_ns", "read@0.19V_us", "ratio@1V", "ratio@0.19V"});
 
   const device::Variation variation = device::Variation::local(kVthSigma);
+  const std::size_t section = sram::BitlineParams{}.cells_per_section;
+  // The worst sampled cell of each chip's section gates sensing and the
+  // read.
+  const std::vector<double> worst_vth =
+      wb.per_trial([&](std::uint64_t seed) {
+        return device::VariationSampler(variation, seed)
+            .worst_vth(kCellBaseId, section);
+      });
 
   const auto body = [&](const exp::ParamSet& p, exp::Recorder& rec) {
     const std::string corner = p.get<std::string>("corner");
-    const device::VariationSampler sampler(variation,
-                                           p.get<std::uint64_t>("trial_seed"));
-    // Producer-owned corner data: the tech for the delay model, the
-    // nominal per-corner report for the mismatch-free columns.
-    device::Tech tech;
-    bool found = false;
-    for (const auto& [name, t] : sram::FailureAnalysis::corner_techs()) {
-      if (name == corner) {
-        tech = t;
-        found = true;
-        break;
-      }
+    const Corner* k = nullptr;
+    for (const Corner& c : corners) {
+      if (c.nominal.corner == corner) k = &c;
     }
-    if (!found) throw std::runtime_error("unknown corner: " + corner);
-    sram::CornerReport nominal;
-    for (const auto& c : sram::FailureAnalysis().corners()) {
-      if (c.corner == corner) nominal = c;
-    }
-    device::DelayModel model(tech);
-    sram::CellModel cell(model, sram::CellParams{});
-    const sram::BitlineParams bp;
-    sram::BitlineDynamics bl(cell, bp);
-
-    // The worst sampled cell of the section gates sensing and the read.
-    const double worst = sampler.worst_vth(kCellBaseId, bp.cells_per_section);
+    if (k == nullptr) throw std::runtime_error("unknown corner: " + corner);
+    const int trial = p.get<int>("trial");
+    const double worst = worst_vth[static_cast<std::size_t>(trial)];
+    const sram::BitlineDynamics& bl = k->bitline;
     rec.row()
         .set("corner", corner)
-        .set("trial", p.get<int>("trial"))
-        .set("min_read_V", cell.min_read_vdd(bp.cells_per_section, worst), 3)
-        .set("min_write_V", nominal.min_write_vdd, 3)
-        .set("retention_V", nominal.retention_vdd, 3)
+        .set("trial", trial)
+        .set("min_read_V", k->cell.min_read_vdd(section, worst), 3)
+        .set("min_write_V", k->nominal.min_write_vdd, 3)
+        .set("retention_V", k->nominal.retention_vdd, 3)
         .set("read@1V_ns", bl.read_delay_seconds(1.0, worst) * 1e9, 4)
         .set("read@0.19V_us", bl.read_delay_seconds(0.19, worst) * 1e6, 4)
         .set("ratio@1V",
              bl.read_delay_seconds(1.0, worst) /
-                 model.inverter_delay_seconds(1.0),
+                 k->model.inverter_delay_seconds(1.0),
              4)
         .set("ratio@0.19V",
              bl.read_delay_seconds(0.19, worst) /
-                 model.inverter_delay_seconds(0.19),
+                 k->model.inverter_delay_seconds(0.19),
              4);
   };
 

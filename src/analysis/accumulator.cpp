@@ -155,17 +155,12 @@ double StatsAccumulator::stddev() const {
   return welford_.stddev();
 }
 
-double StatsAccumulator::percentile(double p) const {
-  if (!spilled_) {
-    if (samples_.empty()) return 0.0;
-    return analysis::percentile(samples_, p);
-  }
-  if (p == 5.0) return q5_.value();
-  if (p == 50.0) return q50_.value();
-  if (p == 95.0) return q95_.value();
-  throw std::invalid_argument(
-      "StatsAccumulator: only p5/p50/p95 are tracked after the exact "
-      "threshold is exceeded");
+StatsAccumulator::Quantiles StatsAccumulator::quantiles() const {
+  if (spilled_) return {q5_.value(), q50_.value(), q95_.value()};
+  std::vector<double> sorted = samples_;
+  std::sort(sorted.begin(), sorted.end());
+  return {sorted_percentile(sorted, 5.0), sorted_percentile(sorted, 50.0),
+          sorted_percentile(sorted, 95.0)};
 }
 
 }  // namespace emc::analysis

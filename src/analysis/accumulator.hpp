@@ -109,14 +109,19 @@ class StatsAccumulator {
   /// True while results come from the retained-sample exact path.
   bool exact() const { return !spilled_; }
 
+  /// The three quantiles Aggregate reports.
+  struct Quantiles {
+    double p5 = 0.0;
+    double p50 = 0.0;
+    double p95 = 0.0;
+  };
+
   double mean() const;
   double stddev() const;
-  /// `p` in [0, 100] on the exact path (any quantile); on the spilled
-  /// path only 5, 50 and 95 are tracked — other values throw.
-  double percentile(double p) const;
-  double p5() const { return percentile(5.0); }
-  double p50() const { return percentile(50.0); }
-  double p95() const { return percentile(95.0); }
+  /// p5/p50/p95: on the exact path from one sorted copy of the samples
+  /// (analysis::percentile's interpolation, all zero when empty), on the
+  /// spilled path from the three P² estimators.
+  Quantiles quantiles() const;
 
  private:
   void spill();

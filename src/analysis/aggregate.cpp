@@ -125,9 +125,10 @@ Table Aggregate::Sink::finish() const {
       }
       row.push_back(Table::num(acc.mean(), precision_));
       row.push_back(Table::num(acc.stddev(), precision_));
-      row.push_back(Table::num(acc.p5(), precision_));
-      row.push_back(Table::num(acc.p50(), precision_));
-      row.push_back(Table::num(acc.p95(), precision_));
+      const StatsAccumulator::Quantiles q = acc.quantiles();
+      row.push_back(Table::num(q.p5, precision_));
+      row.push_back(Table::num(q.p50, precision_));
+      row.push_back(Table::num(q.p95, precision_));
     }
     for (const auto& yc : g.yields) {
       row.push_back(yc.total() == 0 ? std::string("-")

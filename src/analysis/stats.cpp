@@ -27,13 +27,17 @@ double Accumulator::variance() const {
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  return sorted_percentile(samples, p);
+}
+
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double f = rank - static_cast<double>(lo);
-  return samples[lo] + f * (samples[hi] - samples[lo]);
+  return sorted[lo] + f * (sorted[hi] - sorted[lo]);
 }
 
 double correlation(const std::vector<double>& x,

@@ -29,6 +29,11 @@ class Accumulator {
 /// Percentile of a sample set (linear interpolation, p in [0,100]).
 double percentile(std::vector<double> samples, double p);
 
+/// percentile() of samples already sorted ascending: the one
+/// interpolation every exact quantile goes through, so callers that
+/// need several quantiles of one set sort it once.
+double sorted_percentile(const std::vector<double>& sorted, double p);
+
 /// Pearson correlation between two equal-length series.
 double correlation(const std::vector<double>& x, const std::vector<double>& y);
 

@@ -48,14 +48,22 @@ void SweepRunner::for_indexed(std::size_t n, unsigned threads,
   threads = static_cast<unsigned>(
       std::min<std::size_t>(std::max(threads, 1u), n));
 
-  std::vector<std::exception_ptr> errors(n);
+  // Only the lowest-index error is ever rethrown, so it is the only one
+  // kept: memory stays O(threads) at any n.
+  std::mutex mu;  // guards first_error*
+  std::size_t first_error_index = n;
+  std::exception_ptr first_error;
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (std::size_t i = next++; i < n; i = next++) {
       try {
         fn(i);
       } catch (...) {
-        errors[i] = std::current_exception();
+        std::lock_guard<std::mutex> lk(mu);
+        if (i < first_error_index) {
+          first_error_index = i;
+          first_error = std::current_exception();
+        }
       }
     }
   };
@@ -69,9 +77,7 @@ void SweepRunner::for_indexed(std::size_t n, unsigned threads,
     for (auto& th : pool) th.join();
   }
 
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::size_t SweepRunner::block_size(std::size_t n, unsigned threads) {
@@ -95,20 +101,19 @@ void SweepRunner::for_indexed_streaming(
 
   if (threads == 1) {
     // Serial path: produce and consume inline, strictly in order. This
-    // is the reference ordering the parallel path must reproduce.
-    std::vector<std::exception_ptr> errors(n);
+    // is the reference ordering the parallel path must reproduce; the
+    // first error it meets is the lowest-index one.
+    std::exception_ptr first_error;
     for (std::size_t i = 0; i < n; ++i) {
       std::optional<ScenarioOutput> out;
       try {
         out.emplace(produce(i));
       } catch (...) {
-        errors[i] = std::current_exception();
+        if (!first_error) first_error = std::current_exception();
       }
       if (out) consume(i, std::move(*out));
     }
-    for (auto& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
+    if (first_error) std::rethrow_exception(first_error);
     return;
   }
 

@@ -77,8 +77,9 @@ class SweepRunner {
 
   /// Index-parallel loop: fn(i) for i in [0, n), each index visited
   /// exactly once; workers claim the next index with an atomic counter.
-  /// Failures do not depend on scheduling: every index runs (or records
-  /// its exception), then the lowest-index exception is rethrown.
+  /// Failures do not depend on scheduling: every index runs, then the
+  /// lowest-index exception is rethrown. Only that one is kept, so the
+  /// loop's own memory does not grow with n.
   static void for_indexed(std::size_t n, unsigned threads,
                           const std::function<void(std::size_t)>& fn);
 

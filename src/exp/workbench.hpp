@@ -26,6 +26,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -164,7 +165,8 @@ class Workbench {
   /// analysis::Aggregate), and trial t has the *same* seed at every grid
   /// point: one virtual chip swept across the grid (common random
   /// numbers). Bodies route the seed with
-  /// `ContextConfig::trial(params)` or read "trial_seed" directly. A
+  /// `ContextConfig::trial(params)` or read "trial_seed" directly;
+  /// draws that do not depend on the grid point belong in per_trial(). A
   /// replicated workbench carries both parameters at any trial count,
   /// 1 included (n_trials 0 is read as 1).
   Workbench& replicate(std::size_t n_trials, std::uint64_t base_seed);
@@ -174,9 +176,34 @@ class Workbench {
 
   /// The "trial_seed" every scenario of trial `t` carries:
   /// sim::derive_seed(base_seed, t), masked to the positive int64 range
-  /// ParamSet integers live in. Pure in (base_seed, t), so a figure can
-  /// draw per-trial state once, outside its body, and index it by trial.
+  /// ParamSet integers live in. Pure in (base_seed, t); per_trial() is
+  /// how a figure draws per-trial state from it once, outside its body.
   std::uint64_t trial_seed(std::size_t t) const;
+
+  /// Per-trial precompute: `draw(trial_seed(t))` for every trial t,
+  /// once, on as many threads as the sweep uses, returned as a table of
+  /// trials() entries that the body indexes by its "trial" parameter.
+  /// This is where a replicated figure draws the part of each virtual
+  /// chip that does not depend on the grid point, instead of redrawing
+  /// it in every row. `draw` runs concurrently, so it must be pure in
+  /// its seed; the table is then the same at any thread count. The
+  /// lowest trial's exception, if any, propagates. Memory: one entry per
+  /// trial, held for the whole run (rows stream grid point by grid
+  /// point, so trial t's entry is needed again trials() rows later).
+  template <class Draw>
+  auto per_trial(const Draw& draw) const
+      -> std::vector<std::invoke_result_t<const Draw&, std::uint64_t>> {
+    using Entry = std::invoke_result_t<const Draw&, std::uint64_t>;
+    // vector<bool> packs entries into shared words: concurrent writes
+    // to neighbouring trials would race.
+    static_assert(!std::is_same_v<Entry, bool>,
+                  "per_trial: return a struct or an int, not bool");
+    std::vector<Entry> table(trials_);
+    analysis::SweepRunner::for_indexed(
+        trials_, analysis::SweepRunner::resolve_threads(opt_.threads),
+        [&](std::size_t t) { table[t] = draw(trial_seed(t)); });
+    return table;
+  }
 
   /// The column schema (what sink rows are ordered by).
   const std::vector<std::string>& schema() const { return columns_; }

@@ -152,9 +152,39 @@ TEST(StatsAccumulator, ExactPathMatchesLegacyPair) {
   ASSERT_TRUE(s.exact());
   EXPECT_DOUBLE_EQ(s.mean(), legacy.mean());
   EXPECT_DOUBLE_EQ(s.stddev(), legacy.stddev());
-  for (double p : {5.0, 25.0, 50.0, 95.0}) {
-    EXPECT_DOUBLE_EQ(s.percentile(p), analysis::percentile(v, p));
+  const analysis::StatsAccumulator::Quantiles q = s.quantiles();
+  EXPECT_DOUBLE_EQ(q.p5, analysis::percentile(v, 5.0));
+  EXPECT_DOUBLE_EQ(q.p50, analysis::percentile(v, 50.0));
+  EXPECT_DOUBLE_EQ(q.p95, analysis::percentile(v, 95.0));
+}
+
+TEST(StatsAccumulator, ExactQuantilesEqualPercentileOnTiesAndEdgeSizes) {
+  // The one-sort quantiles must be analysis::percentile's values, bit
+  // for bit: ties, the smallest sample counts and the largest count the
+  // exact path keeps.
+  std::vector<std::vector<double>> cases;
+  std::vector<double> ties;
+  for (double x : seeded_uniform(606, 61)) ties.push_back(std::floor(x * 5));
+  cases.push_back(ties);
+  cases.push_back(std::vector<double>(7, 2.5));
+  for (std::size_t n : {std::size_t{1}, std::size_t{2},
+                        analysis::StatsAccumulator::kExactThreshold}) {
+    cases.push_back(seeded_uniform(707 + n, n));
   }
+  for (const auto& v : cases) {
+    analysis::StatsAccumulator s;
+    for (double x : v) s.add(x);
+    ASSERT_TRUE(s.exact());
+    const analysis::StatsAccumulator::Quantiles q = s.quantiles();
+    EXPECT_EQ(q.p5, analysis::percentile(v, 5.0)) << "n = " << v.size();
+    EXPECT_EQ(q.p50, analysis::percentile(v, 50.0)) << "n = " << v.size();
+    EXPECT_EQ(q.p95, analysis::percentile(v, 95.0)) << "n = " << v.size();
+  }
+  const analysis::StatsAccumulator::Quantiles none =
+      analysis::StatsAccumulator().quantiles();
+  EXPECT_EQ(none.p5, 0.0);
+  EXPECT_EQ(none.p50, 0.0);
+  EXPECT_EQ(none.p95, 0.0);
 }
 
 TEST(StatsAccumulator, SpillsAtThresholdAndStaysAccurate) {
@@ -174,22 +204,30 @@ TEST(StatsAccumulator, SpillsAtThresholdAndStaysAccurate) {
   // the P² quantiles stay within the documented 0.02 tolerance.
   EXPECT_NEAR(s.mean(), two_pass_mean(v), 1e-12);
   EXPECT_NEAR(s.stddev(), two_pass_stddev(v), 1e-12);
-  EXPECT_NEAR(s.p5(), analysis::percentile(v, 5.0), 0.02);
-  EXPECT_NEAR(s.p50(), analysis::percentile(v, 50.0), 0.02);
-  EXPECT_NEAR(s.p95(), analysis::percentile(v, 95.0), 0.02);
+  const analysis::StatsAccumulator::Quantiles q = s.quantiles();
+  EXPECT_NEAR(q.p5, analysis::percentile(v, 5.0), 0.02);
+  EXPECT_NEAR(q.p50, analysis::percentile(v, 50.0), 0.02);
+  EXPECT_NEAR(q.p95, analysis::percentile(v, 95.0), 0.02);
 }
 
-TEST(StatsAccumulator, SpilledPathRejectsUntrackedQuantiles) {
+TEST(StatsAccumulator, SpilledQuantilesComeFromTheP2Estimators) {
+  // Past the threshold the quantiles are the three P² markers, fed every
+  // sample in insertion order (the retained ones replayed at the spill).
+  const auto v = seeded_uniform(
+      808, analysis::StatsAccumulator::kExactThreshold + 100);
   analysis::StatsAccumulator s;
-  for (std::size_t i = 0; i <= analysis::StatsAccumulator::kExactThreshold;
-       ++i) {
-    s.add(static_cast<double>(i));
+  analysis::P2Quantile p5(0.05), p50(0.50), p95(0.95);
+  for (double x : v) {
+    s.add(x);
+    p5.add(x);
+    p50.add(x);
+    p95.add(x);
   }
   ASSERT_FALSE(s.exact());
-  EXPECT_NO_THROW(s.percentile(5.0));
-  EXPECT_NO_THROW(s.percentile(50.0));
-  EXPECT_NO_THROW(s.percentile(95.0));
-  EXPECT_THROW(s.percentile(25.0), std::invalid_argument);
+  const analysis::StatsAccumulator::Quantiles q = s.quantiles();
+  EXPECT_EQ(q.p5, p5.value());
+  EXPECT_EQ(q.p50, p50.value());
+  EXPECT_EQ(q.p95, p95.value());
 }
 
 // ---- streaming Aggregate ---------------------------------------------------

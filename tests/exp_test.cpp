@@ -1,6 +1,7 @@
 // Tests for the emc::exp experiment layer: ParamSet typing rules, Grid
 // cartesian construction, Workbench schema binding + determinism under
-// parallel sweeps, and SupplyConfig -> Supply elaboration per variant.
+// parallel sweeps, the per-trial precompute, and SupplyConfig -> Supply
+// elaboration per variant.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include "exp/supply_config.hpp"
 #include "exp/workbench.hpp"
 #include "netlist/module.hpp"
+#include "sim/random.hpp"
 #include "steady_profile.hpp"
 
 namespace emc::exp {
@@ -255,6 +257,61 @@ TEST(Workbench, RunStreamingMatchesMaterializedRunAtAnyThreadCount) {
         body);
     EXPECT_EQ(next, 24u);
     EXPECT_EQ(got, want) << "threads = " << threads;
+  }
+}
+
+/// One trial's precomputed state in the per_trial tests: the seed it
+/// was drawn from and a draw keyed on it.
+struct TrialDraw {
+  std::uint64_t seed = 0;
+  double u = 0.0;
+  bool operator==(const TrialDraw& o) const {
+    return seed == o.seed && u == o.u;
+  }
+};
+
+TrialDraw draw_trial(std::uint64_t seed) {
+  return TrialDraw{seed, sim::Rng::keyed(seed, 3).uniform()};
+}
+
+TEST(Workbench, PerTrialTableEqualsSerialDrawAtAnyThreadCount) {
+  // 1 trial, and trial counts that 3 and 4 threads do not divide.
+  for (std::size_t trials : {std::size_t{1}, std::size_t{10},
+                             std::size_t{37}}) {
+    Workbench serial("t");
+    serial.replicate(trials, 77);
+    std::vector<TrialDraw> want;
+    for (std::size_t t = 0; t < serial.trials(); ++t) {
+      want.push_back(draw_trial(serial.trial_seed(t)));
+    }
+    for (unsigned threads : {1u, 3u, 4u}) {
+      Workbench wb("t");
+      wb.threads(threads);
+      wb.replicate(trials, 77);
+      EXPECT_EQ(wb.per_trial(draw_trial), want)
+          << "trials = " << trials << ", threads = " << threads;
+    }
+  }
+}
+
+TEST(Workbench, PerTrialSurfacesTheLowestThrowingTrial) {
+  for (unsigned threads : {1u, 4u}) {
+    Workbench wb("t");
+    wb.threads(threads);
+    wb.replicate(40, 77);
+    const std::uint64_t first = wb.trial_seed(7);
+    const std::uint64_t later = wb.trial_seed(31);
+    try {
+      wb.per_trial([&](std::uint64_t seed) {
+        if (seed == first || seed == later) {
+          throw std::runtime_error(seed == first ? "trial 7" : "trial 31");
+        }
+        return 0;
+      });
+      FAIL() << "expected exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trial 7") << "threads = " << threads;
+    }
   }
 }
 

@@ -104,17 +104,24 @@ TEST(SweepRunner, EachIndexVisitedExactlyOnce) {
 }
 
 TEST(SweepRunner, LowestIndexExceptionWinsAtAnyThreadCount) {
-  for (unsigned threads : {1u, 4u}) {
+  // Several indices throw, on whichever workers claim them and in any
+  // completion order; every index still runs, and the lowest one's
+  // exception is the one that surfaces.
+  constexpr std::size_t kN = 257;
+  for (unsigned threads : {1u, 3u, 4u, 8u}) {
+    std::vector<std::atomic<int>> visits(kN);
     try {
-      SweepRunner::for_indexed(20, threads, [](std::size_t i) {
-        if (i == 3 || i == 17) {
+      SweepRunner::for_indexed(kN, threads, [&](std::size_t i) {
+        ++visits[i];
+        if (i % 37 == 3 || i == kN - 1) {
           throw std::runtime_error("boom " + std::to_string(i));
         }
       });
       FAIL() << "expected exception";
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "boom 3");
+      EXPECT_STREQ(e.what(), "boom 3") << "threads = " << threads;
     }
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1);
   }
 }
 

@@ -41,6 +41,9 @@ KEEP = {
         "test reference: N = (Cs/Ceff) ln(V0/Vmin) the C2D run must match",
     "emc::async::HandshakeChecker::":
         "test reference: four-phase order checker the handshake tests use",
+    "emc::analysis::percentile(":
+        "test reference: sort-based quantile the one-sort aggregate "
+        "quantiles and P2Quantile are checked against",
     # Error and safety paths of checked accessors.
     "emc::exp::(anonymous namespace)::type_name(":
         "error path: names the held type in a ParamSet type error",
