@@ -134,25 +134,11 @@ void StatsAccumulator::spill() {
   spilled_ = true;
 }
 
-double StatsAccumulator::mean() const {
-  if (!spilled_) {
-    // Exact path: the legacy sum-based Accumulator, replayed in
-    // insertion order, so reduced cells are byte-identical to the
-    // pre-streaming Aggregate.
-    Accumulator acc;
-    for (double v : samples_) acc.add(v);
-    return acc.mean();
-  }
-  return welford_.mean();
-}
-
-double StatsAccumulator::stddev() const {
-  if (!spilled_) {
-    Accumulator acc;
-    for (double v : samples_) acc.add(v);
-    return acc.stddev();
-  }
-  return welford_.stddev();
+StatsAccumulator::Moments StatsAccumulator::moments() const {
+  if (spilled_) return {welford_.mean(), welford_.stddev()};
+  Accumulator acc;
+  for (double v : samples_) acc.add(v);
+  return {acc.mean(), acc.stddev()};
 }
 
 StatsAccumulator::Quantiles StatsAccumulator::quantiles() const {

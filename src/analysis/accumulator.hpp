@@ -116,8 +116,16 @@ class StatsAccumulator {
     double p95 = 0.0;
   };
 
-  double mean() const;
-  double stddev() const;
+  /// Mean and (population) stddev Aggregate reports.
+  struct Moments {
+    double mean = 0.0;
+    double stddev = 0.0;
+  };
+
+  /// Both moments: on the exact path from one replay of the retained
+  /// samples through the legacy Accumulator (insertion order, so reduced
+  /// cells stay byte-identical to it), on the spilled path from Welford.
+  Moments moments() const;
   /// p5/p50/p95: on the exact path from one sorted copy of the samples
   /// (analysis::percentile's interpolation, all zero when empty), on the
   /// spilled path from the three P² estimators.

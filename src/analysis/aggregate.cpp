@@ -123,8 +123,9 @@ Table Aggregate::Sink::finish() const {
         for (int i = 0; i < 5; ++i) row.emplace_back("-");
         continue;
       }
-      row.push_back(Table::num(acc.mean(), precision_));
-      row.push_back(Table::num(acc.stddev(), precision_));
+      const StatsAccumulator::Moments m = acc.moments();
+      row.push_back(Table::num(m.mean, precision_));
+      row.push_back(Table::num(m.stddev, precision_));
       const StatsAccumulator::Quantiles q = acc.quantiles();
       row.push_back(Table::num(q.p5, precision_));
       row.push_back(Table::num(q.p50, precision_));

@@ -14,11 +14,6 @@ FaultableSupply::FaultableSupply(supply::Supply& inner)
   inner.on_wake([this] { fire_wake(); });
 }
 
-double FaultableSupply::scale() const {
-  if (active_.empty()) return 1.0;
-  return *std::min_element(active_.begin(), active_.end());
-}
-
 void FaultableSupply::begin_fault(double scale) {
   active_.push_back(scale < 0.0 ? 0.0 : scale);
   ++faults_seen_;

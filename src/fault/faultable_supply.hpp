@@ -21,6 +21,7 @@
 // order-independent.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "supply/supply.hpp"
@@ -57,7 +58,10 @@ class FaultableSupply final : public supply::Supply {
   const supply::Supply& inner() const { return *inner_; }
 
  private:
-  double scale() const;
+  double scale() const {
+    return active_.empty() ? 1.0
+                           : *std::min_element(active_.begin(), active_.end());
+  }
 
   supply::Supply* inner_;
   std::vector<double> active_;

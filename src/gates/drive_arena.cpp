@@ -1,7 +1,6 @@
 #include "gates/drive_arena.hpp"
 
 #include "device/delay_model.hpp"
-#include "supply/supply.hpp"
 
 namespace emc::gates {
 
@@ -41,12 +40,11 @@ void DriveArena::release(Slot s) {
   free_.push_back(s);
 }
 
-bool DriveArena::refresh(Slot s, const supply::Supply& supply,
-                         const device::DelayModel& model) {
-  const std::uint64_t e = supply.voltage_epoch();
-  if (e == epoch_[s]) return op_[s] == kOpUp;
-  epoch_[s] = e;
-  const double vdd = supply.cached_voltage();
+bool DriveArena::recompute(Slot s, std::uint64_t epoch,
+                           const supply::Supply& supply,
+                           const device::DelayModel& model) {
+  epoch_[s] = epoch;
+  const double vdd = supply.cached_voltage(epoch);
   vdd_[s] = vdd;
   const std::uint8_t prev = op_[s];
   if (!model.operational(vdd)) {
@@ -67,12 +65,11 @@ bool DriveArena::refresh(Slot s, const supply::Supply& supply,
   return true;
 }
 
-sim::Time DriveArena::delay(Slot s, const device::DelayModel& model) {
-  if (delay_epoch_[s] != epoch_[s]) {
-    delay_epoch_[s] = epoch_[s];
-    delay_[s] =
-        model.delay(vdd_[s], delay_cload_[s], vth_offset_[s], strength_[s]);
-  }
+sim::Time DriveArena::recompute_delay(Slot s,
+                                      const device::DelayModel& model) {
+  delay_epoch_[s] = epoch_[s];
+  delay_[s] =
+      model.delay(vdd_[s], delay_cload_[s], vth_offset_[s], strength_[s]);
   return delay_[s];
 }
 

@@ -27,12 +27,10 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "supply/supply.hpp"
 
 namespace emc::device {
 class DelayModel;
-}
-namespace emc::supply {
-class Supply;
 }
 
 namespace emc::gates {
@@ -61,8 +59,14 @@ class DriveArena {
   /// flag at the current voltage. Recomputes the flag, charge and
   /// energy only when the supply's voltage_epoch() has advanced past the
   /// slot's stamp, reading the rail through Supply::cached_voltage().
+  /// The unchanged-epoch return is inline: two refreshes per applied
+  /// transition make it the hottest call of an event.
   bool refresh(Slot s, const supply::Supply& supply,
-               const device::DelayModel& model);
+               const device::DelayModel& model) {
+    const std::uint64_t e = supply.voltage_epoch();
+    if (e == epoch_[s]) return op_[s] == kOpUp;
+    return recompute(s, e, supply, model);
+  }
 
   /// Force the next refresh() and delay() of `s` to recompute (the
   /// element's own device point changed).
@@ -75,7 +79,10 @@ class DriveArena {
   /// Propagation delay at the voltage of the last refresh(). Evaluates
   /// the delay model once per epoch, on the first call after the
   /// refresh; on a constant supply that is once per element.
-  sim::Time delay(Slot s, const device::DelayModel& model);
+  sim::Time delay(Slot s, const device::DelayModel& model) {
+    if (delay_epoch_[s] == epoch_[s]) return delay_[s];
+    return recompute_delay(s, model);
+  }
   double charge(Slot s) const { return charge_[s]; }
   double energy(Slot s) const { return energy_[s]; }
 
@@ -107,6 +114,11 @@ class DriveArena {
   std::size_t capacity() const { return epoch_.size(); }
 
  private:
+  // The out-of-line halves of refresh() and delay(): the epoch moved.
+  bool recompute(Slot s, std::uint64_t epoch, const supply::Supply& supply,
+                 const device::DelayModel& model);
+  sim::Time recompute_delay(Slot s, const device::DelayModel& model);
+
   // Hot lanes: read on every refresh() (i.e. every scheduled output).
   std::vector<std::uint64_t> epoch_;  // 0 = invalid (epochs start at 1)
   // Epoch delay_ was computed in; 0 = stale. delay_ is valid only while

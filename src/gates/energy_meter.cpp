@@ -13,24 +13,13 @@ EnergyMeter::GateId EnergyMeter::add(std::string name, double leak_width) {
   return gates_.size() - 1;
 }
 
-void EnergyMeter::record_transition(GateId id, double joules) {
-  integrate_leakage();
-  Entry& e = gates_[id];
-  ++e.transitions;
-  e.dynamic_j += joules;
-  ++total_transitions_;
-  dynamic_j_ += joules;
-}
-
-void EnergyMeter::integrate_leakage() {
-  const sim::Time now = kernel_->now();
-  if (now <= last_leak_integration_) return;
+void EnergyMeter::integrate_leakage_to(sim::Time now) {
   if (supply_ != nullptr && total_leak_width_ > 0.0) {
     const std::uint64_t epoch = supply_->voltage_epoch();
     if (epoch != leak_epoch_) {
       leak_epoch_ = epoch;
       leak_power_w_ =
-          leakage_.power(supply_->cached_voltage(), total_leak_width_);
+          leakage_.power(supply_->cached_voltage(epoch), total_leak_width_);
     }
     const double dt = sim::to_seconds(now - last_leak_integration_);
     leakage_j_ += leak_power_w_ * dt;

@@ -33,12 +33,23 @@ class EnergyMeter {
   GateId add(std::string name, double leak_width = 3.0);
 
   /// Record one output transition of `id` with dynamic energy `joules`.
-  void record_transition(GateId id, double joules);
+  void record_transition(GateId id, double joules) {
+    integrate_leakage();
+    Entry& e = gates_[id];
+    ++e.transitions;
+    e.dynamic_j += joules;
+    ++total_transitions_;
+    dynamic_j_ += joules;
+  }
 
   /// Integrate leakage up to the current kernel time at the present
   /// supply voltage (called internally on every transition; call
-  /// explicitly before reading totals at a quiet moment).
-  void integrate_leakage();
+  /// explicitly before reading totals at a quiet moment). Transitions
+  /// at one timestamp integrate nothing, so that return is inline.
+  void integrate_leakage() {
+    const sim::Time now = kernel_->now();
+    if (now > last_leak_integration_) integrate_leakage_to(now);
+  }
 
   // --- queries ---------------------------------------------------------
   std::uint64_t transitions(GateId id) const { return gates_[id].transitions; }
@@ -63,6 +74,8 @@ class EnergyMeter {
   };
 
   static std::string prefix_of(const std::string& name, std::size_t depth);
+  /// integrate_leakage()'s out-of-line half: time advanced to `now`.
+  void integrate_leakage_to(sim::Time now);
 
   sim::Kernel* kernel_;
   device::LeakageModel leakage_;

@@ -353,6 +353,30 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   }
 
   const std::vector<unsigned>& threads = opt.cross_threads;
+
+  // Vacuous-pass refusal, before any simulation time is spent: a
+  // declared-but-absent reference means the gate would silently check
+  // nothing. Exit 2, like the perf gate on a mode-mismatched baseline.
+  // When no declared ref can be read and no thread cross-check is
+  // asked, the run could check nothing at all, so it is not started.
+  std::vector<bool> ref_found(fig.refs.size(), false);
+  if (opt.check) {
+    for (std::size_t i = 0; i < fig.refs.size(); ++i) {
+      const std::string ref_path = opt.refs_dir + "/" + fig.refs[i];
+      ref_found[i] = static_cast<bool>(std::ifstream(ref_path));
+      if (!ref_found[i]) {
+        r.verdicts.push_back(
+            {"missing_ref", Outcome::kVacuous,
+             indent("declared ref missing on disk: " + ref_path)});
+      }
+    }
+    if (!fig.refs.empty() && threads.size() < 2 &&
+        std::find(ref_found.begin(), ref_found.end(), true) ==
+            ref_found.end()) {
+      return r;
+    }
+  }
+
   const RunContext ctx =
       make_context(opt, r.seed, threads.empty() ? 0 : threads.front());
   const auto t0 = std::chrono::steady_clock::now();
@@ -381,16 +405,15 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   if (r.artifacts.size() < fig.artifacts.size()) return r;
 
   if (opt.check) {
-    for (const std::string& file : fig.refs) {
+    for (std::size_t i = 0; i < fig.refs.size(); ++i) {
+      if (!ref_found[i]) continue;  // its verdict was filed before the run
+      const std::string& file = fig.refs[i];
       const std::string ref_path = opt.refs_dir + "/" + file;
       std::string ref_bytes;
       if (!read_file(ref_path, &ref_bytes)) {
-        // Vacuous-pass refusal: a declared-but-absent reference means
-        // the gate would silently check nothing. Exit 2, like the perf
-        // gate on a mode-mismatched baseline.
         r.verdicts.push_back(
             {"missing_ref", Outcome::kVacuous,
-             indent("declared ref missing on disk: " + ref_path)});
+             indent("declared ref vanished during the run: " + ref_path)});
         continue;
       }
       std::string produced;

@@ -33,7 +33,15 @@ constexpr Time ms(std::uint64_t v) { return v * kMillisecond; }
 
 /// Convert a duration in seconds (e.g. from an analogue model) to ticks,
 /// rounding to the nearest femtosecond and saturating at kTimeMax.
-Time from_seconds(double seconds);
+inline Time from_seconds(double seconds) {
+  if (seconds <= 0.0) return 0;
+  const double ticks = seconds * 1e15;
+  if (ticks >= static_cast<double>(kTimeMax)) return kTimeMax;
+  // Round half away from zero. The truncation and the fraction are exact:
+  // below 2^52 by construction, and from 2^52 on every double is whole.
+  const Time whole = static_cast<Time>(ticks);
+  return whole + (ticks - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+}
 
 /// Convert ticks to seconds for analogue models and reporting.
 constexpr double to_seconds(Time t) { return static_cast<double>(t) * 1e-15; }

@@ -25,6 +25,11 @@
 #include "sim/kernel.hpp"
 #include "sim/time.hpp"
 
+namespace emc::gates {
+class DriveArena;
+class EnergyMeter;
+}  // namespace emc::gates
+
 namespace emc::supply {
 
 class Supply {
@@ -52,7 +57,16 @@ class Supply {
   /// no-op — instead of corrupting the store. Subclass overrides call
   /// the base first and return if the draw was rejected
   /// (`if (!draw_ok(charge, energy)) return;` after `Supply::draw`).
-  virtual void draw(double charge, double energy);
+  /// Inline, so the overrides' calls to it cost no call of their own.
+  virtual void draw(double charge, double energy) {
+    if (!draw_ok(charge, energy)) {
+      ++rejected_draws_;
+      return;
+    }
+    total_charge_ += charge;
+    total_energy_ += energy;
+    ++draw_count_;
+  }
 
   /// How long a stalled gate should wait before re-sampling the voltage.
   /// kTimeMax means "don't poll, wait for wake()" (or never, if the
@@ -89,14 +103,7 @@ class Supply {
   /// caches (DriveArena::refresh, EnergyMeter::integrate_leakage) read
   /// the rail through it, so the refresh that follows a draw reuses the
   /// level the meter just read instead of recomputing it.
-  double cached_voltage() const {
-    const std::uint64_t e = voltage_epoch();
-    if (e != cached_epoch_) {
-      cached_epoch_ = e;
-      cached_volts_ = voltage();
-    }
-    return cached_volts_;
-  }
+  double cached_voltage() const { return cached_voltage(voltage_epoch()); }
 
   /// Cumulative bookkeeping.
   double total_charge_drawn() const { return total_charge_; }
@@ -141,6 +148,21 @@ class Supply {
   }
 
  private:
+  // The quasi-static caches read the epoch first to test their own stamp
+  // and hand it here, sparing a second walk of the epoch-parent chain.
+  friend class gates::DriveArena;
+  friend class gates::EnergyMeter;
+
+  /// cached_voltage() for a caller holding `epoch`, the value
+  /// voltage_epoch() returned with no state change since.
+  double cached_voltage(std::uint64_t epoch) const {
+    if (epoch != cached_epoch_) {
+      cached_epoch_ = epoch;
+      cached_volts_ = voltage();
+    }
+    return cached_volts_;
+  }
+
   sim::Kernel* kernel_;
   std::string name_;
   std::vector<sim::Action> wake_listeners_;

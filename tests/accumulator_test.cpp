@@ -150,8 +150,9 @@ TEST(StatsAccumulator, ExactPathMatchesLegacyPair) {
     legacy.add(x);
   }
   ASSERT_TRUE(s.exact());
-  EXPECT_DOUBLE_EQ(s.mean(), legacy.mean());
-  EXPECT_DOUBLE_EQ(s.stddev(), legacy.stddev());
+  const analysis::StatsAccumulator::Moments m = s.moments();
+  EXPECT_DOUBLE_EQ(m.mean, legacy.mean());
+  EXPECT_DOUBLE_EQ(m.stddev, legacy.stddev());
   const analysis::StatsAccumulator::Quantiles q = s.quantiles();
   EXPECT_DOUBLE_EQ(q.p5, analysis::percentile(v, 5.0));
   EXPECT_DOUBLE_EQ(q.p50, analysis::percentile(v, 50.0));
@@ -187,6 +188,46 @@ TEST(StatsAccumulator, ExactQuantilesEqualPercentileOnTiesAndEdgeSizes) {
   EXPECT_EQ(none.p95, 0.0);
 }
 
+TEST(StatsAccumulator, MomentsEqualTheLegacyReplayAndWelfordBitForBit) {
+  // moments() replays the retained samples once for both columns. On
+  // the exact path it must give the legacy Accumulator's mean and stddev
+  // bit for bit (ties, the smallest counts, the largest count kept), on
+  // the spilled path Welford's.
+  std::vector<std::vector<double>> cases;
+  std::vector<double> ties;
+  for (double x : seeded_uniform(616, 61)) ties.push_back(std::floor(x * 5));
+  cases.push_back(ties);
+  for (std::size_t n : {std::size_t{1}, std::size_t{2},
+                        analysis::StatsAccumulator::kExactThreshold}) {
+    cases.push_back(seeded_uniform(717 + n, n));
+  }
+  for (const auto& v : cases) {
+    analysis::StatsAccumulator s;
+    analysis::Accumulator legacy;
+    for (double x : v) {
+      s.add(x);
+      legacy.add(x);
+    }
+    ASSERT_TRUE(s.exact());
+    const analysis::StatsAccumulator::Moments m = s.moments();
+    EXPECT_EQ(m.mean, legacy.mean()) << "n = " << v.size();
+    EXPECT_EQ(m.stddev, legacy.stddev()) << "n = " << v.size();
+  }
+
+  const auto v = seeded_uniform(
+      818, analysis::StatsAccumulator::kExactThreshold + 100);
+  analysis::StatsAccumulator s;
+  analysis::WelfordAccumulator w;
+  for (double x : v) {
+    s.add(x);
+    w.add(x);
+  }
+  ASSERT_FALSE(s.exact());
+  const analysis::StatsAccumulator::Moments m = s.moments();
+  EXPECT_EQ(m.mean, w.mean());
+  EXPECT_EQ(m.stddev, w.stddev());
+}
+
 TEST(StatsAccumulator, SpillsAtThresholdAndStaysAccurate) {
   const std::size_t kThreshold = analysis::StatsAccumulator::kExactThreshold;
   const auto v = seeded_uniform(505, 10000);
@@ -202,8 +243,9 @@ TEST(StatsAccumulator, SpillsAtThresholdAndStaysAccurate) {
 
   // Spilling never loses moments (Welford runs from sample one) and
   // the P² quantiles stay within the documented 0.02 tolerance.
-  EXPECT_NEAR(s.mean(), two_pass_mean(v), 1e-12);
-  EXPECT_NEAR(s.stddev(), two_pass_stddev(v), 1e-12);
+  const analysis::StatsAccumulator::Moments m = s.moments();
+  EXPECT_NEAR(m.mean, two_pass_mean(v), 1e-12);
+  EXPECT_NEAR(m.stddev, two_pass_stddev(v), 1e-12);
   const analysis::StatsAccumulator::Quantiles q = s.quantiles();
   EXPECT_NEAR(q.p5, analysis::percentile(v, 5.0), 0.02);
   EXPECT_NEAR(q.p50, analysis::percentile(v, 50.0), 0.02);

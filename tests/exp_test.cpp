@@ -1,15 +1,17 @@
 // Tests for the emc::exp experiment layer: ParamSet typing rules, Grid
 // cartesian construction, Workbench schema binding + determinism under
-// parallel sweeps, the per-trial precompute, and SupplyConfig -> Supply
-// elaboration per variant.
+// parallel sweeps, the per-trial precompute, SupplyConfig -> Supply
+// elaboration per variant, and which rails depend on the trial seed.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "async/counter.hpp"
 #include "exp/context_config.hpp"
 #include "exp/param_set.hpp"
 #include "exp/supply_config.hpp"
@@ -410,6 +412,49 @@ TEST(SupplyConfig, HarvestedElaboratesSeededChain) {
   k2.run_until(sim::ms(5));
   EXPECT_DOUBLE_EQ(b2.harvester()->total_energy_harvested(),
                    b.harvester()->total_energy_harvested());
+}
+
+/// A 4-stage ToggleRippleCounter free-running for 50 us on `supply` at
+/// trial seed `seed`: (transitions, meter energy).
+std::pair<std::uint64_t, double> counter_run(const SupplyConfig& supply,
+                                             std::uint64_t seed) {
+  auto ex = ContextConfig::with(supply).trial_seed(seed).build();
+  async::ToggleRippleCounter ctr(ex.ctx(), "osc", 4);
+  ctr.start();
+  ex.kernel().run_until(sim::us(50));
+  ex.meter()->integrate_leakage();
+  return {ex.meter()->total_transitions(), ex.meter()->total_energy()};
+}
+
+// What fig_survivability's fault-free baseline table relies on: battery
+// and AC rails read no trial-keyed stream, so one run serves every trial.
+TEST(SupplyConfig, BatteryAndAcRunsDoNotDependOnTheTrialSeed) {
+  for (const SupplyConfig& s :
+       {SupplyConfig::battery(0.35).faultable(),
+        SupplyConfig::ac(0.2, 0.1, 1e6).faultable()}) {
+    const auto a = counter_run(s, sim::derive_seed(4242, 0));
+    const auto b = counter_run(s, sim::derive_seed(4242, 1));
+    EXPECT_GT(a.first, 0u);
+    EXPECT_EQ(a.first, b.first);
+    EXPECT_EQ(a.second, b.second);
+  }
+}
+
+// ...while a harvested rail re-keys its harvest stream per trial, so its
+// baseline is one run per trial.
+TEST(SupplyConfig, HarvestedRailsDrawADifferentStreamPerTrialSeed) {
+  const SupplyConfig s = SupplyConfig::harvested(
+      SupplyConfig::storage_cap(2e-6, 0.35).wake_threshold(0.16),
+      supply::HarvesterProfile::vibration_200uw(), 11, sim::us(10));
+  double harvested[2];
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    sim::Kernel kernel;
+    auto b = s.build(kernel, sim::derive_seed(4242, t));
+    kernel.run_until(sim::us(100));
+    harvested[t] = b.harvester()->total_energy_harvested();
+    EXPECT_GT(harvested[t], 0.0);
+  }
+  EXPECT_NE(harvested[0], harvested[1]);
 }
 
 TEST(SupplyConfig, CompositeVariantsRequireCapInputs) {

@@ -8,7 +8,8 @@
 //   * duplicate figure names and a registered seed of 0 abort (build
 //     errors, not preferences);
 //   * --check fails with exit 2 — never passes vacuously — when a
-//     declared ref CSV does not exist on disk;
+//     declared ref CSV does not exist on disk, and does not run a
+//     figure none of whose refs exists;
 //   * each manifest status a check can write, and that a failing check
 //     outranks a vacuous one in the status as it does in the exit code;
 //   * the --manifest JSON is well-formed, its artifact sha256s are
@@ -28,6 +29,7 @@
 //     --only filters rules and sta --csv writes the margin curves;
 //   * --help returns instead of ending the process.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -88,7 +90,12 @@ int run_selftest_a(const RunContext& ctx) {
   return write_file("zz_selftest_a.csv", csv.str()) ? 0 : 1;
 }
 
+// Counts its runs, so a test can tell a refusal before the run from one
+// after it.
+std::atomic<int> missing_ref_runs{0};
+
 int run_missing_ref(const RunContext&) {
+  ++missing_ref_runs;
   return write_file("zz_missing_ref.csv", "a,b\n1,2\n") ? 0 : 1;
 }
 
@@ -389,6 +396,18 @@ TEST_F(ReproDriverTest, CheckFailsWithExit2WhenDeclaredRefMissing) {
       << summary;
   EXPECT_NE(summary.find("[ok] zz_repro_selftest_a"), std::string::npos)
       << summary;
+}
+
+TEST_F(ReproDriverTest, CheckRefusesAMissingRefBeforeRunningTheFigure) {
+  // With its only ref absent the check can compare nothing, so the
+  // figure is refused without spending its run time.
+  const int runs_before = missing_ref_runs;
+  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_missing_ref", "--check",
+                                    "--refs", refs(), "--manifest", "m.json"}),
+            2);
+  EXPECT_EQ(missing_ref_runs - runs_before, 0);
+  EXPECT_EQ(manifest_status("zz_repro_missing_ref"), "missing_ref");
+  EXPECT_FALSE(fs::exists("zz_missing_ref.csv"));
 }
 
 TEST_F(ReproDriverTest, CheckFailsWithExit1OnRefMismatch) {

@@ -34,6 +34,30 @@ TEST(Time, Conversions) {
   EXPECT_EQ(from_seconds(1e30), kTimeMax);
 }
 
+TEST(Time, FromSecondsRoundsHalfAwayFromZero) {
+  // Below 2^63 ticks from_seconds agrees with std::llround: ties away
+  // from zero, the largest double below a tie, both sides of 2^52, and
+  // delays over 12 decades. Above 2^63, where llround's long long
+  // overflows, it still converts exactly up to the saturation point.
+  const auto llround_ticks = [](double s) {
+    return static_cast<Time>(std::llround(s * 1e15));
+  };
+  for (double ticks : {0.5, 1.5, 2.5, 0.49999999999999994, 1e6 + 0.5,
+                       0x1p52 - 0.5, 0x1p52, 0x1p52 + 2.0, 1e18 + 0.5}) {
+    const double s = ticks * 1e-15;
+    EXPECT_EQ(from_seconds(s), llround_ticks(s)) << "ticks " << ticks;
+  }
+  Rng rng = Rng::keyed(25, 0);
+  for (int i = 0; i < 100000; ++i) {
+    const double s = rng.uniform() * std::pow(10.0, -3 - i % 13);
+    ASSERT_EQ(from_seconds(s), llround_ticks(s)) << "s " << s;
+  }
+  EXPECT_EQ(from_seconds(1e4), 10'000'000'000'000'000'000u);
+  EXPECT_EQ(from_seconds(0x1p63 * 1e-15), Time{1} << 63);
+  EXPECT_EQ(from_seconds(0x1.fffffffffffffp63 * 1e-15),
+            static_cast<Time>(0x1.fffffffffffffp63));
+}
+
 /// Pops the earliest event, runs it and returns its time.
 Time pop_and_run(EventQueue& q) {
   Time t = 0;
