@@ -31,7 +31,6 @@
 
 namespace {
 constexpr std::size_t kTrials = 24;
-constexpr std::size_t kSmokeTrials = 4;
 constexpr double kVthSigma = 0.020;  // 20 mV local mismatch
 constexpr std::size_t kWordBits = 16;
 constexpr std::uint64_t kRulerId = 0;     // the reference inverter
@@ -59,7 +58,7 @@ static int run_fig5(const emc::repro::RunContext& ctx) {
   exp::Workbench wb("fig5_mismatch_trials");
   wb.threads(ctx.threads);
   wb.grid().over("vdd", analysis::vdd_grid());
-  wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
+  wb.replicate(ctx.trials_or(kTrials), ctx.seed);
   wb.columns({"vdd_V", "trial", "inv_delay_ps", "sram_read_ns",
               "sram_in_inverters"});
 
@@ -124,5 +123,4 @@ REPRO_FIGURE(fig5_sram_logic_mismatch)
                  fig5_aggregate)
     .lint(lint_fig5)
     .seed(5)
-    .smoke_mode()
     .run(run_fig5);

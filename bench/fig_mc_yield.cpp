@@ -44,7 +44,6 @@
 namespace {
 
 constexpr std::size_t kTrials = 60;
-constexpr std::size_t kSmokeTrials = 6;
 constexpr std::size_t kLogicStages = 16;
 constexpr std::size_t kSramCells = 64;
 /// Timing margin of the hypothetical bundled design: a sampled path
@@ -87,7 +86,7 @@ static int run_fig_mc_yield(const emc::repro::RunContext& ctx) {
   exp::Workbench wb("fig_mc_yield_trials");
   wb.threads(ctx.threads);
   wb.grid().over("vdd", analysis::vdd_grid());
-  wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
+  wb.replicate(ctx.trials_or(kTrials), ctx.seed);
   wb.columns({"vdd_V", "trial", "path_ratio", "worst_vth_mV", "sram_ok",
               "logic_ok", "chip_ok"});
 
@@ -164,5 +163,4 @@ REPRO_FIGURE(fig_mc_yield)
                  fig_mc_yield_aggregate)
     .lint(lint_fig_mc_yield)
     .seed(2026)
-    .smoke_mode()
     .run(run_fig_mc_yield);

@@ -58,7 +58,6 @@ namespace {
 using namespace emc;
 
 constexpr std::size_t kTrials = 12;
-constexpr std::size_t kSmokeTrials = 3;
 /// Fault processes are generated over this window; the QoS run stops
 /// here, the protocol run gets twice this to finish recovered cycles.
 constexpr sim::Time kHorizon = sim::us(100);
@@ -209,7 +208,7 @@ static int run_fig_survivability(const emc::repro::RunContext& ctx) {
       .over("supply", std::vector<std::string>{"battery", "ac", "harvested"})
       .over("dropout_hz", {0.0, 2e4, 1e5})
       .over("drop_us", {2.0, 10.0});
-  wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
+  wb.replicate(ctx.trials_or(kTrials), ctx.seed);
   wb.columns({"supply", "dropout_hz", "drop_us", "trial", "qos_kops_s",
               "qos_verdict", "hs_done_pct", "hs_verdict", "survived"});
 
@@ -303,6 +302,5 @@ REPRO_FIGURE(fig_survivability)
     .shard_model("fig_survivability_trials.csv", "fig_survivability.csv",
                  fig_survivability_aggregate)
     .seed(4242)
-    .smoke_mode()
     .lint(lint_fig_survivability)
     .run(run_fig_survivability);

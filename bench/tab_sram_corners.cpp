@@ -32,7 +32,6 @@
 
 namespace {
 constexpr std::size_t kTrials = 24;
-constexpr std::size_t kSmokeTrials = 4;
 constexpr double kVthSigma = 0.020;  // 20 mV local cell mismatch
 constexpr std::uint64_t kCellBaseId = 0;
 
@@ -88,7 +87,7 @@ static int run_tab_sram_corners(const emc::repro::RunContext& ctx) {
     corner_names.push_back(techs[i].first);
   }
   wb.grid().over("corner", corner_names);
-  wb.replicate(ctx.trials_or(kTrials, kSmokeTrials), ctx.seed);
+  wb.replicate(ctx.trials_or(kTrials), ctx.seed);
   wb.columns({"corner", "trial", "min_read_V", "min_write_V", "retention_V",
               "read@1V_ns", "read@0.19V_us", "ratio@1V", "ratio@0.19V"});
 
@@ -154,6 +153,5 @@ REPRO_FIGURE(tab_sram_corners)
     .shard_model("tab_sram_corners_trials.csv", "tab_sram_corners.csv",
                  tab_sram_corners_aggregate)
     .seed(8)
-    .smoke_mode()
     .lint(lint_tab_sram_corners)
     .run(run_tab_sram_corners);

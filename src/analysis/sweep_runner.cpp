@@ -1,10 +1,11 @@
 #include "analysis/sweep_runner.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <charconv>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <optional>
 
@@ -29,14 +30,15 @@ void SweepReport::print_summary() const {
   std::printf("[sweep] %s\n", summary().c_str());
 }
 
-SweepRunner::SweepRunner(std::vector<std::string> headers, Options opt)
-    : headers_(std::move(headers)), opt_(opt) {}
-
 unsigned SweepRunner::resolve_threads(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("EMC_SWEEP_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+    // The whole value must be an unsigned decimal that fits: "4x", "+3"
+    // or a count past UINT_MAX is unset, not a truncated guess.
+    const char* end = env + std::strlen(env);
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    if (ec == std::errc() && ptr == end && v > 0) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
@@ -226,30 +228,6 @@ void SweepRunner::for_indexed_streaming(
 
   if (consumer_error) std::rethrow_exception(consumer_error);
   if (first_error) std::rethrow_exception(first_error);
-}
-
-SweepReport SweepRunner::run_streaming(
-    std::size_t n, const std::function<ScenarioOutput(std::size_t)>& produce,
-    const std::function<void(std::size_t, ScenarioOutput&&)>& consume) const {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-      resolve_threads(opt_.threads), std::max<std::size_t>(n, 1)));
-
-  SweepReport report;
-  report.table = Table(headers_);
-  report.scenarios = n;
-  report.threads = threads;
-  for_indexed_streaming(
-      n, threads, produce,
-      [&](std::size_t i, ScenarioOutput&& out) {
-        report.kernel_stats += out.stats;
-        consume(i, std::move(out));
-      });
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return report;
 }
 
 }  // namespace emc::analysis

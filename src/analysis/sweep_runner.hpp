@@ -60,19 +60,13 @@ struct SweepReport {
   void print_summary() const;
 };
 
+/// The sweep engine's entry points. exp::Workbench is the usual caller;
+/// it resolves the thread count and fills the SweepReport.
 class SweepRunner {
  public:
-  struct Options {
-    /// Worker threads. 0 = take EMC_SWEEP_THREADS from the environment,
-    /// falling back to std::thread::hardware_concurrency().
-    unsigned threads = 0;
-  };
-
-  explicit SweepRunner(std::vector<std::string> headers)
-      : SweepRunner(std::move(headers), Options()) {}
-  SweepRunner(std::vector<std::string> headers, Options opt);
-
-  /// Resolve a thread request against EMC_SWEEP_THREADS / the hardware.
+  /// Resolve a thread request: `requested` when nonzero, else
+  /// EMC_SWEEP_THREADS if it is a whole unsigned decimal above zero,
+  /// else the hardware concurrency (at least 1).
   static unsigned resolve_threads(unsigned requested);
 
   /// Index-parallel loop: fn(i) for i in [0, n), each index visited
@@ -117,19 +111,6 @@ class SweepRunner {
   /// lookahead for uneven scenario costs; with 64-index blocks it lets
   /// each worker run up to four blocks ahead of the caller.
   static std::size_t window_blocks(std::size_t block, unsigned threads);
-
-  /// A sweep of `n` scenarios: `produce` is the scenario body; each
-  /// output is handed to `consume` in scenario order and then dropped.
-  /// The report carries scenario count, threads, wall time and the
-  /// summed kernel stats; its table has the headers and whatever rows
-  /// the caller appends.
-  SweepReport run_streaming(
-      std::size_t n, const std::function<ScenarioOutput(std::size_t)>& produce,
-      const std::function<void(std::size_t, ScenarioOutput&&)>& consume) const;
-
- private:
-  std::vector<std::string> headers_;
-  Options opt_;
 };
 
 }  // namespace emc::analysis

@@ -1,5 +1,7 @@
 #include "exp/workbench.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <limits>
 
 #include "analysis/table.hpp"
@@ -150,7 +152,7 @@ Workbench& Workbench::columns(std::vector<std::string> names) {
 }
 
 Workbench& Workbench::threads(unsigned n) {
-  opt_.threads = n;
+  threads_ = n;
   return *this;
 }
 
@@ -194,9 +196,16 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
                               " trials overflows the scenario count");
   }
 
-  analysis::SweepRunner runner(columns_, opt_);
-  report_ = runner.run_streaming(
-      pts.size() * trials_,
+  const auto wall_start = std::chrono::steady_clock::now();
+  const std::size_t n = pts.size() * trials_;
+  report_ = analysis::SweepReport();
+  report_.table = analysis::Table(columns_);
+  report_.scenarios = n;
+  report_.threads = static_cast<unsigned>(
+      std::min<std::size_t>(analysis::SweepRunner::resolve_threads(threads_),
+                            std::max<std::size_t>(n, 1)));
+  analysis::SweepRunner::for_indexed_streaming(
+      n, report_.threads,
       [&](std::size_t i) {
         const ParamSet q = expand_trial(pts[i / trials_], i % trials_);
         Recorder rec(&columns_, i);
@@ -204,8 +213,12 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
         return std::move(rec.output_);
       },
       [&](std::size_t i, analysis::ScenarioOutput&& out) {
+        report_.kernel_stats += out.stats;
         for (const auto& row : out.rows) sink(i, row);
       });
+  report_.wall_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
   return report_;
 }
 

@@ -10,7 +10,7 @@
 //     Recorder (`rec.row().set("vdd_V", v)`), and an unknown column name
 //     throws instead of silently shifting cells;
 //   * execution + artifacts — scenarios are enumerated lazily and run
-//     through analysis::SweepRunner's streaming engine (same pool, same
+//     through analysis::SweepRunner::for_indexed_streaming (its pool and
 //     determinism contract: rows arrive in scenario order and are
 //     byte-identical at any EMC_SWEEP_THREADS). run() collects them into
 //     a table that prints / writes the CSV artifact; run_streaming()
@@ -158,7 +158,7 @@ class Workbench {
   /// Monte-Carlo replication: run every grid point `n_trials` times.
   /// Each replica is a plain scenario — the grid point's parameters plus
   /// a "trial" index and a "trial_seed" derived as
-  /// sim::derive_seed(base_seed, trial) — so the SweepRunner
+  /// sim::derive_seed(base_seed, trial) — so the sweep pool
   /// parallelizes replicas exactly like scenarios and the byte-identical
   /// CSV contract holds at any thread count. The trial axis is fastest
   /// (replicas of a point are adjacent rows, ready for
@@ -200,7 +200,7 @@ class Workbench {
                   "per_trial: return a struct or an int, not bool");
     std::vector<Entry> table(trials_);
     analysis::SweepRunner::for_indexed(
-        trials_, analysis::SweepRunner::resolve_threads(opt_.threads),
+        trials_, analysis::SweepRunner::resolve_threads(threads_),
         [&](std::size_t t) { table[t] = draw(trial_seed(t)); });
     return table;
   }
@@ -208,8 +208,8 @@ class Workbench {
   /// The column schema (what sink rows are ordered by).
   const std::vector<std::string>& schema() const { return columns_; }
 
-  /// Worker-thread override (0 = EMC_SWEEP_THREADS / hardware, the
-  /// SweepRunner default).
+  /// Worker-thread override (0 = EMC_SWEEP_THREADS, else the hardware;
+  /// see SweepRunner::resolve_threads).
   Workbench& threads(unsigned n);
 
   using Body = std::function<void(const ParamSet&, Recorder&)>;
@@ -226,8 +226,9 @@ class Workbench {
   /// calling thread in scenario order, then dropped. Memory is
   /// O(threads + sink state) instead of O(rows): the path that makes
   /// 10^6-trial replicated runs possible. The returned report carries
-  /// scenario count, threads, wall time and kernel stats; its table has
-  /// headers but no rows, and scenario_params() is empty. Throws
+  /// scenario count, threads (at most one per scenario), wall time and
+  /// summed kernel stats; its table has headers but no rows, and
+  /// scenario_params() is empty. Throws
   /// std::overflow_error when points x trials does not fit a size_t.
   const analysis::SweepReport& run_streaming(const RowSink& sink,
                                              const Body& body);
@@ -265,7 +266,7 @@ class Workbench {
   std::size_t trials_ = 1;
   bool replicated_ = false;
   std::uint64_t base_seed_ = 0;
-  analysis::SweepRunner::Options opt_;
+  unsigned threads_ = 0;
   analysis::SweepReport report_;
 };
 

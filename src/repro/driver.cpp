@@ -42,7 +42,6 @@ struct CliOptions {
   bool help = false;
   // run
   bool check = false;
-  bool smoke = false;
   bool lint = false;
   bool sta = false;
   bool seed_set = false;
@@ -302,7 +301,6 @@ void write_margin_rows(std::ofstream& csv, const Figure& f,
 RunContext make_context(const CliOptions& opt, std::uint64_t seed,
                         unsigned threads) {
   RunContext ctx;
-  ctx.mode = opt.smoke ? Mode::kSmoke : Mode::kFull;
   ctx.seed = seed;
   ctx.threads = threads;
   ctx.trials_override = opt.trials_override;
@@ -476,7 +474,6 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
   std::ofstream out(path, std::ios::binary);
   out << "{\n";
   out << "  \"tool\": \"emc_repro\",\n";
-  out << "  \"mode\": \"" << (opt.smoke ? "smoke" : "full") << "\",\n";
   out << "  \"checked\": " << (opt.check ? "true" : "false") << ",\n";
   out << "  \"threads_cross_check\": [";
   for (std::size_t i = 0; i < opt.cross_threads.size(); ++i) {
@@ -490,8 +487,6 @@ bool write_manifest(const std::string& path, const CliOptions& opt,
     out << "      \"name\": " << json_quote(r.fig->name) << ",\n";
     out << "      \"title\": " << json_quote(r.fig->title) << ",\n";
     out << "      \"status\": \"" << r.status() << "\",\n";
-    out << "      \"smoke_capable\": "
-        << (r.fig->smoke_capable ? "true" : "false") << ",\n";
     char wall[32];
     std::snprintf(wall, sizeof(wall), "%.6f", r.wall_seconds);
     out << "      \"wall_seconds\": " << wall << ",\n";
@@ -533,8 +528,7 @@ void print_usage() {
       "[--csv FILE]\n"
       "  emc_repro lint|sta --rules\n"
       "run flags: --check  --threads-cross-check A,B  --manifest OUT.json\n"
-      "           --jobs N  --smoke  --seed N  --refs DIR  --lint  --sta\n"
-      "           --trials N\n"
+      "           --jobs N  --seed N  --trials N  --refs DIR  --lint  --sta\n"
       "exit codes: 0 = everything selected was checked and clean; 1 = active\n"
       "findings or failures; 2 = usage error or vacuous run (nothing "
       "checked)\n");
@@ -544,8 +538,7 @@ int list_figures() {
   const auto figs = Registry::instance().figures();
   std::printf("%zu registered figure(s):\n", figs.size());
   for (const Figure* f : figs) {
-    std::printf("  %-28s %s%s%s\n", f->name.c_str(), f->title.c_str(),
-                f->smoke_capable ? "  [smoke]" : "",
+    std::printf("  %-28s %s%s\n", f->name.c_str(), f->title.c_str(),
                 f->lint != nullptr ? "  [lint model]" : "");
     for (const std::string& a : f->artifacts) {
       bool is_ref = false;
@@ -648,8 +641,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* opt) {
       opt->all = true;
     } else if (run && a == "--check") {
       opt->check = true;
-    } else if (run && a == "--smoke") {
-      opt->smoke = true;
     } else if (run && a == "--lint") {
       opt->lint = true;
     } else if (run && a == "--sta") {
@@ -777,12 +768,6 @@ int analyze_figures(const CliOptions& opt) {
 
 /// The run verb: execute the selected figures and gate them.
 int run_figures(const CliOptions& opt) {
-  if (opt.smoke && opt.check) {
-    std::fprintf(stderr,
-                 "emc_repro: --check compares full-mode refs; combining it "
-                 "with --smoke would verify nothing\n");
-    return 2;
-  }
   if (opt.trials_override != 0 && opt.check) {
     std::fprintf(stderr,
                  "emc_repro: --check compares full-trial refs; combining it "
@@ -822,11 +807,8 @@ int run_figures(const CliOptions& opt) {
               opt.cross_threads.empty() ? "" : ", --threads-cross-check");
   Outcome worst = Outcome::kPass;
   for (const FigureResult& r : results) {
-    std::printf("  [%s] %-28s %6.2f s  %s%s\n", mark(r.outcome()),
-                r.fig->name.c_str(), r.wall_seconds, r.status(),
-                opt.smoke && !r.fig->smoke_capable
-                    ? "  (ran full workload: figure is not smoke-capable)"
-                    : "");
+    std::printf("  [%s] %-28s %6.2f s  %s\n", mark(r.outcome()),
+                r.fig->name.c_str(), r.wall_seconds, r.status());
     for (const Verdict& v : r.verdicts) std::fputs(v.detail.c_str(), stdout);
     worst = std::max(worst, r.outcome());
   }

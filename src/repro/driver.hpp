@@ -29,9 +29,6 @@
 //   --jobs N                 run independent figures concurrently on the
 //                            existing SweepRunner pool (artifacts have
 //                            disjoint names; bodies print interleaved).
-//   --smoke                  run bodies in smoke mode (shrunk MC trial
-//                            counts); incompatible with --check, whose
-//                            refs are full-mode recordings.
 //   --seed N                 override every figure's default seed;
 //                            refused for a figure that registers none.
 //   --refs DIR               reference directory (default: the source

@@ -4,10 +4,10 @@
 // through hand-copied shell snippets naming individual binaries and ref
 // CSVs. The registry inverts that: a bench *registers* a Figure
 // descriptor (title, produced artifacts, which of them are byte-compared
-// against bench/refs/, default seed, smoke capability) plus a run
-// function, and the single `emc_repro` driver derives everything else —
-// the determinism cross-check, the drift gate, the manifest, the CI
-// steps. Adding a figure == registering it; the build, the gates and the
+// against bench/refs/, default seed, trial model) plus a run function,
+// and the single `emc_repro` driver derives everything else — the
+// determinism cross-check, the drift gate, the manifest, the CI steps.
+// Adding a figure == registering it; the build, the gates and the
 // artifact list follow automatically.
 //
 // Registration happens from static initializers in the bench translation
@@ -43,18 +43,11 @@ class Session;
 
 namespace emc::repro {
 
-enum class Mode { kFull, kSmoke };
-
 /// Per-run knobs handed to a figure body, plus the stats channel the
 /// body reports its kernel totals through (they land in the manifest).
 class RunContext {
  public:
-  /// Full reproduces the recorded refs; smoke may shrink Monte-Carlo
-  /// trial counts etc. for fast pipe-cleaning (artifacts then do NOT
-  /// match the refs, so the driver refuses --check in smoke mode).
-  Mode mode = Mode::kFull;
-
-  /// Sweep-thread override threaded into Workbench/SweepRunner by the
+  /// Sweep-thread override threaded into the Workbench by the
   /// body (0 = EMC_SWEEP_THREADS / hardware default). This is how
   /// --threads-cross-check re-runs a figure at several thread counts
   /// without racing on the process environment.
@@ -63,17 +56,15 @@ class RunContext {
   /// The figure's default_seed unless overridden with --seed.
   std::uint64_t seed = 0;
 
-  /// Trial-count override (--trials N); 0 = the figure's built-in
-  /// full/smoke counts. Bodies read it through trials_or().
+  /// Trial-count override (--trials N); 0 = the figure's registered
+  /// count. Bodies read it through trials_or().
   std::uint64_t trials_override = 0;
 
-  bool smoke() const { return mode == Mode::kSmoke; }
-
   /// The replication count a body should use: the override when given,
-  /// otherwise its full/smoke default.
-  std::size_t trials_or(std::size_t full, std::size_t smoke_trials) const {
-    if (trials_override > 0) return static_cast<std::size_t>(trials_override);
-    return smoke() ? smoke_trials : full;
+  /// otherwise the figure's registered count.
+  std::size_t trials_or(std::size_t registered) const {
+    return trials_override > 0 ? static_cast<std::size_t>(trials_override)
+                               : registered;
   }
 
   /// Fold a kernel's execution stats into the figure's manifest record.
@@ -116,7 +107,6 @@ struct Figure {
   /// bench/refs/<file> under --check.
   std::vector<std::string> refs;
   std::uint64_t default_seed = 0;
-  bool smoke_capable = false;
   RunFn run = nullptr;
   /// Optional static model, run by `emc_repro lint` / `sta` and the
   /// --lint / --sta gates. Null = the figure has no netlist to check;
@@ -175,11 +165,6 @@ class FigureBuilder {
   /// The seed the body reads from RunContext::seed; a figure that
   /// registers one accepts `--seed`. 0 means "unseeded" and aborts.
   FigureBuilder& seed(std::uint64_t s);
-  /// The body honors RunContext::smoke().
-  FigureBuilder& smoke_mode() {
-    fig_.smoke_capable = true;
-    return *this;
-  }
   /// Attach the figure's static-lint model.
   FigureBuilder& lint(LintFn fn) {
     fig_.lint = fn;

@@ -190,6 +190,20 @@ TEST(Workbench, UnsetCellsReadAsDash) {
   EXPECT_EQ(report.to_csv(), "x,y\n1,-\n");
 }
 
+/// A body that fires "ticks" events on its own kernel: cost uneven
+/// across scenarios, one row and the kernel's stats out.
+void fire_ticks(const ParamSet& p, Recorder& rec) {
+  sim::Kernel kernel;
+  const auto ticks = p.get<std::uint64_t>("ticks");
+  std::uint64_t fired = 0;
+  for (std::uint64_t i = 0; i < ticks; ++i) {
+    kernel.schedule(static_cast<sim::Time>(i % 11 + 1), [&fired] { ++fired; });
+  }
+  kernel.run();
+  rec.row().set("scenario", p.label()).set("fired", fired);
+  rec.add_stats(kernel.stats());
+}
+
 TEST(Workbench, DeterministicAcrossThreadCountsUnderUnevenLoad) {
   // EMC_SWEEP_THREADS=4 is the CI configuration the determinism contract
   // names; an explicit thread override checks the same property.
@@ -200,18 +214,7 @@ TEST(Workbench, DeterministicAcrossThreadCountsUnderUnevenLoad) {
     wb.grid().over("ticks",
                    std::vector<int>{4000, 10, 2000, 1, 800, 50, 3000, 5});
     wb.columns({"scenario", "fired"});
-    wb.run([](const ParamSet& p, Recorder& rec) {
-      sim::Kernel kernel;
-      const auto ticks = p.get<std::uint64_t>("ticks");
-      std::uint64_t fired = 0;
-      for (std::uint64_t i = 0; i < ticks; ++i) {
-        kernel.schedule(static_cast<sim::Time>(i % 11 + 1),
-                        [&fired] { ++fired; });
-      }
-      kernel.run();
-      rec.row().set("scenario", p.label()).set("fired", fired);
-      rec.add_stats(kernel.stats());
-    });
+    wb.run(fire_ticks);
     return wb.report().to_csv();
   };
   const std::string env4 = run_once(0);   // EMC_SWEEP_THREADS=4
@@ -222,6 +225,30 @@ TEST(Workbench, DeterministicAcrossThreadCountsUnderUnevenLoad) {
   EXPECT_EQ(env4, t7);
   // Rows in scenario (grid) order, not completion order.
   EXPECT_LT(t1.find("ticks=4000"), t1.find("ticks=10"));
+}
+
+TEST(Workbench, ReportSumsKernelStatsAndClampsThreadsToScenarios) {
+  // 10 + 20 + 50 events over three scenarios; 8 threads requested, but
+  // three scenarios keep at most three busy.
+  Workbench wb("t");
+  wb.threads(8);
+  wb.grid().over("ticks", {10, 20, 50});
+  wb.columns({"scenario", "fired"});
+  const auto& report = wb.run(fire_ticks);
+  EXPECT_EQ(report.kernel_stats.events_executed, 80u);
+  EXPECT_EQ(report.kernel_stats.events_scheduled, 80u);
+  EXPECT_EQ(report.scenarios, 3u);
+  EXPECT_EQ(report.threads, 3u);
+  EXPECT_FALSE(report.summary().empty());
+}
+
+TEST(Workbench, EmptyGridGivesAHeaderOnlyCsv) {
+  Workbench wb("t");
+  wb.grid().over("ticks", std::vector<int>{});
+  wb.columns({"scenario", "fired"});
+  const auto& report = wb.run(fire_ticks);
+  EXPECT_EQ(report.scenarios, 0u);
+  EXPECT_EQ(report.to_csv(), "scenario,fired\n");
 }
 
 TEST(Workbench, RunStreamingMatchesMaterializedRunAtAnyThreadCount) {

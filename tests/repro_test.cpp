@@ -23,7 +23,8 @@
 //   * --seed is refused (exit 2) for a figure that registers no seed;
 //   * the replicated figures' shared streaming tail fails the run when a
 //     CSV cannot be written;
-//   * the retired scale-out flags and subcommands are unknown (exit 2);
+//   * the retired scale-out flags and subcommands, and --smoke, are
+//     unknown (exit 2);
 //   * the lint and sta verbs and the run --lint/--sta gates give a clean,
 //     a dirty, a throwing and a missing model the exit codes 0, 1, 1, 2;
 //     --only filters rules and sta --csv writes the margin curves;
@@ -189,7 +190,7 @@ int run_zz_trials(const RunContext& ctx) {
   emc::exp::Workbench wb("zz_trials_trials");
   wb.threads(ctx.threads);
   wb.grid().over("x", {1, 2, 3});
-  wb.replicate(ctx.trials_or(8, 2), ctx.seed);
+  wb.replicate(ctx.trials_or(8), ctx.seed);
   wb.columns({"x", "trial", "v", "ok"});
   return emc::repro::run_replicated(
       ctx, "zz_repro_trials", wb,
@@ -211,7 +212,6 @@ REPRO_FIGURE(zz_repro_trials)
     .artifact("zz_trials.csv")
     .shard_model("zz_trials_trials.csv", "zz_trials.csv", zz_trials_aggregate)
     .seed(77)
-    .smoke_mode()
     .run(run_zz_trials);
 
 // Four figures with the four kinds of static model: a clean hook, a
@@ -483,12 +483,6 @@ TEST_F(ReproDriverTest, FailingCheckOutranksMissingRefInStatus) {
                                     "1,4", "--manifest", "m.json"}),
             1);
   EXPECT_EQ(manifest_status("zz_repro_thread_dep"), "threads_mismatch");
-}
-
-TEST_F(ReproDriverTest, SmokePlusCheckIsRefusedAsVacuous) {
-  EXPECT_EQ(emc::repro::driver_run({"run", "zz_repro_selftest_a", "--smoke",
-                                    "--check", "--refs", refs()}),
-            2);
 }
 
 TEST_F(ReproDriverTest, ManifestIsWellFormedJsonWithStableSha256) {
@@ -801,7 +795,8 @@ TEST_F(ReproDriverTest, UnwritableReplicatedCsvFailsTheRun) {
 
 TEST_F(ReproDriverTest, RetiredScaleOutFlagsAndSubcommandsAreUnknown) {
   const std::vector<std::vector<std::string>> retired = {
-      {"--shard", "0/2"}, {"--partial", "p"}, {"--cache", "d"}, {"--no-cache"}};
+      {"--shard", "0/2"}, {"--partial", "p"}, {"--cache", "d"}, {"--no-cache"},
+      {"--smoke"}};
   for (const auto& flag : retired) {
     std::vector<std::string> args = {"run", "zz_repro_trials"};
     args.insert(args.end(), flag.begin(), flag.end());

@@ -42,32 +42,22 @@ ScenarioOutput simulate_point(std::size_t point) {
   return out;
 }
 
-// Sweep over the given tick-list points, appending each delivered row to
-// the report's table (what exp::Workbench::run does).
-SweepReport sweep(const std::vector<std::size_t>& points, unsigned threads) {
-  SweepRunner::Options opt;
-  opt.threads = threads;
-  SweepRunner runner({"scenario", "fired"}, opt);
+// Stream every tick-list point, appending each delivered row to a table
+// (what exp::Workbench::run does).
+Table sweep(unsigned threads) {
   Table table({"scenario", "fired"});
-  SweepReport report = runner.run_streaming(
-      points.size(), [&](std::size_t i) { return simulate_point(points[i]); },
+  SweepRunner::for_indexed_streaming(
+      kUnevenTicks.size(), threads, simulate_point,
       [&](std::size_t, ScenarioOutput&& out) {
         for (auto& row : out.rows) table.add_row(std::move(row));
       });
-  report.table = std::move(table);
-  return report;
-}
-
-std::vector<std::size_t> all_points() {
-  std::vector<std::size_t> points(kUnevenTicks.size());
-  for (std::size_t i = 0; i < points.size(); ++i) points[i] = i;
-  return points;
+  return table;
 }
 
 TEST(SweepRunner, ResultsInScenarioOrder) {
-  const SweepReport report = sweep(all_points(), 4);
-  EXPECT_EQ(report.scenarios, kUnevenTicks.size());
-  const std::string csv = report.to_csv();
+  const Table table = sweep(4);
+  EXPECT_EQ(table.row_count(), kUnevenTicks.size());
+  const std::string csv = table.to_csv();
   // Header + rows in scenario (not completion) order.
   std::size_t pos = csv.find("ticks=4000");
   ASSERT_NE(pos, std::string::npos);
@@ -82,18 +72,10 @@ TEST(SweepRunner, ResultsInScenarioOrder) {
 TEST(SweepRunner, CsvByteIdenticalAcrossThreadCounts) {
   std::vector<std::string> csvs;
   for (unsigned threads : {1u, 2u, 7u}) {
-    csvs.push_back(sweep(all_points(), threads).to_csv());
+    csvs.push_back(sweep(threads).to_csv());
   }
   EXPECT_EQ(csvs[0], csvs[1]);
   EXPECT_EQ(csvs[0], csvs[2]);
-}
-
-TEST(SweepRunner, AggregatesKernelStats) {
-  // Points 1, 11, 5 of the shared tick list: 10 + 20 + 50 events.
-  const auto report = sweep({1, 11, 5}, 0);
-  EXPECT_EQ(report.kernel_stats.events_executed, 80u);
-  EXPECT_EQ(report.kernel_stats.events_scheduled, 80u);
-  EXPECT_FALSE(report.summary().empty());
 }
 
 TEST(SweepRunner, EachIndexVisitedExactlyOnce) {
@@ -263,17 +245,23 @@ TEST(SweepRunner, StreamingInFlightOutputsStayWithinBound) {
 }
 
 TEST(SweepRunner, EnvVarControlsThreadResolution) {
+  ASSERT_EQ(unsetenv("EMC_SWEEP_THREADS"), 0);
+  const unsigned unset = SweepRunner::resolve_threads(0);
+  EXPECT_GE(unset, 1u);
   ASSERT_EQ(setenv("EMC_SWEEP_THREADS", "3", 1), 0);
   EXPECT_EQ(SweepRunner::resolve_threads(0), 3u);
   EXPECT_EQ(SweepRunner::resolve_threads(5), 5u);  // explicit wins
+  // Only a whole unsigned decimal above zero counts; anything else, a
+  // value past UINT_MAX included, reads as unset. resolve_threads only
+  // returns a count, so none of these starts a thread.
+  for (const char* bad : {"4x", "+3", "-2", " 3", "3 ", "0", "", "0x4",
+                          "99999999999", "4294967296"}) {
+    ASSERT_EQ(setenv("EMC_SWEEP_THREADS", bad, 1), 0);
+    EXPECT_EQ(SweepRunner::resolve_threads(0), unset) << '"' << bad << '"';
+  }
+  ASSERT_EQ(setenv("EMC_SWEEP_THREADS", "4294967295", 1), 0);
+  EXPECT_EQ(SweepRunner::resolve_threads(0), 4294967295u);
   ASSERT_EQ(unsetenv("EMC_SWEEP_THREADS"), 0);
-  EXPECT_GE(SweepRunner::resolve_threads(0), 1u);
-}
-
-TEST(SweepRunner, EmptySweepIsHarmless) {
-  const auto report = sweep({}, 0);
-  EXPECT_EQ(report.scenarios, 0u);
-  EXPECT_EQ(report.to_csv(), "scenario,fired\n");
 }
 
 }  // namespace
