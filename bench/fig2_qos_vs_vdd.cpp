@@ -110,8 +110,8 @@ static int run_fig2(const emc::repro::RunContext& ctx) {
 
   // Curves are rebuilt in grid order, so every threshold below is
   // independent of how the sweep was scheduled.
-  power::QosCurve d1("design1-dualrail");
-  power::QosCurve d2("design2-bundled");
+  power::QosCurve d1;  // design 1: dual-rail
+  power::QosCurve d2;  // design 2: bundled
   for (const auto& pp : points) {
     d1.add(pp.d1);
     d2.add(pp.d2);

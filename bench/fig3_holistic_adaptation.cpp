@@ -92,8 +92,8 @@ Outcome run_system(int which, std::uint64_t seed) {
   std::unique_ptr<power::AdaptiveController> ctl;
 
   if (which == 0) {
-    sched = std::make_unique<sched::FixedRateScheduler>(kernel, model, store,
-                                                        4, "fixed");
+    sched =
+        std::make_unique<sched::FixedRateScheduler>(kernel, model, store, 4);
   } else {
     pool = std::make_unique<sched::EnergyTokenPool>(store, 20e-9, 0.30);
     sched = std::make_unique<sched::EnergyTokenScheduler>(kernel, model,

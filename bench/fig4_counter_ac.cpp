@@ -56,7 +56,7 @@ static int run_fig4(const emc::repro::RunContext& ctx) {
       last_count = ctr.count();
     }
   }
-  vcd.finalize();
+  if (!vcd.finalize()) return 1;
 
   analysis::Table table({"phase_of_period", "vdd_at_center_V",
                          "increments_per_cycle"});

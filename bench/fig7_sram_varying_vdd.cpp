@@ -148,7 +148,7 @@ static int run_fig7(const emc::repro::RunContext& ctx) {
     do_read("read@0.4V", 3);
   });
   kernel.run_until(sim::us(200));
-  vcd.finalize();
+  if (!vcd.finalize()) return 1;
 
   std::printf("\nRamp demo (single kernel, supply varies mid-op):\n");
   for (const auto& r : rows) {

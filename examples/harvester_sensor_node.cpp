@@ -127,7 +127,7 @@ int main() {
   std::printf("  store now            : %8.3f V\n", store.voltage());
   std::printf("  controller level     : %u (of 4), %llu level changes\n",
               level, (unsigned long long)ctl.level_changes());
-  store.trace().write_csv("sensor_node_store.csv");
+  if (!store.trace().write_csv("sensor_node_store.csv")) return 1;
   std::printf("\nstore voltage history written to sensor_node_store.csv\n");
   return 0;
 }

@@ -62,7 +62,6 @@ class P2Quantile {
 
   void add(double x);
   double value() const;
-  std::uint64_t count() const { return count_; }
 
  private:
   double p_;

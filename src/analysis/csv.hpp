@@ -25,8 +25,6 @@ class CsvStream {
   /// Called from the destructor if not called explicitly.
   [[nodiscard]] bool close();
 
-  bool ok() const { return !failed_; }
-
   ~CsvStream();
   CsvStream(const CsvStream&) = delete;
   CsvStream& operator=(const CsvStream&) = delete;

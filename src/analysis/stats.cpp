@@ -6,13 +6,6 @@
 namespace emc::analysis {
 
 void Accumulator::add(double x) {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   sum_ += x;
   sum_sq_ += x * x;

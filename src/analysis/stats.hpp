@@ -12,18 +12,13 @@ class Accumulator {
 
   std::uint64_t count() const { return n_; }
   double mean() const { return n_ > 0 ? sum_ / double(n_) : 0.0; }
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
   double variance() const;
   double stddev() const;
-  double sum() const { return sum_; }
 
  private:
   std::uint64_t n_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Percentile of a sample set (linear interpolation, p in [0,100]).

@@ -34,7 +34,7 @@ class Table {
 
   void print() const;
 
-  // --- cell access (Aggregate and other table-to-table reducers) ---
+  // --- cell access (tests compare a table's cells) ---
   const std::vector<std::string>& headers() const { return headers_; }
   std::size_t row_count() const { return rows_.size(); }
   const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }

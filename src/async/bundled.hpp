@@ -43,25 +43,16 @@ class BundledCounter {
  public:
   BundledCounter(gates::Context& ctx, std::string name, BundledParams params);
 
-  std::size_t bits() const { return params_.bits; }
-  const BundledParams& params() const { return params_; }
-  std::size_t delay_line_stages() const { return line_->stages(); }
-
   void start();
-  void stop() { running_ = false; }
 
   /// Completed capture cycles.
   std::uint64_t count() const { return count_; }
   /// Captures whose datapath had not settled (wrong code latched).
   std::uint64_t errors() const { return errors_; }
-  /// Current latched state.
-  std::uint64_t state() const { return state_; }
 
-  /// Connectivity inventory (static lint and timing). The mutable
-  /// overload lets a figure hook declare the operating range it sweeps
-  /// and place build-site suppressions before handing the circuit to an
-  /// analyzer.
-  const netlist::Circuit& circuit() const { return circuit_; }
+  /// Connectivity inventory (static lint and timing), mutable so a
+  /// figure hook can declare the operating range it sweeps and place
+  /// build-site suppressions before handing it to an analyzer.
   netlist::Circuit& circuit() { return circuit_; }
 
  private:

@@ -13,8 +13,8 @@ ToggleRippleCounter::ToggleRippleCounter(gates::Context& ctx,
                                          sim::Wire* external_input)
     : circuit_(ctx, std::move(name)) {
   assert(stages >= 1);
+  sim::Wire* stage_in = external_input;
   if (external_input != nullptr) {
-    input_ = external_input;
     circuit_.note_external_wire(external_input->name());
   } else {
     // Oscillator mode: osc = NAND(enable, osc). With enable high the gate
@@ -28,9 +28,8 @@ ToggleRippleCounter::ToggleRippleCounter(gates::Context& ctx,
     circuit_.suppress("C001", circuit_.name() + ".nand_osc",
                       "relaxation oscillator: the NAND's self-loop IS the "
                       "clock source, gated by enable");
-    input_ = &osc;
+    stage_in = &osc;
   }
-  sim::Wire* stage_in = input_;
   for (std::size_t i = 0; i < stages; ++i) {
     sim::Wire& dot = circuit_.wire("dot" + std::to_string(i), false);
     sim::Wire& blank = circuit_.wire("blank" + std::to_string(i), false);

@@ -46,8 +46,6 @@ class ToggleRippleCounter {
                       std::size_t stages,
                       sim::Wire* external_input = nullptr);
 
-  std::size_t stages() const { return toggles_.size(); }
-
   /// Oscillator-mode control (no-ops when driven externally).
   void start();
   void stop();
@@ -61,18 +59,13 @@ class ToggleRippleCounter {
   /// tests; equals decode() mod 2^stages).
   std::uint64_t transitions_served() const { return toggles_[0]->fires(); }
 
-  /// Oscillator cycles = served transitions / 2.
-  std::uint64_t cycles() const { return transitions_served() / 2; }
-
   gates::Toggle& stage(std::size_t i) { return *toggles_[i]; }
-  sim::Wire& input() { return *input_; }
 
   /// Connectivity inventory (static lint and timing).
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:
   netlist::Circuit circuit_;
-  sim::Wire* input_ = nullptr;
   sim::Wire* enable_ = nullptr;
   std::vector<gates::Toggle*> toggles_;
   std::vector<sim::Wire*> dots_;
@@ -83,8 +76,6 @@ class DualRailCounter {
  public:
   DualRailCounter(gates::Context& ctx, std::string name,
                   std::size_t bits = 2);
-
-  std::size_t bits() const { return width_; }
 
   /// Begin free-running (presents the first code word).
   void start();
@@ -102,10 +93,9 @@ class DualRailCounter {
   sim::Wire& done() { return *done_wire_; }
   DualRailWord& rails() { return *word_; }
 
-  /// Connectivity inventory (static lint and timing). The mutable
-  /// overload lets a figure hook declare the operating range it sweeps
-  /// before handing the circuit to an analyzer.
-  const netlist::Circuit& circuit() const { return circuit_; }
+  /// Connectivity inventory (static lint and timing), mutable so a
+  /// figure hook can declare the operating range it sweeps before
+  /// handing it to an analyzer.
   netlist::Circuit& circuit() { return circuit_; }
 
  private:

@@ -31,7 +31,6 @@ class DualRailWord {
   explicit DualRailWord(std::vector<gates::DualRailWire> bits)
       : bits_(std::move(bits)) {}
 
-  std::size_t width() const { return bits_.size(); }
   const gates::DualRailWire& bit(std::size_t i) const { return bits_[i]; }
   const std::vector<gates::DualRailWire>& bits() const { return bits_; }
 

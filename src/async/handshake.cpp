@@ -95,10 +95,7 @@ void HandshakeSink::on_req() {
   const sim::Time d = ctx_->model.delay(
       vdd, delay_stages_ * ctx_->model.tech().c_inv);
   ctx_->kernel.schedule(d, [this, target] {
-    if (ch_.ack->read() != target) {
-      if (target) ++acks_;
-      ch_.ack->set(target);
-    }
+    if (ch_.ack->read() != target) ch_.ack->set(target);
   });
 }
 

@@ -80,8 +80,6 @@ class HandshakeSink {
   HandshakeSink(gates::Context& ctx, std::string name, Channel ch,
                 double delay_stages = 2.0);
 
-  std::uint64_t acks() const { return acks_; }
-
   /// Fault hook (emc::fault): stop responding to req edges. A stalled
   /// sink wedges its source mid-protocol — with no recovery scheduled
   /// this is the canonical deliberate deadlock the kernel watchdog must
@@ -106,7 +104,6 @@ class HandshakeSink {
   Channel ch_;
   double delay_stages_;
   bool stalled_ = false;
-  std::uint64_t acks_ = 0;
 };
 
 }  // namespace emc::async

@@ -6,7 +6,7 @@ namespace emc::async {
 
 MullerRing::MullerRing(gates::Context& ctx, std::string name,
                        std::size_t stages, std::size_t tokens)
-    : circuit_(ctx, std::move(name)), tokens_(tokens) {
+    : circuit_(ctx, std::move(name)) {
   assert(stages >= 3);
   assert(tokens >= 1 && tokens < stages);
 

@@ -31,22 +31,16 @@ class MullerRing {
   MullerRing(gates::Context& ctx, std::string name, std::size_t stages,
              std::size_t tokens);
 
-  std::size_t stages() const { return stage_wires_.size(); }
-  std::size_t tokens() const { return tokens_; }
-
   void start();
 
   /// Completed token passages through stage 0 (two transitions each).
   std::uint64_t ops() const { return stage_wires_[0]->transitions() / 2; }
-
-  sim::Wire& stage_wire(std::size_t i) { return *stage_wires_[i]; }
 
   /// Connectivity inventory (static lint and timing).
   const netlist::Circuit& circuit() const { return circuit_; }
 
  private:
   netlist::Circuit circuit_;
-  std::size_t tokens_;
   std::vector<sim::Wire*> stage_wires_;
   std::vector<gates::Gate*> celements_;
 };

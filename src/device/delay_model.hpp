@@ -62,17 +62,11 @@ class DelayModel {
   sim::Time delay(double vdd, double cload, double vth_offset = 0.0,
                   double strength = 1.0) const;
 
-  /// Monte-Carlo conveniences: evaluate at a sampled device's operating
+  /// Monte-Carlo convenience: evaluate at a sampled device's operating
   /// point. Both sampled quantities factor out of the memoized kernel,
-  /// so these stay on the shared DelayTable — no per-instance tables.
-  double drive_current(double vdd, const DeviceSample& d) const {
-    return drive_current(vdd, d.vth_offset, d.strength);
-  }
+  /// so this stays on the shared DelayTable — no per-instance tables.
   double delay_seconds(double vdd, double cload, const DeviceSample& d) const {
     return delay_seconds(vdd, cload, d.vth_offset, d.strength);
-  }
-  sim::Time delay(double vdd, double cload, const DeviceSample& d) const {
-    return delay(vdd, cload, d.vth_offset, d.strength);
   }
 
   /// Dynamic switching energy of one output transition [J].

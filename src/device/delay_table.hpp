@@ -75,12 +75,6 @@ class DelayTable {
     const double s = u > 30.0 ? u : std::log1p(std::exp(u));
     return s * s;
   }
-  double soft_square_exact(double x) const {
-    return soft_square_exact(x, two_n_vt_);
-  }
-
-  double two_n_vt() const { return two_n_vt_; }
-  std::size_t points() const { return nodes_.size(); }
 
   /// Process-wide table for `tech` (keyed by 2*n*VT — the only
   /// technology parameter g depends on). Thread-safe; sweeps hitting the

@@ -27,11 +27,6 @@ class LeakageModel {
     return vdd * current(vdd, width);
   }
 
-  /// Leakage energy [J] over an interval of `seconds` at constant `vdd`.
-  double energy(double vdd, double width, double seconds) const {
-    return power(vdd, width) * seconds;
-  }
-
   /// Leakage width-multiplier of an 8T cell relative to 6T: the two extra
   /// stacked NMOS read transistors *reduce* bit-line leakage (stack
   /// effect), the mechanism behind the paper's suggested 8T upgrade.

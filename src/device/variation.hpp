@@ -51,25 +51,10 @@ struct Variation {
 
   bool has_local() const { return vth_sigma > 0.0 || strength_sigma > 0.0; }
 
-  /// No variation at all — every sample is {corner only} = nominal.
-  static Variation none() { return Variation{}; }
-
   /// Local mismatch only (the common MC study): `vth_sigma_v` of
   /// threshold spread, optionally relative strength spread.
   static Variation local(double vth_sigma_v, double strength_sigma = 0.0) {
     Variation v;
-    v.vth_sigma = vth_sigma_v;
-    v.strength_sigma = strength_sigma;
-    return v;
-  }
-
-  /// Corner shift with local mismatch on top (corner-aware MC).
-  static Variation corner(double vth_shift_v, double drive_factor,
-                          double vth_sigma_v = 0.0,
-                          double strength_sigma = 0.0) {
-    Variation v;
-    v.corner_vth_shift = vth_shift_v;
-    v.corner_drive = drive_factor;
     v.vth_sigma = vth_sigma_v;
     v.strength_sigma = strength_sigma;
     return v;
@@ -103,12 +88,8 @@ struct Variation {
 /// opens a fresh keyed stream per instance, so call order never matters.
 class VariationSampler {
  public:
-  VariationSampler() = default;
   VariationSampler(const Variation& variation, std::uint64_t trial_seed)
       : variation_(variation), trial_seed_(trial_seed) {}
-
-  const Variation& variation() const { return variation_; }
-  std::uint64_t trial_seed() const { return trial_seed_; }
 
   /// The draw for device instance `instance_id`: pure in
   /// (trial_seed, instance_id). Strength is clamped to a positive floor

@@ -6,11 +6,10 @@ Experiment ContextConfig::build() const { return Experiment(*this); }
 
 Experiment::Experiment(const ContextConfig& cfg)
     : kernel_(std::make_unique<sim::Kernel>()),
-      model_(std::make_unique<device::DelayModel>(cfg.tech_config())),
-      built_(cfg.supply_config().build(*kernel_, cfg.trial_seed_value())),
-      sampler_(cfg.variation_config(), cfg.trial_seed_value()) {
+      model_(std::make_unique<device::DelayModel>(device::Tech::umc90())),
+      built_(cfg.supply_config().build(*kernel_, cfg.trial_seed_value())) {
   if (cfg.meter_enabled()) {
-    meter_ = std::make_unique<gates::EnergyMeter>(*kernel_, cfg.tech_config(),
+    meter_ = std::make_unique<gates::EnergyMeter>(*kernel_, model_->tech(),
                                                   &built_.supply());
   }
   ctx_ = std::make_unique<gates::Context>(

@@ -3,8 +3,8 @@
 // Every experiment in this repo used to re-assemble the same five lines
 // by hand: Kernel + DelayModel + Supply + EnergyMeter -> gates::Context.
 // ContextConfig makes that assembly *data*: a copyable descriptor of the
-// technology, the supply (a SupplyConfig), the delay-model choice and
-// whether energy is metered. `Experiment` is the elaborated result — it
+// supply (a SupplyConfig), the trial seed and whether energy is metered,
+// over the umc90 technology. `Experiment` is the elaborated result — it
 // owns the whole stack, Kernel included, with stable addresses and
 // hands out the gates::Context circuits want.
 //
@@ -17,7 +17,6 @@
 #include <utility>
 
 #include "device/delay_model.hpp"
-#include "device/variation.hpp"
 #include "exp/param_set.hpp"
 #include "exp/supply_config.hpp"
 #include "gates/energy_meter.hpp"
@@ -47,26 +46,14 @@ class ContextConfig {
     supply_ = std::move(s);
     return *this;
   }
-  ContextConfig& tech(const device::Tech& t) {
-    tech_ = t;
-    return *this;
-  }
   /// Disable the energy meter (purely behavioural experiments).
   ContextConfig& meter(bool on) {
     meter_ = on;
     return *this;
   }
 
-  /// Process variation for this context's devices: a corner shift plus
-  /// local per-instance sigmas. The elaborated Experiment exposes a
-  /// VariationSampler keyed by the trial seed.
-  ContextConfig& variation(const device::Variation& v) {
-    variation_ = v;
-    return *this;
-  }
-
-  /// Monte-Carlo trial seed: keys the per-instance sample streams and
-  /// re-keys stochastic supply stages (harvester). 0 = base description.
+  /// Monte-Carlo trial seed: re-keys stochastic supply stages
+  /// (harvester). 0 = base description.
   ContextConfig& trial_seed(std::uint64_t seed) {
     trial_seed_ = seed;
     return *this;
@@ -82,9 +69,7 @@ class ContextConfig {
   }
 
   const SupplyConfig& supply_config() const { return supply_; }
-  const device::Tech& tech_config() const { return tech_; }
   bool meter_enabled() const { return meter_; }
-  const device::Variation& variation_config() const { return variation_; }
   std::uint64_t trial_seed_value() const { return trial_seed_; }
 
   /// Elaborate with a fresh kernel owned by the Experiment — the
@@ -92,10 +77,8 @@ class ContextConfig {
   Experiment build() const;
 
  private:
-  device::Tech tech_ = device::Tech::umc90();
   SupplyConfig supply_ = SupplyConfig::battery(1.0);
   bool meter_ = true;
-  device::Variation variation_ = device::Variation::none();
   std::uint64_t trial_seed_ = 0;
 };
 
@@ -107,7 +90,6 @@ class ContextConfig {
 class Experiment {
  public:
   sim::Kernel& kernel() { return *kernel_; }
-  const device::DelayModel& model() const { return *model_; }
   supply::Supply& supply() { return built_.supply(); }
   gates::EnergyMeter* meter() { return meter_.get(); }
   gates::Context& ctx() { return *ctx_; }
@@ -120,13 +102,6 @@ class Experiment {
   /// The fault-injection wrapper (null unless the supply config was
   /// marked faultable() or EMC_FAULT_SMOKE=1 forced one).
   fault::FaultableSupply* fault_supply() { return built_.fault(); }
-  BuiltSupply& built_supply() { return built_; }
-
-  /// Per-instance Monte-Carlo sampler for this trial (no variation →
-  /// every sample is nominal). sample(i) is pure in (trial_seed, i), so
-  /// elaboration order never changes a device's draw.
-  const device::VariationSampler& sampler() const { return sampler_; }
-  std::uint64_t trial_seed() const { return sampler_.trial_seed(); }
 
  private:
   friend class ContextConfig;
@@ -137,7 +112,6 @@ class Experiment {
   BuiltSupply built_;
   std::unique_ptr<gates::EnergyMeter> meter_;
   std::unique_ptr<gates::Context> ctx_;
-  device::VariationSampler sampler_;
 };
 
 }  // namespace emc::exp

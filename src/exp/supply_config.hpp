@@ -109,11 +109,9 @@ class SupplyConfig {
     faultable_ = on;
     return *this;
   }
-  bool faultable_enabled() const { return faultable_; }
 
   // --- queries ---------------------------------------------------------
   Kind kind() const { return kind_; }
-  const std::string& supply_name() const { return name_; }
 
   /// Elaborate the description into live supply objects on `kernel`.
   /// `trial_seed` is the Monte-Carlo replication hook: 0 (default)
@@ -166,7 +164,6 @@ class BuiltSupply {
   /// The rail gates should draw from (the store for kHarvested, the
   /// supply itself otherwise).
   supply::Supply& supply() { return *load_rail_; }
-  const supply::Supply& supply() const { return *load_rail_; }
 
   /// Typed accessors into the chain; null when the variant has no such
   /// stage.

@@ -238,7 +238,6 @@ class Workbench {
   /// then lists the scenarios that ran, in scenario order.
   const analysis::SweepReport& run(const Body& body);
 
-  const std::string& name() const { return name_; }
   const std::vector<ParamSet>& scenario_params() const { return params_; }
   const analysis::SweepReport& report() const { return report_; }
   const analysis::Table& table() const { return report_.table; }

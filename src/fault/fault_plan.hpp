@@ -93,8 +93,6 @@ class FaultPlan {
   FaultPlan& harvester_blackouts(double rate_hz, double mean_duration_s);
   FaultPlan& handshake_stalls(double rate_hz, double mean_duration_s);
 
-  std::uint64_t seed() const { return seed_; }
-  sim::Time horizon() const { return horizon_; }
   const std::vector<FaultSpec>& specs() const { return specs_; }
 
   /// The windows a spec elaborates to: the keyed stochastic draw. Pure

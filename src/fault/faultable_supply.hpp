@@ -55,7 +55,6 @@ class FaultableSupply final : public supply::Supply {
   std::uint64_t faults_seen() const { return faults_seen_; }
 
   supply::Supply& inner() { return *inner_; }
-  const supply::Supply& inner() const { return *inner_; }
 
  private:
   double scale() const {

@@ -40,8 +40,6 @@ class CombGate final : public Gate {
            std::vector<sim::Wire*> inputs, sim::Wire& out,
            double vth_offset = 0.0);
 
-  Op op() const { return op_; }
-
  protected:
   bool evaluate(bool current) const override;
 

@@ -37,9 +37,6 @@ class DelayLine {
             std::size_t stages, double vth_offset, double vth_sigma,
             sim::Rng& rng);
 
-  std::size_t stages() const { return gates_.size(); }
-  sim::Wire& tap(std::size_t i) { return *taps_[i]; }
-  const sim::Wire& tap(std::size_t i) const { return *taps_[i]; }
   sim::Wire& output() { return *taps_.back(); }
 
   /// Capture the present tap values as the reference state.

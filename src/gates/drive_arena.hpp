@@ -68,13 +68,6 @@ class DriveArena {
     return recompute(s, e, supply, model);
   }
 
-  /// Force the next refresh() and delay() of `s` to recompute (the
-  /// element's own device point changed).
-  void invalidate(Slot s) {
-    epoch_[s] = 0;
-    delay_epoch_[s] = 0;
-  }
-
   // --- cached drive state (valid after a true refresh()) ---
   /// Propagation delay at the voltage of the last refresh(). Evaluates
   /// the delay model once per epoch, on the first call after the
@@ -89,29 +82,22 @@ class DriveArena {
   // --- device point ---
   double vth_offset(Slot s) const { return vth_offset_[s]; }
   double strength(Slot s) const { return strength_[s]; }
+  /// Change the device point of `s`; the next refresh() and delay()
+  /// recompute (the delay depends on both, so both stamps reset).
   void set_device(Slot s, double vth_offset, double strength) {
     vth_offset_[s] = vth_offset;
     strength_[s] = strength;
-    invalidate(s);  // delay depends on both; resets both stamps
+    epoch_[s] = 0;
+    delay_epoch_[s] = 0;
   }
 
-  /// Operational flag of `s` as of its last refresh (false for a slot
-  /// still in kOpUnknown).
-  bool operational(Slot s) const { return op_[s] == kOpUp; }
-
   // --- brownout census (the quiescence-probe and figure hooks) ---
-  /// Live slots currently below the operating floor.
-  std::size_t stalled_live() const { return stalled_live_; }
+  /// True while any live slot is below the operating floor.
   bool any_stalled() const { return stalled_live_ > 0; }
   /// Cumulative up->down transitions observed by refresh().
   std::uint64_t stall_entries() const { return stall_entries_; }
   /// Cumulative down->up transitions (brownout recoveries).
   std::uint64_t recoveries() const { return recoveries_; }
-
-  /// Slots currently claimed (live elements).
-  std::size_t live() const { return epoch_.size() - free_.size(); }
-  /// Slots ever created (arena footprint; live + recyclable).
-  std::size_t capacity() const { return epoch_.size(); }
 
  private:
   // The out-of-line halves of refresh() and delay(): the epoch moved.

@@ -35,9 +35,7 @@ class EnergyMeter {
   /// Record one output transition of `id` with dynamic energy `joules`.
   void record_transition(GateId id, double joules) {
     integrate_leakage();
-    Entry& e = gates_[id];
-    ++e.transitions;
-    e.dynamic_j += joules;
+    gates_[id].dynamic_j += joules;
     ++total_transitions_;
     dynamic_j_ += joules;
   }
@@ -52,7 +50,6 @@ class EnergyMeter {
   }
 
   // --- queries ---------------------------------------------------------
-  std::uint64_t transitions(GateId id) const { return gates_[id].transitions; }
   std::uint64_t total_transitions() const { return total_transitions_; }
   double dynamic_energy() const { return dynamic_j_; }
   double leakage_energy() const { return leakage_j_; }
@@ -69,7 +66,6 @@ class EnergyMeter {
   struct Entry {
     std::string name;
     double leak_width;
-    std::uint64_t transitions = 0;
     double dynamic_j = 0.0;
   };
 

@@ -66,7 +66,6 @@ void Gate::apply_output(bool target, std::uint64_t generation) {
     return;
   }
   ctx_->bill(meter_id_, ctx_->drives.charge(hot_), ctx_->drives.energy(hot_));
-  ++fires_;
   out_->set(target);
   on_output_committed();
 }

@@ -82,8 +82,6 @@ class Gate {
   Gate& operator=(const Gate&) = delete;
 
   const std::string& name() const { return name_; }
-  sim::Wire& out() { return *out_; }
-  const sim::Wire& out() const { return *out_; }
 
   /// Wire this gate to listen to `w` (call once per input).
   void listen(sim::Wire& w);
@@ -92,35 +90,16 @@ class Gate {
   void touch() { on_input_change(); }
 
   bool stalled() const { return stalled_; }
-  std::uint64_t fires() const { return fires_; }
 
-  /// Per-instance threshold mismatch accessor (Monte-Carlo analyses).
-  /// The device point lives in the context's DriveArena slot; setters
-  /// invalidate the cached drive state.
+  /// Per-instance device point (Vth shift, drive-strength multiplier;
+  /// 1.0 = nominal device), held in the context's DriveArena slot.
   double vth_offset() const { return ctx_->drives.vth_offset(hot_); }
-  void set_vth_offset(double v) {
-    ctx_->drives.set_device(hot_, v, strength());
-  }
-
-  /// Per-instance drive-strength multiplier (1.0 = nominal device).
   double strength() const { return ctx_->drives.strength(hot_); }
-  void set_strength(double s) {
-    ctx_->drives.set_device(hot_, vth_offset(), s);
-  }
-
-  /// Apply a full Monte-Carlo device sample (Vth shift + strength) in
-  /// one call — the per-gate hook replicated experiments drive.
-  void set_device_sample(const device::DeviceSample& d) {
-    ctx_->drives.set_device(hot_, d.vth_offset, d.strength);
-  }
 
  protected:
   /// Compute the target output value from the current input values.
   /// `current` is the present output (for state-holding gates).
   virtual bool evaluate(bool current) const = 0;
-
-  Context& ctx() { return *ctx_; }
-  const Context& ctx() const { return *ctx_; }
 
   /// Derived classes with internal state (toggle) may need to know
   /// when the scheduled output actually commits.
@@ -145,7 +124,6 @@ class Gate {
   std::uint64_t generation_ = 0;
   bool stalled_ = false;
   bool stall_target_ = false;
-  std::uint64_t fires_ = 0;
 };
 
 }  // namespace emc::gates

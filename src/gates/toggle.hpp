@@ -35,12 +35,9 @@ class Toggle {
   Toggle& operator=(const Toggle&) = delete;
 
   const std::string& name() const { return name_; }
-  sim::Wire& dot() { return *dot_; }
-  sim::Wire& blank() { return *blank_; }
 
   /// Total completed fires (= input transitions served).
   std::uint64_t fires() const { return fires_; }
-  bool stalled() const { return stalled_; }
 
   /// Equivalent-gate footprint of one fire (documented model constants).
   static constexpr double kDelayStages = 3.0;

@@ -24,7 +24,6 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -123,15 +122,11 @@ struct OperatingRange {
   bool declared = false;
 };
 
-/// Typed ownership of a heterogeneous circuit element. Replaces the old
-/// `unique_ptr<void, void(*)(void*)>` trick: destruction runs the real
-/// destructor through a virtual call, and type_name() makes the element
-/// list debuggable instead of a wall of anonymous pointers.
+/// Typed ownership of a heterogeneous circuit element: destruction runs
+/// the real destructor through a virtual call.
 class OwnedNode {
  public:
   virtual ~OwnedNode() = default;
-  /// Implementation-defined (typeid) name of the held element type.
-  virtual const char* type_name() const = 0;
 };
 
 template <typename T>
@@ -141,7 +136,6 @@ class TypedNode final : public OwnedNode {
   explicit TypedNode(Args&&... args) : value_(std::forward<Args>(args)...) {}
 
   T& value() { return value_; }
-  const char* type_name() const override { return typeid(T).name(); }
 
  private:
   T value_;
@@ -195,8 +189,7 @@ class Circuit {
   /// derived from the concrete type). Connectivity edges must still be
   /// note_edge()'d — lint rule W003 flags elements where that was
   /// forgotten. Ownership is typed (OwnedNode), so elements destroy
-  /// through their real destructors and can be introspected via
-  /// element_type_name().
+  /// through their real destructors.
   template <typename T, typename... Args>
   T& emplace(Args&&... args) {
     auto owned = std::make_unique<TypedNode<T>>(std::forward<Args>(args)...);
@@ -331,16 +324,6 @@ class Circuit {
   }
   const std::vector<TimingArc>& timing_arcs() const { return timing_arcs_; }
   const std::vector<BundleInfo>& bundles() const { return bundles_; }
-
-  std::size_t wire_count() const { return wires_.size(); }
-  std::size_t element_count() const { return gates_.size(); }
-
-  /// Debug introspection: the (typeid) type name of element `i`, in
-  /// emplace order. Out-of-range access throws (at()) rather than
-  /// reading past the element list.
-  const char* element_type_name(std::size_t i) const {
-    return gates_.at(i)->type_name();
-  }
 
  private:
   WireInfo* find_wire(const std::string& name) {

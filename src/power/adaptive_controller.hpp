@@ -37,12 +37,8 @@ class AdaptiveController {
                      AdaptiveParams params, LevelKnob knob);
 
   void start();
-  void stop() { running_ = false; }
 
   std::uint32_t level() const { return level_; }
-  std::uint32_t max_level() const {
-    return static_cast<std::uint32_t>(params_.band_edges.size());
-  }
   double last_estimate() const { return last_estimate_; }
   std::uint64_t control_ticks() const { return ticks_; }
   std::uint64_t level_changes() const { return level_changes_; }

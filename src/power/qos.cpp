@@ -41,9 +41,8 @@ std::optional<double> efficiency_crossover(const QosCurve& a,
   return std::nullopt;
 }
 
-QosCurve hybrid_envelope(const QosCurve& a, const QosCurve& b,
-                         const std::string& name) {
-  QosCurve h(name);
+QosCurve hybrid_envelope(const QosCurve& a, const QosCurve& b) {
+  QosCurve h;
   for (const auto& pa : a.points()) {
     const QosPoint pb = b.at(pa.vdd);
     // Correctness gates eligibility; among correct options take the

@@ -24,10 +24,6 @@ struct QosPoint {
 
 class QosCurve {
  public:
-  explicit QosCurve(std::string design_name)
-      : name_(std::move(design_name)) {}
-
-  const std::string& name() const { return name_; }
   void add(QosPoint p) { points_.push_back(p); }
   const std::vector<QosPoint>& points() const { return points_; }
 
@@ -40,7 +36,6 @@ class QosCurve {
   QosPoint at(double vdd) const;
 
  private:
-  std::string name_;
   std::vector<QosPoint> points_;
 };
 
@@ -50,7 +45,6 @@ std::optional<double> efficiency_crossover(const QosCurve& a,
                                            const QosCurve& b);
 
 /// Pointwise best-of-both curve (the hybrid design the paper recommends).
-QosCurve hybrid_envelope(const QosCurve& a, const QosCurve& b,
-                         const std::string& name = "hybrid");
+QosCurve hybrid_envelope(const QosCurve& a, const QosCurve& b);
 
 }  // namespace emc::power

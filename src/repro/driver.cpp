@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -390,10 +389,8 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   for (const std::string& file : fig.artifacts) {
     ArtifactRecord rec;
     rec.file = file;
-    rec.sha256 = sha256_file_hex(file);
-    std::error_code ec;
-    rec.bytes = std::filesystem::file_size(file, ec);
-    if (rec.sha256.empty() || ec) {
+    rec.sha256 = sha256_file_hex(file, &rec.bytes);
+    if (rec.sha256.empty()) {
       r.verdicts.push_back({"missing_artifact", Outcome::kFail,
                             indent("declared artifact not produced: " + file)});
       continue;
@@ -433,8 +430,7 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
   std::vector<std::string> aside(fig.artifacts.size());
   for (std::size_t i = 0; i < aside.size(); ++i) {
     aside[i] = fig.artifacts[i] + ".threads-cross-check";
-    std::error_code ec;
-    std::filesystem::rename(fig.artifacts[i], aside[i], ec);
+    std::rename(fig.artifacts[i].c_str(), aside[i].c_str());
   }
   for (std::size_t t = 1; t < threads.size(); ++t) {
     const std::string at = "threads=" + std::to_string(threads[t]);
@@ -463,8 +459,7 @@ FigureResult run_figure(const Figure& fig, const CliOptions& opt) {
     }
   }
   for (std::size_t i = 0; i < aside.size(); ++i) {
-    std::error_code ec;
-    std::filesystem::rename(aside[i], fig.artifacts[i], ec);
+    std::rename(aside[i].c_str(), fig.artifacts[i].c_str());
   }
   return r;
 }

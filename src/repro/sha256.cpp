@@ -142,16 +142,22 @@ std::string sha256_hex(const std::string& bytes) {
   return h.hex_digest();
 }
 
-std::string sha256_file_hex(const std::string& path) {
+std::string sha256_file_hex(const std::string& path, std::uint64_t* bytes) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return {};
   Sha256 h;
   char buf[1 << 16];
   std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) h.update(buf, n);
+  std::uint64_t total = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    h.update(buf, n);
+    total += n;
+  }
   const bool ok = std::ferror(f) == 0;
   std::fclose(f);
-  return ok ? h.hex_digest() : std::string();
+  if (!ok) return {};
+  if (bytes) *bytes = total;
+  return h.hex_digest();
 }
 
 }  // namespace emc::repro

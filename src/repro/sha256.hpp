@@ -39,7 +39,9 @@ class Sha256 {
 std::string sha256_hex(const std::string& bytes);
 
 /// Digest of a file's contents, read in fixed-size blocks; empty string
-/// if the file can't be read.
-std::string sha256_file_hex(const std::string& path);
+/// if the file can't be read. When `bytes` is given, it receives the
+/// number of bytes the digest covers.
+std::string sha256_file_hex(const std::string& path,
+                            std::uint64_t* bytes = nullptr);
 
 }  // namespace emc::repro

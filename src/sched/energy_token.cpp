@@ -36,7 +36,6 @@ bool EnergyTokenPool::try_acquire(std::uint64_t n) {
   }
   if (held_ == 0) hold_drawn_baseline_j_ = store_->total_energy_drawn();
   held_ += n;
-  acquired_ += n;
   return true;
 }
 

@@ -53,9 +53,7 @@ class EnergyTokenPool {
   void release(std::uint64_t n);
 
   double token_j() const { return token_j_; }
-  double reserve_v() const { return reserve_v_; }
   std::uint64_t holds() const { return held_; }
-  std::uint64_t total_acquired() const { return acquired_; }
   std::uint64_t rejections() const { return rejections_; }
 
  private:
@@ -66,7 +64,6 @@ class EnergyTokenPool {
   /// Store total_energy_drawn() when the oldest outstanding hold was
   /// placed; draws past this point count against the holds.
   double hold_drawn_baseline_j_ = 0.0;
-  std::uint64_t acquired_ = 0;
   std::uint64_t rejections_ = 0;
 };
 

@@ -70,7 +70,6 @@ bool EnergyPetriNet::fire(TransitionId t) {
     }
     --fin.in_flight;
     ++fin.fires;
-    ++total_fires_;
   });
   return true;
 }

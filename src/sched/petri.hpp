@@ -55,7 +55,6 @@ class EnergyPetriNet {
   std::uint64_t run(sim::Time deadline, sim::Rng& rng);
 
   std::uint64_t fires(TransitionId t) const { return transitions_[t].fires; }
-  std::uint64_t total_fires() const { return total_fires_; }
   std::uint64_t energy_spent() const { return energy_spent_; }
   const std::string& place_name(PlaceId p) const { return places_[p].name; }
   const std::string& transition_name(TransitionId t) const {
@@ -97,7 +96,6 @@ class EnergyPetriNet {
   std::vector<Place> places_;
   std::vector<Transition> transitions_;
   PlaceId energy_place_;
-  std::uint64_t total_fires_ = 0;
   std::uint64_t energy_spent_ = 0;
   std::uint64_t consumed_ = 0;
   std::uint64_t produced_ = 0;

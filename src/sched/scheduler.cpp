@@ -83,11 +83,10 @@ void Processor::slice() {
 SchedulerBase::SchedulerBase(sim::Kernel& kernel,
                              const device::DelayModel& model,
                              supply::StorageCap& store,
-                             std::size_t processors, std::string name)
+                             std::size_t processors)
     : kernel_(&kernel),
       model_(&model),
       store_(&store),
-      name_(std::move(name)),
       max_concurrency_(processors) {
   for (std::size_t i = 0; i < processors; ++i) {
     procs_.push_back(std::make_unique<Processor>(kernel, model, store));
@@ -158,7 +157,7 @@ EnergyTokenScheduler::EnergyTokenScheduler(sim::Kernel& kernel,
                                            supply::StorageCap& store,
                                            std::size_t processors,
                                            EnergyTokenPool& pool)
-    : SchedulerBase(kernel, model, store, processors, "energy-token"),
+    : SchedulerBase(kernel, model, store, processors),
       pool_(&pool) {}
 
 std::uint64_t EnergyTokenScheduler::price_of(const Task& task) const {

@@ -7,7 +7,6 @@
 //
 //   * FixedRate   — admits on release, blind to energy (the traditional
 //                   design; causes brown-outs on a harvester),
-//   * Greedy      — admits whenever the store is above the logic floor,
 //   * EnergyToken — admits only with an energy-token hold and modulates
 //                   its concurrency with the adaptive controller's level
 //                   (the paper's dynamic scheduler, Fig. 3).
@@ -17,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -38,10 +36,6 @@ struct SchedStats {
   double useful_energy_j = 0.0;   ///< energy of completed tasks
   double wasted_energy_j = 0.0;   ///< energy of aborted tasks
   double total_latency_s = 0.0;   ///< completion - release, summed
-
-  double mean_latency_s() const {
-    return completed > 0 ? total_latency_s / double(completed) : 0.0;
-  }
 };
 
 /// One execution engine: integrates task work against the live voltage.
@@ -74,11 +68,9 @@ class Processor {
 class SchedulerBase {
  public:
   SchedulerBase(sim::Kernel& kernel, const device::DelayModel& model,
-                supply::StorageCap& store, std::size_t processors,
-                std::string name);
+                supply::StorageCap& store, std::size_t processors);
   virtual ~SchedulerBase() = default;
 
-  const std::string& name() const { return name_; }
   const SchedStats& stats() const { return stats_; }
 
   /// Feed a pre-generated arrival trace; scheduling then runs on kernel
@@ -88,7 +80,6 @@ class SchedulerBase {
   /// Concurrency knob (wired to the AdaptiveController): maximum
   /// simultaneously running tasks.
   void set_max_concurrency(std::size_t n) { max_concurrency_ = n; }
-  std::size_t max_concurrency() const { return max_concurrency_; }
 
  protected:
   /// Policy hook: may `task` start now? (Called with a free processor.)
@@ -102,7 +93,6 @@ class SchedulerBase {
   sim::Kernel* kernel_;
   const device::DelayModel* model_;
   supply::StorageCap* store_;
-  std::string name_;
   std::vector<std::unique_ptr<Processor>> procs_;
   std::deque<Task> ready_;
   std::size_t running_ = 0;
@@ -116,21 +106,6 @@ class FixedRateScheduler final : public SchedulerBase {
 
  protected:
   bool admit(const Task&) override { return true; }
-};
-
-class GreedyScheduler final : public SchedulerBase {
- public:
-  GreedyScheduler(sim::Kernel& kernel, const device::DelayModel& model,
-                  supply::StorageCap& store, std::size_t processors,
-                  double floor_v = 0.2)
-      : SchedulerBase(kernel, model, store, processors, "greedy"),
-        floor_v_(floor_v) {}
-
- protected:
-  bool admit(const Task&) override { return store_->voltage() > floor_v_; }
-
- private:
-  double floor_v_;
 };
 
 class EnergyTokenScheduler final : public SchedulerBase {

@@ -18,17 +18,10 @@ class CalibrationTable {
   /// Add one calibration point (any insertion order).
   void add(double code, double volts);
 
-  std::size_t size() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
-
   /// Voltage estimate for a code: linear interpolation between the two
   /// surrounding calibration points, clamped at the ends. Handles both
   /// increasing and decreasing code-vs-voltage relations.
   double lookup(double code) const;
-
-  const std::vector<std::pair<double, double>>& points() const {
-    return points_;
-  }
 
  private:
   void sort_by_code() const;

@@ -48,15 +48,12 @@ class ChargeToDigitalConverter {
   ChargeToDigitalConverter(gates::Context& host, std::string name,
                            C2dParams params);
 
-  const C2dParams& params() const { return params_; }
   supply::SampleCap& cap() { return *cap_; }
   async::ToggleRippleCounter& counter() { return *counter_; }
 
   /// Sample `vin` and start converting; `on_done` fires when the counter
   /// has run out of charge. One conversion at a time.
   void convert(double vin, std::function<void(const ConversionResult&)> cb);
-
-  bool converting() const { return converting_; }
 
   /// Expected transitions for a sampled voltage (closed-form check):
   /// N = (C_s / C_eff) * ln(V0 / Vmin) — the logarithmic charge-to-count

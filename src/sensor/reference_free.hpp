@@ -54,8 +54,6 @@ class ReferenceFreeSensor {
   ReferenceFreeSensor(gates::Context& ctx, std::string name,
                       RefFreeParams params, sim::Rng* rng = nullptr);
 
-  const RefFreeParams& params() const { return params_; }
-
   /// Launch one measurement; `cb` fires with the thermometer code when
   /// the SRAM read completes (plus ruler settle before the next one).
   void measure(std::function<void(const RefFreeReading&)> cb);

@@ -25,7 +25,6 @@ class Action {
   static constexpr std::size_t kInlineSize = 48;
 
   Action() noexcept = default;
-  Action(std::nullptr_t) noexcept {}
 
   template <typename F,
             typename D = std::decay_t<F>,

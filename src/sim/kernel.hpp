@@ -70,14 +70,8 @@ class Kernel {
     std::size_t slab_capacity = 0;
     // Wall time accumulated across run_until()/run() calls. step() is
     // not timed — per-event clock reads would dominate the hot path —
-    // so events_per_second() reads 0 for a kernel driven only by step().
+    // so it reads 0 for a kernel driven only by step().
     double wall_seconds = 0.0;
-
-    double events_per_second() const {
-      return wall_seconds > 0.0
-                 ? static_cast<double>(events_executed) / wall_seconds
-                 : 0.0;
-    }
 
     /// Aggregation over independent kernels (sweep reporting). Counters
     /// and wall time sum. The two sizes deliberately differ:

@@ -109,9 +109,6 @@ class Rng {
     return -mean * std::log(1.0 - uniform());
   }
 
-  /// Bernoulli trial.
-  bool chance(double p) { return uniform() < p; }
-
  private:
   std::uint64_t next() {
     return splitmix64(key_ + 0x9e3779b97f4a7c15ULL * counter_++);

@@ -25,8 +25,6 @@ inline constexpr Time kSecond = 1'000'000'000'000'000;
 /// Sentinel for "never" (no event pending, unbounded run).
 inline constexpr Time kTimeMax = UINT64_MAX;
 
-constexpr Time fs(std::uint64_t v) { return v * kFemtosecond; }
-constexpr Time ps(std::uint64_t v) { return v * kPicosecond; }
 constexpr Time ns(std::uint64_t v) { return v * kNanosecond; }
 constexpr Time us(std::uint64_t v) { return v * kMicrosecond; }
 constexpr Time ms(std::uint64_t v) { return v * kMillisecond; }

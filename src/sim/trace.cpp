@@ -1,12 +1,28 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 
 namespace emc::sim {
 
 VcdWriter::VcdWriter(std::string path) : path_(std::move(path)) {}
 
-VcdWriter::~VcdWriter() { finalize(); }
+VcdWriter::~VcdWriter() { (void)finalize(); }
+
+namespace {
+
+// Close before checking: a full device fails on the final flush.
+bool close_checked(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 std::string VcdWriter::id_for(std::size_t index) {
   // VCD identifiers are short printable-ASCII strings; base-94 encode.
@@ -38,37 +54,37 @@ void VcdWriter::record(std::size_t channel, bool value, Time t) {
   ++changes_;
 }
 
-void VcdWriter::finalize() {
-  if (finalized_) return;
+bool VcdWriter::finalize() {
+  if (finalized_) return written_;
   finalized_ = true;
-  out_.open(path_);
-  if (!out_) return;
-  out_ << "$timescale 1 fs $end\n$scope module emc $end\n";
+  std::ofstream out(path_);
+  out << "$timescale 1 fs $end\n$scope module emc $end\n";
   for (const auto& ch : channels_) {
-    out_ << "$var wire 1 " << ch.id << " " << ch.name << " $end\n";
+    out << "$var wire 1 " << ch.id << " " << ch.name << " $end\n";
   }
-  out_ << "$upscope $end\n$enddefinitions $end\n";
+  out << "$upscope $end\n$enddefinitions $end\n";
   std::stable_sort(
       body_.begin(), body_.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
   Time last = kTimeMax;
   for (const auto& [t, change] : body_) {
     if (t != last) {
-      out_ << '#' << t << '\n';
+      out << '#' << t << '\n';
       last = t;
     }
-    out_ << change << '\n';
+    out << change << '\n';
   }
-  out_.close();
+  written_ = close_checked(out, path_);
+  return written_;
 }
 
-void AnalogTrace::write_csv(const std::string& path) const {
+bool AnalogTrace::write_csv(const std::string& path) const {
   std::ofstream out(path);
-  if (!out) return;
   out << "time_s," << name_ << '\n';
   for (const auto& [t, v] : points_) {
     out << to_seconds(t) << ',' << v << '\n';
   }
+  return close_checked(out, path);
 }
 
 }  // namespace emc::sim

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,8 +20,8 @@ namespace emc::sim {
 
 class VcdWriter {
  public:
-  /// Opens `path` and writes the VCD header on finalize(). Signals must
-  /// be added before the first value change is recorded.
+  /// Writes `path` (header, then the buffered changes) on finalize().
+  /// Signals must be added before the first value change is recorded.
   explicit VcdWriter(std::string path);
   ~VcdWriter();
 
@@ -32,8 +31,10 @@ class VcdWriter {
   /// Attach a boolean signal; it is sampled immediately and on change.
   void add(Wire& wire);
 
-  /// Flush and close the file. Safe to call more than once.
-  void finalize();
+  /// Write and close the file; false (with a warning on stderr) on I/O
+  /// failure. Safe to call more than once: a repeat call writes nothing
+  /// and returns the first call's result.
+  [[nodiscard]] bool finalize();
 
   std::uint64_t changes_recorded() const { return changes_; }
 
@@ -54,12 +55,11 @@ class VcdWriter {
   static std::string id_for(std::size_t index);
 
   std::string path_;
-  std::ofstream out_;
   std::deque<Channel> channels_;
   std::vector<std::pair<Time, std::string>> body_;  // buffered changes
-  Time last_time_ = kTimeMax;
   std::uint64_t changes_ = 0;
   bool finalized_ = false;
+  bool written_ = false;
 };
 
 /// Piecewise-sampled analogue quantity (voltage, power, charge, ...).
@@ -69,18 +69,9 @@ class AnalogTrace {
 
   void sample(Time t, double value) { points_.emplace_back(t, value); }
 
-  const std::string& name() const { return name_; }
-  const std::vector<std::pair<Time, double>>& points() const {
-    return points_;
-  }
-  bool empty() const { return points_.empty(); }
-  std::size_t size() const { return points_.size(); }
-
-  /// Last sampled value (0.0 when empty).
-  double last() const { return points_.empty() ? 0.0 : points_.back().second; }
-
-  /// Write "time_s,value" rows (with header) to `path`.
-  void write_csv(const std::string& path) const;
+  /// Write "time_s,value" rows (with header) to `path`; false (with a
+  /// warning on stderr) on I/O failure.
+  [[nodiscard]] bool write_csv(const std::string& path) const;
 
  private:
   std::string name_;

@@ -4,19 +4,16 @@
 
 namespace emc::sram {
 
-SramArray::SramArray(ArrayGeometry geometry, const CellModel& cell)
-    : geometry_(geometry),
-      cell_(&cell),
-      data_(geometry.words, 0) {}
+SramArray::SramArray(ArrayGeometry geometry) : data_(geometry.words, 0) {}
 
 std::uint16_t SramArray::read_word(std::size_t addr) const {
-  assert(addr < geometry_.words);
+  assert(addr < data_.size());
   ++reads_;
   return data_[addr];
 }
 
 void SramArray::write_word(std::size_t addr, std::uint16_t value) {
-  assert(addr < geometry_.words);
+  assert(addr < data_.size());
   ++writes_;
   data_[addr] = value;
 }

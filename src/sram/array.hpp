@@ -9,23 +9,17 @@
 #include <optional>
 #include <vector>
 
-#include "sram/cell.hpp"
 
 namespace emc::sram {
 
 struct ArrayGeometry {
   std::size_t words = 64;
   std::size_t bits = 16;
-
-  std::size_t cells() const { return words * bits; }
 };
 
 class SramArray {
  public:
-  SramArray(ArrayGeometry geometry, const CellModel& cell);
-
-  const ArrayGeometry& geometry() const { return geometry_; }
-  const CellModel& cell_model() const { return *cell_; }
+  explicit SramArray(ArrayGeometry geometry);
 
   std::uint16_t read_word(std::size_t addr) const;
   void write_word(std::size_t addr, std::uint16_t value);
@@ -34,8 +28,6 @@ class SramArray {
   std::uint64_t writes() const { return writes_; }
 
  private:
-  ArrayGeometry geometry_;
-  const CellModel* cell_;
   std::vector<std::uint16_t> data_;
   mutable std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;

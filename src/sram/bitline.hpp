@@ -50,9 +50,6 @@ class BitlineDynamics {
   /// Section capacitance [F].
   double section_cap() const;
 
-  /// Dynamic energy of one full-swing bit-line transition at `vdd` [J].
-  double swing_energy(double vdd) const { return section_cap() * vdd * vdd; }
-
   const CellModel& cell() const { return *cell_; }
 
  private:
@@ -74,12 +71,8 @@ class SteppedAccess {
   ~SteppedAccess();
 
   void start();
-  bool stalled() const { return stalled_; }
   /// Times this access entered a brown-out stall.
   int stall_events() const { return stall_events_; }
-  double progress() const {
-    return static_cast<double>(done_) / static_cast<double>(steps_);
-  }
 
  private:
   void step();

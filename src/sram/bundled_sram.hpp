@@ -45,8 +45,6 @@ class BundledSram {
  public:
   BundledSram(const gates::Context& ctx, BundledSramParams params);
 
-  const BundledSramParams& params() const { return params_; }
-
   /// Replica delay at `vdd` [s] (what the controller waits).
   double replica_delay_s(double vdd) const;
   /// True bit-line development at `vdd` [s] (what it should have waited).

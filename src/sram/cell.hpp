@@ -61,7 +61,6 @@ class CellModel {
                       double vth_mismatch = 0.0) const;
 
   bool write_ok(double vdd) const { return vdd >= params_.write_min_vdd; }
-  bool retains(double vdd) const { return vdd >= params_.retention_vdd; }
 
   const device::DelayModel& delay_model() const { return *model_; }
 

@@ -68,9 +68,6 @@ class SramEnergyModel {
   /// Equivalent leakage width in unit devices (for the EnergyMeter).
   double leak_width_units() const;
 
-  const SramEnergyAnchors& anchors() const { return anchors_; }
-  const SramPhaseTimings& timings() const { return timings_; }
-
  private:
   double dibl_factor(double vdd) const;
 

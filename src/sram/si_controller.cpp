@@ -21,7 +21,7 @@ SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params)
       bitline_(cell_, params.bitline),
       energy_(std::make_unique<SramEnergyModel>(bitline_, params.timings,
                                                 params.anchors)),
-      array_(std::make_unique<SramArray>(params.geometry, cell_)),
+      array_(std::make_unique<SramArray>(params.geometry)),
       req_(&circuit_.wire("req")),
       ack_(&circuit_.wire("ack")),
       pch_(&circuit_.wire("pch")),

@@ -59,11 +59,7 @@ class SiSram {
 
   SiSram(gates::Context& ctx, std::string name, SiSramParams params);
 
-  const SiSramParams& params() const { return params_; }
-  SramArray& array() { return *array_; }
   const SramEnergyModel& energy_model() const { return *energy_; }
-  const CellModel& cell_model() const { return cell_; }
-  const BitlineDynamics& bitline() const { return bitline_; }
 
   /// Queue an operation; callbacks fire at ack time. Operations are
   /// served strictly in order (single port, like the silicon).
@@ -71,7 +67,6 @@ class SiSram {
   void write(std::size_t addr, std::uint16_t value, WriteCallback cb);
 
   bool busy() const { return current_.has_value(); }
-  std::size_t queue_depth() const { return queue_.size(); }
 
   std::uint64_t reads_completed() const { return reads_done_; }
   std::uint64_t writes_completed() const { return writes_done_; }

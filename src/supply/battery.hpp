@@ -1,15 +1,13 @@
-// Ideal battery and programmable-waveform supplies.
+// Ideal battery and piecewise-linear supplies.
 //
 // Battery: the traditional design point the paper contrasts against —
 // stable, known voltage, effectively unlimited charge.
 //
-// WaveformSupply: voltage follows an arbitrary function of time; used for
+// PiecewiseSupply: voltage follows (time, volts) breakpoints; used for
 // the Fig. 7 experiment ("first write under low Vdd takes long, second
-// write at high Vdd is fast") and for ramp/step stress tests.
+// write at high Vdd is fast").
 #pragma once
 
-#include <cmath>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -24,39 +22,8 @@ class Battery final : public Supply {
 
   double voltage() const override { return volts_; }
 
-  /// Model a (slow) externally-commanded level change, e.g. DVFS.
-  /// Defensive: a non-finite command is ignored, a negative one clamps
-  /// to 0 V — a DVFS controller gone wrong must not poison every gate
-  /// delay downstream.
-  void set_voltage(double volts) {
-    if (!std::isfinite(volts)) return;
-    volts_ = volts < 0.0 ? 0.0 : volts;
-    bump_voltage_epoch();
-  }
-
  private:
   double volts_;
-};
-
-class WaveformSupply final : public Supply {
- public:
-  using Waveform = std::function<double(sim::Time)>;
-
-  WaveformSupply(sim::Kernel& kernel, std::string name, Waveform waveform,
-                 sim::Time retry_hint = sim::us(1))
-      : Supply(kernel, std::move(name)),
-        waveform_(std::move(waveform)),
-        retry_hint_(retry_hint) {
-    set_time_varying_voltage();
-  }
-
-  double voltage() const override { return waveform_(kernel().now()); }
-
-  sim::Time retry_hint() const override { return retry_hint_; }
-
- private:
-  Waveform waveform_;
-  sim::Time retry_hint_;
 };
 
 /// Piecewise-linear voltage profile: (time, volts) breakpoints.

@@ -47,14 +47,11 @@ class Harvester {
             sim::Rng& rng, sim::Time tick = sim::us(10));
 
   void start();
-  void stop() { running_ = false; }
 
   /// Conversion efficiency applied to every deposit (MPPT controllers
   /// adjust this at run time).
   void set_efficiency(double eta) { efficiency_ = eta; }
-  double efficiency() const { return efficiency_; }
 
-  HarvestState state() const { return state_; }
   double instantaneous_power() const;
   double total_energy_harvested() const { return harvested_j_; }
 

@@ -30,7 +30,6 @@ class MpptController {
   MpptController(sim::Kernel& kernel, Harvester& harvester, MpptParams params);
 
   void start();
-  void stop() { running_ = false; }
 
   double operating_point() const { return x_; }
   double extraction_efficiency() const { return extraction_at(x_); }

@@ -32,8 +32,6 @@ TEST(Accumulator, Moments) {
   for (double x : {1.0, 2.0, 3.0, 4.0}) a.add(x);
   EXPECT_EQ(a.count(), 4u);
   EXPECT_DOUBLE_EQ(a.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 4.0);
   EXPECT_NEAR(a.stddev(), 1.1180, 1e-3);
   Accumulator empty;
   EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
@@ -118,7 +116,7 @@ std::vector<double> formatter_corpus() {
     const double mantissa = rng.uniform(1.0, 10.0);
     const double exponent = std::floor(rng.uniform(-300.0, 301.0));
     const double x = mantissa * std::pow(10.0, exponent);
-    v.push_back(rng.chance(0.5) ? -x : x);
+    v.push_back(rng.uniform() < 0.5 ? -x : x);
   }
   return v;
 }

@@ -115,7 +115,6 @@ TEST(LeakageModel, ScalesWithWidthAndDibl) {
   EXPECT_LT(leak.current(0.4, 1.0), leak.current(1.0, 1.0));
   EXPECT_DOUBLE_EQ(leak.current(1.0, 1.0), tech.i_leak_unit);
   EXPECT_DOUBLE_EQ(leak.power(1.0, 1.0), tech.i_leak_unit);
-  EXPECT_DOUBLE_EQ(leak.energy(1.0, 1.0, 2.0), 2.0 * tech.i_leak_unit);
   EXPECT_EQ(leak.current(0.0, 1.0), 0.0);
 }
 

@@ -94,8 +94,8 @@ TEST(CombGate, SwallowsSubDelayPulse) {
   sim::Wire out(f.kernel, "out", true);
   CombGate inv(f.ctx, "inv", Op::kInv, {&in}, out);
   // Pulse much shorter than the gate delay (~40 ps at 1 V).
-  f.kernel.schedule(sim::ps(100), [&] { in.set(true); });
-  f.kernel.schedule(sim::ps(105), [&] { in.set(false); });
+  f.kernel.schedule(100 * sim::kPicosecond, [&] { in.set(true); });
+  f.kernel.schedule(105 * sim::kPicosecond, [&] { in.set(false); });
   f.kernel.run();
   EXPECT_TRUE(out.read());
   EXPECT_EQ(out.transitions(), 0u);  // pulse fully filtered
@@ -117,8 +117,8 @@ TEST(CombGate, PropagationDelayMatchesModel) {
 
 TEST(Gate, DelayFollowsDeviceChangeOnAConstantSupply) {
   // A battery's voltage epoch never moves, so only the device change
-  // can make the next scheduled delay differ: set_vth_offset must reset
-  // the delay's own stamp as well as the refresh stamp.
+  // can make the next scheduled delay differ: the arena's set_device
+  // must reset the delay's own stamp as well as the refresh stamp.
   Fixture f;
   sim::Wire in(f.kernel, "in", false);
   sim::Wire out(f.kernel, "out", true);
@@ -133,7 +133,8 @@ TEST(Gate, DelayFollowsDeviceChangeOnAConstantSupply) {
   const sim::Time before = f.model.delay(1.0, cload, 0.0, 1.0);
   EXPECT_EQ(changed.at, before);
 
-  inv.set_vth_offset(0.08);
+  // The fixture's only element holds the arena's first slot.
+  f.ctx.drives.set_device(0, 0.08, 1.0);
   const sim::Time t1 = f.kernel.now();
   in.set(false);
   f.kernel.run();
@@ -141,7 +142,7 @@ TEST(Gate, DelayFollowsDeviceChangeOnAConstantSupply) {
   EXPECT_NE(after, before);  // the device change is visible in the delay
   EXPECT_EQ(changed.at - t1, after);
 
-  inv.set_strength(2.0);
+  f.ctx.drives.set_device(0, 0.08, 2.0);
   const sim::Time t2 = f.kernel.now();
   in.set(true);
   f.kernel.run();
@@ -228,7 +229,8 @@ TEST(Toggle, QueuesBurstsWithoutLoss) {
   Toggle t(f.ctx, "t", in, dot, blank);
   // Fire input edges much faster than the toggle's internal delay.
   for (int i = 1; i <= 10; ++i) {
-    f.kernel.schedule(sim::ps(i), [&in, i] { in.set((i % 2) == 1); });
+    f.kernel.schedule(i * sim::kPicosecond,
+                      [&in, i] { in.set((i % 2) == 1); });
   }
   f.kernel.run();
   EXPECT_EQ(t.fires(), 10u);
@@ -253,7 +255,7 @@ TEST(DelayLine, PartialWavefrontGivesPartialCode) {
   DelayLine line(f.ctx, "dl", in, 32);
   in.set(true);
   // One inverter ~ 40 ps at 1 V; stop mid-flight.
-  f.kernel.run_until(sim::ps(40 * 10));
+  f.kernel.run_until(40 * 10 * sim::kPicosecond);
   const std::size_t code = line.thermometer_code();
   EXPECT_GT(code, 4u);
   EXPECT_LT(code, 16u);

@@ -12,7 +12,7 @@ namespace emc::power {
 namespace {
 
 TEST(QosCurve, ThresholdAndCrossover) {
-  QosCurve d1("dual-rail"), d2("bundled");
+  QosCurve d1, d2;  // dual-rail, bundled
   for (double v = 0.2; v <= 1.01; v += 0.1) {
     QosPoint p1;
     p1.vdd = v;
@@ -54,7 +54,6 @@ TEST(AdaptiveController, TracksStoreVoltageBands) {
     });
   }
   k.run_until(sim::ms(3));
-  ctl.stop();
   ASSERT_GE(levels.size(), 3u);
   // The sequence of knob settings is non-increasing.
   for (std::size_t i = 1; i < levels.size(); ++i) {

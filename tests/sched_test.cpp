@@ -189,8 +189,8 @@ TEST(Scheduler, EnergyTokenBeatsFixedRateOnBrownouts) {
     std::unique_ptr<SchedulerBase> sched;
     std::unique_ptr<EnergyTokenPool> pool;
     if (which == 0) {
-      sched = std::make_unique<FixedRateScheduler>(
-          f.kernel, f.model, f.store, 4, "fixed");
+      sched = std::make_unique<FixedRateScheduler>(f.kernel, f.model,
+                                                   f.store, 4);
     } else {
       pool = std::make_unique<EnergyTokenPool>(f.store, 20e-9, 0.35);
       sched = std::make_unique<EnergyTokenScheduler>(f.kernel, f.model,
@@ -208,17 +208,6 @@ TEST(Scheduler, EnergyTokenBeatsFixedRateOnBrownouts) {
   EXPECT_LT(tokens.wasted_energy_j, fixed.wasted_energy_j + 1e-12);
   // ...and completes at least comparable useful work.
   EXPECT_GE(tokens.completed + 5, fixed.completed);
-}
-
-TEST(Scheduler, ConcurrencyKnobLimitsParallelism) {
-  SchedFixture f;
-  f.harvester.start();
-  GreedyScheduler sched(f.kernel, f.model, f.store, 4);
-  sched.set_max_concurrency(1);
-  auto tasks = f.workload(2e-3, sim::ms(50));
-  sched.load(std::move(tasks));
-  f.kernel.run_until(sim::ms(50));
-  EXPECT_GT(sched.stats().completed, 0u);
 }
 
 // ---- stochastic analysis ------------------------------------------------------

@@ -24,7 +24,7 @@ namespace emc::sim {
 namespace {
 
 TEST(Time, Conversions) {
-  EXPECT_EQ(ps(1), 1000u);
+  EXPECT_EQ(kPicosecond, 1000u);
   EXPECT_EQ(ns(1), 1000u * 1000u);
   EXPECT_EQ(us(1), kMicrosecond);
   EXPECT_DOUBLE_EQ(to_seconds(kSecond), 1.0);
@@ -531,7 +531,7 @@ TEST(VcdWriter, RecordsChanges) {
     k.schedule(20, [&] { a.set(false); });
     k.run();
     EXPECT_EQ(vcd.changes_recorded(), 2u);
-    vcd.finalize();
+    EXPECT_TRUE(vcd.finalize());
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -539,6 +539,23 @@ TEST(VcdWriter, RecordsChanges) {
                        std::istreambuf_iterator<char>());
   EXPECT_NE(contents.find("$var wire 1"), std::string::npos);
   EXPECT_NE(contents.find("#10"), std::string::npos);
+}
+
+// /dev/full accepts the open and every buffered write; only the final
+// flush fails, so both trace writers must close before reporting.
+TEST(Trace, WritersReportAFullDevice) {
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Kernel k;
+  Wire a(k, "a", false);
+  VcdWriter vcd("/dev/full");
+  vcd.add(a);
+  k.schedule(10, [&] { a.set(true); });
+  k.run();
+  EXPECT_FALSE(vcd.finalize());
+  EXPECT_FALSE(vcd.finalize());  // a repeat call keeps the first result
+  AnalogTrace trace("v");
+  trace.sample(0, 1.0);
+  EXPECT_FALSE(trace.write_csv("/dev/full"));
 }
 
 TEST(Rng, Reproducible) {

@@ -71,13 +71,11 @@ TEST(CellModel, EightTReducesLeakage) {
   EXPECT_LT(c8.min_read_vdd(64), c6.min_read_vdd(64));
 }
 
-TEST(CellModel, WriteAndRetentionFloors) {
+TEST(CellModel, WriteFloor) {
   device::DelayModel m{device::Tech::umc90()};
   CellModel cell(m, CellParams{});
   EXPECT_TRUE(cell.write_ok(0.2));
   EXPECT_FALSE(cell.write_ok(0.15));
-  EXPECT_TRUE(cell.retains(0.12));
-  EXPECT_FALSE(cell.retains(0.08));
 }
 
 // ---- bit-line dynamics -----------------------------------------------------
@@ -143,9 +141,7 @@ TEST(SteppedAccess, StallsAndResumesAcrossBrownout) {
 // ---- array ---------------------------------------------------------------------
 
 TEST(SramArray, ReadWrite) {
-  device::DelayModel m{device::Tech::umc90()};
-  CellModel cell(m, CellParams{});
-  SramArray arr(ArrayGeometry{64, 16}, cell);
+  SramArray arr(ArrayGeometry{64, 16});
   EXPECT_EQ(arr.read_word(5), 0u);
   arr.write_word(5, 0xBEEF);
   EXPECT_EQ(arr.read_word(5), 0xBEEF);

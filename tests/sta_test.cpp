@@ -76,7 +76,8 @@ TEST(StaVariation, WorstCaseBoxIsSymmetricAroundNominal) {
   EXPECT_NEAR(fast.strength, 1.06, 1e-12);
 
   // A corner shift folds into the box on top of the local sigmas.
-  const auto corner = device::Variation::corner(0.01, 0.97, 0.005, 0.02);
+  // Corner shift and drive, then the local Vth and strength sigmas.
+  const device::Variation corner{0.01, 0.97, 0.005, 0.02};
   EXPECT_NEAR(corner.worst_slow(3.0).vth_offset, 0.025, 1e-12);
   EXPECT_NEAR(corner.worst_slow(3.0).strength, 1.0 - 0.03 - 0.06, 1e-12);
 }
@@ -319,7 +320,6 @@ TEST(StaCapstone, ShortLineFailsStaticallyAndDynamically) {
     async::BundledCounter bc(ex.ctx(), "bc", counter_params(0.5));
     bc.start();
     ex.kernel().run_until(sim::us(6));
-    bc.stop();
     EXPECT_GT(bc.count(), 0u);
     EXPECT_GT(bc.errors(), 0u);
   }
@@ -342,7 +342,6 @@ TEST(StaCapstone, RepairedLinePassesStaticallyAndDynamically) {
     async::BundledCounter bc(ex.ctx(), "bc", counter_params(1.5));
     bc.start();
     ex.kernel().run_until(sim::us(6));
-    bc.stop();
     EXPECT_GT(bc.count(), 0u) << "at " << vdd << " V";
     EXPECT_EQ(bc.errors(), 0u) << "at " << vdd << " V";
   }

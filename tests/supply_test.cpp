@@ -23,19 +23,6 @@ TEST(Battery, HoldsVoltage) {
   EXPECT_DOUBLE_EQ(b.voltage(), 1.0);
   EXPECT_DOUBLE_EQ(b.total_energy_drawn(), 1e-9);
   EXPECT_EQ(b.draw_count(), 1u);
-  b.set_voltage(0.5);
-  EXPECT_DOUBLE_EQ(b.voltage(), 0.5);
-}
-
-TEST(WaveformSupply, FollowsFunction) {
-  sim::Kernel k;
-  WaveformSupply w(k, "ramp", [](sim::Time t) {
-    return 0.2 + 0.8 * sim::to_seconds(t) / 1e-6;
-  });
-  EXPECT_DOUBLE_EQ(w.voltage(), 0.2);
-  k.schedule(sim::us(1), [] {});
-  k.run();
-  EXPECT_NEAR(w.voltage(), 1.0, 1e-9);
 }
 
 TEST(PiecewiseSupply, InterpolatesBreakpoints) {
@@ -217,14 +204,12 @@ TEST(Mppt, ConvergesNearMaximumPowerPoint) {
 
 // --- voltage epoch (quasi-static cache invalidation) --------------------
 
-TEST(VoltageEpoch, BatteryAdvancesOnlyOnCommandedChange) {
+TEST(VoltageEpoch, BatteryHoldsItsEpochAcrossDraws) {
   sim::Kernel k;
   Battery b(k, "bat", 1.0);
   const std::uint64_t e0 = b.voltage_epoch();
   b.draw(1e-12, 1e-12);  // draws don't move an ideal battery
   EXPECT_EQ(b.voltage_epoch(), e0);
-  b.set_voltage(0.8);
-  EXPECT_GT(b.voltage_epoch(), e0);
 }
 
 TEST(VoltageEpoch, StorageCapAdvancesOnDrawAndDeposit) {
@@ -286,19 +271,6 @@ TEST(DepositGuard, StorageCapIgnoresNonFiniteDeposits) {
   cap.deposit_energy(std::numeric_limits<double>::infinity());
   EXPECT_DOUBLE_EQ(cap.charge(), q0);
   EXPECT_DOUBLE_EQ(cap.voltage(), 0.5);
-}
-
-TEST(DepositGuard, BatterySetVoltageClampsAndRejectsNonFinite) {
-  sim::Kernel k;
-  Battery b(k, "bat", 1.0);
-  b.set_voltage(std::nan(""));
-  EXPECT_DOUBLE_EQ(b.voltage(), 1.0);  // rejected, not poisoned
-  b.set_voltage(std::numeric_limits<double>::infinity());
-  EXPECT_DOUBLE_EQ(b.voltage(), 1.0);
-  b.set_voltage(-0.3);
-  EXPECT_DOUBLE_EQ(b.voltage(), 0.0);  // clamped at zero
-  b.set_voltage(0.7);
-  EXPECT_DOUBLE_EQ(b.voltage(), 0.7);
 }
 
 TEST(HarvesterBlackout, GatesPowerWithoutDisturbingTheStream) {
