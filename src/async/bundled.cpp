@@ -117,8 +117,6 @@ void BundledCounter::on_line_output() {
   // The wavefront of the current launch arrives as a transition towards
   // the launched polarity (the chain has even/odd parity; just track
   // edges — every output change corresponds to one completed launch).
-  if (!running_ && count_ > 0) return;
-
   // Capture: read the datapath outputs into the state latch, settled or
   // not — that is the bundled-data gamble.
   std::uint64_t captured = 0;
@@ -139,7 +137,7 @@ void BundledCounter::on_line_output() {
       3.0 * ctx.model.tech().c_inv * static_cast<double>(params_.bits);
   ctx.bill(latch_meter_, ctx.model.switching_charge(vdd, cload),
            ctx.model.switching_energy(vdd, cload));
-  if (running_) launch();
+  launch();
 }
 
 }  // namespace emc::async

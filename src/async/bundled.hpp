@@ -65,7 +65,7 @@ class BundledCounter {
   std::vector<sim::Wire*> state_wires_;
   std::vector<sim::Wire*> data_wires_;
   std::unique_ptr<gates::DelayLine> line_;
-  bool running_ = false;
+  bool running_ = false;  // set by start(); a second start() is a no-op
   bool line_phase_ = false;  ///< expected polarity of the line output
   std::uint64_t state_ = 0;
   std::uint64_t count_ = 0;

@@ -3,10 +3,10 @@
 // Every experiment in this repo used to re-assemble the same five lines
 // by hand: Kernel + DelayModel + Supply + EnergyMeter -> gates::Context.
 // ContextConfig makes that assembly *data*: a copyable descriptor of the
-// supply (a SupplyConfig), the trial seed and whether energy is metered,
-// over the umc90 technology. `Experiment` is the elaborated result — it
-// owns the whole stack, Kernel included, with stable addresses and
-// hands out the gates::Context circuits want.
+// supply (a SupplyConfig) and the trial seed, over the umc90 technology.
+// `Experiment` is the elaborated result — it owns the whole stack,
+// Kernel included, with stable addresses and hands out the
+// gates::Context circuits want.
 //
 //   auto ex = exp::ContextConfig::battery(0.8).build();
 //   async::MullerRing ring(ex.ctx(), "ring", 6, 2);
@@ -29,7 +29,7 @@ class Experiment;
 
 class ContextConfig {
  public:
-  /// Default: umc90 tech, 1 V battery, energy meter on.
+  /// Default: umc90 tech, 1 V battery.
   ContextConfig() = default;
 
   /// Shorthand for the most common context: a battery at `volts`.
@@ -46,12 +46,6 @@ class ContextConfig {
     supply_ = std::move(s);
     return *this;
   }
-  /// Disable the energy meter (purely behavioural experiments).
-  ContextConfig& meter(bool on) {
-    meter_ = on;
-    return *this;
-  }
-
   /// Monte-Carlo trial seed: re-keys stochastic supply stages
   /// (harvester). 0 = base description.
   ContextConfig& trial_seed(std::uint64_t seed) {
@@ -69,7 +63,6 @@ class ContextConfig {
   }
 
   const SupplyConfig& supply_config() const { return supply_; }
-  bool meter_enabled() const { return meter_; }
   std::uint64_t trial_seed_value() const { return trial_seed_; }
 
   /// Elaborate with a fresh kernel owned by the Experiment — the
@@ -78,12 +71,11 @@ class ContextConfig {
 
  private:
   SupplyConfig supply_ = SupplyConfig::battery(1.0);
-  bool meter_ = true;
   std::uint64_t trial_seed_ = 0;
 };
 
 /// A live experiment stack: its own kernel, delay model,
-/// supply chain, optional energy meter, and the gates::Context that ties
+/// supply chain, energy meter, and the gates::Context that ties
 /// them together. Movable; all addresses handed out are stable. One
 /// Experiment serves one scenario: sweep bodies build a fresh one each
 /// time, so no state carries over between scenarios.

@@ -28,7 +28,6 @@ std::uint32_t AdaptiveController::level_for(double vdd) const {
 }
 
 void AdaptiveController::tick() {
-  if (!running_) return;
   ++ticks_;
   last_estimate_ = store_->voltage();
   const std::uint32_t lvl = level_for(last_estimate_);
@@ -37,9 +36,7 @@ void AdaptiveController::tick() {
     ++level_changes_;
     if (knob_) knob_(level_);
   }
-  if (running_) {
-    kernel_->schedule(params_.control_period, [this] { tick(); });
-  }
+  kernel_->schedule(params_.control_period, [this] { tick(); });
 }
 
 }  // namespace emc::power

@@ -51,7 +51,7 @@ class AdaptiveController {
   supply::Supply* store_;
   AdaptiveParams params_;
   LevelKnob knob_;
-  bool running_ = false;
+  bool running_ = false;  // set by start(); a second start() is a no-op
   std::uint32_t level_ = 0;
   double last_estimate_ = 0.0;
   std::uint64_t ticks_ = 0;

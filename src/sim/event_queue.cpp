@@ -61,7 +61,7 @@ void EventQueue::cancel(EventId id) {
   const std::uint32_t s = id_slot(id);
   if (s >= slots_.size()) return;
   Slot& slot = slots_[s];
-  if (!slot.armed || slot.gen != id_gen(id)) return;  // fired/cleared/stale
+  if (!slot.armed || slot.gen != id_gen(id)) return;  // fired or stale
   release_slot(s);
   --live_;
   // The pending entry is now stale (generation mismatch); it is purged
@@ -98,7 +98,7 @@ bool EventQueue::pop_due(Time deadline, Time& t, Action& action) {
   hole_ = true;
   Slot& slot = slots_[s];
   action = std::move(slot.action);
-  // Lean release: unlike cancel()/clear(), the slot's action has just
+  // Lean release: unlike cancel(), the slot's action has just
   // been moved out, so there is nothing to destroy — only disarm, bump
   // the generation and recycle the index.
   slot.armed = false;
@@ -106,23 +106,6 @@ bool EventQueue::pop_due(Time deadline, Time& t, Action& action) {
   free_.push_back(s);
   --live_;
   return true;
-}
-
-void EventQueue::clear() {
-  // Release every armed slot (bumping its generation so outstanding ids
-  // die) but keep the slab and free list: a cleared queue is about to be
-  // refilled by the next experiment, and the warm slab is the point.
-  // A fully-drained queue skips the slot scan — every fired event
-  // already released (and generation-bumped) its slot, so ids from the
-  // previous run are dead without touching the slab.
-  if (live_ > 0) {
-    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].armed) release_slot(s);
-    }
-  }
-  heap_.clear();
-  hole_ = false;
-  live_ = 0;
 }
 
 // Hole-based sifting: instead of std::swap chains, the element being

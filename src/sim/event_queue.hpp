@@ -22,9 +22,9 @@
 // schedule their successor at once, and that schedule() writes its entry
 // into the hole with one sift from the root, where a removal followed by
 // a push would sift twice. Any other call that looks at the heap —
-// pop_due(), next_time(), cancel()'s compaction, heap_entries(),
-// clear() — closes the hole first, so it is never observable and the
-// pop order is the strict (t, seq) order either way. Peak queue depth is
+// pop_due(), next_time(), cancel()'s compaction, heap_entries() —
+// closes the hole first, so it is never observable and the pop order
+// is the strict (t, seq) order either way. Peak queue depth is
 // 57 on fig_survivability and 651 on fig3; at those sizes the heap beats
 // bucketed calendar structures. Add a second structure only together
 // with a figure whose workload needs it.
@@ -41,7 +41,7 @@ namespace emc::sim {
 
 /// Handle identifying a scheduled event; usable for cancellation.
 /// Packed {generation:32, slot:32}. A slot's generation advances every
-/// time the slot is released (fire, cancel or clear), so a stale handle
+/// time the slot is released (fire or cancel), so a stale handle
 /// can never touch the event that reused its slot. 0 is never a valid id.
 using EventId = std::uint64_t;
 
@@ -58,7 +58,7 @@ class EventQueue {
   /// Cancel a pending event in O(1): the slot is released immediately and
   /// the stale entry left to be purged when it surfaces (or by compaction
   /// if stale entries come to dominate). Cancelling an already-fired,
-  /// cleared or unknown id is a harmless no-op.
+  /// cancelled or unknown id is a harmless no-op.
   void cancel(EventId id);
 
   /// True if no live (non-cancelled) event remains.
@@ -76,11 +76,7 @@ class EventQueue {
   /// loop.
   bool pop_due(Time deadline, Time& t, Action& action);
 
-  /// Drop every pending event. Outstanding EventIds are invalidated:
-  /// cancelling them later is a no-op even after their slots are reused.
-  void clear();
-
-  /// Total events ever scheduled (statistics for the micro-bench).
+  /// Total events ever scheduled (Kernel::Stats::events_scheduled).
   std::uint64_t total_scheduled() const { return scheduled_; }
 
   // --- introspection (stats reporting and tests) ---
@@ -109,7 +105,7 @@ class EventQueue {
 
   // POD entry: cheap to move during sift. `gen` snapshots the slot
   // generation at schedule time; a mismatch on pop means the event was
-  // cancelled (or the queue cleared) and the entry is discarded.
+  // cancelled and the entry is discarded.
   struct Entry {
     Time t;
     std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps

@@ -68,7 +68,7 @@ class Kernel {
     std::uint64_t events_scheduled = 0;
     std::size_t peak_queue_depth = 0;
     std::size_t slab_capacity = 0;
-    // Wall time accumulated across run_until()/run() calls. step() is
+    // Wall time accumulated across run_until() calls. step() is
     // not timed — per-event clock reads would dominate the hot path —
     // so it reads 0 for a kernel driven only by step().
     double wall_seconds = 0.0;
@@ -120,12 +120,10 @@ class Kernel {
   /// that act between single events (sched::EnergyPetriNet::run).
   bool step();
 
-  /// Run until the queue drains or `deadline` is passed. Events at exactly
-  /// `deadline` are executed. Returns the number of events executed.
+  /// Run until the queue drains or `deadline` is passed (kTimeMax: until
+  /// it drains or the safety cap trips). Events at exactly `deadline` are
+  /// executed. Returns the number of events executed.
   std::uint64_t run_until(Time deadline);
-
-  /// Run until the queue drains (or the safety cap trips).
-  std::uint64_t run() { return run_until(kTimeMax); }
 
   /// A quiescence probe: called (only) when a guarded run stops, to
   /// classify an empty queue. Register one per protocol actor or per
@@ -154,9 +152,6 @@ class Kernel {
 
   /// Time of the next pending event (kTimeMax if none).
   Time next_event_time() const { return queue_.next_time(); }
-
-  /// Total events executed since construction.
-  std::uint64_t events_executed() const { return executed_; }
 
   /// Snapshot of execution statistics since construction.
   Stats stats() const {

@@ -51,7 +51,6 @@ void Harvester::maybe_transition() {
 }
 
 void Harvester::step() {
-  if (!running_) return;
   maybe_transition();
   const double p = instantaneous_power();
   const double joules = p * sim::to_seconds(tick_) * efficiency_;

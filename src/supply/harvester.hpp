@@ -82,7 +82,7 @@ class Harvester {
   double harvested_j_ = 0.0;
   double jitter_factor_ = 1.0;
   std::uint32_t blackout_depth_ = 0;
-  bool running_ = false;
+  bool running_ = false;  // set by start(); a second start() is a no-op
 };
 
 }  // namespace emc::supply

@@ -25,7 +25,6 @@ void MpptController::start() {
 }
 
 void MpptController::step() {
-  if (!running_) return;
   // Perturb & observe: compare this window's harvest with the previous
   // one; keep going if it improved, reverse otherwise.
   const double total = harvester_->total_energy_harvested();

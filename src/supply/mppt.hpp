@@ -47,7 +47,7 @@ class MpptController {
   double last_window_energy_ = 0.0;
   double last_total_ = 0.0;
   std::uint64_t steps_ = 0;
-  bool running_ = false;
+  bool running_ = false;  // set by start(); a second start() is a no-op
 };
 
 }  // namespace emc::supply

@@ -45,7 +45,7 @@ TEST(Handshake, SourceSinkCompleteCycles) {
   HandshakeSink sink(f.ctx, "sink", ch, 2.0);
   bool done = false;
   src.start(25, [&] { done = true; });
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(done);
   EXPECT_EQ(src.completed(), 25u);
   EXPECT_EQ(checker.cycles_observed(), 25u);
@@ -116,7 +116,8 @@ TEST_P(RippleDecode, DecodeMatchesGroundTruth) {
   const int edges = GetParam();
   for (int i = 1; i <= edges; ++i) {
     in.set((i % 2) == 1);
-    f.kernel.run();  // drain before next edge: every event served
+    // Drain before the next edge: every event served.
+    f.kernel.run_until(sim::kTimeMax);
   }
   EXPECT_EQ(ctr.transitions_served(), static_cast<std::uint64_t>(edges));
   EXPECT_EQ(ctr.decode(), static_cast<std::uint64_t>(edges) % 256u);

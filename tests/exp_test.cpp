@@ -199,7 +199,7 @@ void fire_ticks(const ParamSet& p, Recorder& rec) {
   for (std::uint64_t i = 0; i < ticks; ++i) {
     kernel.schedule(static_cast<sim::Time>(i % 11 + 1), [&fired] { ++fired; });
   }
-  kernel.run();
+  kernel.run_until(sim::kTimeMax);
   rec.row().set("scenario", p.label()).set("fired", fired);
   rec.add_stats(kernel.stats());
 }
@@ -529,13 +529,6 @@ TEST(ContextConfig, BuildsFullContextOnOwnKernel) {
   EXPECT_EQ(&ex.ctx().supply, &ex.supply());
   EXPECT_EQ(ex.ctx().meter, ex.meter());
   EXPECT_TRUE(ex.ctx().model.operational(0.7));
-}
-
-TEST(ContextConfig, BuildsWithoutMeter) {
-  auto ex = ContextConfig::battery(1.0).meter(false).build();
-  EXPECT_EQ(&ex.ctx().kernel, &ex.kernel());
-  EXPECT_EQ(ex.meter(), nullptr);
-  EXPECT_EQ(ex.ctx().meter, nullptr);
 }
 
 TEST(ContextConfig, ExperimentIsMovableWithStableContext) {

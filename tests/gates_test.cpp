@@ -53,7 +53,7 @@ TEST_P(CombTruth, ComputesExpected) {
   CombGate g(f.ctx, "dut", op, inputs, out);
   for (std::size_t i = 0; i < ins.size(); ++i) inputs[i]->set(ins[i]);
   g.touch();
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_EQ(out.read(), expect);
 }
 
@@ -96,7 +96,7 @@ TEST(CombGate, SwallowsSubDelayPulse) {
   // Pulse much shorter than the gate delay (~40 ps at 1 V).
   f.kernel.schedule(100 * sim::kPicosecond, [&] { in.set(true); });
   f.kernel.schedule(105 * sim::kPicosecond, [&] { in.set(false); });
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(out.read());
   EXPECT_EQ(out.transitions(), 0u);  // pulse fully filtered
 }
@@ -108,7 +108,7 @@ TEST(CombGate, PropagationDelayMatchesModel) {
   CombGate inv(f.ctx, "inv", Op::kInv, {&in}, out);
   const ChangeTime changed(out);
   in.set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   const auto expected = f.model.delay(
       1.0, factors_for(Op::kInv, 1).cap * f.model.tech().c_inv *
                factors_for(Op::kInv, 1).delay);
@@ -129,7 +129,7 @@ TEST(Gate, DelayFollowsDeviceChangeOnAConstantSupply) {
   const std::uint64_t epoch = f.supply.voltage_epoch();
 
   in.set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   const sim::Time before = f.model.delay(1.0, cload, 0.0, 1.0);
   EXPECT_EQ(changed.at, before);
 
@@ -137,7 +137,7 @@ TEST(Gate, DelayFollowsDeviceChangeOnAConstantSupply) {
   f.ctx.drives.set_device(0, 0.08, 1.0);
   const sim::Time t1 = f.kernel.now();
   in.set(false);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   const sim::Time after = f.model.delay(1.0, cload, 0.08, 1.0);
   EXPECT_NE(after, before);  // the device change is visible in the delay
   EXPECT_EQ(changed.at - t1, after);
@@ -145,7 +145,7 @@ TEST(Gate, DelayFollowsDeviceChangeOnAConstantSupply) {
   f.ctx.drives.set_device(0, 0.08, 2.0);
   const sim::Time t2 = f.kernel.now();
   in.set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_EQ(changed.at - t2, f.model.delay(1.0, cload, 0.08, 2.0));
   EXPECT_EQ(f.supply.voltage_epoch(), epoch);
 }
@@ -192,16 +192,16 @@ TEST(CElement, RisesOnAllOnesFallsOnAllZeros) {
   sim::Wire c(f.kernel, "c", false);
   CElement ce(f.ctx, "ce", {&a, &b}, c);
   a.set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_FALSE(c.read());  // holds at 0 (only one input high)
   b.set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(c.read());
   a.set(false);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(c.read());  // holds at 1
   b.set(false);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_FALSE(c.read());
 }
 
@@ -214,7 +214,7 @@ TEST(Toggle, AlternatesDotAndBlank) {
   Toggle t(f.ctx, "t", in, dot, blank);
   for (int i = 1; i <= 4; ++i) {
     in.set((i % 2) == 1);
-    f.kernel.run();
+    f.kernel.run_until(sim::kTimeMax);
   }
   // 4 input events: dot moved on 1st & 3rd, blank on 2nd & 4th.
   EXPECT_EQ(dot.transitions(), 2u);
@@ -232,7 +232,7 @@ TEST(Toggle, QueuesBurstsWithoutLoss) {
     f.kernel.schedule(i * sim::kPicosecond,
                       [&in, i] { in.set((i % 2) == 1); });
   }
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_EQ(t.fires(), 10u);
   EXPECT_EQ(dot.transitions() + blank.transitions(), 10u);
 }
@@ -245,7 +245,7 @@ TEST(DelayLine, WavefrontPropagatesInOrder) {
   DelayLine line(f.ctx, "dl", in, 16);
   EXPECT_EQ(line.thermometer_code(), 0u);
   in.set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_EQ(line.thermometer_code(), 16u);
 }
 
@@ -279,19 +279,19 @@ TEST(CompletionDetector, FiresOnAllValidFallsOnAllNull) {
   bits[0].t->set(true);
   bits[1].f->set(true);
   bits[2].t->set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_FALSE(cd.done().read());
   bits[3].f->set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(cd.done().read());
   // Partially to NULL: done holds (C-element memory).
   bits[0].t->set(false);
   bits[1].f->set(false);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(cd.done().read());
   bits[2].t->set(false);
   bits[3].f->set(false);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_FALSE(cd.done().read());
 }
 
@@ -310,7 +310,7 @@ TEST(CompletionDetector, WideTreeRespectsFanin) {
   EXPECT_EQ(cd.bit_count(), 16u);
   EXPECT_EQ(cd.tree_depth(), 4u);  // 16 -> 8 -> 4 -> 2 -> 1
   for (auto& b : bits) b.t->set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(cd.done().read());
 }
 
@@ -323,7 +323,7 @@ TEST(EnergyMeter, AccountsTransitionsAndRollsUp) {
   CombGate g1(f.ctx, "top.sub1.inv", Op::kInv, {&a}, x);
   CombGate g2(f.ctx, "top.sub2.inv", Op::kInv, {&a}, y);
   a.set(true);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_EQ(f.meter.total_transitions(), 2u);
   EXPECT_GT(f.meter.dynamic_energy(), 0.0);
   const auto by_mod = f.meter.energy_by_prefix(2);
@@ -331,7 +331,7 @@ TEST(EnergyMeter, AccountsTransitionsAndRollsUp) {
   EXPECT_TRUE(by_mod.count("top.sub1"));
   // Leakage integrates over time.
   f.kernel.schedule(sim::us(1), [] {});
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   f.meter.integrate_leakage();
   EXPECT_GT(f.meter.leakage_energy(), 0.0);
 }
@@ -343,7 +343,7 @@ TEST(EnergyMeter, EnergyScalesWithVddSquared) {
     sim::Wire out(f.kernel, "out", true);
     CombGate g(f.ctx, "inv", Op::kInv, {&in}, out);
     in.set(true);
-    f.kernel.run();
+    f.kernel.run_until(sim::kTimeMax);
     return f.meter.dynamic_energy();
   };
   EXPECT_NEAR(run_at(1.0) / run_at(0.5), 4.0, 0.01);

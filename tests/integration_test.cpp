@@ -78,7 +78,7 @@ TEST(Integration, EnergyLedgersAgree) {
          sram::SiSram sram(ctx, "sram", sram::SiSramParams{});
          sram.write(3, 0x5a, nullptr);
          sram.read(3, nullptr);
-         ctx.kernel.run();
+         ctx.kernel.run_until(sim::kTimeMax);
        })},
   };
   for (const auto& [site, l] : cases) {

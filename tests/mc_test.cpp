@@ -182,7 +182,7 @@ TEST(DeviceSamplePath, StrengthAndVthScaleDelay) {
 
 TEST(DeviceSamplePath, GateStrengthChangesOscillation) {
   auto transitions_with = [](const device::DeviceSample& d) {
-    auto ex = exp::ContextConfig::battery(0.8).meter(false).build();
+    auto ex = exp::ContextConfig::battery(0.8).build();
     sim::Wire osc(ex.kernel(), "osc", false);
     gates::CombGate inv(ex.ctx(), "inv", gates::Op::kInv, {&osc}, osc);
     // The context's only element holds the arena's first slot.

@@ -99,7 +99,7 @@ TEST(EnergyPetriNet, FiringConservesTokens) {
   ASSERT_TRUE(net.fire(t));
   EXPECT_EQ(net.marking(p1), 1u);
   EXPECT_EQ(net.marking(p2), 0u);  // output not yet produced
-  k.run();
+  k.run_until(sim::kTimeMax);
   EXPECT_EQ(net.marking(p2), 1u);
   EXPECT_EQ(net.marking(net.energy_place()), 7u);
   EXPECT_EQ(net.energy_spent(), 3u);

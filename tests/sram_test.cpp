@@ -116,7 +116,7 @@ TEST(SteppedAccess, CompletesWithExpectedLatency) {
       f.kernel, f.supply, f.model, [](double) { return 1e-9; }, 8,
       [&] { done = true; });
   acc.start();
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_TRUE(done);
   EXPECT_NEAR(sim::to_seconds(f.kernel.now()), 1e-9, 1e-12);
 }
@@ -162,7 +162,7 @@ TEST(SiSram, WriteThenReadRoundTrip) {
     EXPECT_TRUE(r.ok);
     got = v;
   });
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 0xA5A5);
   EXPECT_EQ(sram.reads_completed(), 1u);
@@ -181,7 +181,7 @@ TEST(SiSram, QueuedOpsServeInOrder) {
       seen.push_back(v);
     });
   }
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   ASSERT_EQ(seen.size(), 8u);
   for (std::uint16_t i = 0; i < 8; ++i) EXPECT_EQ(seen[i], i * 111);
 }
@@ -192,7 +192,7 @@ TEST(SiSram, LatencyScalesWithVdd) {
     SiSram sram(f.ctx, "sram", SiSramParams{});
     double latency = 0.0;
     sram.write(0, 1, [&](const OpResult& r) { latency = r.latency_s; });
-    f.kernel.run();
+    f.kernel.run_until(sim::kTimeMax);
     return latency;
   };
   const double l_1v = write_latency(1.0);
@@ -271,7 +271,7 @@ TEST(SiSram, HandshakeWiresTraceProperly) {
   });
   sram.write(0, 1, nullptr);
   sram.read(0, nullptr);
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   EXPECT_EQ(wl_edges, 4u);  // up+down per op
   EXPECT_EQ(sram.w_req().transitions(), 4u);
   EXPECT_EQ(sram.w_ack().transitions(), 4u);
@@ -321,7 +321,7 @@ TEST(SramEnergy, ControllerBillsRoughlyModelEnergy) {
   SiSram sram(f.ctx, "sram", SiSramParams{});
   double billed = 0.0;
   sram.write(0, 0xFFFF, [&](const OpResult& r) { billed = r.energy_j; });
-  f.kernel.run();
+  f.kernel.run_until(sim::kTimeMax);
   const double model_dyn = sram.energy_model().dynamic_write_j(1.0);
   EXPECT_NEAR(billed, model_dyn, model_dyn * 0.05);
 }

@@ -33,7 +33,7 @@ TEST(PiecewiseSupply, InterpolatesBreakpoints) {
   k.schedule(sim::ns(500), [&] { EXPECT_NEAR(p.voltage(), 0.6, 1e-9); });
   k.schedule(sim::us(2), [&] { EXPECT_NEAR(p.voltage(), 0.4, 1e-9); });
   k.schedule(sim::us(5), [&] { EXPECT_NEAR(p.voltage(), 0.4, 1e-9); });
-  k.run();
+  k.run_until(sim::kTimeMax);
 }
 
 TEST(AcSupply, PaperWaveform200mVpm100mV) {
@@ -229,7 +229,7 @@ TEST(VoltageEpoch, AcSupplyAdvancesWithTime) {
   const std::uint64_t e0 = ac.voltage_epoch();
   EXPECT_EQ(ac.voltage_epoch(), e0);  // same timestamp: stable
   k.schedule(sim::ns(5), [] {});
-  k.run();
+  k.run_until(sim::kTimeMax);
   EXPECT_GT(ac.voltage_epoch(), e0);
 }
 

@@ -34,7 +34,7 @@ ScenarioOutput simulate_point(std::size_t point) {
   for (std::uint64_t i = 0; i < ticks; ++i) {
     kernel.schedule(static_cast<sim::Time>(i % 11 + 1), [&fired] { ++fired; });
   }
-  kernel.run();
+  kernel.run_until(sim::kTimeMax);
   ScenarioOutput out;
   out.rows.push_back({"ticks=" + Table::num(kUnevenTicks[point]),
                       std::to_string(fired)});
