@@ -77,8 +77,7 @@ EngineResult clocked_ops(double energy_j) {
     kernel.schedule(sim::ns(100), sample);
   };
   kernel.schedule(0, sample);
-  kernel.set_event_cap(3'000'000);
-  kernel.run_until(sim::ms(2));
+  kernel.run_guarded({sim::ms(2), 3'000'000});
   return {ops_above_floor, kernel.stats()};
 }
 

@@ -11,6 +11,8 @@
 // (the paper's Fig. 9 element) runs from a battery, from the Fig. 4 AC
 // supply, and from a charged capacitor that it drains to exhaustion.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "async/counter.hpp"
 #include "exp/context_config.hpp"
@@ -47,36 +49,31 @@ int main() {
       "One self-timed ripple counter, three supplies. Each scenario is an\n"
       "independent kernel run through the exp::Workbench.\n\n");
 
-  // The "supply" parameter selects the variant the body elaborates; the
-  // label is reporting only, so reordering scenarios cannot mislabel
-  // results.
+  // The "supply" parameter selects the variant the body elaborates; each
+  // variant carries its own display label, so reordering the axis cannot
+  // mislabel results.
   exp::Workbench wb("quickstart");
-  wb.scenarios({
-      exp::ParamSet().set("supply", "battery").set_label("battery 1.0 V"),
-      exp::ParamSet().set("supply", "ac").set_label(
-          "AC 200+/-100 mV @ 1 MHz"),
-      exp::ParamSet().set("supply", "cap").set_label("cap 50 pF @ 0.9 V"),
-  });
+  wb.grid().over("supply", std::vector<std::string>{"battery", "ac", "cap"});
   wb.columns({"supply", "oscillator_edges", "energy_pJ", "residual_V"});
 
   const auto& report = wb.run([](const exp::ParamSet& p, exp::Recorder& rec) {
     const std::string which = p.get<std::string>("supply");
     if (which == "battery") {
       // Full speed: the counter free-runs for 1 us.
-      run_counter(exp::ContextConfig::battery(1.0), sim::us(1), p.label(),
-                  rec);
+      run_counter(exp::ContextConfig::battery(1.0), sim::us(1),
+                  "battery 1.0 V", rec);
     } else if (which == "ac") {
       // The paper's AC supply: the counter stalls in the troughs and
       // resumes — slower, never wrong.
       run_counter(exp::ContextConfig::with(exp::SupplyConfig::ac(0.2, 0.1,
                                                                  1e6)),
-                  sim::us(10), p.label(), rec);
+                  sim::us(10), "AC 200+/-100 mV @ 1 MHz", rec);
     } else {
       // A charged capacitor: the charge quantum, not a clock, decides
       // how much is computed.
       run_counter(exp::ContextConfig::with(
                       exp::SupplyConfig::storage_cap(50e-12, 0.9)),
-                  sim::ms(1), p.label(), rec);
+                  sim::ms(1), "cap 50 pF @ 0.9 V", rec);
     }
   });
 

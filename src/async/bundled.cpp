@@ -91,10 +91,8 @@ BundledCounter::BundledCounter(gates::Context& ctx, std::string name,
   for (const sim::Wire* s : state_wires_) circuit_.note_edge(latch, s->name());
   circuit_.note_edge(latch, go_->name());
 
-  if (ctx.meter != nullptr) {
-    latch_meter_ = ctx.meter->add(circuit_.name() + ".latch",
-                                  6.0 * static_cast<double>(params_.bits));
-  }
+  latch_meter_ = ctx.meter.add(circuit_.name() + ".latch",
+                               6.0 * static_cast<double>(params_.bits));
 
   line_->output().subscribe<&BundledCounter::on_line_output>(this);
 

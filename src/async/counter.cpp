@@ -153,9 +153,7 @@ DualRailCounter::DualRailCounter(gates::Context& ctx, std::string name,
   circuit_.comb("inv_done", gates::Op::kInv,
                 std::vector<sim::Wire*>{done_wire_}, *en_);
 
-  if (ctx.meter != nullptr) {
-    latch_meter_ = ctx.meter->add(circuit_.name() + ".latch", 8.0 * bits);
-  }
+  latch_meter_ = ctx.meter.add(circuit_.name() + ".latch", 8.0 * bits);
   done_wire_->subscribe<&DualRailCounter::on_done_change>(this);
 }
 

@@ -11,7 +11,7 @@ Experiment::Experiment(const ContextConfig& cfg)
       meter_(std::make_unique<gates::EnergyMeter>(*kernel_, model_->tech(),
                                                   &built_.supply())) {
   ctx_ = std::make_unique<gates::Context>(
-      gates::Context{*kernel_, *model_, built_.supply(), meter_.get()});
+      gates::Context{*kernel_, *model_, built_.supply(), *meter_});
 }
 
 }  // namespace emc::exp

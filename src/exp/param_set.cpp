@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "analysis/table.hpp"
-
 namespace emc::exp {
 
 namespace {
@@ -57,27 +55,6 @@ const ParamSet::Value& ParamSet::find_or_throw(const std::string& name) const {
                      (known.empty() ? std::string("none") : known) + ")");
   }
   return *v;
-}
-
-std::string ParamSet::label() const {
-  if (!label_.empty()) return label_;
-  std::string out;
-  for (const auto& e : entries_) {
-    if (!out.empty()) out += ' ';
-    out += e.first + "=";
-    switch (e.second.index()) {
-      case 0:
-        out += analysis::Table::num(std::get<double>(e.second));
-        break;
-      case 1:
-        out += std::to_string(std::get<std::int64_t>(e.second));
-        break;
-      default:
-        out += std::get<std::string>(e.second);
-        break;
-    }
-  }
-  return out;
 }
 
 template <>

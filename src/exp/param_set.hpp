@@ -10,8 +10,7 @@
 // Access is checked both ways: `get<T>("vdd")` throws on an unknown key
 // and on a type mismatch (the one deliberate widening: `get<double>` of
 // an integer parameter is allowed — grids over integers are often
-// consumed as physics values). `get_or` supplies a default for an absent
-// key but still type-checks a present one.
+// consumed as physics values).
 #pragma once
 
 #include <cstdint>
@@ -35,8 +34,7 @@ class ParamSet {
 
   ParamSet() = default;
 
-  /// Set (or overwrite) a parameter. Insertion order is preserved and is
-  /// the order grid axes appear in derived labels.
+  /// Set (or overwrite) a parameter. Insertion order is preserved.
   ParamSet& set(const std::string& name, double v) { return put(name, v); }
   ParamSet& set(const std::string& name, std::int64_t v) {
     return put(name, v);
@@ -65,26 +63,9 @@ class ParamSet {
     return as<T>(name, find_or_throw(name));
   }
 
-  /// Like get<T>, but an *absent* key yields `fallback`. A present key of
-  /// the wrong type still throws — defaults must not mask grid typos.
-  template <typename T>
-  T get_or(const std::string& name, T fallback) const {
-    const Value* v = find(name);
-    return v == nullptr ? fallback : as<T>(name, *v);
-  }
-
   bool has(const std::string& name) const { return find(name) != nullptr; }
 
   std::size_t size() const { return entries_.size(); }
-
-  /// Reporting label: the explicit label if one was set, otherwise
-  /// "name=value" pairs in insertion order ("vdd=0.25 seed=11"), doubles
-  /// rendered by Table::num.
-  std::string label() const;
-  ParamSet& set_label(std::string label) {
-    label_ = std::move(label);
-    return *this;
-  }
 
  private:
   ParamSet& put(const std::string& name, Value v);
@@ -95,7 +76,6 @@ class ParamSet {
   static T as(const std::string& name, const Value& v);
 
   std::vector<std::pair<std::string, Value>> entries_;
-  std::string label_;
 };
 
 template <>

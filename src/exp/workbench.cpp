@@ -140,12 +140,6 @@ Row Recorder::row() {
 
 Workbench::Workbench(std::string name) : name_(std::move(name)) {}
 
-Workbench& Workbench::scenarios(std::vector<ParamSet> sets) {
-  explicit_params_ = std::move(sets);
-  explicit_scenarios_ = true;
-  return *this;
-}
-
 Workbench& Workbench::columns(std::vector<std::string> names) {
   columns_ = std::move(names);
   return *this;
@@ -169,10 +163,6 @@ std::uint64_t Workbench::trial_seed(std::size_t t) const {
   return sim::derive_seed(base_seed_, t) >> 1;
 }
 
-std::vector<ParamSet> Workbench::points() const {
-  return explicit_scenarios_ ? explicit_params_ : grid_.build();
-}
-
 ParamSet Workbench::expand_trial(const ParamSet& point, std::size_t t) const {
   ParamSet q = point;
   if (replicated_) {
@@ -187,7 +177,7 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
   // Lazy enumeration: grid points are materialized (a handful), but the
   // (point, trial) product never is — each scenario's ParamSet is built
   // inside produce() and dies with it.
-  const std::vector<ParamSet> pts = points();
+  const std::vector<ParamSet> pts = grid_.build();
   params_.clear();
   if (!pts.empty() &&
       trials_ > std::numeric_limits<std::size_t>::max() / pts.size()) {
@@ -230,7 +220,7 @@ const analysis::SweepReport& Workbench::run(const Body& body) {
       },
       body);
   report_.table = std::move(table);
-  for (const ParamSet& p : points()) {
+  for (const ParamSet& p : grid_.build()) {
     for (std::size_t t = 0; t < trials_; ++t) {
       params_.push_back(expand_trial(p, t));
     }

@@ -4,8 +4,7 @@
 // beyond its physics body:
 //   * grid construction — `grid().over("vdd", ...).over("quantum", ...)`
 //     builds the cartesian scenario set (first axis slowest, later axes
-//     fastest; purely deterministic), or `scenarios(...)` takes an
-//     explicit ParamSet list;
+//     fastest; purely deterministic);
 //   * a typed column schema — bodies fill named columns through a
 //     Recorder (`rec.row().set("vdd_V", v)`), and an unknown column name
 //     throws instead of silently shifting cells;
@@ -45,8 +44,7 @@ class SchemaError : public std::runtime_error {
 /// Cartesian scenario-grid builder. Axes are added with over(); build()
 /// emits one ParamSet per grid point with the first axis varying slowest
 /// — deterministic, so scenario indices are stable across runs and
-/// thread counts. Non-cartesian scenario lists go through
-/// Workbench::scenarios() instead.
+/// thread counts.
 class Grid {
  public:
   Grid& over(const std::string& name, std::vector<double> values);
@@ -149,9 +147,6 @@ class Workbench {
   /// The scenario grid (in-place builder).
   Grid& grid() { return grid_; }
 
-  /// Replace the grid with an explicit scenario list.
-  Workbench& scenarios(std::vector<ParamSet> sets);
-
   /// The table schema: named columns, in output order.
   Workbench& columns(std::vector<std::string> names);
 
@@ -248,9 +243,6 @@ class Workbench {
   [[nodiscard]] bool write_csv(const std::string& path);
 
  private:
-  /// Grid points before the trial axis: the scenarios() list, or the
-  /// built grid.
-  std::vector<ParamSet> points() const;
   /// Scenario of `point` at trial `t`: the point's parameters plus,
   /// under replication, "trial" and "trial_seed" — the one place the
   /// trial axis is expanded.
@@ -258,9 +250,7 @@ class Workbench {
 
   std::string name_;
   Grid grid_;
-  std::vector<ParamSet> params_;           // run()'s scenarios, in order
-  std::vector<ParamSet> explicit_params_;  // scenarios() input, pre-expansion
-  bool explicit_scenarios_ = false;
+  std::vector<ParamSet> params_;  // run()'s scenarios, in order
   std::vector<std::string> columns_;
   std::size_t trials_ = 1;
   bool replicated_ = false;

@@ -8,7 +8,7 @@ Gate::Gate(Context& ctx, std::string name, sim::Wire& out, double delay_stages,
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(cap_factor * c_inv * delay_stages,
                             cap_factor * c_inv, vth_offset, /*strength=*/1.0);
-  if (ctx_->meter != nullptr) meter_id_ = ctx_->meter->add(name_, leak_width);
+  meter_id_ = ctx.meter.add(name_, leak_width);
   // Wake with the supply: a recharged storage cap re-animates every
   // parked gate. Registration happens once, here, for the gate's
   // lifetime; the callback is a no-op unless the gate is stalled.

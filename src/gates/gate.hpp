@@ -49,8 +49,8 @@ struct Context {
   sim::Kernel& kernel;
   const device::DelayModel& model;
   supply::Supply& supply;
-  EnergyMeter* meter = nullptr;  ///< optional; set before elements are built
-  DriveArena drives{};           ///< per-element hot state (SoA)
+  EnergyMeter& meter;
+  DriveArena drives{};  ///< per-element hot state (SoA)
 
   /// Revalidate drive slot `s` against this context's supply; returns
   /// whether the element is operational at the current voltage.
@@ -59,12 +59,12 @@ struct Context {
   }
 
   /// Bill one switching event: draw `charge` and `energy` from the
-  /// supply, then record `energy` against meter entry `id` when the
-  /// circuit is metered. The one place an element pays for a transition,
-  /// so the rail and the meter add the same values in the same order.
+  /// supply, then record `energy` against meter entry `id`. The one
+  /// place an element pays for a transition, so the rail and the meter
+  /// add the same values in the same order.
   void bill(EnergyMeter::GateId id, double charge, double energy) {
     supply.draw(charge, energy);
-    if (meter != nullptr) meter->record_transition(id, energy);
+    meter.record_transition(id, energy);
   }
 };
 

@@ -8,7 +8,7 @@ Toggle::Toggle(Context& ctx, std::string name, sim::Wire& in, sim::Wire& dot,
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(c_inv * kDelayStages, kCapFactor * c_inv,
                             vth_offset, /*strength=*/1.0);
-  if (ctx_->meter != nullptr) meter_id_ = ctx_->meter->add(name_, kLeakWidth);
+  meter_id_ = ctx.meter.add(name_, kLeakWidth);
   in.subscribe<&Toggle::on_input>(this);
   ctx_->supply.on_wake([this] {
     if (stalled_) retry();

@@ -29,21 +29,15 @@ RingOscillatorSensor::RingOscillatorSensor(gates::Context& ctx,
   out_ = prev;
 }
 
-RingOscillatorSensor::~RingOscillatorSensor() {
-  // Cancelling an already-fired (or zero) id is a harmless no-op; a
-  // *pending* window closure captures `this` and must never fire after
-  // destruction.
-  circuit_.ctx().kernel.cancel(window_event_);
-}
-
 void RingOscillatorSensor::measure(std::function<void(std::uint64_t)> cb) {
   assert(!measuring_);
   measuring_ = true;
   const std::uint64_t before = out_->transitions();
   enable_->set(true);
-  window_event_ = circuit_.ctx().kernel.schedule(
-      params_.gate_window, [this, before, cb = std::move(cb)] {
-        window_event_ = 0;  // fired: the handle is stale, re-arm is legal
+  circuit_.ctx().kernel.schedule(
+      params_.gate_window, [this, before, cb = std::move(cb),
+                            alive = std::weak_ptr<bool>(alive_)] {
+        if (!alive.lock()) return;  // the sensor was destroyed
         enable_->set(false);
         measuring_ = false;
         cb(out_->transitions() - before);

@@ -14,7 +14,6 @@
 
 #include "gates/gate.hpp"
 #include "netlist/module.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/signal.hpp"
 
 namespace emc::sensor {
@@ -28,11 +27,6 @@ class RingOscillatorSensor {
  public:
   RingOscillatorSensor(gates::Context& ctx, std::string name,
                        RingOscParams params);
-
-  /// Cancels a pending gate-window event: destroying the sensor
-  /// mid-measurement must not leave a kernel callback into freed memory
-  /// (the window closure captures `this`).
-  ~RingOscillatorSensor();
 
   RingOscillatorSensor(const RingOscillatorSensor&) = delete;
   RingOscillatorSensor& operator=(const RingOscillatorSensor&) = delete;
@@ -57,9 +51,10 @@ class RingOscillatorSensor {
   sim::Wire* enable_;
   sim::Wire* out_;
   bool measuring_ = false;
-  /// Slab handle of the in-flight window-close event (0 = none); held so
-  /// the destructor can cancel in O(1).
-  sim::EventId window_event_ = 0;
+  /// Liveness token: the window-close event captures `this`, and the
+  /// sensor may be destroyed before it fires; the closure locks the
+  /// token before touching `this` (the sram::SteppedAccess idiom).
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace emc::sensor

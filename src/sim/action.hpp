@@ -46,11 +46,6 @@ class Action {
     return *this;
   }
 
-  Action& operator=(std::nullptr_t) noexcept {
-    destroy();
-    return *this;
-  }
-
   Action(const Action&) = delete;
   Action& operator=(const Action&) = delete;
 

@@ -1,51 +1,20 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace emc::sim {
 
-namespace {
-
-constexpr EventId pack(std::uint32_t gen, std::uint32_t slot) {
-  return (static_cast<EventId>(gen) << 32) | slot;
-}
-
-constexpr std::uint32_t id_slot(EventId id) {
-  return static_cast<std::uint32_t>(id & 0xffffffffu);
-}
-
-constexpr std::uint32_t id_gen(EventId id) {
-  return static_cast<std::uint32_t>(id >> 32);
-}
-
-}  // namespace
-
-void EventQueue::release_slot(std::uint32_t s) {
-  Slot& slot = slots_[s];
-  slot.action = nullptr;
-  slot.armed = false;
-  ++slot.gen;
-  if (slot.gen == 0) ++slot.gen;  // keep 0 reserved across wraparound
-  free_.push_back(s);
-}
-
-EventId EventQueue::schedule(Time t, Action&& action) {
+void EventQueue::schedule(Time t, Action&& action) {
+  // Either branch moves the Action once: the path's single move.
   std::uint32_t s;
   if (!free_.empty()) {
     s = free_.back();
     free_.pop_back();
+    slots_[s] = std::move(action);
   } else {
     s = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slots_.push_back(std::move(action));
   }
-  Slot& slot = slots_[s];
-  slot.action = std::move(action);  // the path's single Action move
-  slot.armed = true;
-  const Entry e{t, next_seq_++, s, slot.gen};
+  const Entry e{t, next_seq_++, s};
   ++scheduled_;
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
   if (hole_) {
     // Replace-top: the entry takes the root the last pop vacated, and
     // one sift places it — instead of a root removal plus a push.
@@ -54,22 +23,7 @@ EventId EventQueue::schedule(Time t, Action&& action) {
   } else {
     heap_push(e);
   }
-  return pack(e.gen, s);
-}
-
-void EventQueue::cancel(EventId id) {
-  const std::uint32_t s = id_slot(id);
-  if (s >= slots_.size()) return;
-  Slot& slot = slots_[s];
-  if (!slot.armed || slot.gen != id_gen(id)) return;  // fired or stale
-  release_slot(s);
-  --live_;
-  // The pending entry is now stale (generation mismatch); it is purged
-  // when it surfaces, or by compaction if stale entries dominate —
-  // without the compaction pass, a schedule-far-future-then-cancel
-  // pattern (watchdogs) would grow the structure without bound because
-  // far-future entries never surface.
-  if (heap_.size() > 64 && heap_.size() >= 2 * live_) heap_compact();
+  if (heap_.size() > peak_live_) peak_live_ = heap_.size();
 }
 
 void EventQueue::close_hole() const {
@@ -79,32 +33,22 @@ void EventQueue::close_hole() const {
 }
 
 Time EventQueue::next_time() const {
-  if (live_ == 0) return kTimeMax;
-  prune_stale_root();
-  assert(!heap_.empty());
-  return heap_.front().t;
+  close_hole();
+  return heap_.empty() ? kTimeMax : heap_.front().t;
 }
 
 bool EventQueue::pop_due(Time deadline, Time& t, Action& action) {
-  if (live_ == 0) return false;
-  prune_stale_root();
-  assert(!heap_.empty());
+  close_hole();
+  if (heap_.empty()) return false;
   const Entry& top = heap_.front();
   if (top.t > deadline) return false;
   t = top.t;
-  const std::uint32_t s = top.slot;
   // Leave the root as a hole: the action about to run usually schedules
-  // the next event, which fills it (see schedule()).
+  // the next event, which fills it (see schedule()). The slot's action
+  // is moved out, so recycling the index is all its release takes.
   hole_ = true;
-  Slot& slot = slots_[s];
-  action = std::move(slot.action);
-  // Lean release: unlike cancel(), the slot's action has just
-  // been moved out, so there is nothing to destroy — only disarm, bump
-  // the generation and recycle the index.
-  slot.armed = false;
-  if (++slot.gen == 0) slot.gen = 1;  // keep 0 reserved across wraparound
-  free_.push_back(s);
-  --live_;
+  action = std::move(slots_[top.slot]);
+  free_.push_back(top.slot);
   return true;
 }
 
@@ -176,24 +120,6 @@ void EventQueue::heap_replace_root(const Entry& e) {
     i = m;
   }
   heap_[i] = e;
-}
-
-void EventQueue::prune_stale_root() const {
-  close_hole();
-  auto* self = const_cast<EventQueue*>(this);
-  while (!heap_.empty() && stale(heap_.front())) self->heap_remove_root();
-}
-
-void EventQueue::heap_compact() {
-  hole_ = false;  // the hole's slot is released: the erase drops it
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& e) { return stale(e); }),
-              heap_.end());
-  // A fully sorted array (earliest first) satisfies the heap invariant,
-  // and this path is cold (triggered by mass
-  // cancellation, not per-event).
-  std::sort(heap_.begin(), heap_.end(),
-            [](const Entry& a, const Entry& b) { return later(b, a); });
 }
 
 }  // namespace emc::sim

@@ -10,10 +10,11 @@
 // Storage layout is built for scenario sweeps that create and drain
 // thousands of kernels: actions live in a slab of reusable slots (no
 // per-event allocation once the slab is warm — see Action for the
-// capture storage), the priority structure holds small POD entries, and
-// cancellation is O(1) via generation-tagged ids. A cancelled event
-// frees its slot immediately; its entry goes stale and is purged when it
-// surfaces, so nothing accumulates on long runs.
+// capture storage), and the priority structure holds small POD entries.
+// Scheduling is schedule-and-forget: there are no handles and no
+// cancellation. A callback that may outlive the object it captures
+// checks a liveness token (see sram::SteppedAccess); a gate retracts a
+// pending output by bumping its own generation.
 //
 // The priority structure is an implicit binary heap with hole-based
 // sifting (Floyd's bottom-up delete): O(log n) schedule and pop.
@@ -22,12 +23,11 @@
 // schedule their successor at once, and that schedule() writes its entry
 // into the hole with one sift from the root, where a removal followed by
 // a push would sift twice. Any other call that looks at the heap —
-// pop_due(), next_time(), cancel()'s compaction, heap_entries() —
-// closes the hole first, so it is never observable and the pop order
-// is the strict (t, seq) order either way. Peak queue depth is
-// 57 on fig_survivability and 651 on fig3; at those sizes the heap beats
-// bucketed calendar structures. Add a second structure only together
-// with a figure whose workload needs it.
+// pop_due(), next_time() — closes the hole first, so it is never
+// observable and the pop order is the strict (t, seq) order either way.
+// Peak queue depth is 57 on fig_survivability and 651 on fig3; at those
+// sizes the heap beats bucketed calendar structures. Add a second
+// structure only together with a figure whose workload needs it.
 #pragma once
 
 #include <cstdint>
@@ -39,38 +39,25 @@
 
 namespace emc::sim {
 
-/// Handle identifying a scheduled event; usable for cancellation.
-/// Packed {generation:32, slot:32}. A slot's generation advances every
-/// time the slot is released (fire or cancel), so a stale handle
-/// can never touch the event that reused its slot. 0 is never a valid id.
-using EventId = std::uint64_t;
-
 class EventQueue {
  public:
-  /// Schedule `action` at absolute time `t`. Returns a handle that can be
-  /// passed to cancel(). Takes the action by rvalue so the callable is
-  /// moved exactly once — from the caller's temporary straight into its
-  /// slab slot (each Action move is an indirect call; the hot path pays
-  /// for only one). Lambdas convert implicitly; named Actions need
-  /// std::move.
-  EventId schedule(Time t, Action&& action);
+  /// Schedule `action` at absolute time `t`. Takes the action by rvalue
+  /// so the callable is moved exactly once — from the caller's temporary
+  /// straight into its slab slot (each Action move is an indirect call;
+  /// the hot path pays for only one). Lambdas convert implicitly; named
+  /// Actions need std::move.
+  void schedule(Time t, Action&& action);
 
-  /// Cancel a pending event in O(1): the slot is released immediately and
-  /// the stale entry left to be purged when it surfaces (or by compaction
-  /// if stale entries come to dominate). Cancelling an already-fired,
-  /// cancelled or unknown id is a harmless no-op.
-  void cancel(EventId id);
+  /// True if no event is pending.
+  bool empty() const { return size() == 0; }
 
-  /// True if no live (non-cancelled) event remains.
-  bool empty() const { return live_ == 0; }
+  /// Number of pending events (a pending hole is not one).
+  std::size_t size() const { return heap_.size() - (hole_ ? 1 : 0); }
 
-  /// Number of live events.
-  std::size_t size() const { return live_; }
-
-  /// Time of the earliest live event; kTimeMax when empty.
+  /// Time of the earliest pending event; kTimeMax when empty.
   Time next_time() const;
 
-  /// Fused dispatch step: if a live event exists with time <= `deadline`,
+  /// Fused dispatch step: if an event exists with time <= `deadline`,
   /// remove it, deliver its time and action, and return true. One call
   /// replaces an empty()/next_time()/pop triple on the kernel's hot
   /// loop.
@@ -81,36 +68,18 @@ class EventQueue {
 
   // --- introspection (stats reporting and tests) ---
 
-  /// High-water mark of live events.
+  /// High-water mark of pending events.
   std::size_t peak_live() const { return peak_live_; }
 
-  /// Slots in the slab (live + reusable). Stays flat on a steady-state
-  /// schedule/cancel workload — the regression test for the old
-  /// unbounded cancelled-id list.
+  /// Slots in the slab (pending + reusable).
   std::size_t slab_capacity() const { return slots_.size(); }
 
-  /// Pending heap entries including stale (cancelled) ones awaiting
-  /// purge. A pending hole is closed first and never counted.
-  std::size_t heap_entries() const {
-    close_hole();
-    return heap_.size();
-  }
-
  private:
-  struct Slot {
-    Action action;
-    std::uint32_t gen = 1;   // current generation; 0 reserved
-    bool armed = false;      // true while a live event occupies the slot
-  };
-
-  // POD entry: cheap to move during sift. `gen` snapshots the slot
-  // generation at schedule time; a mismatch on pop means the event was
-  // cancelled and the entry is discarded.
+  // POD entry: cheap to move during sift; `slot` indexes the action.
   struct Entry {
     Time t;
     std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps
     std::uint32_t slot;
-    std::uint32_t gen;
   };
 
   /// a fires strictly after b (lower priority). Lexicographic (t, seq)
@@ -125,27 +94,17 @@ class EventQueue {
     return key(a) > key(b);
   }
 
-  bool stale(const Entry& e) const {
-    return slots_[e.slot].gen != e.gen || !slots_[e.slot].armed;
-  }
-
-  void release_slot(std::uint32_t s);
-
   // Hole-based sift, Floyd's remove_root.
   void heap_push(const Entry& e);
   void heap_remove_root();
   // Puts `e` at the vacated root and sifts it down to its place.
   void heap_replace_root(const Entry& e);
-  void heap_compact();
   // Removes the root pop_due() left vacated, if any. Logically const:
   // the hole is never observable.
   void close_hole() const;
-  // Drops stale entries off the top so heap_.front() is live. Logically
-  // const: stale entries are already observably absent.
-  void prune_stale_root() const;
 
   mutable std::vector<Entry> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Action> slots_;
   std::vector<std::uint32_t> free_;  // reusable slot indices
   // True while heap_.front() is the entry of the last pop_due(): its
   // slot is released, and the next schedule() overwrites it.
@@ -153,7 +112,6 @@ class EventQueue {
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t scheduled_ = 0;
-  std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
 };
 

@@ -26,10 +26,9 @@ bool Kernel::step() {
   return true;
 }
 
-std::uint64_t Kernel::run_until(Time deadline) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::uint64_t n = 0;
-  cap_hit_ = false;
+RunVerdict Kernel::run_guarded(const Budget& budget) {
+  const Time deadline = budget.horizon;
+  const std::uint64_t max_events = budget.max_events;
   // Fused dispatch: one pop_due() call replaces the
   // empty()/next_time()/pop() triple per event, and consume() fires and
   // destroys the callback through a single dispatch, leaving the reused
@@ -37,9 +36,11 @@ std::uint64_t Kernel::run_until(Time deadline) {
   // calls per event (move in, invoke+destroy out).
   Time t = 0;
   Action action;
+  std::uint64_t n = 0;
+  bool tripped = false;
   for (;;) {
-    if (executed_ >= event_cap_) {
-      if (!queue_.empty() && queue_.next_time() <= deadline) cap_hit_ = true;
+    if (n >= max_events) {
+      tripped = !queue_.empty() && queue_.next_time() <= deadline;
       break;
     }
     if (!queue_.pop_due(deadline, t, action)) break;
@@ -49,32 +50,11 @@ std::uint64_t Kernel::run_until(Time deadline) {
     action.consume();
   }
   // Advance the clock to the deadline even if no event lands exactly
-  // there, so back-to-back run_until calls observe monotonic time.
-  if (deadline != kTimeMax && now_ < deadline && !cap_hit_) now_ = deadline;
-  wall_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return n;
-}
+  // there, so back-to-back runs observe monotonic time.
+  if (deadline != kTimeMax && now_ < deadline && !tripped) now_ = deadline;
 
-RunVerdict Kernel::run_guarded(const Budget& budget) {
   RunVerdict v;
-  const std::uint64_t start = executed_;
-  // Express the per-call budget through the absolute event cap run_until
-  // already enforces, restoring the caller's cap afterwards.
-  const std::uint64_t saved_cap = event_cap_;
-  const std::uint64_t budget_cap =
-      executed_ > UINT64_MAX - budget.max_events
-          ? UINT64_MAX
-          : executed_ + budget.max_events;
-  event_cap_ = saved_cap < budget_cap ? saved_cap : budget_cap;
-  run_until(budget.horizon);
-  const bool tripped = cap_hit_;
-  event_cap_ = saved_cap;
-  cap_hit_ = false;
-
-  v.events = executed_ - start;
+  v.events = n;
   v.end_time = now_;
   for (const QuiescenceProbe& probe : probes_) {
     switch (probe()) {

@@ -11,7 +11,6 @@
 // Kernel instance is NOT thread-safe.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -43,7 +42,8 @@ enum class RunStatus : std::uint8_t {
 
 const char* to_string(RunStatus s);
 
-/// Limits for one run_guarded() call.
+/// Limits for one run_guarded() call. The default event budget is the
+/// runaway stop: an oscillator never drains the queue.
 struct Budget {
   Time horizon = kTimeMax;                  ///< absolute sim-time deadline
   std::uint64_t max_events = 500'000'000;   ///< events THIS call may execute
@@ -68,13 +68,9 @@ class Kernel {
     std::uint64_t events_scheduled = 0;
     std::size_t peak_queue_depth = 0;
     std::size_t slab_capacity = 0;
-    // Wall time accumulated across run_until() calls. step() is
-    // not timed — per-event clock reads would dominate the hot path —
-    // so it reads 0 for a kernel driven only by step().
-    double wall_seconds = 0.0;
 
     /// Aggregation over independent kernels (sweep reporting). Counters
-    /// and wall time sum. The two sizes deliberately differ:
+    /// sum. The two sizes deliberately differ:
     ///  * peak_queue_depth takes the MAX — kernels run one-at-a-time per
     ///    worker, so the depth any single scenario reached is the figure
     ///    that bounds per-kernel memory; summing would overstate it.
@@ -89,7 +85,6 @@ class Kernel {
         peak_queue_depth = o.peak_queue_depth;
       }
       slab_capacity += o.slab_capacity;
-      wall_seconds += o.wall_seconds;
       return *this;
     }
   };
@@ -103,37 +98,36 @@ class Kernel {
 
   /// Schedule `action` after `delay` ticks (0 = later this tick, after all
   /// currently-executing callbacks return).
-  EventId schedule(Time delay, Action action) {
-    return queue_.schedule(saturating_add(now_, delay), std::move(action));
+  void schedule(Time delay, Action action) {
+    queue_.schedule(saturating_add(now_, delay), std::move(action));
   }
 
   /// Schedule at an absolute timestamp. `t` in the past fires immediately
   /// at the current time (clamped), preserving event ordering.
-  EventId schedule_at(Time t, Action action) {
-    return queue_.schedule(t < now_ ? now_ : t, std::move(action));
+  void schedule_at(Time t, Action action) {
+    queue_.schedule(t < now_ ? now_ : t, std::move(action));
   }
-
-  /// Cancel a pending event (no-op if already fired).
-  void cancel(EventId id) { queue_.cancel(id); }
 
   /// Run one event. Returns false if the queue was empty. For drivers
   /// that act between single events (sched::EnergyPetriNet::run).
   bool step();
 
   /// Run until the queue drains or `deadline` is passed (kTimeMax: until
-  /// it drains or the safety cap trips). Events at exactly `deadline` are
-  /// executed. Returns the number of events executed.
-  std::uint64_t run_until(Time deadline);
+  /// it drains or the default event budget runs out). Events at exactly
+  /// `deadline` are executed. Returns the number of events executed.
+  std::uint64_t run_until(Time deadline) {
+    return run_guarded(Budget{deadline}).events;
+  }
 
-  /// A quiescence probe: called (only) when a guarded run stops, to
-  /// classify an empty queue. Register one per protocol actor or per
+  /// A quiescence probe: called (only) when a run stops, to classify an
+  /// empty queue. Register one per protocol actor or per
   /// stall-capable subsystem (e.g. "is any gate parked?", "is the
   /// handshake source mid-cycle?"). Probes live as long as the kernel.
   using QuiescenceProbe = std::function<ProbeState()>;
   void add_probe(QuiescenceProbe probe) { probes_.push_back(std::move(probe)); }
 
-  /// Watchdog run: like run_until(budget.horizon) but bounded by a
-  /// per-call event budget and classified on exit. Reaching the horizon
+  /// Watchdog run: executes events up to budget.horizon, bounded by a
+  /// per-call event budget, and classifies the stop. Reaching the horizon
   /// is kCompleted (the horizon is the experiment's intent; pending
   /// events at the deadline are normal for oscillators and harvesters).
   /// Exhausting the event budget first is kBudgetExhausted — the
@@ -160,14 +154,8 @@ class Kernel {
     s.events_scheduled = queue_.total_scheduled();
     s.peak_queue_depth = queue_.peak_live();
     s.slab_capacity = queue_.slab_capacity();
-    s.wall_seconds = wall_seconds_;
     return s;
   }
-
-  /// Guard against runaway simulations (oscillators never drain the
-  /// queue): run_until stops after this many events. Default 500M.
-  void set_event_cap(std::uint64_t cap) { event_cap_ = cap; }
-  bool event_cap_hit() const { return cap_hit_; }
 
  private:
   static Time saturating_add(Time a, Time b) {
@@ -178,9 +166,6 @@ class Kernel {
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t event_cap_ = 500'000'000;
-  bool cap_hit_ = false;
-  double wall_seconds_ = 0.0;
   std::vector<QuiescenceProbe> probes_;
 };
 

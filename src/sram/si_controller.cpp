@@ -28,13 +28,11 @@ SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params)
       wl_(&circuit_.wire("wl")),
       we_(&circuit_.wire("we")),
       done_(&circuit_.wire("done")) {
-  if (ctx.meter != nullptr) {
-    // One meter entry covers the whole macro: its dynamic energy is the
-    // per-op billing below; its leak width is the calibrated array+
-    // periphery leakage so global leakage integration is correct.
-    meter_id_ =
-        ctx.meter->add(circuit_.name() + ".macro", energy_->leak_width_units());
-  }
+  // One meter entry covers the whole macro: its dynamic energy is the
+  // per-op billing below; its leak width is the calibrated array+
+  // periphery leakage so global leakage integration is correct.
+  meter_id_ =
+      ctx.meter.add(circuit_.name() + ".macro", energy_->leak_width_units());
 
   // The phase sequencer (pump/finish) is behavioural, but its port
   // connectivity is the Fig. 6 handshake: the controller drives every

@@ -31,7 +31,7 @@ struct Fixture {
   explicit Fixture(double vdd = 1.0)
       : supply(kernel, "vdd", vdd),
         meter(kernel, device::Tech::umc90(), &supply),
-        ctx{kernel, model, supply, &meter} {}
+        ctx{kernel, model, supply, meter} {}
 };
 
 // ---- handshake ------------------------------------------------------------
@@ -202,7 +202,7 @@ TEST(DualRailCounter, SurvivesAcSupply) {
   device::DelayModel model{device::Tech::umc90()};
   supply::AcSupply ac(kernel, "ac", 0.2, 0.1, 1e6);
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &ac);
-  gates::Context ctx{kernel, model, ac, &meter};
+  gates::Context ctx{kernel, model, ac, meter};
   DualRailCounter ctr(ctx, "drc", 2);
   DualRailChecker chk(ctr.rails().bits());
   ctr.start();
@@ -300,7 +300,7 @@ TEST(MullerRing, StallsWithoutPowerResumesAfter) {
   device::DelayModel model{device::Tech::umc90()};
   supply::AcSupply ac(kernel, "ac", 0.18, 0.08, 1e6);
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &ac);
-  gates::Context ctx{kernel, model, ac, &meter};
+  gates::Context ctx{kernel, model, ac, meter};
   MullerRing ring(ctx, "ring", 6, 2);
   ring.start();
   kernel.run_until(sim::us(30));

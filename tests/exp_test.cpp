@@ -83,26 +83,12 @@ TEST(ParamSet, IntegerConversionsAreRangeChecked) {
   EXPECT_EQ(p.get<std::int64_t>("big"), std::int64_t(1) << 40);
 }
 
-TEST(ParamSet, DefaultsOnlyCoverAbsentKeys) {
-  ParamSet p;
-  p.set("vdd", 0.25);
-  EXPECT_DOUBLE_EQ(p.get_or<double>("quantum", 7.0), 7.0);
-  EXPECT_DOUBLE_EQ(p.get_or<double>("vdd", 7.0), 0.25);
-  // A *present* key of the wrong type still throws — defaults must not
-  // mask grid typos.
-  EXPECT_THROW(p.get_or<std::string>("vdd", std::string("x")), ParamError);
-}
-
-TEST(ParamSet, LabelsDeriveFromInsertionOrder) {
-  ParamSet p;
-  p.set("vdd", 0.25).set("seed", 11);
-  EXPECT_EQ(p.label(), "vdd=0.25 seed=11");
-  p.set_label("custom");
-  EXPECT_EQ(p.label(), "custom");
-  // Overwriting keeps position.
+TEST(ParamSet, SetOverwritesInPlace) {
   ParamSet q;
   q.set("a", 1).set("b", 2).set("a", 3);
-  EXPECT_EQ(q.label(), "a=3 b=2");
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.get<int>("a"), 3);
+  EXPECT_EQ(q.get<int>("b"), 2);
 }
 
 // --- Grid --------------------------------------------------------------
@@ -112,10 +98,12 @@ TEST(Grid, CartesianOrderIsFirstAxisSlowest) {
   g.over("vdd", {0.2, 0.4}).over("mode", std::vector<std::string>{"a", "b"});
   const auto pts = g.build();
   ASSERT_EQ(pts.size(), 4u);
-  EXPECT_EQ(pts[0].label(), "vdd=0.2 mode=a");
-  EXPECT_EQ(pts[1].label(), "vdd=0.2 mode=b");
-  EXPECT_EQ(pts[2].label(), "vdd=0.4 mode=a");
-  EXPECT_EQ(pts[3].label(), "vdd=0.4 mode=b");
+  const double vdd[] = {0.2, 0.2, 0.4, 0.4};
+  const char* mode[] = {"a", "b", "a", "b"};
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_DOUBLE_EQ(pts[i].get<double>("vdd"), vdd[i]);
+    EXPECT_EQ(pts[i].get<std::string>("mode"), mode[i]);
+  }
   EXPECT_EQ(g.size(), 4u);
 }
 
@@ -153,7 +141,9 @@ TEST(Grid, ThreeAxisCountAndDeterminism) {
   const auto p1 = g.build();
   const auto p2 = g.build();
   for (std::size_t i = 0; i < p1.size(); ++i) {
-    EXPECT_EQ(p1[i].label(), p2[i].label());
+    EXPECT_EQ(p1[i].get<double>("a"), p2[i].get<double>("a"));
+    EXPECT_EQ(p1[i].get<int>("b"), p2[i].get<int>("b"));
+    EXPECT_EQ(p1[i].get<std::string>("c"), p2[i].get<std::string>("c"));
   }
 }
 
@@ -200,7 +190,9 @@ void fire_ticks(const ParamSet& p, Recorder& rec) {
     kernel.schedule(static_cast<sim::Time>(i % 11 + 1), [&fired] { ++fired; });
   }
   kernel.run_until(sim::kTimeMax);
-  rec.row().set("scenario", p.label()).set("fired", fired);
+  rec.row()
+      .set("scenario", "ticks=" + std::to_string(ticks))
+      .set("fired", fired);
   rec.add_stats(kernel.stats());
 }
 
@@ -357,17 +349,6 @@ TEST(Workbench, ScenarioCountOverflowThrowsInsteadOfWrapping) {
                    [&](const ParamSet&, Recorder&) { ++bodies; }),
                std::overflow_error);
   EXPECT_EQ(bodies, 0u);
-}
-
-TEST(Workbench, ScenarioBridgeCarriesLabelAndShim) {
-  Workbench wb("t");
-  wb.scenarios({ParamSet().set("vdd", 0.3).set("seed", 7)});
-  wb.columns({"label"});
-  wb.run([](const ParamSet& p, Recorder& rec) {
-    rec.row().set("label", p.label());
-  });
-  ASSERT_EQ(wb.scenario_params().size(), 1u);
-  EXPECT_EQ(wb.report().to_csv(), "label\nvdd=0.3 seed=7\n");
 }
 
 // --- SupplyConfig elaboration per variant ------------------------------
@@ -527,7 +508,7 @@ TEST(ContextConfig, BuildsFullContextOnOwnKernel) {
   ASSERT_NE(ex.meter(), nullptr);
   EXPECT_EQ(&ex.ctx().kernel, &ex.kernel());
   EXPECT_EQ(&ex.ctx().supply, &ex.supply());
-  EXPECT_EQ(ex.ctx().meter, ex.meter());
+  EXPECT_EQ(&ex.ctx().meter, ex.meter());
   EXPECT_TRUE(ex.ctx().model.operational(0.7));
 }
 

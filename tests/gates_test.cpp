@@ -30,7 +30,7 @@ struct Fixture {
   explicit Fixture(double vdd = 1.0)
       : supply(kernel, "vdd", vdd),
         meter(kernel, device::Tech::umc90(), &supply),
-        ctx{kernel, model, supply, &meter} {}
+        ctx{kernel, model, supply, meter} {}
 };
 
 // ---- truth tables (parameterized over op and input vector) --------------
@@ -168,7 +168,7 @@ TEST(Gate, StallsBelowVminAndResumesOnWake) {
   device::DelayModel model{device::Tech::umc90()};
   supply::StorageCap cap(kernel, "cap", 1e-12, 0.05);  // starts dead
   EnergyMeter meter(kernel, device::Tech::umc90(), &cap);
-  Context ctx{kernel, model, cap, &meter};
+  Context ctx{kernel, model, cap, meter};
   sim::Wire in(kernel, "in", false);
   sim::Wire out(kernel, "out", true);
   CombGate inv(ctx, "inv", Op::kInv, {&in}, out);

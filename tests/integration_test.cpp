@@ -45,7 +45,7 @@ TEST(Integration, EnergyLedgersAgree) {
     device::DelayModel model{device::Tech::umc90()};
     supply::Battery vdd(kernel, "vdd", 0.8);
     gates::EnergyMeter meter(kernel, device::Tech::umc90(), &vdd);
-    gates::Context ctx{kernel, model, vdd, &meter};
+    gates::Context ctx{kernel, model, vdd, meter};
     build_and_run(ctx);
     Ledgers l{vdd.total_energy_drawn(), meter.dynamic_energy(), 0.0};
     for (gates::EnergyMeter::GateId id = 0; id < meter.gate_count(); ++id) {
@@ -97,7 +97,7 @@ TEST(Integration, CapacitorEnergyAccountingCloses) {
   device::DelayModel model{device::Tech::umc90()};
   supply::StorageCap cap(kernel, "cap", 100e-12, 0.9);
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &cap);
-  gates::Context ctx{kernel, model, cap, &meter};
+  gates::Context ctx{kernel, model, cap, meter};
   async::ToggleRippleCounter ctr(ctx, "ctr", 6);
   const double e0 = cap.stored_energy();
   ctr.start();
@@ -118,7 +118,7 @@ TEST(Integration, SharedCapCouplesCircuits) {
     device::DelayModel model{device::Tech::umc90()};
     supply::Battery host(kernel, "host", 1.0);
     gates::EnergyMeter meter(kernel, device::Tech::umc90(), &host);
-    gates::Context ctx{kernel, model, host, &meter};
+    gates::Context ctx{kernel, model, host, meter};
     sensor::C2dParams p;
     p.sample_cap_f = 20e-12;
     sensor::ChargeToDigitalConverter c2d(ctx, "c2d", p);
@@ -126,7 +126,7 @@ TEST(Integration, SharedCapCouplesCircuits) {
     std::unique_ptr<async::MullerRing> ring;
     if (parasite) {
       island = std::make_unique<gates::Context>(
-          gates::Context{kernel, model, c2d.cap(), &meter});
+          gates::Context{kernel, model, c2d.cap(), meter});
       ring = std::make_unique<async::MullerRing>(*island, "leech", 6, 2);
     }
     std::optional<std::uint64_t> code;
@@ -171,7 +171,7 @@ TEST(Integration, HarvesterSramSensorChainSurvivesBrownouts) {
   supply::Harvester harvester(kernel, intermittent_20uw(), store, rng,
                               sim::us(10));
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &store);
-  gates::Context ctx{kernel, model, store, &meter};
+  gates::Context ctx{kernel, model, store, meter};
   sram::SiSram sram(ctx, "sram", sram::SiSramParams{});
   sensor::ReferenceFreeSensor sensor(ctx, "rf", sensor::RefFreeParams{});
 
@@ -219,7 +219,7 @@ TEST(Integration, TwoCountersShareAcSupply) {
   device::DelayModel model{device::Tech::umc90()};
   supply::AcSupply ac(kernel, "ac", 0.22, 0.1, 1e6);
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &ac);
-  gates::Context ctx{kernel, model, ac, &meter};
+  gates::Context ctx{kernel, model, ac, meter};
   async::DualRailCounter drc(ctx, "drc", 2);
   async::ToggleRippleCounter trc(ctx, "trc", 4);
   drc.start();

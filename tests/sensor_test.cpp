@@ -30,7 +30,7 @@ struct Fixture {
   explicit Fixture(double vdd = 1.0)
       : supply(kernel, "vdd", vdd),
         meter(kernel, device::Tech::umc90(), &supply),
-        ctx{kernel, model, supply, &meter} {}
+        ctx{kernel, model, supply, meter} {}
 };
 
 // ---- calibration table -------------------------------------------------------
@@ -181,8 +181,9 @@ TEST(RingOscillator, MatchesExpectedFrequency) {
 TEST(RingOscillator, DestroyBeforeWindowClosesIsSafe) {
   // Regression: measure() schedules the window-close lambda capturing
   // `this`; destroying the sensor before the window elapsed used to
-  // leave that event to fire into freed memory. The sensor now holds the
-  // slab event handle and cancels it in its destructor.
+  // leave that event to fire into freed memory. The closure now holds a
+  // weak liveness token and returns without touching the sensor once
+  // it is gone.
   //
   // The fixture sits below vmin_operate so the ring gates park without
   // scheduling events of their own — the window closure is the only
@@ -200,7 +201,7 @@ TEST(RingOscillator, DestroyBeforeWindowClosesIsSafe) {
 
 TEST(RingOscillator, ReArmsAfterCompletion) {
   // A completed measurement must leave the sensor ready for the next
-  // one (the fired event's handle is retired, not cancelled later).
+  // one.
   Fixture f(0.8);
   RingOscillatorSensor sensor(f.ctx, "ro", RingOscParams{});
   std::vector<std::uint64_t> codes;

@@ -8,7 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <map>
+#include <set>
 #include <utility>
 #include <string>
 #include <vector>
@@ -87,124 +87,6 @@ TEST(EventQueue, FifoAmongEqualTimestamps) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(10, [&] { ++fired; });
-  const EventId victim = q.schedule(20, [&] { fired += 100; });
-  q.schedule(30, [&] { ++fired; });
-  q.cancel(victim);
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) pop_and_run(q);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, CancelUnknownIsNoop) {
-  EventQueue q;
-  q.schedule(10, [] {});
-  q.cancel(999);
-  q.cancel(999);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, NextTimeSkipsCancelledTop) {
-  EventQueue q;
-  const EventId a = q.schedule(10, [] {});
-  q.schedule(20, [] {});
-  q.cancel(a);
-  EXPECT_EQ(q.next_time(), 20u);
-}
-
-TEST(EventQueue, FifoPreservedUnderMixedScheduleCancel) {
-  // Cancelling events in between must not disturb FIFO order among the
-  // survivors at a shared timestamp, even as slots are freed and reused
-  // mid-stream.
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventId> victims;
-  for (int i = 0; i < 30; ++i) {
-    const EventId id = q.schedule(42, [&order, i] { order.push_back(i); });
-    if (i % 3 == 1) victims.push_back(id);
-    if (i % 5 == 4) {
-      // Cancel mid-stream so the freed slots get reused by later
-      // schedules while earlier entries are still pending.
-      q.cancel(victims.back());
-      victims.pop_back();
-    }
-  }
-  for (EventId id : victims) q.cancel(id);
-  while (!q.empty()) pop_and_run(q);
-  ASSERT_EQ(order.size(), 20u);
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LT(order[i - 1], order[i]);
-    EXPECT_NE(order[i] % 3, 1);
-  }
-}
-
-TEST(EventQueue, CancelledEntriesPurgedNotAccumulated) {
-  // Regression for the old lazy-cancellation leak: a long-running
-  // schedule/cancel workload must not grow internal state without bound.
-  EventQueue q;
-  for (int round = 0; round < 10000; ++round) {
-    const EventId id = q.schedule(static_cast<Time>(round), [] {});
-    q.cancel(id);
-    // Popping intervening live events flushes the stale heap entries.
-    q.schedule(static_cast<Time>(round), [] {});
-    pop_and_run(q);
-    EXPECT_LE(q.heap_entries(), 2u);
-  }
-  // The slab reuses the same couple of slots the whole time.
-  EXPECT_LE(q.slab_capacity(), 4u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FarFutureCancelsCompactedNotAccumulated) {
-  // Watchdog pattern: schedule far in the future, cancel when the op
-  // completes. The stale entries never reach the root on their own, so
-  // compaction must bound the heap.
-  EventQueue q;
-  for (int round = 0; round < 100000; ++round) {
-    const EventId watchdog =
-        q.schedule(static_cast<Time>(1'000'000'000 + round), [] {});
-    q.cancel(watchdog);
-    EXPECT_LE(q.heap_entries(), 128u);
-  }
-  EXPECT_TRUE(q.empty());
-  EXPECT_LE(q.slab_capacity(), 4u);
-  // A live event scheduled afterwards still pops normally.
-  int fired = 0;
-  q.schedule(10, [&] { ++fired; });
-  pop_and_run(q);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, StaleIdAfterSlotReuseIsNoop) {
-  // Generation tags: an id whose slot was freed and reused must never
-  // cancel the newer occupant.
-  EventQueue q;
-  int fired = 0;
-  const EventId old_id = q.schedule(10, [&] { fired += 100; });
-  q.cancel(old_id);
-  const EventId new_id = q.schedule(20, [&] { ++fired; });  // reuses slot
-  q.cancel(old_id);  // stale handle — must not touch new_id's event
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) pop_and_run(q);
-  EXPECT_EQ(fired, 1);
-  q.cancel(new_id);  // already fired: harmless
-}
-
-TEST(EventQueue, DoubleCancelIsNoop) {
-  EventQueue q;
-  const EventId a = q.schedule(10, [] {});
-  q.cancel(a);
-  q.cancel(a);  // second cancel of the same id: no-op
-  EXPECT_TRUE(q.empty());
-  int fired = 0;
-  q.schedule(10, [&] { ++fired; });
-  while (!q.empty()) pop_and_run(q);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(EventQueue, PeakLiveTracksHighWaterMark) {
   EventQueue q;
   for (int i = 0; i < 5; ++i) q.schedule(10 + i, [] {});
@@ -240,7 +122,7 @@ TEST(EventQueue, DrainThenRescheduleReusesTheStructure) {
 }
 
 // Differential test of the replace-top dispatch: a random mix of every
-// EventQueue operation, checked against a reference that orders live
+// EventQueue operation, checked against a reference that orders pending
 // events by (t, seq). After a pop the root is left vacated until the
 // next schedule() fills it; the mix makes every other operation meet
 // that pending hole too. Timestamps come from a narrow window, so most
@@ -249,35 +131,20 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
   struct Harness {
     EventQueue q;
     Rng rng{2026};
-    // (t, schedule order) -> live event; the tag is the schedule order.
-    std::map<std::pair<Time, std::uint64_t>, EventId> ref;
-    std::vector<EventId> dead;  // fired or cancelled ids
+    // Pending events in (t, schedule order); the tag is the schedule order.
+    std::set<std::pair<Time, std::uint64_t>> ref;
     std::uint64_t next_tag = 0;
     Time now = 0;
     std::uint64_t fired = 0;
     std::uint64_t expected_tag = 0;
-    EventId popped_id = 0;
 
     bool chance(std::uint64_t pct) { return rng.index(100) < pct; }
 
     void schedule() {
       const Time t = now + rng.index(4);
       const std::uint64_t tag = next_tag++;
-      const EventId id = q.schedule(t, [this, tag] { fire(tag); });
-      ref.emplace(std::make_pair(t, tag), id);
-    }
-
-    void cancel_pending() {
-      if (ref.empty()) return;
-      auto it = std::next(ref.begin(),
-                          static_cast<long>(rng.index(ref.size())));
-      q.cancel(it->second);
-      dead.push_back(it->second);
-      ref.erase(it);
-    }
-
-    void cancel_dead() {
-      if (!dead.empty()) q.cancel(dead[rng.index(dead.size())]);
+      q.schedule(t, [this, tag] { fire(tag); });
+      ref.emplace(t, tag);
     }
 
     void check_size() const {
@@ -286,30 +153,7 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
     }
 
     void check_next_time() const {
-      ASSERT_EQ(q.next_time(),
-                ref.empty() ? kTimeMax : ref.begin()->first.first);
-    }
-
-    // Calls that must close a pending hole without disturbing anything.
-    void poke_hole() {
-      switch (rng.index(5)) {
-        case 0:
-          check_next_time();
-          break;
-        case 1:
-          ASSERT_GE(q.heap_entries(), q.size());
-          break;
-        case 2:
-          q.cancel(popped_id);  // the id just popped is already dead
-          break;
-        case 3:
-          cancel_pending();
-          break;
-        case 4:
-          cancel_dead();
-          break;
-      }
-      check_size();
+      ASSERT_EQ(q.next_time(), ref.empty() ? kTimeMax : ref.begin()->first);
     }
 
     // The fired action: checks it is the reference's earliest event,
@@ -317,15 +161,8 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
     void fire(std::uint64_t tag) {
       ASSERT_EQ(tag, expected_tag);
       ++fired;
-      if (chance(20)) q.cancel(popped_id);
-      if (chance(15)) cancel_pending();
-      if (chance(3)) {
-        // Mass cancellation (watchdogs retiring) while the hole is
-        // pending: enough stale entries to trigger compaction.
-        for (std::size_t k = ref.size() / 2; k > 0; --k) cancel_pending();
-      }
       // 0..2 follow-ups, fewer once the queue is deep: the depth hovers
-      // around the 64 entries where compaction starts.
+      // around 64 entries.
       const std::uint64_t n = rng.index(ref.size() < 64 ? 3 : 2);
       for (std::uint64_t i = 0; i < n; ++i) schedule();
     }
@@ -338,7 +175,7 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
         return;
       }
       const auto head = ref.begin();
-      const auto [t_expect, tag] = head->first;
+      const auto [t_expect, tag] = *head;
       if (t_expect > now && chance(10)) {
         // Not yet due: pop_due must leave the queue alone.
         Time t = 0;
@@ -347,8 +184,6 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
         check_size();
         return;
       }
-      popped_id = head->second;
-      dead.push_back(popped_id);
       ref.erase(head);
       expected_tag = tag;
       Time t = 0;
@@ -356,7 +191,11 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
       ASSERT_TRUE(q.pop_due(kTimeMax, t, action));
       ASSERT_EQ(t, t_expect);
       now = t;
-      if (chance(30)) poke_hole();
+      if (chance(30)) {
+        // Closes the pending hole; must not disturb anything.
+        check_next_time();
+        check_size();
+      }
       action();
     }
   };
@@ -369,23 +208,14 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleaving) {
       h.pop();
     } else if (op < 60) {
       h.schedule();
-    } else if (op < 70) {
-      h.cancel_pending();
-    } else if (op < 75) {
-      h.cancel_dead();
-    } else if (op < 85) {
-      h.check_next_time();
     } else if (op < 95) {
-      ASSERT_GE(h.q.heap_entries(), h.q.size());
+      h.check_next_time();
     } else if (h.ref.size() < 32) {
-      // Refill so the heap keeps some depth (and compaction runs).
+      // Refill so the heap keeps some depth.
       for (int i = 0; i < 48; ++i) h.schedule();
     }
     if (::testing::Test::HasFatalFailure()) return;
     h.check_size();
-    if (h.dead.size() > 4096) {
-      h.dead.erase(h.dead.begin(), h.dead.begin() + 2048);
-    }
   }
   // Drain: whatever is left pops in reference order.
   while (!h.ref.empty() && !::testing::Test::HasFatalFailure()) h.pop();
@@ -450,34 +280,39 @@ TEST(Kernel, SchedulePastClampsToNow) {
   k.run_until(kTimeMax);
 }
 
-TEST(Kernel, EventCapStopsRunaway) {
+TEST(Kernel, BudgetSpentWithNothingDueIsNotExhaustion) {
+  // The budget trips only when an event inside the horizon is still
+  // waiting: spending it on the last event, or with the next event past
+  // the horizon, is a normal stop.
   Kernel k;
-  k.set_event_cap(1000);
-  std::function<void()> loop = [&] { k.schedule(1, loop); };
-  k.schedule(1, loop);
-  k.run_until(kTimeMax);
-  EXPECT_TRUE(k.event_cap_hit());
-  EXPECT_LE(k.stats().events_executed, 1001u);
+  for (Time t : {1, 2, 3}) k.schedule(t, [] {});
+  const RunVerdict drained = k.run_guarded({kTimeMax, 3});
+  EXPECT_EQ(drained.events, 3u);
+  EXPECT_EQ(drained.status, RunStatus::kCompleted);
+
+  k.schedule(1, [] {});
+  k.schedule(100, [] {});
+  const RunVerdict horizon = k.run_guarded({50, 1});
+  EXPECT_EQ(horizon.events, 1u);
+  EXPECT_EQ(horizon.status, RunStatus::kCompleted);
+  EXPECT_EQ(k.now(), 50u);  // the clock still advances to the horizon
 }
 
 TEST(Kernel, StatsSnapshotReportsExecutionCounters) {
   Kernel k;
   for (int i = 0; i < 8; ++i) k.schedule(static_cast<Time>(i + 1), [] {});
-  const EventId victim = k.schedule(100, [] {});
-  k.cancel(victim);
   k.run_until(kTimeMax);
   const Kernel::Stats s = k.stats();
   EXPECT_EQ(s.events_executed, 8u);
-  EXPECT_EQ(s.events_scheduled, 9u);
-  EXPECT_EQ(s.peak_queue_depth, 9u);
+  EXPECT_EQ(s.events_scheduled, 8u);
+  EXPECT_EQ(s.peak_queue_depth, 8u);
   EXPECT_GE(s.slab_capacity, 1u);
-  EXPECT_GE(s.wall_seconds, 0.0);
 
   Kernel::Stats sum;
   sum += s;
   sum += s;
   EXPECT_EQ(sum.events_executed, 16u);
-  EXPECT_EQ(sum.peak_queue_depth, 9u);
+  EXPECT_EQ(sum.peak_queue_depth, 8u);
 }
 
 TEST(Signal, NotifiesOnChangeOnly) {
@@ -754,8 +589,7 @@ TEST(SignalListeners, SubscribeMidNotificationDoesNotInvalidateWalk) {
 // --- Kernel::Stats aggregation semantics --------------------------------
 
 TEST(KernelStats, AggregationSemantics) {
-  // Sweeps sum per-kernel stats with operator+=. Counters and wall time
-  // are additive; peak_queue_depth takes the max (deepest any single
+  // Sweeps sum per-kernel stats with operator+=. Counters are additive; peak_queue_depth takes the max (deepest any single
   // kernel got — the per-kernel memory bound); slab_capacity sums (each
   // kernel owns a slab, so the sweep's aggregate footprint adds).
   Kernel::Stats a;
@@ -763,13 +597,11 @@ TEST(KernelStats, AggregationSemantics) {
   a.events_scheduled = 120;
   a.peak_queue_depth = 7;
   a.slab_capacity = 16;
-  a.wall_seconds = 0.5;
   Kernel::Stats b;
   b.events_executed = 50;
   b.events_scheduled = 60;
   b.peak_queue_depth = 3;
   b.slab_capacity = 8;
-  b.wall_seconds = 0.25;
 
   Kernel::Stats sum;
   sum += a;
@@ -778,7 +610,6 @@ TEST(KernelStats, AggregationSemantics) {
   EXPECT_EQ(sum.events_scheduled, 180u);
   EXPECT_EQ(sum.peak_queue_depth, 7u);  // max, not 10
   EXPECT_EQ(sum.slab_capacity, 24u);    // sum, not max
-  EXPECT_DOUBLE_EQ(sum.wall_seconds, 0.75);
 
   // Max is order-independent: folding the deeper kernel in last must
   // give the same aggregate.

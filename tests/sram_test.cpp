@@ -31,7 +31,7 @@ struct Fixture {
   explicit Fixture(double vdd = 1.0)
       : supply(kernel, "vdd", vdd),
         meter(kernel, device::Tech::umc90(), &supply),
-        ctx{kernel, model, supply, &meter} {}
+        ctx{kernel, model, supply, meter} {}
 };
 
 // ---- cell model ---------------------------------------------------------
@@ -214,7 +214,7 @@ TEST(SiSram, Fig7WriteUnderLowThenHighVdd) {
                                {{0, 0.25}, {sim::us(30), 0.25},
                                 {sim::us(31), 1.0}, {sim::us(60), 1.0}});
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &ramp);
-  gates::Context ctx{kernel, model, ramp, &meter};
+  gates::Context ctx{kernel, model, ramp, meter};
   SiSram sram(ctx, "sram", SiSramParams{});
   double lat_low = 0.0, lat_high = 0.0;
   sram.write(1, 0x11, [&](const OpResult& r) {
@@ -240,7 +240,7 @@ TEST(SiSram, OpStraddlesBrownoutAndCompletes) {
   supply::StorageCap cap(kernel, "cap", 50e-12, 0.35);
   cap.set_wake_threshold(0.16);
   gates::EnergyMeter meter(kernel, device::Tech::umc90(), &cap);
-  gates::Context ctx{kernel, model, cap, &meter};
+  gates::Context ctx{kernel, model, cap, meter};
   SiSram sram(ctx, "sram", SiSramParams{});
   bool ok = false;
   bool stalled = false;

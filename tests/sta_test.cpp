@@ -41,7 +41,7 @@ struct Fixture {
   explicit Fixture(double vdd = 1.0)
       : supply(kernel, "vdd", vdd),
         meter(kernel, device::Tech::umc90(), &supply),
-        ctx{kernel, model, supply, &meter} {}
+        ctx{kernel, model, supply, meter} {}
 };
 
 std::vector<const lint::Finding*> active(const lint::Report& r,
