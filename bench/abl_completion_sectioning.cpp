@@ -5,7 +5,6 @@
 // segments, say, of 8 bit each." Section sizes form a typed integer grid
 // on the exp::Workbench.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,19 +55,16 @@ static void lint_abl_sectioning(emc::lint::Session& s) {
   // One 8-cell section's detector, elaborated structurally: the
   // OR-per-bit + C-element tree whose per-section cost the ablation
   // prices. The dual rails come from the (environment's) bit cells.
-  std::vector<std::unique_ptr<emc::sim::Wire>> rails;
+  emc::netlist::Circuit c(s.ctx(), "section");
   std::vector<emc::gates::DualRailWire> bits;
   for (int i = 0; i < 8; ++i) {
-    rails.push_back(std::make_unique<emc::sim::Wire>(
-        s.kernel(), "sec.b" + std::to_string(i) + ".t", false));
-    rails.push_back(std::make_unique<emc::sim::Wire>(
-        s.kernel(), "sec.b" + std::to_string(i) + ".f", false));
-    bits.push_back({rails[rails.size() - 2].get(), rails.back().get()});
+    emc::sim::Wire& t = c.wire("b" + std::to_string(i) + ".t");
+    emc::sim::Wire& f = c.wire("b" + std::to_string(i) + ".f");
+    c.mark_env_driven(t);
+    c.mark_env_driven(f);
+    bits.push_back({&t, &f});
   }
-  emc::gates::CompletionDetector cd(s.ctx(), "sec.cd", bits);
-  emc::netlist::Circuit c(s.ctx(), "section");
-  for (const auto& w : rails) c.note_external_wire(w->name());
-  cd.describe_into(c);
+  emc::gates::CompletionDetector cd(c, "cd", bits);
   s.check(c);
 }
 

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "gates/delay_line.hpp"
+
 namespace emc::async {
 
 namespace {
@@ -35,24 +37,12 @@ BundledCounter::BundledCounter(gates::Context& ctx, std::string name,
       }
       return (((s + 1) >> i) & 1u) != 0;
     };
-    // Distinct from the output wire's name ("<circuit>.d<i>") — the
+    // Named distinct from the output wire ("<circuit>.d<i>") — the
     // connectivity inventory is name-keyed, and a gate/wire collision
     // would read as a combinational self-loop.
-    const std::string gname = circuit_.name() + ".inc" + std::to_string(i);
-    for (const sim::Wire* s : state_wires_) {
-      circuit_.note_edge(s->name(), gname);
-      // Static twin of the FunctionGate's charge below: delay_stages *
-      // cap_factor of c_inv, at the stacked datapath's elevated Vth.
-      circuit_.note_timing_arc(s->name(), gname, d.name(),
-                               depth_of_bit(i) * kDatapathCap,
-                               params_.datapath_vth_offset);
-    }
-    circuit_.note_edge(gname, d.name());
-    auto& g = circuit_.emplace<gates::FunctionGate>(
-        ctx, gname, inc_bit,
-        std::vector<sim::Wire*>(state_wires_.begin(), state_wires_.end()), d,
-        depth_of_bit(i), kDatapathCap, params_.datapath_vth_offset);
-    dp.push_back(&g);
+    dp.push_back(&circuit_.function_gate(
+        "inc" + std::to_string(i), inc_bit, state_wires_, d, depth_of_bit(i),
+        kDatapathCap, params_.datapath_vth_offset));
     data_wires_.push_back(&d);
   }
 
@@ -67,16 +57,16 @@ BundledCounter::BundledCounter(gates::Context& ctx, std::string name,
       ctx.model.inverter_delay_seconds(params_.calibration_vdd);
   const auto stages = static_cast<std::size_t>(
       std::ceil(params_.margin * worst_dp_s / inv_s));
-  line_ = std::make_unique<gates::DelayLine>(
-      ctx, circuit_.name() + ".line", *go_, std::max<std::size_t>(stages, 2));
-  line_->describe_into(circuit_);
+  sim::Wire& line_out =
+      gates::DelayLine(circuit_, "line", *go_, std::max<std::size_t>(stages, 2))
+          .output();
 
   // The bundled-data contract the whole design rests on, stated for the
   // static margin analysis (sta rule T001): the line output must arrive
   // after every datapath output has settled, at every operating point.
   netlist::BundleInfo bundle;
   bundle.name = circuit_.name() + ".bundle";
-  bundle.trigger = line_->output().name();
+  bundle.trigger = line_out.name();
   for (const sim::Wire* d : data_wires_) bundle.targets.push_back(d->name());
   bundle.min_ratio = 1.0;
   circuit_.note_bundle(std::move(bundle));
@@ -86,7 +76,7 @@ BundledCounter::BundledCounter(gates::Context& ctx, std::string name,
   // state register, and relaunches go — close the loop in the inventory.
   const std::string latch = circuit_.name() + ".latch";
   circuit_.note_element(latch, netlist::ElementKind::kEndpoint);
-  circuit_.note_edge(line_->output().name(), latch);
+  circuit_.note_edge(line_out.name(), latch);
   for (const sim::Wire* d : data_wires_) circuit_.note_edge(d->name(), latch);
   for (const sim::Wire* s : state_wires_) circuit_.note_edge(latch, s->name());
   circuit_.note_edge(latch, go_->name());
@@ -94,7 +84,7 @@ BundledCounter::BundledCounter(gates::Context& ctx, std::string name,
   latch_meter_ = ctx.meter.add(circuit_.name() + ".latch",
                                6.0 * static_cast<double>(params_.bits));
 
-  line_->output().subscribe<&BundledCounter::on_line_output>(this);
+  line_out.subscribe<&BundledCounter::on_line_output>(this);
 
   // Settle the datapath outputs to inc(0) before the first launch.
   for (auto* g : dp) g->touch();

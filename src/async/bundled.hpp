@@ -16,12 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "gates/combinational.hpp"
-#include "gates/delay_line.hpp"
 #include "gates/gate.hpp"
 #include "netlist/module.hpp"
 #include "sim/signal.hpp"
@@ -64,7 +62,6 @@ class BundledCounter {
   sim::Wire* go_ = nullptr;
   std::vector<sim::Wire*> state_wires_;
   std::vector<sim::Wire*> data_wires_;
-  std::unique_ptr<gates::DelayLine> line_;
   bool running_ = false;  // set by start(); a second start() is a no-op
   bool line_phase_ = false;  ///< expected polarity of the line output
   std::uint64_t state_ = 0;

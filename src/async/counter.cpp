@@ -33,13 +33,8 @@ ToggleRippleCounter::ToggleRippleCounter(gates::Context& ctx,
   for (std::size_t i = 0; i < stages; ++i) {
     sim::Wire& dot = circuit_.wire("dot" + std::to_string(i), false);
     sim::Wire& blank = circuit_.wire("blank" + std::to_string(i), false);
-    auto& t = circuit_.emplace<gates::Toggle>(
-        ctx, circuit_.name() + ".T" + std::to_string(i), *stage_in, dot,
-        blank);
-    circuit_.note_edge(stage_in->name(), t.name());
-    circuit_.note_edge(t.name(), dot.name());
-    circuit_.note_edge(t.name(), blank.name());
-    toggles_.push_back(&t);
+    toggles_.push_back(
+        &circuit_.toggle("T" + std::to_string(i), *stage_in, dot, blank));
     dots_.push_back(&dot);
     blanks_.push_back(&blank);
     stage_in = &dot;  // the "dot" output carries the divided frequency on
@@ -113,31 +108,16 @@ DualRailCounter::DualRailCounter(gates::Context& ctx, std::string name,
     // The increment function of bit i spans an i-deep carry chain; charge
     // delay accordingly (dual-rail AND-OR trees, ~1 stage per carry).
     const double depth = 2.0 + static_cast<double>(i);
-    const std::string tname = circuit_.name() + ".dt" + std::to_string(i);
-    const std::string fname = circuit_.name() + ".df" + std::to_string(i);
-    for (const sim::Wire* in : ins) {
-      circuit_.note_edge(in->name(), tname);
-      circuit_.note_edge(in->name(), fname);
-      // Static timing arcs matching the FunctionGate charge below
-      // (depth stages x 2.5 cap factor, nominal threshold).
-      circuit_.note_timing_arc(in->name(), tname, t.name(), depth * 2.5);
-      circuit_.note_timing_arc(in->name(), fname, f.name(), depth * 2.5);
-    }
-    circuit_.note_edge(tname, t.name());
-    circuit_.note_edge(fname, f.name());
-    circuit_.emplace<gates::FunctionGate>(ctx, tname, inc_bit, ins, t, depth,
-                                          2.5);
-    circuit_.emplace<gates::FunctionGate>(ctx, fname, inc_bit_n,
-                                          std::move(ins), f, depth, 2.5);
+    circuit_.function_gate("dt" + std::to_string(i), inc_bit, ins, t, depth,
+                           2.5);
+    circuit_.function_gate("df" + std::to_string(i), inc_bit_n,
+                           std::move(ins), f, depth, 2.5);
     rail_bits.push_back(gates::DualRailWire{&t, &f});
   }
   word_ = std::make_unique<DualRailWord>(rail_bits);
 
   // Genuine completion detection over the rails.
-  cd_ = std::make_unique<gates::CompletionDetector>(
-      ctx, circuit_.name() + ".cd", rail_bits);
-  cd_->describe_into(circuit_);
-  done_wire_ = &cd_->done();
+  done_wire_ = &gates::CompletionDetector(circuit_, "cd", rail_bits).done();
 
   // The state-commit latch rank is behavioural (on_done_change), but its
   // connectivity is real: done clocks it, it drives the state wires.

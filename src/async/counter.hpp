@@ -112,7 +112,6 @@ class DualRailCounter {
   sim::Wire* done_wire_ = nullptr;
   std::vector<sim::Wire*> state_wires_;
   std::unique_ptr<DualRailWord> word_;
-  std::unique_ptr<gates::CompletionDetector> cd_;
   gates::EnergyMeter::GateId latch_meter_ = 0;
 };
 

@@ -23,23 +23,12 @@ MullerRing::MullerRing(gates::Context& ctx, std::string name,
                                      !next.read());
     circuit_.comb("invn" + std::to_string(i), gates::Op::kInv,
                   std::vector<sim::Wire*>{&next}, nnext);
-    auto& c = circuit_.emplace<gates::CElement>(
-        ctx, circuit_.name() + ".ce" + std::to_string(i),
-        std::vector<sim::Wire*>{&prev, &nnext}, *stage_wires_[i]);
-    circuit_.note_edge(prev.name(), c.name());
-    circuit_.note_edge(nnext.name(), c.name());
-    circuit_.note_edge(c.name(), stage_wires_[i]->name());
-    // Static timing arcs for the emplaced C-elements (the inverters got
-    // theirs from comb()). The ring closes on itself, so the sta pass
-    // will exclude these from longest-path propagation as one cyclic
-    // SCC — recorded for completeness and fork analysis, not paths.
-    const double ce_load =
-        gates::CElement::delay_stages() * gates::CElement::cap_factor(2);
-    circuit_.note_timing_arc(prev.name(), c.name(),
-                             stage_wires_[i]->name(), ce_load);
-    circuit_.note_timing_arc(nnext.name(), c.name(),
-                             stage_wires_[i]->name(), ce_load);
-    celements_.push_back(&c);
+    // The ring closes on itself, so the sta pass excludes these
+    // C-elements' arcs from longest-path propagation as one cyclic SCC —
+    // recorded for completeness and fork analysis, not paths.
+    celements_.push_back(&circuit_.celement(
+        "ce" + std::to_string(i), std::vector<sim::Wire*>{&prev, &nnext},
+        *stage_wires_[i]));
   }
 }
 

@@ -17,11 +17,11 @@ class CElement final : public Gate {
   CElement(Context& ctx, std::string name, std::vector<sim::Wire*> inputs,
            sim::Wire& out, double vth_offset = 0.0);
 
-  /// Timing-arc factors, matching what the constructor charges: a
-  /// C-element is ~two inverting stages driving a fanin-dependent load.
-  /// Builders recording static timing arcs (Circuit::note_timing_arc)
-  /// use delay_stages() * cap_factor(fanin) as the arc load so the
-  /// static model and the simulated gate agree by construction.
+  /// Delay and capacitance factors the constructor charges: a C-element
+  /// is ~two inverting stages driving a fanin-dependent load.
+  /// Circuit::celement records delay_stages() * cap_factor(fanin) as the
+  /// timing-arc load, so the static model and the simulated gate agree
+  /// by construction.
   static constexpr double delay_stages() { return 2.0; }
   static double cap_factor(std::size_t fanin) {
     return 2.0 + 0.6 * static_cast<double>(fanin);

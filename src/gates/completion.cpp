@@ -1,42 +1,32 @@
 #include "gates/completion.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "netlist/module.hpp"
 
 namespace emc::gates {
 
-CompletionDetector::CompletionDetector(Context& ctx, std::string name,
-                                       std::vector<DualRailWire> bits,
-                                       std::size_t max_fanin) {
+CompletionDetector::CompletionDetector(netlist::Circuit& c,
+                                       const std::string& local,
+                                       const std::vector<DualRailWire>& bits,
+                                       std::size_t max_fanin)
+    : bit_count_(bits.size()) {
   assert(!bits.empty());
   assert(max_fanin >= 2);
 
   // Per-bit validity: valid_i = t_i OR f_i.
+  std::vector<sim::Wire*> layer;
   for (std::size_t i = 0; i < bits.size(); ++i) {
-    wires_.push_back(std::make_unique<sim::Wire>(
-        ctx.kernel, name + ".v" + std::to_string(i), false));
-    sim::Wire& v = *wires_.back();
-    const std::string gname = name + ".or" + std::to_string(i);
-    gates_.push_back(std::make_unique<CombGate>(
-        ctx, gname, Op::kOr, std::vector<sim::Wire*>{bits[i].t, bits[i].f},
-        v));
-    described_elems_.emplace_back(gname, false);
-    described_edges_.emplace_back(bits[i].t->name(), gname);
-    described_edges_.emplace_back(bits[i].f->name(), gname);
-    described_edges_.emplace_back(gname, v.name());
-    const CellFactors f = factors_for(Op::kOr, 2);
-    described_arcs_.push_back({bits[i].t->name(), gname, v.name(),
-                               f.delay * f.cap});
-    described_arcs_.push_back({bits[i].f->name(), gname, v.name(),
-                               f.delay * f.cap});
-    valids_.push_back(&v);
+    sim::Wire& v = c.wire(local + ".v" + std::to_string(i), false);
+    c.comb(local + ".or" + std::to_string(i), Op::kOr,
+           std::vector<sim::Wire*>{bits[i].t, bits[i].f}, v);
+    layer.push_back(&v);
   }
 
   // C-element reduction tree. Each C output rises when its whole subtree
   // is valid and falls when it is null, so the tree as a whole preserves
   // the detector contract.
-  std::vector<sim::Wire*> layer = valids_;
   std::size_t level = 0;
   while (layer.size() > 1) {
     std::vector<sim::Wire*> next;
@@ -46,24 +36,12 @@ CompletionDetector::CompletionDetector(Context& ctx, std::string name,
         next.push_back(layer[i]);
         continue;
       }
-      std::vector<sim::Wire*> group(layer.begin() + i, layer.begin() + i + n);
-      wires_.push_back(std::make_unique<sim::Wire>(
-          ctx.kernel,
-          name + ".c" + std::to_string(level) + "_" + std::to_string(i),
-          false));
-      sim::Wire& out = *wires_.back();
-      const std::string gname =
-          name + ".ce" + std::to_string(level) + "_" + std::to_string(i);
-      described_elems_.emplace_back(gname, true);
-      const double ce_load =
-          CElement::delay_stages() * CElement::cap_factor(group.size());
-      for (const sim::Wire* g : group) {
-        described_edges_.emplace_back(g->name(), gname);
-        described_arcs_.push_back({g->name(), gname, out.name(), ce_load});
-      }
-      described_edges_.emplace_back(gname, out.name());
-      gates_.push_back(
-          std::make_unique<CElement>(ctx, gname, std::move(group), out));
+      const std::string tag = std::to_string(level) + "_" + std::to_string(i);
+      sim::Wire& out = c.wire(local + ".c" + tag, false);
+      c.celement(local + ".ce" + tag,
+                 std::vector<sim::Wire*>(layer.begin() + i,
+                                         layer.begin() + i + n),
+                 out);
       next.push_back(&out);
     }
     layer = std::move(next);
@@ -71,18 +49,6 @@ CompletionDetector::CompletionDetector(Context& ctx, std::string name,
   }
   done_ = layer.front();
   depth_ = level;
-}
-
-void CompletionDetector::describe_into(netlist::Circuit& c) const {
-  for (const auto& w : wires_) c.note_external_wire(w->name());
-  for (const auto& [name, is_ce] : described_elems_) {
-    c.note_element(name, is_ce ? netlist::ElementKind::kCElement
-                               : netlist::ElementKind::kComb);
-  }
-  for (const auto& [from, to] : described_edges_) c.note_edge(from, to);
-  for (const auto& a : described_arcs_) {
-    c.note_timing_arc(a.from, a.via, a.to, a.load);
-  }
 }
 
 }  // namespace emc::gates

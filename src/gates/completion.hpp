@@ -8,14 +8,10 @@
 // paper discusses around Fig. 2) are measured, not assumed.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "gates/celement.hpp"
-#include "gates/combinational.hpp"
-#include "gates/gate.hpp"
+#include "sim/signal.hpp"
 
 namespace emc::netlist {
 class Circuit;
@@ -30,41 +26,25 @@ struct DualRailWire {
 
 class CompletionDetector {
  public:
-  /// `max_fanin` bounds each C-element of the combining tree (real
+  /// Build the detector into `c` under `<local>`: per-bit OR gates
+  /// `<local>.or<i>` onto `<local>.v<i>`, then the C-element tree. The
+  /// circuit owns every gate and wire and records their edges and timing
+  /// arcs. `max_fanin` bounds each C-element of the combining tree (real
   /// libraries stop at 3-4 inputs; deeper trees add latency).
-  CompletionDetector(Context& ctx, std::string name,
-                     std::vector<DualRailWire> bits, std::size_t max_fanin = 4);
+  CompletionDetector(netlist::Circuit& c, const std::string& local,
+                     const std::vector<DualRailWire>& bits,
+                     std::size_t max_fanin = 4);
 
   /// High = all bits valid; low = all bits null.
   sim::Wire& done() { return *done_; }
 
-  std::size_t bit_count() const { return valids_.size(); }
+  std::size_t bit_count() const { return bit_count_; }
   std::size_t tree_depth() const { return depth_; }
 
-  /// Record the detector's internal structure (per-bit OR gates, the
-  /// C-element reduction tree, internal wires, edges) into `c`'s
-  /// connectivity inventory so the static linter and timing analyzer see
-  /// the completion-detection path instead of a blank spot.
-  void describe_into(netlist::Circuit& c) const;
-
  private:
-  std::vector<std::unique_ptr<sim::Wire>> wires_;
-  std::vector<std::unique_ptr<Gate>> gates_;
-  std::vector<sim::Wire*> valids_;
   sim::Wire* done_ = nullptr;
+  std::size_t bit_count_ = 0;
   std::size_t depth_ = 0;
-  /// Structure captured at build time for describe_into: edges as name
-  /// pairs, elements as (name, is_c_element), timing arcs as
-  /// (from, via, to, load-in-c_inv-units).
-  struct ArcRec {
-    std::string from;
-    std::string via;
-    std::string to;
-    double load;
-  };
-  std::vector<std::pair<std::string, std::string>> described_edges_;
-  std::vector<std::pair<std::string, bool>> described_elems_;
-  std::vector<ArcRec> described_arcs_;
 };
 
 }  // namespace emc::gates

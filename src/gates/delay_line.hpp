@@ -9,13 +9,11 @@
 //    read completes, and the flipped-tap count is the thermometer code.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "gates/combinational.hpp"
-#include "gates/gate.hpp"
 #include "sim/random.hpp"
+#include "sim/signal.hpp"
 
 namespace emc::netlist {
 class Circuit;
@@ -25,17 +23,16 @@ namespace emc::gates {
 
 class DelayLine {
  public:
-  /// A chain of `stages` inverters fed by `input`. Every tap is a real
-  /// wire driven by a real gate, so the wavefront position is observable
-  /// and the chain's energy is metered like any other logic.
-  DelayLine(Context& ctx, std::string name, sim::Wire& input,
-            std::size_t stages, double vth_offset = 0.0);
-
-  /// Monte-Carlo variant: each stage additionally receives a Gaussian
-  /// per-instance threshold mismatch of `vth_sigma` volts.
-  DelayLine(Context& ctx, std::string name, sim::Wire& input,
-            std::size_t stages, double vth_offset, double vth_sigma,
-            sim::Rng& rng);
+  /// A chain of `stages` inverters fed by `input`, built into `c` as
+  /// `<local>.t<i>` taps driven by `<local>.inv<i>` gates. Every tap is a
+  /// real wire driven by a real gate, so the wavefront position is
+  /// observable and the chain's energy is metered like any other logic;
+  /// the circuit records each stage's edges and timing arc. With a
+  /// non-null `rng` and `vth_sigma` > 0, each stage additionally receives
+  /// a Gaussian per-instance threshold mismatch of `vth_sigma` volts.
+  DelayLine(netlist::Circuit& c, const std::string& local, sim::Wire& input,
+            std::size_t stages, double vth_offset = 0.0,
+            double vth_sigma = 0.0, sim::Rng* rng = nullptr);
 
   sim::Wire& output() { return *taps_.back(); }
 
@@ -48,19 +45,8 @@ class DelayLine {
   /// yields k.
   std::size_t thermometer_code() const;
 
-  /// Record this chain's structure (stage gates, tap wires, edges) into
-  /// `c`'s connectivity inventory so the static linter and timing
-  /// analyzer see through the composite instead of a blank spot.
-  void describe_into(netlist::Circuit& c) const;
-
  private:
-  DelayLine(Context& ctx, std::string name, sim::Wire& input,
-            std::size_t stages, double vth_offset, double vth_sigma,
-            sim::Rng* rng);
-
-  std::string input_name_;
-  std::vector<std::unique_ptr<sim::Wire>> taps_;
-  std::vector<std::unique_ptr<CombGate>> gates_;
+  std::vector<sim::Wire*> taps_;
   std::vector<bool> baseline_;
 };
 

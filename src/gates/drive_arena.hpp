@@ -80,8 +80,6 @@ class DriveArena {
   double energy(Slot s) const { return energy_[s]; }
 
   // --- device point ---
-  double vth_offset(Slot s) const { return vth_offset_[s]; }
-  double strength(Slot s) const { return strength_[s]; }
   /// Change the device point of `s`; the next refresh() and delay()
   /// recompute (the delay depends on both, so both stamps reset).
   void set_device(Slot s, double vth_offset, double strength) {

@@ -4,11 +4,11 @@ namespace emc::gates {
 
 Gate::Gate(Context& ctx, std::string name, sim::Wire& out, double delay_stages,
            double cap_factor, double vth_offset, double leak_width)
-    : ctx_(&ctx), name_(std::move(name)), out_(&out) {
+    : ctx_(&ctx), out_(&out) {
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(cap_factor * c_inv * delay_stages,
                             cap_factor * c_inv, vth_offset, /*strength=*/1.0);
-  meter_id_ = ctx.meter.add(name_, leak_width);
+  meter_id_ = ctx.meter.add(std::move(name), leak_width);
   // Wake with the supply: a recharged storage cap re-animates every
   // parked gate. Registration happens once, here, for the gate's
   // lifetime; the callback is a no-op unless the gate is stalled.

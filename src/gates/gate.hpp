@@ -81,8 +81,6 @@ class Gate {
   Gate(const Gate&) = delete;
   Gate& operator=(const Gate&) = delete;
 
-  const std::string& name() const { return name_; }
-
   /// Wire this gate to listen to `w` (call once per input).
   void listen(sim::Wire& w);
 
@@ -90,11 +88,6 @@ class Gate {
   void touch() { on_input_change(); }
 
   bool stalled() const { return stalled_; }
-
-  /// Per-instance device point (Vth shift, drive-strength multiplier;
-  /// 1.0 = nominal device), held in the context's DriveArena slot.
-  double vth_offset() const { return ctx_->drives.vth_offset(hot_); }
-  double strength() const { return ctx_->drives.strength(hot_); }
 
  protected:
   /// Compute the target output value from the current input values.
@@ -114,7 +107,6 @@ class Gate {
   void retry();
 
   Context* ctx_;
-  std::string name_;
   sim::Wire* out_;
   DriveArena::Slot hot_;  ///< this gate's lane in ctx_->drives
   EnergyMeter::GateId meter_id_ = 0;

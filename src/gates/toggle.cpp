@@ -4,11 +4,11 @@ namespace emc::gates {
 
 Toggle::Toggle(Context& ctx, std::string name, sim::Wire& in, sim::Wire& dot,
                sim::Wire& blank, double vth_offset)
-    : ctx_(&ctx), name_(std::move(name)), dot_(&dot), blank_(&blank) {
+    : ctx_(&ctx), dot_(&dot), blank_(&blank) {
   const double c_inv = ctx.model.tech().c_inv;
   hot_ = ctx.drives.acquire(c_inv * kDelayStages, kCapFactor * c_inv,
                             vth_offset, /*strength=*/1.0);
-  meter_id_ = ctx.meter.add(name_, kLeakWidth);
+  meter_id_ = ctx.meter.add(std::move(name), kLeakWidth);
   in.subscribe<&Toggle::on_input>(this);
   ctx_->supply.on_wake([this] {
     if (stalled_) retry();

@@ -34,8 +34,6 @@ class Toggle {
   Toggle(const Toggle&) = delete;
   Toggle& operator=(const Toggle&) = delete;
 
-  const std::string& name() const { return name_; }
-
   /// Total completed fires (= input transitions served).
   std::uint64_t fires() const { return fires_; }
 
@@ -52,7 +50,6 @@ class Toggle {
   void retry();
 
   Context* ctx_;
-  std::string name_;
   sim::Wire* dot_;
   sim::Wire* blank_;
   DriveArena::Slot hot_;  ///< this element's lane in ctx_->drives

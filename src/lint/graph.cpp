@@ -16,7 +16,7 @@ Graph build_graph(const netlist::Circuit& c) {
       if (g.wires.count(*n) > 0 || g.elements.count(*n) > 0) continue;
       const std::string& other = (n == &from) ? to : from;
       if (g.is_element(other)) {
-        g.wires.emplace(*n, netlist::WireInfo{*n, false, false, true});
+        g.wires.emplace(*n, netlist::WireInfo{*n, false, false});
       } else {
         g.elements.emplace(*n, netlist::ElementKind::kOther);
       }

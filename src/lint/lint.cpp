@@ -58,8 +58,9 @@ void rule_unrecorded(const Graph& g, Report& r) {
     if (g.touched.count(name) > 0) continue;
     r.add(Finding{"W003", Severity::kError, name,
                   std::string("element (") + netlist::to_string(kind) +
-                      ") has zero recorded edges - a builder forgot "
-                      "note_edge(), so the connectivity graph is blind to it",
+                      ") has zero recorded edges - an endpoint declared "
+                      "without its note_edge() calls, so the connectivity "
+                      "graph is blind to it",
                   {}, {}});
   }
 }
@@ -215,7 +216,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"W001", Severity::kError, "undriven wire (floating input)"},
       {"W002", Severity::kError, "multiply-driven wire (drive fight)"},
       {"W003", Severity::kError,
-       "element with zero recorded edges (missing note_edge)"},
+       "element with zero recorded edges (an endpoint missing note_edge)"},
       {"C001", Severity::kWarning,
        "combinational cycle with no state-holding element"},
       {"H001", Severity::kError, "unpaired handshake (req with no ack path)"},

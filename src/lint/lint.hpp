@@ -9,15 +9,17 @@
 // origin flags, typed elements, edges, handshake channels).
 //
 // Rule catalog (IDs are stable; severities in rule_catalog()):
-//   W001  undriven wire        a non-external, non-env-driven wire with
-//                              no recorded driver (floating input)
+//   W001  undriven wire        a wire this circuit owns, not env-driven,
+//                              with no recorded driver (floating input)
 //   W002  multiply-driven wire two or more distinct element drivers on
 //                              one wire (drive fight)
 //   W003  unrecorded element   an inventoried element with zero incident
-//                              edges — a builder forgot note_edge(), so
-//                              the graph (lint and timing alike) is blind
-//                              to it; fails loudly so gaps cannot creep
-//                              back in
+//                              edges — a behavioural endpoint declared
+//                              with note_element() whose note_edge()
+//                              calls were forgotten (gate builders record
+//                              their own edges), so the graph is blind to
+//                              it; fails loudly so gaps cannot creep back
+//                              in
 //   C001  combinational cycle  a feedback loop whose every element is
 //                              pure combinational logic — an oscillation
 //                              hazard unless it IS the oscillator

@@ -9,21 +9,21 @@
 //
 // Connectivity metadata: besides ownership, a Circuit records a *typed*
 // inventory of its structure — wires (with origin flags: env-driven
-// testbench ports, external/foreign nets), elements (with an
-// ElementKind, so an analyzer sees "C-element" instead of a name
-// string), name-pair edges, handshake channels, and rule suppressions.
-// emc::lint's static rule passes (src/lint/) consume the whole
-// inventory. comb() and emplace<> record elements automatically; edges
-// for emplace<>'d gates must still be note_edge()'d by the builder — the
-// linter's W003 rule fails loudly on any element with zero recorded
-// edges, so a forgotten note_edge cannot silently produce an incomplete
-// graph again.
+// testbench ports, foreign nets), elements (with an ElementKind, so an
+// analyzer sees "C-element" instead of a name string), name-pair edges,
+// timing arcs, handshake channels, and rule suppressions. emc::lint and
+// emc::sta consume the whole inventory. The gate builders (comb,
+// function_gate, celement, toggle) are the only way a gate enters a
+// circuit, and each records the element, its edges and its timing arcs
+// from the same numbers it hands the gate's constructor. note_element /
+// note_edge remain for behavioural endpoints that are not gates (latch
+// ranks, controllers, handshake actors); the linter's W003 rule fails
+// loudly on an endpoint declared with zero recorded edges.
 #pragma once
 
 #include <cassert>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,8 +32,6 @@
 #include "sim/signal.hpp"
 
 namespace emc::gates {
-// Complete definitions are not needed for the kind mapping below —
-// emplace<T> sees the complete T at its instantiation site.
 class CElement;
 class Toggle;
 }  // namespace emc::gates
@@ -67,7 +65,6 @@ struct WireInfo {
   std::string name;
   bool owned = true;        ///< created via wire() on this circuit
   bool env_driven = false;  ///< testbench/endpoint drives it via set()
-  bool external = false;    ///< foreign net (port of another circuit)
 };
 
 /// A recorded req/ack handshake channel (lint rule H001/D001 input).
@@ -89,8 +86,9 @@ struct Suppression {
 /// wire `from` propagates through element `via` and lands on wire `to`
 /// after the element's delay. `load` is the switched capacitance driven
 /// during that propagation in reference-inverter units (c_inv), i.e.
-/// delay_stages * cap_factor — exactly the cload the dynamic Gate charges
-/// per transition, so static and simulated delays agree by construction.
+/// delay_stages * cap_factor — the gate builders record it from the
+/// factors they hand the gate's constructor, so static and simulated
+/// delays agree by construction.
 struct TimingArc {
   std::string from;
   std::string via;
@@ -129,42 +127,6 @@ class OwnedNode {
   virtual ~OwnedNode() = default;
 };
 
-template <typename T>
-class TypedNode final : public OwnedNode {
- public:
-  template <typename... Args>
-  explicit TypedNode(Args&&... args) : value_(std::forward<Args>(args)...) {}
-
-  T& value() { return value_; }
-
- private:
-  T value_;
-};
-
-namespace detail {
-/// Detects a `std::string name() const`-shaped accessor; elements
-/// without one cannot be auto-registered (use note_element manually).
-template <typename T, typename = void>
-struct HasName : std::false_type {};
-template <typename T>
-struct HasName<T, std::void_t<decltype(std::declval<const T&>().name())>>
-    : std::true_type {};
-
-template <typename T>
-constexpr ElementKind kind_of() {
-  if constexpr (std::is_same_v<T, gates::CombGate> ||
-                std::is_same_v<T, gates::FunctionGate>) {
-    return ElementKind::kComb;
-  } else if constexpr (std::is_same_v<T, gates::CElement>) {
-    return ElementKind::kCElement;
-  } else if constexpr (std::is_same_v<T, gates::Toggle>) {
-    return ElementKind::kToggle;
-  } else {
-    return ElementKind::kOther;
-  }
-}
-}  // namespace detail
-
 class Circuit {
  public:
   Circuit(gates::Context& ctx, std::string name)
@@ -180,55 +142,47 @@ class Circuit {
   sim::Wire& wire(const std::string& local, bool initial = false) {
     wires_.push_back(std::make_unique<sim::Wire>(ctx_->kernel,
                                                  name_ + "." + local, initial));
-    wire_infos_.push_back(WireInfo{wires_.back()->name(), true, false, false});
+    wire_infos_.push_back(WireInfo{wires_.back()->name(), true, false});
     return *wires_.back();
   }
 
-  /// Create (and own) any gate-like object; elements exposing a name()
-  /// are recorded in the typed element inventory automatically (kind
-  /// derived from the concrete type). Connectivity edges must still be
-  /// note_edge()'d — lint rule W003 flags elements where that was
-  /// forgotten. Ownership is typed (OwnedNode), so elements destroy
-  /// through their real destructors.
-  template <typename T, typename... Args>
-  T& emplace(Args&&... args) {
-    auto owned = std::make_unique<TypedNode<T>>(std::forward<Args>(args)...);
-    T& ref = owned->value();
-    gates_.push_back(std::move(owned));
-    if constexpr (detail::HasName<T>::value) {
-      note_element(ref.name(), detail::kind_of<T>());
-    }
-    return ref;
-  }
-
-  /// Convenience: combinational gate with connectivity recording. Also
-  /// records one timing arc per input using the same cell factors the
-  /// gate's constructor charges (load = delay_stages * cap_factor), so
-  /// circuits assembled through comb() get a static timing model for
-  /// free.
+  /// Combinational gate with the cell factors of `op` at its fanin.
+  /// Like every builder below, it records the element, one edge per
+  /// input plus the output edge, and one timing arc per input whose load
+  /// (delay_stages * cap_factor) and Vth are the numbers the gate's
+  /// constructor charges.
   gates::CombGate& comb(const std::string& local, gates::Op op,
                         std::vector<sim::Wire*> inputs, sim::Wire& out,
-                        double vth_offset = 0.0) {
-    const std::string gname = name_ + "." + local;
-    const gates::CellFactors f = gates::factors_for(op, inputs.size());
-    for (auto* w : inputs) {
-      edges_.emplace_back(w->name(), gname);
-      timing_arcs_.push_back(TimingArc{w->name(), gname, out.name(),
-                                       f.delay * f.cap, vth_offset, 1.0});
-    }
-    edges_.emplace_back(gname, out.name());
-    return emplace<gates::CombGate>(*ctx_, gname, op, std::move(inputs), out,
-                                    vth_offset);
-  }
+                        double vth_offset = 0.0);
 
-  /// Record an edge manually (for gates built via emplace<>).
+  /// Arbitrary truth-function gate with explicit delay/capacitance
+  /// factors (a carry chain's depth, a stacked datapath's Vth).
+  gates::FunctionGate& function_gate(const std::string& local,
+                                     gates::FunctionGate::Fn fn,
+                                     std::vector<sim::Wire*> inputs,
+                                     sim::Wire& out, double delay_stages,
+                                     double cap_factor,
+                                     double vth_offset = 0.0);
+
+  /// Muller C-element (CElement::delay_stages() * cap_factor(fanin)).
+  gates::CElement& celement(const std::string& local,
+                            std::vector<sim::Wire*> inputs, sim::Wire& out,
+                            double vth_offset = 0.0);
+
+  /// TOGGLE element: edges in -> T -> {dot, blank}, no timing arcs (its
+  /// outputs alternate, so no single in->out delay describes it).
+  gates::Toggle& toggle(const std::string& local, sim::Wire& in,
+                        sim::Wire& dot, sim::Wire& blank);
+
+  /// Record an edge of a behavioural endpoint (a latch rank, controller
+  /// or handshake actor that is not a gate and has no builder).
   void note_edge(const std::string& from, const std::string& to) {
     edges_.emplace_back(from, to);
   }
 
-  /// Record an element in the typed inventory. Idempotent per name (the
-  /// first kind wins) — composites that describe themselves into a
-  /// circuit can be re-described without duplicating entries.
+  /// Declare a behavioural endpoint (or any non-gate element) in the
+  /// typed inventory. Idempotent per name (the first kind wins), so an
+  /// actor registered twice is not inventoried twice.
   void note_element(const std::string& name, ElementKind kind) {
     for (const auto& e : elements_) {
       if (e.name == name) return;
@@ -237,15 +191,11 @@ class Circuit {
   }
 
   /// Record a wire this circuit references but does not own (a port of
-  /// another circuit, or a composite's internal net). External wires are
-  /// exempt from the linter's driver rules — their drivers live outside
-  /// this circuit's scope.
+  /// another circuit). Such wires are exempt from the linter's driver
+  /// rules — their drivers live outside this circuit's scope.
   void note_external_wire(const std::string& name) {
-    if (WireInfo* w = find_wire(name)) {
-      (void)w;  // already inventoried (owned wins over external)
-      return;
-    }
-    wire_infos_.push_back(WireInfo{name, false, false, true});
+    if (find_wire(name) != nullptr) return;  // owned wins over external
+    wire_infos_.push_back(WireInfo{name, false, false});
   }
 
   /// Mark a wire as environment-driven: the testbench (or a behavioural
@@ -257,7 +207,7 @@ class Circuit {
       wi->env_driven = true;
       return;
     }
-    wire_infos_.push_back(WireInfo{name, false, true, false});
+    wire_infos_.push_back(WireInfo{name, false, true});
   }
 
   /// Record a req/ack handshake channel (by wire name). Deduplicated;
@@ -279,18 +229,6 @@ class Circuit {
   void suppress(const std::string& rule, const std::string& subject,
                 const std::string& reason) {
     suppressions_.push_back(Suppression{rule, subject, reason});
-  }
-
-  /// Record a timing arc manually (for gates built via emplace<>, or
-  /// composites replaying their structure in describe_into hooks).
-  /// `load` is in reference-inverter capacitance units:
-  /// delay_stages * cap_factor of the element — the cload its dynamic
-  /// twin hands to DelayModel::delay_seconds on every transition.
-  void note_timing_arc(const std::string& from, const std::string& via,
-                       const std::string& to, double load,
-                       double vth_offset = 0.0, double strength = 1.0) {
-    timing_arcs_.push_back(
-        TimingArc{from, via, to, load, vth_offset, strength});
   }
 
   /// Record a bundled-data constraint for the static margin analysis
@@ -326,6 +264,16 @@ class Circuit {
   const std::vector<BundleInfo>& bundles() const { return bundles_; }
 
  private:
+  /// Inventory one single-output gate: element `gname` of `kind`, edges
+  /// input -> gate -> out, and one timing arc per input.
+  void record_gate(const std::string& gname, ElementKind kind,
+                   const std::vector<sim::Wire*>& inputs,
+                   const sim::Wire& out, double load, double vth_offset);
+
+  /// Construct and own an element (one allocation, typed destruction).
+  template <typename T, typename... Args>
+  T& own(Args&&... args);
+
   WireInfo* find_wire(const std::string& name) {
     for (auto& w : wire_infos_) {
       if (w.name == name) return &w;

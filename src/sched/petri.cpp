@@ -86,8 +86,10 @@ std::uint64_t EnergyPetriNet::run(sim::Time deadline, sim::Rng& rng) {
       en = enabled_transitions();
     }
     // Advance to the next completion; stop at quiescence or deadline.
+    // One event at the kTimeMax horizon: the clock lands on the event's
+    // own time, never on a deadline.
     if (kernel_->idle() || kernel_->next_event_time() > deadline) break;
-    kernel_->step();
+    kernel_->run_guarded({sim::kTimeMax, 1});
   }
   return fired;
 }

@@ -11,18 +11,11 @@ ReferenceFreeSensor::ReferenceFreeSensor(gates::Context& ctx,
       circuit_(ctx, std::move(name)),
       params_(params),
       cell_(ctx.model, params.cell),
-      bitline_(cell_, params.bitline) {
-  launch_ = &circuit_.wire("launch", false);
-  if (rng != nullptr && params_.ruler_vth_sigma > 0.0) {
-    ruler_ = std::make_unique<gates::DelayLine>(
-        ctx, circuit_.name() + ".ruler", *launch_, params_.ruler_stages, 0.0,
-        params_.ruler_vth_sigma, *rng);
-  } else {
-    ruler_ = std::make_unique<gates::DelayLine>(
-        ctx, circuit_.name() + ".ruler", *launch_, params_.ruler_stages);
-  }
+      bitline_(cell_, params.bitline),
+      launch_(&circuit_.wire("launch", false)),
+      ruler_(circuit_, "ruler", *launch_, params.ruler_stages, 0.0,
+             params.ruler_vth_sigma, rng) {
   circuit_.mark_env_driven(*launch_);
-  ruler_->describe_into(circuit_);
 }
 
 double ReferenceFreeSensor::expected_code(double vdd) const {
@@ -51,7 +44,7 @@ void ReferenceFreeSensor::measure(
 
   // Fire both racers at once: wavefront into the ruler, read into the
   // cell's bit-line.
-  ruler_->capture_baseline();
+  ruler_.capture_baseline();
   launch_->set(!launch_->read());
   access_ = std::make_unique<sram::SteppedAccess>(
       ctx_->kernel, ctx_->supply, ctx_->model,
@@ -64,7 +57,7 @@ void ReferenceFreeSensor::measure(
 
 void ReferenceFreeSensor::on_sram_complete() {
   // Freeze the thermometer code at the completion instant.
-  pending_.code = ruler_->thermometer_code();
+  pending_.code = ruler_.thermometer_code();
   pending_.saturated = pending_.code >= params_.ruler_stages;
   settle_then_report();
 }

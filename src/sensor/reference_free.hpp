@@ -76,7 +76,7 @@ class ReferenceFreeSensor {
   sram::CellModel cell_;
   sram::BitlineDynamics bitline_;
   sim::Wire* launch_;
-  std::unique_ptr<gates::DelayLine> ruler_;
+  gates::DelayLine ruler_;
   std::unique_ptr<sram::SteppedAccess> access_;
   bool measuring_ = false;
   RefFreeReading pending_;

@@ -16,16 +16,6 @@ const char* to_string(RunStatus s) {
   return "?";
 }
 
-bool Kernel::step() {
-  Time t = 0;
-  Action action;
-  if (!queue_.pop_due(kTimeMax, t, action)) return false;
-  now_ = t;
-  ++executed_;
-  action.consume();
-  return true;
-}
-
 RunVerdict Kernel::run_guarded(const Budget& budget) {
   const Time deadline = budget.horizon;
   const std::uint64_t max_events = budget.max_events;

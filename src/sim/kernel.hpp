@@ -108,10 +108,6 @@ class Kernel {
     queue_.schedule(t < now_ ? now_ : t, std::move(action));
   }
 
-  /// Run one event. Returns false if the queue was empty. For drivers
-  /// that act between single events (sched::EnergyPetriNet::run).
-  bool step();
-
   /// Run until the queue drains or `deadline` is passed (kTimeMax: until
   /// it drains or the default event budget runs out). Events at exactly
   /// `deadline` are executed. Returns the number of events executed.

@@ -5,8 +5,8 @@
 // a contract one figure's Vdd sweep samples but never proves. This
 // layer proves (or refutes) it statically: builders annotate timing
 // arcs on the connectivity inventory netlist::Circuit already records
-// (Circuit::comb() does it automatically; delay lines and completion
-// detectors replay arcs through their describe_into hooks), and the
+// (every gate builder records one arc per input, so delay lines and
+// completion detectors built through them are covered too), and the
 // analyzer propagates longest paths over the resulting wire graph —
 // arcs inside cyclic SCCs (deliberate oscillator rings, found with the
 // same Tarjan pass the lint layer uses) are excluded, and behavioural

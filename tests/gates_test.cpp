@@ -14,6 +14,7 @@
 #include "gates/delay_line.hpp"
 #include "gates/energy_meter.hpp"
 #include "gates/toggle.hpp"
+#include "netlist/module.hpp"
 #include "supply/battery.hpp"
 #include "supply/storage_cap.hpp"
 
@@ -241,8 +242,9 @@ TEST(Toggle, QueuesBurstsWithoutLoss) {
 
 TEST(DelayLine, WavefrontPropagatesInOrder) {
   Fixture f;
-  sim::Wire in(f.kernel, "in", false);
-  DelayLine line(f.ctx, "dl", in, 16);
+  netlist::Circuit c(f.ctx, "top");
+  sim::Wire& in = c.wire("in");
+  DelayLine line(c, "dl", in, 16);
   EXPECT_EQ(line.thermometer_code(), 0u);
   in.set(true);
   f.kernel.run_until(sim::kTimeMax);
@@ -251,8 +253,9 @@ TEST(DelayLine, WavefrontPropagatesInOrder) {
 
 TEST(DelayLine, PartialWavefrontGivesPartialCode) {
   Fixture f;
-  sim::Wire in(f.kernel, "in", false);
-  DelayLine line(f.ctx, "dl", in, 32);
+  netlist::Circuit c(f.ctx, "top");
+  sim::Wire& in = c.wire("in");
+  DelayLine line(c, "dl", in, 32);
   in.set(true);
   // One inverter ~ 40 ps at 1 V; stop mid-flight.
   f.kernel.run_until(40 * 10 * sim::kPicosecond);
@@ -263,18 +266,21 @@ TEST(DelayLine, PartialWavefrontGivesPartialCode) {
 
 // ---- completion detector --------------------------------------------------------
 
+/// `n` dual-rail bits as wires of `c`, all NULL.
+std::vector<DualRailWire> rails(netlist::Circuit& c, int n) {
+  std::vector<DualRailWire> bits;
+  for (int i = 0; i < n; ++i) {
+    bits.push_back(DualRailWire{&c.wire("t" + std::to_string(i)),
+                                &c.wire("f" + std::to_string(i))});
+  }
+  return bits;
+}
+
 TEST(CompletionDetector, FiresOnAllValidFallsOnAllNull) {
   Fixture f;
-  std::vector<std::unique_ptr<sim::Wire>> rails;
-  std::vector<DualRailWire> bits;
-  for (int i = 0; i < 4; ++i) {
-    rails.push_back(std::make_unique<sim::Wire>(f.kernel,
-                                                "t" + std::to_string(i), false));
-    rails.push_back(std::make_unique<sim::Wire>(f.kernel,
-                                                "f" + std::to_string(i), false));
-    bits.push_back(DualRailWire{rails[2 * i].get(), rails[2 * i + 1].get()});
-  }
-  CompletionDetector cd(f.ctx, "cd", bits);
+  netlist::Circuit c(f.ctx, "top");
+  const std::vector<DualRailWire> bits = rails(c, 4);
+  CompletionDetector cd(c, "cd", bits);
   // Drive 3 of 4 bits valid: no done.
   bits[0].t->set(true);
   bits[1].f->set(true);
@@ -297,16 +303,9 @@ TEST(CompletionDetector, FiresOnAllValidFallsOnAllNull) {
 
 TEST(CompletionDetector, WideTreeRespectsFanin) {
   Fixture f;
-  std::vector<std::unique_ptr<sim::Wire>> rails;
-  std::vector<DualRailWire> bits;
-  for (int i = 0; i < 16; ++i) {
-    rails.push_back(std::make_unique<sim::Wire>(f.kernel,
-                                                "t" + std::to_string(i), false));
-    rails.push_back(std::make_unique<sim::Wire>(f.kernel,
-                                                "f" + std::to_string(i), false));
-    bits.push_back(DualRailWire{rails[2 * i].get(), rails[2 * i + 1].get()});
-  }
-  CompletionDetector cd(f.ctx, "cd", bits, /*max_fanin=*/2);
+  netlist::Circuit c(f.ctx, "top");
+  const std::vector<DualRailWire> bits = rails(c, 16);
+  CompletionDetector cd(c, "cd", bits, /*max_fanin=*/2);
   EXPECT_EQ(cd.bit_count(), 16u);
   EXPECT_EQ(cd.tree_depth(), 4u);  // 16 -> 8 -> 4 -> 2 -> 1
   for (auto& b : bits) b.t->set(true);

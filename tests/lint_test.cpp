@@ -120,30 +120,29 @@ TEST(LintW002, DriveFightFlagged) {
 
 // ---- W003: element with no recorded edges -------------------------------
 
-TEST(LintW003, EmplaceWithoutNoteEdgeFailsLoudly) {
+TEST(LintW003, EndpointWithoutNoteEdgeFailsLoudly) {
+  // A gate cannot enter a circuit without its edges (its builder records
+  // them), but a behavioural endpoint is declared by hand: forgetting its
+  // note_edge() calls used to leave silent blind spots in the graph; now
+  // it is an error.
   Fixture f;
   netlist::Circuit c(f.ctx, "w3");
   sim::Wire& in = c.wire("in");
-  sim::Wire& out = c.wire("out");
   c.mark_env_driven(in);
-  // emplace<> does NOT record connectivity — forgetting note_edge() used
-  // to leave silent blind spots in the graph; now it is an error.
-  c.emplace<gates::CombGate>(f.ctx, "w3.buf", gates::Op::kBuf,
-                             std::vector<sim::Wire*>{&in}, out);
+  c.note_element("w3.latch", netlist::ElementKind::kEndpoint);
   const Report r = analyze(c);
   const auto w = active(r, "W003");
   ASSERT_EQ(w.size(), 1u);
-  EXPECT_EQ(w[0]->subject, "w3.buf");
+  EXPECT_EQ(w[0]->subject, "w3.latch");
 
-  // Repaired twin: same build plus the edges — clean.
+  // Repaired twin: same endpoint plus its edges — clean.
   netlist::Circuit ok(f.ctx, "w3ok");
   sim::Wire& in2 = ok.wire("in");
   sim::Wire& out2 = ok.wire("out");
   ok.mark_env_driven(in2);
-  ok.emplace<gates::CombGate>(f.ctx, "w3ok.buf", gates::Op::kBuf,
-                              std::vector<sim::Wire*>{&in2}, out2);
-  ok.note_edge(in2.name(), "w3ok.buf");
-  ok.note_edge("w3ok.buf", out2.name());
+  ok.note_element("w3ok.latch", netlist::ElementKind::kEndpoint);
+  ok.note_edge(in2.name(), "w3ok.latch");
+  ok.note_edge("w3ok.latch", out2.name());
   EXPECT_FALSE(has_rule(analyze(ok), "W003"));
 }
 
@@ -171,11 +170,7 @@ TEST(LintC001, CElementInLoopBreaksCycle) {
   sim::Wire& b = c.wire("b");
   c.comb("inv", gates::Op::kInv, {&a}, b);
   // State-holding element closes the loop: a latch, not an oscillator.
-  auto& ce = c.emplace<gates::CElement>(
-      f.ctx, "c1ok.ce", std::vector<sim::Wire*>{&b}, a);
-  (void)ce;
-  c.note_edge(b.name(), "c1ok.ce");
-  c.note_edge("c1ok.ce", a.name());
+  c.celement("ce", {&b}, a);
   EXPECT_FALSE(has_rule(analyze(c), "C001"));
 }
 
@@ -339,11 +334,7 @@ TEST(LintF001, DownstreamCElementSilencesFork) {
   c.mark_env_driven(in);
   c.comb("g1", gates::Op::kBuf, {&in}, o1);
   c.comb("g2", gates::Op::kInv, {&in}, o2);
-  c.emplace<gates::CElement>(f.ctx, "f1ok.ce",
-                             std::vector<sim::Wire*>{&o1, &o2}, done);
-  c.note_edge(o1.name(), "f1ok.ce");
-  c.note_edge(o2.name(), "f1ok.ce");
-  c.note_edge("f1ok.ce", done.name());
+  c.celement("ce", {&o1, &o2}, done);
   EXPECT_FALSE(has_rule(analyze(c), "F001"));
 }
 

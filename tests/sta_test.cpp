@@ -20,10 +20,12 @@
 #include "device/delay_model.hpp"
 #include "device/variation.hpp"
 #include "exp/context_config.hpp"
+#include "gates/delay_line.hpp"
 #include "gates/energy_meter.hpp"
 #include "lint/lint.hpp"
 #include "netlist/module.hpp"
 #include "sim/kernel.hpp"
+#include "sim/random.hpp"
 #include "sta/session.hpp"
 #include "sta/sta.hpp"
 #include "supply/battery.hpp"
@@ -299,6 +301,84 @@ TEST(StaCatalog, TimingRulesAreCataloged) {
     }
   }
   EXPECT_TRUE(t1 && t2 && t3);
+}
+
+// ---- recorded arcs agree with the simulated gates -------------------------
+
+/// Remembers the kernel time of a wire's latest change.
+struct EdgeClock {
+  sim::Kernel* kernel;
+  sim::Time at = sim::kTimeMax;
+  void on_change() { at = kernel->now(); }
+};
+
+/// Toggle `in` at t = 0 and require `out` to move exactly when the delay
+/// model, evaluated on the arc `c` recorded from `in` to `out`, says so.
+void expect_arc_matches_simulation(Fixture& f, const netlist::Circuit& c,
+                                   sim::Wire& in, sim::Wire& out,
+                                   double vdd) {
+  const netlist::TimingArc* arc = nullptr;
+  for (const auto& a : c.timing_arcs()) {
+    if (a.from == in.name() && a.to == out.name()) arc = &a;
+  }
+  ASSERT_NE(arc, nullptr) << in.name() << " -> " << out.name();
+  EdgeClock clock{&f.kernel};
+  out.subscribe<&EdgeClock::on_change>(&clock);
+  const bool before = out.read();
+  in.set(!in.read());
+  f.kernel.run_until(sim::kTimeMax);
+  ASSERT_NE(out.read(), before) << arc->via << " never switched";
+  EXPECT_EQ(clock.at,
+            f.model.delay(vdd, arc->load * f.model.tech().c_inv,
+                          arc->vth_offset, arc->strength))
+      << arc->via;
+}
+
+TEST(Netlist, RecordedArcMatchesSimulatedDelay) {
+  // One gate per builder at a fixed, low Vdd (where the delay is most
+  // sensitive to load and threshold): the arc each builder records must
+  // predict the simulated output edge to the tick.
+  constexpr double kVdd = 0.6;
+  {
+    Fixture f(kVdd);
+    netlist::Circuit c(f.ctx, "comb");
+    sim::Wire& a = c.wire("a");
+    sim::Wire& b = c.wire("b", true);
+    sim::Wire& out = c.wire("out");
+    c.comb("and", gates::Op::kAnd, {&a, &b}, out, 0.03);
+    expect_arc_matches_simulation(f, c, a, out, kVdd);
+  }
+  {
+    Fixture f(kVdd);
+    netlist::Circuit c(f.ctx, "fn");
+    sim::Wire& a = c.wire("a");
+    sim::Wire& b = c.wire("b");
+    sim::Wire& out = c.wire("out");
+    c.function_gate(
+        "xor", [](const std::vector<bool>& v) { return v[0] != v[1]; },
+        {&a, &b}, out, 3.0, 2.5, 0.05);
+    expect_arc_matches_simulation(f, c, a, out, kVdd);
+  }
+  {
+    Fixture f(kVdd);
+    netlist::Circuit c(f.ctx, "ce");
+    sim::Wire& a = c.wire("a");
+    sim::Wire& b = c.wire("b", true);
+    sim::Wire& out = c.wire("out");
+    c.celement("c", {&a, &b}, out, 0.02);
+    expect_arc_matches_simulation(f, c, a, out, kVdd);
+  }
+  {
+    Fixture f(kVdd);
+    netlist::Circuit c(f.ctx, "dl");
+    sim::Wire& in = c.wire("in");
+    sim::Rng rng(7);
+    gates::DelayLine line(c, "line", in, 1, 0.04, 0.01, &rng);
+    // The stage's Monte-Carlo draw reaches the recorded arc.
+    ASSERT_EQ(c.timing_arcs().size(), 1u);
+    EXPECT_NE(c.timing_arcs()[0].vth_offset, 0.04);
+    expect_arc_matches_simulation(f, c, in, line.output(), kVdd);
+  }
 }
 
 // ---- capstone: static and dynamic verdicts agree --------------------------
