@@ -68,27 +68,37 @@ Aggregate::Sink::Sink(const Aggregate& spec,
   }
 }
 
+bool Aggregate::Sink::in_group(const Group& g,
+                               const std::vector<std::string>& cells) const {
+  for (std::size_t j = 0; j < key_idx_.size(); ++j) {
+    if (g.key_cells[j] != cells[key_idx_[j]]) return false;
+  }
+  return true;
+}
+
 void Aggregate::Sink::consume(const std::vector<std::string>& cells) {
-  // Group lookup: joined key (cells never carry control characters, so
-  // the 0x1f join is injective) into a map of first-appearance indices,
+  // Replicated sweeps emit a group's rows back to back, so the previous
+  // row's group is tried first, by comparing key cells. Otherwise the
+  // joined key (cells never carry control characters, so the 0x1f join
+  // is injective) is looked up in a map of first-appearance indices,
   // O(1) per row.
-  std::string key;
-  for (std::size_t k : key_idx_) {
-    key += cells[k];
-    key += '\x1f';
+  if (last_ >= groups_.size() || !in_group(groups_[last_], cells)) {
+    std::string key;
+    for (std::size_t k : key_idx_) {
+      key += cells[k];
+      key += '\x1f';
+    }
+    const auto [it, fresh] =
+        group_index_.emplace(std::move(key), groups_.size());
+    if (fresh) {
+      Group& g = groups_.emplace_back();
+      for (std::size_t k : key_idx_) g.key_cells.push_back(cells[k]);
+      g.stats.assign(stat_idx_.size(), StatsAccumulator());
+      g.yields.assign(yield_idx_.size(), YieldCounter());
+    }
+    last_ = it->second;
   }
-  auto it = group_index_.find(key);
-  Group* g;
-  if (it == group_index_.end()) {
-    group_index_.emplace(std::move(key), groups_.size());
-    groups_.emplace_back();
-    g = &groups_.back();
-    for (std::size_t k : key_idx_) g->key_cells.push_back(cells[k]);
-    g->stats.assign(stat_idx_.size(), StatsAccumulator());
-    g->yields.assign(yield_idx_.size(), YieldCounter());
-  } else {
-    g = &groups_[it->second];
-  }
+  Group* g = &groups_[last_];
 
   ++rows_;
   ++g->rows;

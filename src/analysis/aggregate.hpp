@@ -11,7 +11,10 @@
 //
 // Rows stream in: `sink(headers)` binds the column schema once and
 // returns a Sink that consumes rows as the sweep produces them
-// (exp::Workbench::run_streaming feeds it from the worker callback).
+// (exp::Workbench::run_streaming feeds it on the calling thread). A
+// group's trials arrive back to back, so each row is first compared
+// with the previous row's group key, cell by cell; only a row that
+// opens another group builds a joined key and hashes it.
 // Memory is O(groups): per group a hybrid StatsAccumulator per stats
 // column (exact sample retention up to StatsAccumulator::kExactThreshold,
 // then Welford + P² spill — see analysis/accumulator.hpp) plus a
@@ -92,9 +95,13 @@ class Aggregate {
     std::vector<std::size_t> key_idx_;
     std::vector<std::size_t> stat_idx_;
     std::vector<std::size_t> yield_idx_;
+    /// Whether `cells` carry `g`'s key.
+    bool in_group(const Group& g, const std::vector<std::string>& cells) const;
+
     std::size_t rows_ = 0;
     std::vector<Group> groups_;  // first-appearance order
     std::unordered_map<std::string, std::size_t> group_index_;
+    std::size_t last_ = 0;  // the previous row's group (none while empty)
   };
 
   /// Open a streaming sink over `headers` (the producer's row schema).

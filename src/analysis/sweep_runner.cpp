@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <optional>
 
 namespace emc::analysis {
 
@@ -28,6 +27,15 @@ std::string SweepReport::summary() const {
 
 void SweepReport::print_summary() const {
   std::printf("[sweep] %s\n", summary().c_str());
+}
+
+std::vector<std::string>& ScenarioOutput::add_row(std::size_t cells) {
+  if (row_count == rows.size()) rows.emplace_back();
+  std::vector<std::string>& row = rows[row_count++];
+  // assign() overwrites the spent cells in place: "-" fits any string's
+  // storage, so a recycled row of the same width allocates nothing.
+  row.assign(cells, std::string(1, '-'));
+  return row;
 }
 
 unsigned SweepRunner::resolve_threads(unsigned requested) {
@@ -70,14 +78,13 @@ void SweepRunner::for_indexed(std::size_t n, unsigned threads,
     }
   };
 
-  if (threads == 1) {
-    worker();  // serial path: run inline, no pool
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+  // The calling thread is one of the `threads`: it starts threads - 1
+  // workers (none on the serial path) and claims indices beside them.
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
+  worker();
+  for (auto& th : pool) th.join();
 
   if (first_error) std::rethrow_exception(first_error);
 }
@@ -93,55 +100,41 @@ std::size_t SweepRunner::window_blocks(std::size_t block, unsigned threads) {
                                64 / std::max<std::size_t>(block, 1));
 }
 
-void SweepRunner::for_indexed_streaming(
-    std::size_t n, unsigned threads,
-    const std::function<ScenarioOutput(std::size_t)>& produce,
-    const std::function<void(std::size_t, ScenarioOutput&&)>& consume) {
+void SweepRunner::for_indexed_streaming(std::size_t n, unsigned threads,
+                                        const Produce& produce,
+                                        const Consume& consume) {
   if (n == 0) return;
   threads =
       static_cast<unsigned>(std::min<std::size_t>(std::max(threads, 1u), n));
 
-  if (threads == 1) {
-    // Serial path: produce and consume inline, strictly in order. This
-    // is the reference ordering the parallel path must reproduce; the
-    // first error it meets is the lowest-index one.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::optional<ScenarioOutput> out;
-      try {
-        out.emplace(produce(i));
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (out) consume(i, std::move(*out));
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-
-  // Parallel path: workers claim contiguous blocks of indices, produce a
-  // whole block, and publish block b into slot b % window of a ring; the
-  // calling thread consumes the blocks in order, in place. A block is
-  // claimed by one atomic add and published under one lock, and the
-  // caller is woken only when the block it waits for lands, so the
-  // handoff costs per block rather than per index. A worker starts block
-  // b only once the caller has finished block b - window, so at most
-  // window blocks are in flight. Publishing swaps the worker's buffer
-  // with the slot's spent block, which the worker clears before its next
-  // block. Outputs are thus freed on worker threads, which allocate the
-  // next ones from what they free, not all on the caller, which
-  // allocates none (about 10% of fig_mc_yield wall time at 4 threads on
-  // a 4-vCPU VM).
+  // Threads claim contiguous blocks of indices, produce a whole block,
+  // and publish block b into slot b % window of a ring; the calling
+  // thread consumes the blocks in order, in place. At one thread the
+  // caller claims, produces and consumes every block itself, in index
+  // order, and no worker starts. A block is claimed by one atomic
+  // operation and published under one lock, and the caller is woken
+  // only when the block it waits for lands, so the handoff costs per
+  // block rather than per index. A thread starts block b only once the
+  // caller has finished block b - window, so at most window blocks are
+  // in flight, and finishing a block wakes only the worker parked on
+  // its slot. Publishing swaps the producer's block with the slot's
+  // spent one, which that producer fills next: outputs and their rows
+  // circulate between the ring and the threads and are never freed
+  // during the sweep.
   const std::size_t block = block_size(n, threads);
   const std::size_t window = window_blocks(block, threads);
   const std::size_t blocks = (n + block - 1) / block;
 
-  // An empty optional marks an index whose produce() threw, so the
-  // consumer skips it.
-  using Block = std::vector<std::optional<ScenarioOutput>>;
+  // ok[k] is 0 where produce() threw, so the consumer skips that index;
+  // its size is the block's length (outputs may hold more, spent).
+  struct Block {
+    std::vector<ScenarioOutput> outputs;
+    std::vector<char> ok;
+  };
   struct Slot {
-    Block outputs;
+    Block block;
     bool ready = false;
+    std::condition_variable space;  // the producer of the slot's next block
   };
 
   std::mutex mu;  // guards ring, finished, aborted, first_error*
@@ -150,67 +143,95 @@ void SweepRunner::for_indexed_streaming(
   bool aborted = false;
   std::size_t first_error_index = n;
   std::exception_ptr first_error;
-  std::condition_variable space_cv;  // producers wait for ring room
   std::condition_variable ready_cv;  // the caller waits for block `finished`
 
   std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    Block outputs;  // after a publish: the spent block taken from the slot
+  // Produce block b into `mine` on thread `thread`, then publish it.
+  const auto produce_block = [&](std::size_t b, unsigned thread,
+                                 Block& mine) {
+    const std::size_t lo = b * block;
+    const std::size_t len = std::min(lo + block, n) - lo;
+    if (mine.outputs.size() < len) mine.outputs.resize(len);
+    mine.ok.assign(len, 1);
+    std::size_t error_index = n;
+    std::exception_ptr error;
+    for (std::size_t k = 0; k < len; ++k) {
+      ScenarioOutput& out = mine.outputs[k];
+      out.clear();
+      try {
+        produce(lo + k, thread, out);
+      } catch (...) {
+        mine.ok[k] = 0;
+        if (!error) {
+          error_index = lo + k;
+          error = std::current_exception();
+        }
+      }
+    }
+    bool wake;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      Slot& slot = ring[b % window];
+      slot.block.outputs.swap(mine.outputs);
+      slot.block.ok.swap(mine.ok);
+      slot.ready = true;
+      if (error && error_index < first_error_index) {
+        first_error_index = error_index;
+        first_error = std::move(error);
+      }
+      wake = thread != 0 && b == finished;
+    }
+    if (wake) ready_cv.notify_one();
+  };
+
+  const auto worker = [&](unsigned thread) {
+    Block mine;
     for (std::size_t b = next++; b < blocks; b = next++) {
       {
         std::unique_lock<std::mutex> lk(mu);
-        space_cv.wait(lk, [&] { return aborted || b < finished + window; });
+        ring[b % window].space.wait(
+            lk, [&] { return aborted || b < finished + window; });
         if (aborted) return;
       }
-      const std::size_t lo = b * block;
-      const std::size_t hi = std::min(lo + block, n);
-      outputs.clear();
-      outputs.resize(hi - lo);
-      std::size_t error_index = n;
-      std::exception_ptr error;
-      for (std::size_t i = lo; i < hi; ++i) {
-        try {
-          outputs[i - lo].emplace(produce(i));
-        } catch (...) {
-          if (!error) {
-            error_index = i;
-            error = std::current_exception();
-          }
-        }
-      }
-      bool wake;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        Slot& slot = ring[b % window];
-        slot.outputs.swap(outputs);
-        slot.ready = true;
-        if (error && error_index < first_error_index) {
-          first_error_index = error_index;
-          first_error = std::move(error);
-        }
-        wake = b == finished;
-      }
-      if (wake) ready_cv.notify_one();
+      produce_block(b, thread, mine);
     }
   };
 
   std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+  pool.reserve(threads - 1);
+  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
 
+  Block mine;  // the caller's own production buffer
   std::exception_ptr consumer_error;
   for (std::size_t b = 0; b < blocks && !consumer_error; ++b) {
     Slot& slot = ring[b % window];
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      ready_cv.wait(lk, [&] { return slot.ready; });
+    // Until block b lands, produce the next unclaimed block inside the
+    // window (b itself, if no worker has claimed it). With none left the
+    // caller sleeps: only its own finishing of b opens the window
+    // further, so nothing it could produce appears while it waits.
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        if (slot.ready) break;
+      }
+      const std::size_t limit = std::min(blocks, b + window);
+      std::size_t c = next.load();
+      while (c < limit && !next.compare_exchange_weak(c, c + 1)) {
+      }
+      if (c >= limit) {
+        std::unique_lock<std::mutex> lk(mu);
+        ready_cv.wait(lk, [&] { return slot.ready; });
+        break;
+      }
+      produce_block(c, 0, mine);
     }
-    // No worker touches the slot again until `finished` passes b, so it
-    // is read without the lock.
-    for (std::size_t k = 0; k < slot.outputs.size(); ++k) {
-      if (!slot.outputs[k]) continue;
+    // No producer touches the slot again until `finished` passes b, so
+    // it is read without the lock.
+    const Block& done = slot.block;
+    for (std::size_t k = 0; k < done.ok.size(); ++k) {
+      if (!done.ok[k]) continue;
       try {
-        consume(b * block + k, std::move(*slot.outputs[k]));
+        consume(b * block + k, done.outputs[k]);
       } catch (...) {
         consumer_error = std::current_exception();
         break;
@@ -222,7 +243,11 @@ void SweepRunner::for_indexed_streaming(
       finished = b + 1;
       aborted = consumer_error != nullptr;
     }
-    space_cv.notify_all();
+    if (consumer_error) {
+      for (Slot& s : ring) s.space.notify_all();
+    } else {
+      slot.space.notify_all();  // block b + window's producer, if parked
+    }
   }
   for (auto& th : pool) th.join();
 

@@ -12,14 +12,22 @@
 // EMC_SWEEP_THREADS=1 and EMC_SWEEP_THREADS=N produces byte-identical
 // tables and CSV (enforced by tests/sweep_runner_test.cpp).
 //
-// Handoff: scenarios are enumerated lazily. Workers claim contiguous
-// blocks of scenario indices and hand each finished block to the calling
-// thread at once, through a reorder window that counts blocks, so the
+// Threads: a sweep of `threads` runs on threads - 1 workers plus the
+// calling thread, which produces scenarios itself whenever the block it
+// must hand on next is not ready yet. At no time do more than `threads`
+// scenario bodies run at once.
+//
+// Handoff: scenarios are enumerated lazily. Threads claim contiguous
+// blocks of scenario indices and hand each finished block to the
+// consumer at once, through a reorder window that counts blocks, so the
 // locking and wake-ups cost per block, not per scenario. Block size and
 // window depend only on the scenario count and the thread count (see
 // block_size() and window_blocks()); at most window x block outputs are
-// in flight, and each worker holds at most one spent block until it
-// frees it, so memory is O(threads) however long the sweep.
+// in flight. Outputs are recycled, not freed: a spent block goes back to
+// the next thread that publishes into its ring slot, so rows are filled
+// into storage earlier scenarios allocated. Memory is the window's
+// blocks plus one spare block per thread: O(threads) however long the
+// sweep.
 #pragma once
 
 #include <atomic>
@@ -40,9 +48,23 @@ namespace emc::analysis {
 
 /// What a scenario body hands back: zero or more table rows plus the
 /// kernel's execution stats (so the sweep can report total throughput).
+/// The sweep reuses an output for scenario after scenario: rows
+/// [0, row_count) are the current scenario's, and the entries past them
+/// are spent rows whose storage the next add_row() fills again.
 struct ScenarioOutput {
   std::vector<std::vector<std::string>> rows;
+  std::size_t row_count = 0;
   sim::Kernel::Stats stats;
+
+  /// Open the next row with `cells` cells, each "-", reusing a spent
+  /// row's storage when there is one.
+  std::vector<std::string>& add_row(std::size_t cells);
+
+  /// Forget the rows and stats, keeping the rows' storage.
+  void clear() {
+    row_count = 0;
+    stats = sim::Kernel::Stats();
+  }
 };
 
 /// Aggregated result of a sweep, rows in scenario order.
@@ -70,36 +92,50 @@ class SweepRunner {
   static unsigned resolve_threads(unsigned requested);
 
   /// Index-parallel loop: fn(i) for i in [0, n), each index visited
-  /// exactly once; workers claim the next index with an atomic counter.
+  /// exactly once, on threads - 1 workers and the calling thread, each
+  /// claiming the next index with an atomic counter.
   /// Failures do not depend on scheduling: every index runs, then the
   /// lowest-index exception is rethrown. Only that one is kept, so the
   /// loop's own memory does not grow with n.
   static void for_indexed(std::size_t n, unsigned threads,
                           const std::function<void(std::size_t)>& fn);
 
-  /// The streaming building block: `produce(i)` runs on the worker pool
-  /// while `consume(i, output)` runs on the *calling* thread, in strict
-  /// index order, as results become available. With more than one
-  /// thread, workers claim blocks of block_size(n, threads) consecutive
-  /// indices, and the caller consumes each block whole once it is
-  /// complete. A worker starts a block only when it is fewer than
-  /// window_blocks(block, threads) blocks ahead of the one the caller is
-  /// on, so at most window x block outputs are in flight (from the start
-  /// of produce() to the end of consume()). Spent outputs are freed on
-  /// a worker thread, before that worker's next block. A million-index
-  /// stream thus holds O(threads) outputs instead of O(n), the memory
-  /// contract behind exp::Workbench.
+  /// produce(i, thread, out) fills `out` (cleared, its storage kept) for
+  /// scenario i. `thread` is in [0, threads): 0 is the calling thread,
+  /// and no two calls with the same `thread` overlap, so a caller can
+  /// keep per-thread scratch in a vector it sizes to `threads` for the
+  /// length of the call.
+  using Produce =
+      std::function<void(std::size_t, unsigned, ScenarioOutput&)>;
+  /// consume(i, out) reads scenario i's output; `out` is recycled after
+  /// the call returns.
+  using Consume = std::function<void(std::size_t, const ScenarioOutput&)>;
+
+  /// The streaming building block: `produce` runs on the sweep's threads
+  /// while `consume` runs on the *calling* thread, in strict index
+  /// order, as results become available. Threads claim blocks of
+  /// block_size(n, threads) consecutive indices, and the caller consumes
+  /// each block whole once it is complete; while the block it needs next
+  /// is not, the caller claims and produces blocks itself (at one thread
+  /// it produces them all, and no worker starts). No thread starts a
+  /// block unless it is fewer than window_blocks(block, threads) blocks
+  /// ahead of the one the caller is on, so at most window x block
+  /// outputs are in flight (from the start of produce() to the end of
+  /// consume()). Consumed outputs are handed
+  /// back to producers, which fill them again: a million-index stream
+  /// holds O(threads) outputs instead of O(n), and allocates none once
+  /// the first blocks have grown them — the memory contract behind
+  /// exp::Workbench.
   ///
   /// Determinism: consume sees exactly the serial order at any thread
   /// count. Error semantics match for_indexed: a produce() exception is
   /// recorded, that index is skipped by consume, every other index still
   /// runs, and the lowest-index exception is rethrown at the end. A
   /// consume() exception aborts the stream and propagates once the
-  /// workers have stopped; no worker starts a block after the abort.
-  static void for_indexed_streaming(
-      std::size_t n, unsigned threads,
-      const std::function<ScenarioOutput(std::size_t)>& produce,
-      const std::function<void(std::size_t, ScenarioOutput&&)>& consume);
+  /// workers have stopped; no thread starts a block after the abort.
+  static void for_indexed_streaming(std::size_t n, unsigned threads,
+                                    const Produce& produce,
+                                    const Consume& consume);
 
   /// Indices per handoff block: clamp(n / (threads * 64), 1, 64). About
   /// 64 blocks per thread, so the tail stays balanced; a sweep of few
@@ -109,7 +145,7 @@ class SweepRunner {
   /// Reorder window in blocks: max(4 * threads, 64 / block). With
   /// single-index blocks this is a max(4 * threads, 64)-scenario window,
   /// lookahead for uneven scenario costs; with 64-index blocks it lets
-  /// each worker run up to four blocks ahead of the caller.
+  /// each thread run up to four blocks ahead of the caller.
   static std::size_t window_blocks(std::size_t block, unsigned threads);
 };
 

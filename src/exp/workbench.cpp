@@ -113,29 +113,35 @@ std::vector<ParamSet> Grid::build() const {
   return out;
 }
 
-Row& Row::set(const std::string& column, std::string value) {
-  for (std::size_t i = 0; i < schema_->size(); ++i) {
-    if ((*schema_)[i] == column) {
-      (*rows_)[row_][i] = std::move(value);
-      return *this;
+Row& Row::set(std::string_view column, std::string value) {
+  const std::vector<std::string>& schema = *schema_;
+  std::size_t i = next_;
+  if (i >= schema.size() || schema[i] != column) {
+    i = 0;
+    while (i < schema.size() && schema[i] != column) ++i;
+  }
+  if (i == schema.size()) {
+    std::string known;
+    for (const auto& c : schema) {
+      known += known.empty() ? "\"" : ", \"";
+      known += c + "\"";
     }
+    throw SchemaError("Workbench: unknown column \"" + std::string(column) +
+                      "\" (schema: " +
+                      (known.empty() ? std::string("empty") : known) + ")");
   }
-  std::string known;
-  for (const auto& c : *schema_) {
-    known += known.empty() ? "\"" : ", \"";
-    known += c + "\"";
-  }
-  throw SchemaError("Workbench: unknown column \"" + column + "\" (schema: " +
-                    (known.empty() ? std::string("empty") : known) + ")");
+  (*rows_)[row_][i] = std::move(value);
+  next_ = i + 1;
+  return *this;
 }
 
-Row& Row::set(const std::string& column, double value, int precision) {
+Row& Row::set(std::string_view column, double value, int precision) {
   return set(column, analysis::Table::num(value, precision));
 }
 
 Row Recorder::row() {
-  output_.rows.emplace_back(schema_->size(), "-");
-  return Row(&output_.rows, output_.rows.size() - 1, schema_);
+  output_->add_row(schema_->size());
+  return Row(&output_->rows, output_->row_count - 1, schema_);
 }
 
 Workbench::Workbench(std::string name) : name_(std::move(name)) {}
@@ -163,20 +169,18 @@ std::uint64_t Workbench::trial_seed(std::size_t t) const {
   return sim::derive_seed(base_seed_, t) >> 1;
 }
 
-ParamSet Workbench::expand_trial(const ParamSet& point, std::size_t t) const {
-  ParamSet q = point;
+void Workbench::set_trial(ParamSet& scenario, std::size_t t) const {
   if (replicated_) {
-    q.set("trial", static_cast<std::int64_t>(t));
-    q.set("trial_seed", static_cast<std::int64_t>(trial_seed(t)));
+    scenario.set("trial", static_cast<std::int64_t>(t));
+    scenario.set("trial_seed", static_cast<std::int64_t>(trial_seed(t)));
   }
-  return q;
 }
 
 const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
                                                       const Body& body) {
   // Lazy enumeration: grid points are materialized (a handful), but the
-  // (point, trial) product never is — each scenario's ParamSet is built
-  // inside produce() and dies with it.
+  // (point, trial) product never is — each sweep thread fills its own
+  // ParamSet for the scenario it produces.
   const std::vector<ParamSet> pts = grid_.build();
   params_.clear();
   if (!pts.empty() &&
@@ -194,17 +198,31 @@ const analysis::SweepReport& Workbench::run_streaming(const RowSink& sink,
   report_.threads = static_cast<unsigned>(
       std::min<std::size_t>(analysis::SweepRunner::resolve_threads(threads_),
                             std::max<std::size_t>(n, 1)));
+  // Per-thread scenario parameters, for this call only: a thread's
+  // ParamSet is copied from the grid when its next scenario lies at
+  // another point than its last (threads claim ascending indices, so
+  // once per point or block), and only the trial keys change in between.
+  struct Scenario {
+    ParamSet params;
+    std::size_t point = std::numeric_limits<std::size_t>::max();
+  };
+  std::vector<Scenario> scenarios(report_.threads);
   analysis::SweepRunner::for_indexed_streaming(
       n, report_.threads,
-      [&](std::size_t i) {
-        const ParamSet q = expand_trial(pts[i / trials_], i % trials_);
-        Recorder rec(&columns_, i);
-        body(q, rec);
-        return std::move(rec.output_);
+      [&](std::size_t i, unsigned thread, analysis::ScenarioOutput& out) {
+        Scenario& s = scenarios[thread];
+        const std::size_t point = i / trials_;
+        if (s.point != point) {
+          s.params = pts[point];
+          s.point = point;
+        }
+        set_trial(s.params, i % trials_);
+        Recorder rec(&columns_, i, &out);
+        body(s.params, rec);
       },
-      [&](std::size_t i, analysis::ScenarioOutput&& out) {
+      [&](std::size_t i, const analysis::ScenarioOutput& out) {
         report_.kernel_stats += out.stats;
-        for (const auto& row : out.rows) sink(i, row);
+        for (std::size_t r = 0; r < out.row_count; ++r) sink(i, out.rows[r]);
       });
   report_.wall_seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - wall_start)
@@ -222,7 +240,8 @@ const analysis::SweepReport& Workbench::run(const Body& body) {
   report_.table = std::move(table);
   for (const ParamSet& p : grid_.build()) {
     for (std::size_t t = 0; t < trials_; ++t) {
-      params_.push_back(expand_trial(p, t));
+      params_.push_back(p);
+      set_trial(params_.back(), t);
     }
   }
   return report_;

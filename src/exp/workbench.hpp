@@ -9,11 +9,17 @@
 //     Recorder (`rec.row().set("vdd_V", v)`), and an unknown column name
 //     throws instead of silently shifting cells;
 //   * execution + artifacts — scenarios are enumerated lazily and run
-//     through analysis::SweepRunner::for_indexed_streaming (its pool and
-//     determinism contract: rows arrive in scenario order and are
+//     through analysis::SweepRunner::for_indexed_streaming (its threads
+//     and determinism contract: rows arrive in scenario order and are
 //     byte-identical at any EMC_SWEEP_THREADS). run() collects them into
 //     a table that prints / writes the CSV artifact; run_streaming()
 //     hands them to a caller-supplied sink instead.
+//
+// The row path allocates nothing at steady state: each sweep thread
+// keeps one scenario ParamSet, copied from the grid only when the
+// thread moves to another grid point, with "trial"/"trial_seed"
+// overwritten in place; rows are filled into recycled
+// analysis::ScenarioOutput storage, their cells reset to "-".
 //
 // The body receives (const ParamSet&, Recorder&): typed named parameters
 // in, named rows + kernel stats out. Recorder::index() identifies the
@@ -25,6 +31,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -81,24 +88,26 @@ class Workbench;
 /// Handle to one table row being filled by a body. Cells are addressed
 /// by column name and rendered with the same formatting helpers the
 /// benches used (`Table::num` for doubles, `to_string` for integers), so
-/// ported benches emit byte-identical CSV artifacts.
+/// ported benches emit byte-identical CSV artifacts. Bodies usually set
+/// columns in schema order, so the column after the last one set is
+/// tried before the schema is searched.
 class Row {
  public:
-  Row& set(const std::string& column, std::string value);
-  Row& set(const std::string& column, const char* value) {
+  Row& set(std::string_view column, std::string value);
+  Row& set(std::string_view column, const char* value) {
     return set(column, std::string(value));
   }
-  Row& set(const std::string& column, double value, int precision = 4);
-  Row& set(const std::string& column, std::uint64_t value) {
+  Row& set(std::string_view column, double value, int precision = 4);
+  Row& set(std::string_view column, std::uint64_t value) {
     return set(column, std::to_string(value));
   }
-  Row& set(const std::string& column, std::int64_t value) {
+  Row& set(std::string_view column, std::int64_t value) {
     return set(column, std::to_string(value));
   }
-  Row& set(const std::string& column, int value) {
+  Row& set(std::string_view column, int value) {
     return set(column, static_cast<std::int64_t>(value));
   }
-  Row& set(const std::string& column, unsigned value) {
+  Row& set(std::string_view column, unsigned value) {
     return set(column, static_cast<std::uint64_t>(value));
   }
 
@@ -112,6 +121,7 @@ class Row {
   std::vector<std::vector<std::string>>* rows_;
   std::size_t row_;
   const std::vector<std::string>* schema_;
+  std::size_t next_ = 0;  // the column after the last one set
 };
 
 /// Per-scenario output sink handed to the body: named rows bound to the
@@ -122,7 +132,7 @@ class Recorder {
   Row row();
 
   /// Fold a kernel's execution stats into the sweep totals.
-  void add_stats(const sim::Kernel::Stats& s) { output_.stats += s; }
+  void add_stats(const sim::Kernel::Stats& s) { output_->stats += s; }
 
   /// Index of this scenario (grid point x trials + trial) — the slot
   /// typed side results belong to.
@@ -130,12 +140,13 @@ class Recorder {
 
  private:
   friend class Workbench;
-  Recorder(const std::vector<std::string>* schema, std::size_t index)
-      : schema_(schema), index_(index) {}
+  Recorder(const std::vector<std::string>* schema, std::size_t index,
+           analysis::ScenarioOutput* output)
+      : schema_(schema), index_(index), output_(output) {}
 
   const std::vector<std::string>* schema_;
   std::size_t index_;
-  analysis::ScenarioOutput output_;
+  analysis::ScenarioOutput* output_;  // the sweep's recycled output
 };
 
 class Workbench {
@@ -216,11 +227,12 @@ class Workbench {
       std::function<void(std::size_t, const std::vector<std::string>&)>;
 
   /// Run the body once per scenario: scenarios are enumerated lazily
-  /// (one ParamSet exists per in-flight scenario), bodies run on the
-  /// worker pool, and every produced row is handed to `sink` on the
-  /// calling thread in scenario order, then dropped. Memory is
-  /// O(threads + sink state) instead of O(rows): the path that makes
-  /// 10^6-trial replicated runs possible. The returned report carries
+  /// (each sweep thread holds one ParamSet, updated in place), bodies
+  /// run on the sweep's threads, and every produced row is handed to
+  /// `sink` on the calling thread in scenario order, then its storage is
+  /// recycled. The ParamSet and row a body sees live only for its call.
+  /// Memory is O(threads + sink state) instead of O(rows): the path that
+  /// makes 10^6-trial replicated runs possible. The returned report carries
   /// scenario count, threads (at most one per scenario), wall time and
   /// summed kernel stats; its table has headers but no rows, and
   /// scenario_params() is empty. Throws
@@ -243,10 +255,10 @@ class Workbench {
   [[nodiscard]] bool write_csv(const std::string& path);
 
  private:
-  /// Scenario of `point` at trial `t`: the point's parameters plus,
-  /// under replication, "trial" and "trial_seed" — the one place the
-  /// trial axis is expanded.
-  ParamSet expand_trial(const ParamSet& point, std::size_t t) const;
+  /// Make `scenario` (a grid point's parameters) trial `t`: under
+  /// replication, set "trial" and "trial_seed" in place — the one place
+  /// the trial axis is expanded.
+  void set_trial(ParamSet& scenario, std::size_t t) const;
 
   std::string name_;
   Grid grid_;

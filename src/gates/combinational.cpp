@@ -1,6 +1,8 @@
 #include "gates/combinational.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace emc::gates {
 
@@ -80,23 +82,50 @@ bool CombGate::evaluate(bool /*current*/) const {
   return false;
 }
 
-FunctionGate::FunctionGate(Context& ctx, std::string name, Fn fn,
+namespace {
+
+/// `inputs`, checked before the Gate base registers anything: the table
+/// has 2^inputs bits.
+std::size_t tabulated_fanin(std::size_t inputs) {
+  if (inputs > FunctionGate::kMaxInputs) {
+    throw std::invalid_argument(
+        "FunctionGate: " + std::to_string(inputs) + " inputs, at most " +
+        std::to_string(FunctionGate::kMaxInputs) + " tabulate");
+  }
+  return inputs;
+}
+
+std::vector<std::uint64_t> tabulate(const FunctionGate::Fn& fn,
+                                    std::size_t inputs) {
+  const std::size_t combos = std::size_t{1} << inputs;
+  std::vector<std::uint64_t> table((combos + 63) / 64, 0);
+  std::vector<bool> vals(inputs);
+  for (std::size_t k = 0; k < combos; ++k) {
+    for (std::size_t b = 0; b < inputs; ++b) vals[b] = ((k >> b) & 1u) != 0;
+    if (fn(vals)) table[k / 64] |= std::uint64_t{1} << (k % 64);
+  }
+  return table;
+}
+
+}  // namespace
+
+FunctionGate::FunctionGate(Context& ctx, std::string name, const Fn& fn,
                            std::vector<sim::Wire*> inputs, sim::Wire& out,
                            double delay_stages, double cap_factor,
                            double vth_offset)
     : Gate(ctx, std::move(name), out, delay_stages, cap_factor, vth_offset,
-           2.0 * static_cast<double>(inputs.size())),
-      fn_(std::move(fn)),
-      inputs_(std::move(inputs)) {
-  assert(fn_ != nullptr);
+           2.0 * static_cast<double>(tabulated_fanin(inputs.size()))),
+      inputs_(std::move(inputs)),
+      table_(tabulate(fn, inputs_.size())) {
   for (auto* w : inputs_) listen(*w);
 }
 
 bool FunctionGate::evaluate(bool /*current*/) const {
-  std::vector<bool> vals;
-  vals.reserve(inputs_.size());
-  for (auto* w : inputs_) vals.push_back(w->read());
-  return fn_(vals);
+  std::size_t k = 0;
+  for (std::size_t b = 0; b < inputs_.size(); ++b) {
+    k |= static_cast<std::size_t>(inputs_[b]->read()) << b;
+  }
+  return ((table_[k / 64] >> (k % 64)) & 1u) != 0;
 }
 
 }  // namespace emc::gates

@@ -7,6 +7,7 @@
 // coarse but uniform, and everything downstream only depends on ratios.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -49,12 +50,19 @@ class CombGate final : public Gate {
 };
 
 /// Arbitrary single-output boolean function of its inputs; used for
-/// decoder product terms and test fixtures.
+/// decoder product terms and test fixtures. `fn` is tabulated over all
+/// 2^n input combinations at construction and never called again, so
+/// it must be pure; evaluation packs the inputs (input 0 the lowest
+/// bit) and reads one bit of the table.
 class FunctionGate final : public Gate {
  public:
   using Fn = std::function<bool(const std::vector<bool>&)>;
 
-  FunctionGate(Context& ctx, std::string name, Fn fn,
+  /// Widest fan-in: the table holds 2^fan-in bits (8 KiB at 16).
+  static constexpr std::size_t kMaxInputs = 16;
+
+  /// Throws std::invalid_argument above kMaxInputs inputs.
+  FunctionGate(Context& ctx, std::string name, const Fn& fn,
                std::vector<sim::Wire*> inputs, sim::Wire& out,
                double delay_stages = 1.5, double cap_factor = 2.0,
                double vth_offset = 0.0);
@@ -63,8 +71,8 @@ class FunctionGate final : public Gate {
   bool evaluate(bool current) const override;
 
  private:
-  Fn fn_;
   std::vector<sim::Wire*> inputs_;
+  std::vector<std::uint64_t> table_;  // bit k: fn of the inputs packed as k
 };
 
 }  // namespace emc::gates

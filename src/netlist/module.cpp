@@ -51,7 +51,7 @@ void Circuit::record_gate(const std::string& gname, ElementKind kind,
   for (const sim::Wire* w : inputs) {
     edges_.emplace_back(w->name(), gname);
     timing_arcs_.push_back(
-        TimingArc{w->name(), gname, out.name(), load, vth_offset, 1.0});
+        TimingArc{w->name(), gname, out.name(), load, vth_offset});
   }
   edges_.emplace_back(gname, out.name());
   note_element(gname, kind);

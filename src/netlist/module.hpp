@@ -95,7 +95,6 @@ struct TimingArc {
   std::string to;
   double load = 1.0;
   double vth_offset = 0.0;
-  double strength = 1.0;
 };
 
 /// A bundled-data timing constraint: the capture event on `trigger` (a

@@ -113,8 +113,7 @@ WireGraph build_wire_graph(const netlist::Circuit& c) {
 double arc_delay(const device::DelayModel& model, const netlist::TimingArc& a,
                  double vdd, const device::DeviceSample& s) {
   return model.delay_seconds(vdd, a.load * model.tech().c_inv,
-                             a.vth_offset + s.vth_offset,
-                             a.strength * s.strength);
+                             a.vth_offset + s.vth_offset, s.strength);
 }
 
 /// Longest arrival time per node from the graph sources, all of which are

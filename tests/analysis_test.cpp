@@ -209,6 +209,29 @@ TEST(AggregateSink, DashAndEmptyCellsStayNonNumeric) {
   }
 }
 
+TEST(AggregateSink, GroupsThatRecurAfterAnotherFoldIntoTheirFirstRow) {
+  // Keys A, B, A, and a key sharing A's first cell: the previous-group
+  // check must fall back to the full lookup, never extend the wrong
+  // group. The reduction equals the historical one-map implementation.
+  Aggregate::Sink sink = Aggregate({"k", "m"})
+                             .stats("v")
+                             .yield("ok")
+                             .sink({"k", "m", "v", "ok"});
+  sink.consume({"A", "1", "1", "1"});
+  sink.consume({"A", "1", "3", "0"});
+  sink.consume({"B", "1", "10", "1"});
+  sink.consume({"A", "1", "5", "1"});
+  sink.consume({"A", "2", "7", "1"});
+  sink.consume({"B", "1", "20", "0"});
+  EXPECT_EQ(sink.rows(), 6u);
+  EXPECT_EQ(sink.groups(), 3u);
+  EXPECT_EQ(sink.finish().to_csv(),
+            "k,m,trials,v_mean,v_stddev,v_p5,v_p50,v_p95,ok_yield\n"
+            "A,1,3,3,1.633,1.2,3,4.8,0.6667\n"
+            "B,1,2,15,5,10.5,15,19.5,0.5\n"
+            "A,2,1,7,0,7,7,7,1\n");
+}
+
 TEST(Csv, StreamMatchesTableCsv) {
   const std::string path = ::testing::TempDir() + "/emc_stream.csv";
   Table t({"a", "b", "c"});

@@ -180,6 +180,70 @@ TEST(Workbench, UnsetCellsReadAsDash) {
   EXPECT_EQ(report.to_csv(), "x,y\n1,-\n");
 }
 
+TEST(Workbench, RecycledRowsShowOnlyWhatTheirScenarioSet) {
+  // Scenarios emit 2, 0, then 1 rows in turn, each row leaving other
+  // columns unset, and set columns out of schema order. Rows reuse the
+  // storage of earlier scenarios' rows, so a stale cell would show
+  // where the current scenario set nothing.
+  constexpr int kScenarios = 30;
+  const Workbench::Body body = [](const ParamSet& p, Recorder& rec) {
+    const int s = p.get<int>("s");
+    const std::string tag = std::to_string(s);
+    if (s % 3 == 0) {
+      rec.row().set("s", s).set("b", "b" + tag).set("a", "a" + tag);
+      rec.row().set("c", "c" + tag);
+    } else if (s % 3 == 2) {
+      rec.row().set("b", "b" + tag).set("s", s);
+    }
+  };
+  std::string want = "s,a,b,c\n";
+  for (int s = 0; s < kScenarios; ++s) {
+    const std::string tag = std::to_string(s);
+    if (s % 3 == 0) {
+      want += tag + ",a" + tag + ",b" + tag + ",-\n-,-,-,c" + tag + "\n";
+    } else if (s % 3 == 2) {
+      want += tag + ",-,b" + tag + ",-\n";
+    }
+  }
+  std::vector<int> grid;
+  for (int s = 0; s < kScenarios; ++s) grid.push_back(s);
+  for (unsigned threads : {1u, 3u}) {
+    Workbench wb("t");
+    wb.threads(threads);
+    wb.grid().over("s", grid);
+    wb.columns({"s", "a", "b", "c"});
+    EXPECT_EQ(wb.run(body).to_csv(), want) << "threads = " << threads;
+  }
+}
+
+TEST(Workbench, TrialKeysFollowEveryScenarioAcrossGridPoints) {
+  // Each sweep thread keeps one scenario ParamSet and rewrites its trial
+  // keys in place; at every thread count each row must carry its own
+  // grid point, trial and trial seed, also where a handoff block spans
+  // two grid points.
+  for (unsigned threads : {1u, 3u, 4u}) {
+    Workbench wb("t");
+    wb.threads(threads);
+    wb.grid().over("x", {1, 2, 3, 4, 5});
+    wb.replicate(7, 11);
+    wb.columns({"x", "trial", "seed"});
+    wb.run([](const ParamSet& p, Recorder& rec) {
+      rec.row()
+          .set("x", p.get<int>("x"))
+          .set("trial", p.get<int>("trial"))
+          .set("seed", p.get<std::uint64_t>("trial_seed"));
+    });
+    ASSERT_EQ(wb.table().row_count(), 35u);
+    for (std::size_t r = 0; r < 35; ++r) {
+      const std::vector<std::string>& row = wb.table().row(r);
+      EXPECT_EQ(row[0], std::to_string(r / 7 + 1)) << "threads " << threads;
+      EXPECT_EQ(row[1], std::to_string(r % 7)) << "threads " << threads;
+      EXPECT_EQ(row[2], std::to_string(wb.trial_seed(r % 7)))
+          << "threads " << threads;
+    }
+  }
+}
+
 /// A body that fires "ticks" events on its own kernel: cost uneven
 /// across scenarios, one row and the kernel's stats out.
 void fire_ticks(const ParamSet& p, Recorder& rec) {

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -79,6 +81,54 @@ INSTANTIATE_TEST_SUITE_P(
         TruthCase{Op::kNand, {true, true, true}, false},
         TruthCase{Op::kMaj3, {true, true, false}, true},
         TruthCase{Op::kMaj3, {true, false, false}, false}));
+
+// ---- tabulated truth functions ---------------------------------------------
+
+TEST(FunctionGate, TableEqualsFnOnEveryInputCombination) {
+  // An irregular 6-input function: no symmetry a packing slip could hide
+  // behind (input order and the table's word boundary both matter).
+  const FunctionGate::Fn fn = [](const std::vector<bool>& v) {
+    int ones = 0;
+    for (bool b : v) ones += b ? 1 : 0;
+    return (ones == 2 || ones == 3 || ones == 5) != (v[0] && !v[5]);
+  };
+  constexpr std::size_t kInputs = 6;
+  Fixture f;
+  std::vector<std::unique_ptr<sim::Wire>> wires;
+  std::vector<sim::Wire*> inputs;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    wires.push_back(
+        std::make_unique<sim::Wire>(f.kernel, "i" + std::to_string(i), false));
+    inputs.push_back(wires.back().get());
+  }
+  sim::Wire out(f.kernel, "out", false);
+  FunctionGate g(f.ctx, "dut", fn, inputs, out);
+  for (std::size_t k = 0; k < (std::size_t{1} << kInputs); ++k) {
+    std::vector<bool> v(kInputs);
+    for (std::size_t b = 0; b < kInputs; ++b) {
+      v[b] = ((k >> b) & 1u) != 0;
+      inputs[b]->set(v[b]);
+    }
+    g.touch();
+    f.kernel.run_until(sim::kTimeMax);
+    EXPECT_EQ(out.read(), fn(v)) << "inputs " << k;
+  }
+}
+
+TEST(FunctionGate, RejectsMoreInputsThanItTabulates) {
+  Fixture f;
+  std::vector<std::unique_ptr<sim::Wire>> wires;
+  std::vector<sim::Wire*> inputs;
+  for (std::size_t i = 0; i <= FunctionGate::kMaxInputs; ++i) {
+    wires.push_back(
+        std::make_unique<sim::Wire>(f.kernel, "i" + std::to_string(i), false));
+    inputs.push_back(wires.back().get());
+  }
+  sim::Wire out(f.kernel, "out", false);
+  const FunctionGate::Fn any = [](const std::vector<bool>&) { return true; };
+  EXPECT_THROW(FunctionGate(f.ctx, "wide", any, inputs, out),
+               std::invalid_argument);
+}
 
 // ---- inertial behaviour ---------------------------------------------------
 

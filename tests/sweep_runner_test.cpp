@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/sweep_runner.hpp"
@@ -27,7 +29,7 @@ const std::vector<double> kUnevenTicks = {4000, 10,   2000, 1,    800,  50,
 // A scenario body that simulates kUnevenTicks[point] events on its own
 // kernel and reports the count — cheap, deterministic, and uneven
 // across scenarios.
-ScenarioOutput simulate_point(std::size_t point) {
+void simulate_point(std::size_t point, unsigned, ScenarioOutput& out) {
   sim::Kernel kernel;
   const auto ticks = static_cast<std::uint64_t>(kUnevenTicks[point]);
   std::uint64_t fired = 0;
@@ -35,11 +37,10 @@ ScenarioOutput simulate_point(std::size_t point) {
     kernel.schedule(static_cast<sim::Time>(i % 11 + 1), [&fired] { ++fired; });
   }
   kernel.run_until(sim::kTimeMax);
-  ScenarioOutput out;
-  out.rows.push_back({"ticks=" + Table::num(kUnevenTicks[point]),
-                      std::to_string(fired)});
+  std::vector<std::string>& row = out.add_row(2);
+  row[0] = "ticks=" + Table::num(kUnevenTicks[point]);
+  row[1] = std::to_string(fired);
   out.stats = kernel.stats();
-  return out;
 }
 
 // Stream every tick-list point, appending each delivered row to a table
@@ -48,8 +49,10 @@ Table sweep(unsigned threads) {
   Table table({"scenario", "fired"});
   SweepRunner::for_indexed_streaming(
       kUnevenTicks.size(), threads, simulate_point,
-      [&](std::size_t, ScenarioOutput&& out) {
-        for (auto& row : out.rows) table.add_row(std::move(row));
+      [&](std::size_t, const ScenarioOutput& out) {
+        for (std::size_t r = 0; r < out.row_count; ++r) {
+          table.add_row(out.rows[r]);
+        }
       });
   return table;
 }
@@ -111,10 +114,15 @@ TEST(SweepRunner, LowestIndexExceptionWinsAtAnyThreadCount) {
 // counts (ragged block distribution) and the common 4.
 const unsigned kStreamThreads[] = {1, 3, 4, 7};
 
-ScenarioOutput tagged(std::size_t i) {
-  ScenarioOutput out;
-  out.rows.push_back({std::to_string(i)});
-  return out;
+void tagged(std::size_t i, unsigned, ScenarioOutput& out) {
+  out.add_row(1)[0] = std::to_string(i);
+}
+
+/// Whether `out` is index i's tagged output and nothing more: a recycled
+/// output must not carry an earlier scenario's rows.
+void expect_tagged(const ScenarioOutput& out, std::size_t i) {
+  ASSERT_EQ(out.row_count, 1u);
+  ASSERT_EQ(out.rows.at(0).at(0), std::to_string(i));
 }
 
 TEST(SweepRunner, StreamingDeliversEveryIndexOnceInOrder) {
@@ -129,8 +137,8 @@ TEST(SweepRunner, StreamingDeliversEveryIndexOnceInOrder) {
                           std::size_t{10003}}) {
       std::vector<std::size_t> consumed;
       SweepRunner::for_indexed_streaming(
-          n, threads, tagged, [&](std::size_t i, ScenarioOutput&& out) {
-            ASSERT_EQ(out.rows.at(0).at(0), std::to_string(i));
+          n, threads, tagged, [&](std::size_t i, const ScenarioOutput& out) {
+            expect_tagged(out, i);
             consumed.push_back(i);
           });
       ASSERT_EQ(consumed.size(), n) << "threads " << threads << " n " << n;
@@ -157,14 +165,14 @@ TEST(SweepRunner, StreamingProduceErrorSkipsIndexAndRethrowsLowest) {
       try {
         SweepRunner::for_indexed_streaming(
             kN, threads,
-            [&](std::size_t i) {
+            [&](std::size_t i, unsigned thread, ScenarioOutput& out) {
               if (fails(i)) {
                 throw std::runtime_error("boom " + std::to_string(i));
               }
-              return tagged(i);
+              tagged(i, thread, out);
             },
-            [&](std::size_t i, ScenarioOutput&& out) {
-              ASSERT_EQ(out.rows.at(0).at(0), std::to_string(i));
+            [&](std::size_t i, const ScenarioOutput& out) {
+              expect_tagged(out, i);
               consumed.push_back(i);
             });
         FAIL() << "expected exception, threads = " << threads;
@@ -196,11 +204,8 @@ TEST(SweepRunner, StreamingConsumeErrorAbortsWithoutHanging) {
     try {
       SweepRunner::for_indexed_streaming(
           kN, threads,
-          [&](std::size_t) {
-            ++produced;
-            return ScenarioOutput{};
-          },
-          [&](std::size_t i, ScenarioOutput&&) {
+          [&](std::size_t, unsigned, ScenarioOutput&) { ++produced; },
+          [&](std::size_t i, const ScenarioOutput&) {
             if (i == fail_at) throw std::runtime_error("sink full");
             ++consumed;
           });
@@ -227,20 +232,90 @@ TEST(SweepRunner, StreamingInFlightOutputsStayWithinBound) {
     std::size_t consumed = 0;
     SweepRunner::for_indexed_streaming(
         kN, threads,
-        [&](std::size_t) {
+        [&](std::size_t, unsigned, ScenarioOutput&) {
           const std::size_t now = ++alive;  // exact: one atomic counter
           std::size_t seen = peak.load();
           while (now > seen && !peak.compare_exchange_weak(seen, now)) {
           }
-          return ScenarioOutput{};
         },
-        [&](std::size_t, ScenarioOutput&&) {
+        [&](std::size_t, const ScenarioOutput&) {
           ++consumed;
           --alive;
         });
     EXPECT_EQ(consumed, kN) << "threads = " << threads;
     EXPECT_LE(peak.load(), bound) << "threads = " << threads;
     EXPECT_GT(peak.load(), 0u) << "threads = " << threads;
+  }
+}
+
+/// Tracks how many calls run at once; each call holds its slot for a
+/// moment so that the threads' calls overlap.
+struct Concurrency {
+  std::atomic<unsigned> now{0};
+  std::atomic<unsigned> peak{0};
+
+  void enter() {
+    const unsigned n = ++now;
+    unsigned seen = peak.load();
+    while (n > seen && !peak.compare_exchange_weak(seen, n)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    --now;
+  }
+};
+
+TEST(SweepRunner, AtMostThreadsCallsRunAtOnceCallerIncluded) {
+  // The calling thread is one of the `threads`: it runs indices beside
+  // threads - 1 workers, so the overlap never exceeds `threads`.
+  constexpr std::size_t kN = 400;
+  for (unsigned threads : {1u, 2u, 3u, 4u}) {
+    Concurrency c;
+    std::atomic<std::size_t> on_caller{0};
+    const auto caller = std::this_thread::get_id();
+    SweepRunner::for_indexed(kN, threads, [&](std::size_t) {
+      c.enter();
+      if (std::this_thread::get_id() == caller) ++on_caller;
+    });
+    EXPECT_LE(c.peak.load(), threads) << "threads = " << threads;
+    EXPECT_GT(on_caller.load(), 0u) << "threads = " << threads;
+  }
+}
+
+TEST(SweepRunner, StreamingRunsAtMostThreadsProducersAndConsumesOnCaller) {
+  constexpr std::size_t kN = 400;
+  for (unsigned threads : kStreamThreads) {
+    Concurrency c;
+    std::atomic<bool> thread_ids_ok{true};
+    std::vector<std::thread::id> seen_on(threads);  // one writer per slot
+    std::size_t off_caller = 0;
+    std::size_t consumed = 0;
+    const auto caller = std::this_thread::get_id();
+    SweepRunner::for_indexed_streaming(
+        kN, threads,
+        [&](std::size_t i, unsigned thread, ScenarioOutput& out) {
+          if (thread >= threads) {
+            thread_ids_ok = false;
+            return;
+          }
+          // A thread index names one thread for the whole call, and 0
+          // is the caller.
+          const auto me = std::this_thread::get_id();
+          if (seen_on[thread] == std::thread::id()) seen_on[thread] = me;
+          if (seen_on[thread] != me || (thread == 0) != (me == caller)) {
+            thread_ids_ok = false;
+          }
+          c.enter();
+          tagged(i, thread, out);
+        },
+        [&](std::size_t i, const ScenarioOutput& out) {
+          if (std::this_thread::get_id() != caller) ++off_caller;
+          expect_tagged(out, i);
+          ++consumed;
+        });
+    EXPECT_EQ(consumed, kN) << "threads = " << threads;
+    EXPECT_EQ(off_caller, 0u) << "threads = " << threads;
+    EXPECT_TRUE(thread_ids_ok.load()) << "threads = " << threads;
+    EXPECT_LE(c.peak.load(), threads) << "threads = " << threads;
   }
 }
 
