@@ -64,22 +64,17 @@ BundledCounter::BundledCounter(gates::Context& ctx, std::string name,
   // The bundled-data contract the whole design rests on, stated for the
   // static margin analysis (sta rule T001): the line output must arrive
   // after every datapath output has settled, at every operating point.
-  netlist::BundleInfo bundle;
-  bundle.name = circuit_.name() + ".bundle";
-  bundle.trigger = line_out.name();
-  for (const sim::Wire* d : data_wires_) bundle.targets.push_back(d->name());
-  bundle.min_ratio = 1.0;
-  circuit_.note_bundle(std::move(bundle));
+  circuit_.note_bundle(circuit_.name() + ".bundle", line_out, data_wires_);
 
   // The capture latch is behavioural (on_line_output) but structurally it
   // is clocked by the delay-line output, samples the datapath, drives the
   // state register, and relaunches go — close the loop in the inventory.
-  const std::string latch = circuit_.name() + ".latch";
-  circuit_.note_element(latch, netlist::ElementKind::kEndpoint);
-  circuit_.note_edge(line_out.name(), latch);
-  for (const sim::Wire* d : data_wires_) circuit_.note_edge(d->name(), latch);
-  for (const sim::Wire* s : state_wires_) circuit_.note_edge(latch, s->name());
-  circuit_.note_edge(latch, go_->name());
+  const netlist::ElementId latch = circuit_.note_element(
+      circuit_.name() + ".latch", netlist::ElementKind::kEndpoint);
+  circuit_.note_edge(line_out, latch);
+  for (const sim::Wire* d : data_wires_) circuit_.note_edge(*d, latch);
+  for (const sim::Wire* s : state_wires_) circuit_.note_edge(latch, *s);
+  circuit_.note_edge(latch, *go_);
 
   latch_meter_ = ctx.meter.add(circuit_.name() + ".latch",
                                6.0 * static_cast<double>(params_.bits));

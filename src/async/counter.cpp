@@ -14,9 +14,7 @@ ToggleRippleCounter::ToggleRippleCounter(gates::Context& ctx,
     : circuit_(ctx, std::move(name)) {
   assert(stages >= 1);
   sim::Wire* stage_in = external_input;
-  if (external_input != nullptr) {
-    circuit_.note_external_wire(external_input->name());
-  } else {
+  if (external_input == nullptr) {
     // Oscillator mode: osc = NAND(enable, osc). With enable high the gate
     // inverts its own output and free-runs at its (Vdd-dependent) delay;
     // with enable low it parks at 1.
@@ -121,12 +119,10 @@ DualRailCounter::DualRailCounter(gates::Context& ctx, std::string name,
 
   // The state-commit latch rank is behavioural (on_done_change), but its
   // connectivity is real: done clocks it, it drives the state wires.
-  const std::string latch = circuit_.name() + ".latch";
-  circuit_.note_element(latch, netlist::ElementKind::kEndpoint);
-  circuit_.note_edge(done_wire_->name(), latch);
-  for (const sim::Wire* s : state_wires_) {
-    circuit_.note_edge(latch, s->name());
-  }
+  const netlist::ElementId latch = circuit_.note_element(
+      circuit_.name() + ".latch", netlist::ElementKind::kEndpoint);
+  circuit_.note_edge(*done_wire_, latch);
+  for (const sim::Wire* s : state_wires_) circuit_.note_edge(latch, *s);
   circuit_.mark_env_driven(*run_);
 
   // Close the ring: en = INV(done).

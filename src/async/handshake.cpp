@@ -12,12 +12,11 @@ HandshakeSource::HandshakeSource(gates::Context& ctx, std::string name,
 }
 
 void HandshakeSource::register_in(netlist::Circuit& c) const {
-  c.note_element(name_, netlist::ElementKind::kEndpoint);
-  c.note_external_wire(ch_.req->name());
-  c.note_external_wire(ch_.ack->name());
-  c.note_edge(name_, ch_.req->name());
-  c.note_edge(ch_.ack->name(), name_);
-  c.note_handshake(ch_.req->name(), ch_.ack->name());
+  const netlist::ElementId e =
+      c.note_element(name_, netlist::ElementKind::kEndpoint);
+  c.note_edge(e, *ch_.req);
+  c.note_edge(*ch_.ack, e);
+  c.note_handshake(*ch_.req, *ch_.ack);
 }
 
 void HandshakeSource::start(std::uint64_t cycles,
@@ -65,12 +64,11 @@ HandshakeSink::HandshakeSink(gates::Context& ctx, std::string name,
 }
 
 void HandshakeSink::register_in(netlist::Circuit& c) const {
-  c.note_element(name_, netlist::ElementKind::kEndpoint);
-  c.note_external_wire(ch_.req->name());
-  c.note_external_wire(ch_.ack->name());
-  c.note_edge(ch_.req->name(), name_);
-  c.note_edge(name_, ch_.ack->name());
-  c.note_handshake(ch_.req->name(), ch_.ack->name());
+  const netlist::ElementId e =
+      c.note_element(name_, netlist::ElementKind::kEndpoint);
+  c.note_edge(*ch_.req, e);
+  c.note_edge(e, *ch_.ack);
+  c.note_handshake(*ch_.req, *ch_.ack);
 }
 
 void HandshakeSink::resume() {

@@ -5,34 +5,43 @@
 namespace emc::lint {
 
 Graph build_graph(const netlist::Circuit& c) {
+  const auto& wires = c.wire_infos();
+  const auto& elements = c.elements();
   Graph g;
-  for (const auto& w : c.wire_infos()) g.wires.emplace(w.name, w);
-  for (const auto& e : c.elements()) g.elements.emplace(e.name, e.kind);
-
-  // Classify names seen only in edges. Two passes so an unknown name
-  // adjacent to a known element in *any* edge lands as a wire.
-  for (const auto& [from, to] : c.edges()) {
-    for (const std::string* n : {&from, &to}) {
-      if (g.wires.count(*n) > 0 || g.elements.count(*n) > 0) continue;
-      const std::string& other = (n == &from) ? to : from;
-      if (g.is_element(other)) {
-        g.wires.emplace(*n, netlist::WireInfo{*n, false, false});
-      } else {
-        g.elements.emplace(*n, netlist::ElementKind::kOther);
-      }
-    }
+  g.circuit = &c;
+  g.wire_order = by_name(wires.size(), [&](std::size_t w) -> const auto& {
+    return wires[w].name();
+  });
+  g.element_order = by_name(elements.size(),
+                            [&](std::size_t e) -> const auto& {
+                              return elements[e].name;
+                            });
+  g.element_rank.resize(elements.size());
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    g.element_rank[g.element_order[i]] = i;
   }
 
-  for (const auto& [from, to] : c.edges()) {
-    if (!g.edges.emplace(from, to).second) continue;
-    g.adj[from].insert(to);
-    g.radj[to].insert(from);
-    g.touched.insert(from);
-    g.touched.insert(to);
-    const bool fe = g.is_element(from);
-    const bool te = g.is_element(to);
-    if (fe && !te) g.drivers[to].insert(from);
-    if (!fe && te) g.readers[from].insert(to);
+  g.drivers.resize(wires.size());
+  g.readers.resize(wires.size());
+  g.outputs.resize(elements.size());
+  g.touched.resize(elements.size(), false);
+  for (const auto& e : c.edges()) {
+    g.touched[e.element] = true;
+    if (e.drive) {
+      g.drivers[e.wire].push_back(e.element);
+      g.outputs[e.element].push_back(e.wire);
+    } else {
+      g.readers[e.wire].push_back(e.element);
+    }
+  }
+  const auto by_rank = [&](netlist::ElementId a, netlist::ElementId b) {
+    return g.element_rank[a] < g.element_rank[b];
+  };
+  for (auto* lists : {&g.drivers, &g.readers}) {
+    for (auto& l : *lists) {
+      std::sort(l.begin(), l.end(), by_rank);
+      l.erase(std::unique(l.begin(), l.end()), l.end());
+    }
   }
   return g;
 }

@@ -1,52 +1,59 @@
 // Shared graph machinery for the static analyzers (emc::lint, emc::sta).
 //
 // Both layers work on the same distillation of a Circuit's inventory — a
-// name-keyed digraph with wires and elements classified — and both need
-// cycle detection (lint to flag combinational loops, sta to exclude
-// deliberate oscillator rings from longest-path propagation). The model
-// and the iterative Tarjan SCC pass live here so the two analyzers agree
-// on the structure by construction.
+// bipartite digraph over its wire and element ids — and both need cycle
+// detection (lint to flag combinational loops, sta to exclude deliberate
+// oscillator rings from longest-path propagation). The model and the
+// iterative Tarjan SCC pass live here so the two analyzers agree on the
+// structure by construction.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <map>
-#include <set>
+#include <numeric>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "netlist/module.hpp"
 
 namespace emc::lint {
 
-/// Graph model distilled from a Circuit's inventory.
-///
-/// Nodes are names; the inventory tells us which are wires (with origin
-/// flags) and which are elements (with kinds). Names that appear only in
-/// edges are classified conservatively: adjacent to a known element they
-/// are foreign wires (exempt from driver rules), adjacent to a known wire
-/// they are elements of unknown kind (state-holding, so they break C001
-/// cycles rather than create false positives).
+/// Ids 0..n-1 sorted by `name_of(id)`, ties in id order: the order every
+/// report prints in, whatever order the inventory recorded.
+template <typename NameOf>
+std::vector<std::size_t> by_name(std::size_t n, NameOf name_of) {
+  std::vector<std::size_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return name_of(a) < name_of(b);
+                   });
+  return ids;
+}
+
+/// Graph model distilled from a Circuit's inventory, indexed by its wire
+/// and element ids. Every edge joins a wire and an element: an element
+/// reads wires and drives wires.
 struct Graph {
-  std::map<std::string, netlist::WireInfo> wires;
-  std::map<std::string, netlist::ElementKind> elements;
-  /// Deduplicated edges, and per-name adjacency for path searches.
-  std::set<std::pair<std::string, std::string>> edges;
-  std::map<std::string, std::set<std::string>> adj;
-  std::map<std::string, std::set<std::string>> radj;
-  /// Element drivers/readers per wire.
-  std::map<std::string, std::set<std::string>> drivers;
-  std::map<std::string, std::set<std::string>> readers;
-  /// Names with at least one incident edge.
-  std::set<std::string> touched;
+  const netlist::Circuit* circuit = nullptr;
+  /// Wire and element ids in name order.
+  std::vector<netlist::WireId> wire_order;
+  std::vector<netlist::ElementId> element_order;
+  /// Position of each element id in element_order.
+  std::vector<std::size_t> element_rank;
+  /// Per wire: its driving and its reading elements, in name order and
+  /// without repeats.
+  std::vector<std::vector<netlist::ElementId>> drivers;
+  std::vector<std::vector<netlist::ElementId>> readers;
+  /// Per element: the wires it drives, and whether any edge touches it.
+  std::vector<std::vector<netlist::WireId>> outputs;
+  std::vector<bool> touched;
 
-  bool is_element(const std::string& n) const { return elements.count(n) > 0; }
-
-  bool driven(const std::string& wire) const {
-    auto w = wires.find(wire);
-    if (w != wires.end() && w->second.env_driven) return true;
-    auto d = drivers.find(wire);
-    return d != drivers.end() && !d->second.empty();
+  const std::string& wire_name(netlist::WireId w) const {
+    return circuit->wire_infos()[w].name();
+  }
+  bool driven(netlist::WireId w) const {
+    return circuit->wire_infos()[w].env_driven || !drivers[w].empty();
   }
 };
 

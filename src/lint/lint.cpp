@@ -1,8 +1,6 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -25,28 +23,55 @@ std::string join(const std::vector<std::string>& v, const char* sep) {
   return out;
 }
 
+std::string join_elements(const Graph& g,
+                          const std::vector<netlist::ElementId>& ids) {
+  std::vector<std::string> names;
+  for (netlist::ElementId e : ids) {
+    names.push_back(g.circuit->elements()[e].name);
+  }
+  return join(names, ", ");
+}
+
+/// Walk downstream of wire `start` (wire -> its readers -> the wires they
+/// drive -> ...) until `stop_at_wire` or `stop_at_element` holds for a
+/// reached node; returns whether the walk stopped there.
+template <typename WirePred, typename ElementPred>
+bool reaches(const Graph& g, netlist::WireId start, WirePred stop_at_wire,
+             ElementPred stop_at_element) {
+  std::vector<bool> seen(g.drivers.size(), false);
+  std::vector<netlist::WireId> work{start};
+  while (!work.empty()) {
+    const netlist::WireId w = work.back();
+    work.pop_back();
+    if (seen[w]) continue;
+    seen[w] = true;
+    if (stop_at_wire(w)) return true;
+    for (netlist::ElementId e : g.readers[w]) {
+      if (stop_at_element(e)) return true;
+      work.insert(work.end(), g.outputs[e].begin(), g.outputs[e].end());
+    }
+  }
+  return false;
+}
+
 // --- W001/W002: wire driver rules ------------------------------------------
 void rule_wires(const Graph& g, Report& r) {
-  for (const auto& [name, info] : g.wires) {
-    const auto d = g.drivers.find(name);
-    const std::size_t ndrv = (d == g.drivers.end()) ? 0 : d->second.size();
-    if (info.owned && !info.env_driven && ndrv == 0 &&
-        g.radj.count(name) == 0) {
-      // No element drives it and no edge even enters it from a peer wire.
-      const auto rd = g.readers.find(name);
-      const std::size_t nrd = (rd == g.readers.end()) ? 0 : rd->second.size();
+  for (netlist::WireId w : g.wire_order) {
+    const netlist::WireInfo& info = g.circuit->wire_infos()[w];
+    const auto& drv = g.drivers[w];
+    if (info.owned && !info.env_driven && drv.empty()) {
+      const std::size_t nrd = g.readers[w].size();
       std::ostringstream os;
       os << "wire has no recorded driver and is not environment-driven ("
          << (nrd == 0 ? "completely unconnected"
                       : "read by " + std::to_string(nrd) + " element(s)")
          << ")";
-      r.add(Finding{"W001", Severity::kError, name, os.str(), {}, {}});
+      r.add(Finding{"W001", Severity::kError, info.name(), os.str(), {}, {}});
     }
-    if (ndrv >= 2) {
-      std::vector<std::string> who(d->second.begin(), d->second.end());
-      r.add(Finding{"W002", Severity::kError, name,
-                    "wire is driven by " + std::to_string(ndrv) +
-                        " elements: " + join(who, ", "),
+    if (drv.size() >= 2) {
+      r.add(Finding{"W002", Severity::kError, info.name(),
+                    "wire is driven by " + std::to_string(drv.size()) +
+                        " elements: " + join_elements(g, drv),
                     {}, {}});
     }
   }
@@ -54,10 +79,11 @@ void rule_wires(const Graph& g, Report& r) {
 
 // --- W003: element with no recorded connectivity ---------------------------
 void rule_unrecorded(const Graph& g, Report& r) {
-  for (const auto& [name, kind] : g.elements) {
-    if (g.touched.count(name) > 0) continue;
-    r.add(Finding{"W003", Severity::kError, name,
-                  std::string("element (") + netlist::to_string(kind) +
+  for (netlist::ElementId e : g.element_order) {
+    if (g.touched[e]) continue;
+    const netlist::ElementInfo& info = g.circuit->elements()[e];
+    r.add(Finding{"W003", Severity::kError, info.name,
+                  std::string("element (") + netlist::to_string(info.kind) +
                       ") has zero recorded edges - an endpoint declared "
                       "without its note_edge() calls, so the connectivity "
                       "graph is blind to it",
@@ -67,41 +93,33 @@ void rule_unrecorded(const Graph& g, Report& r) {
 
 // --- C001: combinational cycles --------------------------------------------
 void rule_comb_cycles(const Graph& g, Report& r) {
-  // Element-level adjacency restricted to pure combinational elements;
-  // state-holding kinds (C-element, toggle, endpoint, unknown)
-  // legitimately close feedback loops and therefore break them here.
-  std::vector<std::string> names;
-  std::map<std::string, std::size_t> id;
-  for (const auto& [name, kind] : g.elements) {
-    if (!netlist::is_state_holding(kind)) {
-      id.emplace(name, names.size());
-      names.push_back(name);
-    }
-  }
-  std::vector<std::set<std::size_t>> aset(names.size());
-  auto connect = [&](const std::string& a, const std::string& b) {
-    auto ia = id.find(a);
-    auto ib = id.find(b);
-    if (ia != id.end() && ib != id.end()) aset[ia->second].insert(ib->second);
+  // Element-level adjacency between pure combinational elements, one node
+  // per element in name order; state-holding kinds (C-element, toggle,
+  // endpoint) legitimately close feedback loops, so they stay isolated
+  // and break them here.
+  const auto& elements = g.circuit->elements();
+  const auto comb = [&](netlist::ElementId e) {
+    return !netlist::is_state_holding(elements[e].kind);
   };
-  for (const auto& [wire, drvs] : g.drivers) {
-    const auto rd = g.readers.find(wire);
-    if (rd == g.readers.end()) continue;
-    for (const auto& d : drvs) {
-      for (const auto& rdr : rd->second) connect(d, rdr);
+  std::vector<std::vector<std::size_t>> adj(elements.size());
+  for (std::size_t w = 0; w < g.drivers.size(); ++w) {
+    for (netlist::ElementId d : g.drivers[w]) {
+      if (!comb(d)) continue;
+      for (netlist::ElementId rdr : g.readers[w]) {
+        if (comb(rdr)) adj[g.element_rank[d]].push_back(g.element_rank[rdr]);
+      }
     }
   }
-  for (const auto& [from, to] : g.edges) {
-    if (g.is_element(from) && g.is_element(to)) connect(from, to);
-  }
-  std::vector<std::vector<std::size_t>> adj(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    adj[i].assign(aset[i].begin(), aset[i].end());
+  for (auto& a : adj) {
+    std::sort(a.begin(), a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
   }
 
-  for (const auto& scc : cyclic_sccs(names.size(), adj)) {
+  for (const auto& scc : cyclic_sccs(adj.size(), adj)) {
     std::vector<std::string> members;
-    for (std::size_t i : scc) members.push_back(names[i]);
+    for (std::size_t i : scc) {
+      members.push_back(elements[g.element_order[i]].name);
+    }
     std::sort(members.begin(), members.end());
     r.add(Finding{"C001", Severity::kWarning, members.front(),
                   "combinational cycle with no state-holding element (" +
@@ -113,74 +131,51 @@ void rule_comb_cycles(const Graph& g, Report& r) {
 }
 
 // --- H001: unpaired handshakes ---------------------------------------------
-void rule_handshakes(const Graph& g, const netlist::Circuit& c, Report& r) {
-  for (const auto& ch : c.channels()) {
+void rule_handshakes(const Graph& g, Report& r) {
+  for (const auto& ch : g.circuit->channels()) {
+    const std::string& req = g.wire_name(ch.req);
+    const std::string& ack = g.wire_name(ch.ack);
     if (!g.driven(ch.ack)) {
-      r.add(Finding{"H001", Severity::kError, ch.req,
-                    "handshake channel (" + ch.req + ", " + ch.ack +
+      r.add(Finding{"H001", Severity::kError, req,
+                    "handshake channel (" + req + ", " + ack +
                         "): ack is never driven - no responder is attached, "
                         "so a request can never be acknowledged",
-                    {ch.ack}, {}});
+                    {ack}, {}});
       continue;
     }
     // ack is driven by *something*; demand a structural path req ->* ack
     // so the acknowledgement actually depends on the request.
-    std::set<std::string> seen{ch.req};
-    std::vector<std::string> work{ch.req};
-    bool found = false;
-    while (!work.empty() && !found) {
-      const std::string v = std::move(work.back());
-      work.pop_back();
-      if (v == ch.ack) {
-        found = true;
-        break;
-      }
-      const auto it = g.adj.find(v);
-      if (it == g.adj.end()) continue;
-      for (const auto& w : it->second) {
-        if (seen.insert(w).second) work.push_back(w);
-      }
-    }
+    const bool found = reaches(
+        g, ch.req, [&](netlist::WireId w) { return w == ch.ack; },
+        [](netlist::ElementId) { return false; });
     if (!found) {
-      r.add(Finding{"H001", Severity::kError, ch.req,
-                    "handshake channel (" + ch.req + ", " + ch.ack +
+      r.add(Finding{"H001", Severity::kError, req,
+                    "handshake channel (" + req + ", " + ack +
                         "): ack is driven but unreachable from req - the "
                         "acknowledgement cannot depend on the request",
-                    {ch.ack}, {}});
+                    {ack}, {}});
     }
   }
 }
 
 // --- F001: isochronic forks ------------------------------------------------
 void rule_forks(const Graph& g, Report& r) {
-  for (const auto& [wire, rdrs] : g.readers) {
+  for (netlist::WireId w : g.wire_order) {
+    const auto& rdrs = g.readers[w];
     if (rdrs.size() < 2) continue;
     // Walk downstream; completion detection anywhere below the fork means
     // the design observes, rather than assumes, the fork's settling.
-    std::set<std::string> seen{wire};
-    std::vector<std::string> work{wire};
-    bool completion = false;
-    while (!work.empty() && !completion) {
-      const std::string v = std::move(work.back());
-      work.pop_back();
-      const auto e = g.elements.find(v);
-      if (e != g.elements.end() &&
-          e->second == netlist::ElementKind::kCElement) {
-        completion = true;
-        break;
-      }
-      const auto it = g.adj.find(v);
-      if (it == g.adj.end()) continue;
-      for (const auto& w : it->second) {
-        if (seen.insert(w).second) work.push_back(w);
-      }
-    }
+    const bool completion = reaches(
+        g, w, [](netlist::WireId) { return false; },
+        [&](netlist::ElementId e) {
+          return g.circuit->elements()[e].kind ==
+                 netlist::ElementKind::kCElement;
+        });
     if (!completion) {
-      std::vector<std::string> who(rdrs.begin(), rdrs.end());
-      r.add(Finding{"F001", Severity::kInfo, wire,
+      r.add(Finding{"F001", Severity::kInfo, g.wire_name(w),
                     "isochronic fork: fans out to " +
                         std::to_string(rdrs.size()) + " elements (" +
-                        join(who, ", ") +
+                        join_elements(g, rdrs) +
                         ") with no completion detection downstream - " +
                         "correctness rests on a timing assumption here",
                     {}, {}});
@@ -385,15 +380,17 @@ void handshake_petri(const netlist::Circuit& c, sched::EnergyPetriNet& net) {
     // token-free cycle, the static image of the dynamic deadlock the
     // kernel watchdog reports when the source waits forever.
     const bool responsive = g.driven(ch.req) && g.driven(ch.ack);
-    const std::string tag = ch.req + "/" + ch.ack;
+    const std::string& req = g.wire_name(ch.req);
+    const std::string& ack = g.wire_name(ch.ack);
+    const std::string tag = req + "/" + ack;
     const auto idle = net.add_place(tag + ".idle", responsive ? 1 : 0);
     const auto waiting = net.add_place(tag + ".waiting", 0);
     const auto release = net.add_place(tag + ".release", 0);
     const auto draining = net.add_place(tag + ".draining", 0);
-    net.add_transition(ch.req + "+", {idle}, {waiting});
-    net.add_transition(ch.ack + "+", {waiting}, {release});
-    net.add_transition(ch.req + "-", {release}, {draining});
-    net.add_transition(ch.ack + "-", {draining}, {idle});
+    net.add_transition(req + "+", {idle}, {waiting});
+    net.add_transition(ack + "+", {waiting}, {release});
+    net.add_transition(req + "-", {release}, {draining});
+    net.add_transition(ack + "-", {draining}, {idle});
   }
 }
 
@@ -403,7 +400,7 @@ Report analyze(const netlist::Circuit& c) {
   rule_wires(g, r);
   rule_unrecorded(g, r);
   rule_comb_cycles(g, r);
-  rule_handshakes(g, c, r);
+  rule_handshakes(g, r);
   if (!c.channels().empty()) {
     // D001 over the handshake abstraction. The scratch kernel only hosts
     // the net's construction; nothing is simulated.

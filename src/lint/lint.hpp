@@ -6,20 +6,22 @@
 // dynamic path only discovers when Kernel::run_guarded classifies a
 // dead run. This layer finds them before simulation, in milliseconds,
 // from the connectivity inventory netlist::Circuit records (wires with
-// origin flags, typed elements, edges, handshake channels).
+// origin flags, typed elements, edges, handshake channels), keyed by wire
+// and element ids. Reports list wires and elements in name order.
 //
 // Rule catalog (IDs are stable; severities in rule_catalog()):
 //   W001  undriven wire        a wire this circuit owns, not env-driven,
-//                              with no recorded driver (floating input)
+//                              with no recorded driver (floating input);
+//                              a wire it references but did not create is
+//                              external and exempt
 //   W002  multiply-driven wire two or more distinct element drivers on
 //                              one wire (drive fight)
-//   W003  unrecorded element   an inventoried element with zero incident
-//                              edges — a behavioural endpoint declared
-//                              with note_element() whose note_edge()
-//                              calls were forgotten (gate builders record
-//                              their own edges), so the graph is blind to
-//                              it; fails loudly so gaps cannot creep back
-//                              in
+//   W003  unrecorded element   an element id with zero incident edges — a
+//                              behavioural endpoint whose note_element()
+//                              id never reached a note_edge() call (gate
+//                              builders record their own edges), so the
+//                              graph is blind to it; fails loudly so gaps
+//                              cannot creep back in
 //   C001  combinational cycle  a feedback loop whose every element is
 //                              pure combinational logic — an oscillation
 //                              hazard unless it IS the oscillator

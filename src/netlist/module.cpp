@@ -25,7 +25,6 @@ const char* to_string(ElementKind k) {
     case ElementKind::kCElement: return "c-element";
     case ElementKind::kToggle: return "toggle";
     case ElementKind::kEndpoint: return "endpoint";
-    case ElementKind::kOther: return "other";
   }
   return "?";
 }
@@ -44,17 +43,32 @@ T& Circuit::own(Args&&... args) {
   return ref;
 }
 
+WireId Circuit::wire_id(const sim::Wire& w) {
+  const auto [it, added] = wire_ids_.emplace(&w, wire_infos_.size());
+  if (added) wire_infos_.push_back(WireInfo{&w, false, false});
+  return it->second;
+}
+
+void Circuit::note_bundle(std::string name, const sim::Wire& trigger,
+                          const std::vector<sim::Wire*>& targets,
+                          double min_ratio) {
+  BundleInfo b{std::move(name), wire_id(trigger), {}, min_ratio};
+  for (const sim::Wire* t : targets) b.targets.push_back(wire_id(*t));
+  bundles_.push_back(std::move(b));
+}
+
 void Circuit::record_gate(const std::string& gname, ElementKind kind,
                           const std::vector<sim::Wire*>& inputs,
                           const sim::Wire& out, double load,
                           double vth_offset) {
+  const ElementId e = note_element(gname, kind);
+  const WireId to = wire_id(out);
   for (const sim::Wire* w : inputs) {
-    edges_.emplace_back(w->name(), gname);
-    timing_arcs_.push_back(
-        TimingArc{w->name(), gname, out.name(), load, vth_offset});
+    const WireId from = wire_id(*w);
+    edges_.push_back(Edge{from, e, false});
+    timing_arcs_.push_back(TimingArc{from, e, to, load, vth_offset});
   }
-  edges_.emplace_back(gname, out.name());
-  note_element(gname, kind);
+  edges_.push_back(Edge{to, e, true});
 }
 
 gates::CombGate& Circuit::comb(const std::string& local, gates::Op op,
@@ -98,24 +112,11 @@ gates::CElement& Circuit::celement(const std::string& local,
 gates::Toggle& Circuit::toggle(const std::string& local, sim::Wire& in,
                                sim::Wire& dot, sim::Wire& blank) {
   const std::string gname = name_ + "." + local;
-  edges_.emplace_back(in.name(), gname);
-  edges_.emplace_back(gname, dot.name());
-  edges_.emplace_back(gname, blank.name());
-  note_element(gname, ElementKind::kToggle);
+  const ElementId e = note_element(gname, ElementKind::kToggle);
+  note_edge(in, e);
+  note_edge(e, dot);
+  note_edge(e, blank);
   return own<gates::Toggle>(*ctx_, gname, in, dot, blank);
-}
-
-bool is_state_holding(ElementKind k) {
-  switch (k) {
-    case ElementKind::kComb:
-      return false;
-    case ElementKind::kCElement:
-    case ElementKind::kToggle:
-    case ElementKind::kEndpoint:
-    case ElementKind::kOther:  // unknown: assume it may hold state
-      return true;
-  }
-  return true;
 }
 
 }  // namespace emc::netlist

@@ -8,22 +8,24 @@
 // torn down together — no dynamic reconfiguration, matching silicon.
 //
 // Connectivity metadata: besides ownership, a Circuit records a *typed*
-// inventory of its structure — wires (with origin flags: env-driven
-// testbench ports, foreign nets), elements (with an ElementKind, so an
-// analyzer sees "C-element" instead of a name string), name-pair edges,
-// timing arcs, handshake channels, and rule suppressions. emc::lint and
-// emc::sta consume the whole inventory. The gate builders (comb,
-// function_gate, celement, toggle) are the only way a gate enters a
-// circuit, and each records the element, its edges and its timing arcs
-// from the same numbers it hands the gate's constructor. note_element /
-// note_edge remain for behavioural endpoints that are not gates (latch
-// ranks, controllers, handshake actors); the linter's W003 rule fails
-// loudly on an endpoint declared with zero recorded edges.
+// inventory keyed by dense ids — wires (their sim::Wire plus origin
+// flags; a wire used here but created elsewhere is external), elements
+// (a name and an ElementKind), edges (an element reads or drives a
+// wire), timing arcs, handshake channels and rule suppressions, which
+// emc::lint and emc::sta read and report in name order. The gate
+// builders (comb, function_gate, celement, toggle) are the only way a
+// gate enters a circuit; each records the element, its edges and its
+// timing arcs from the numbers it hands the gate's constructor.
+// note_element / note_edge remain for behavioural endpoints (latch ranks,
+// controllers, handshake actors); lint rule W003 fails loudly on an
+// endpoint declared with zero recorded edges.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,30 +49,43 @@ enum class ElementKind {
   kCElement,  ///< Muller C-element (state-holding, completion logic)
   kToggle,    ///< TOGGLE element (state-holding divider)
   kEndpoint,  ///< behavioural endpoint: latch rank, controller, source/sink
-  kOther,     ///< unknown element type — treated conservatively
 };
 
 const char* to_string(ElementKind k);
 
 /// True when elements of kind `k` may legitimately hold state across
 /// evaluations (and therefore break a combinational cycle).
-bool is_state_holding(ElementKind k);
+inline bool is_state_holding(ElementKind k) { return k != ElementKind::kComb; }
+
+/// Dense per-circuit indices into Circuit::wire_infos() and
+/// Circuit::elements(), in recording order.
+using WireId = std::size_t;
+using ElementId = std::size_t;
 
 struct ElementInfo {
   std::string name;
-  ElementKind kind = ElementKind::kOther;
+  ElementKind kind;
 };
 
 struct WireInfo {
-  std::string name;
-  bool owned = true;        ///< created via wire() on this circuit
-  bool env_driven = false;  ///< testbench/endpoint drives it via set()
+  const sim::Wire* wire;  ///< holds the name; outlives every analysis
+  bool owned;             ///< created via wire() on this circuit
+  bool env_driven;        ///< testbench/endpoint drives it via set()
+
+  const std::string& name() const { return wire->name(); }
+};
+
+/// One recorded edge: `element` drives `wire` (`drive`) or reads it.
+struct Edge {
+  WireId wire;
+  ElementId element;
+  bool drive;
 };
 
 /// A recorded req/ack handshake channel (lint rule H001/D001 input).
 struct ChannelInfo {
-  std::string req;
-  std::string ack;
+  WireId req;
+  WireId ack;
 };
 
 /// A build-site waiver for one lint finding: rule + exact subject. The
@@ -90,9 +105,9 @@ struct Suppression {
 /// factors they hand the gate's constructor, so static and simulated
 /// delays agree by construction.
 struct TimingArc {
-  std::string from;
-  std::string via;
-  std::string to;
+  WireId from;
+  ElementId via;
+  WireId to;
   double load = 1.0;
   double vth_offset = 0.0;
 };
@@ -104,8 +119,8 @@ struct TimingArc {
 /// declared operating range — rule T001.
 struct BundleInfo {
   std::string name;
-  std::string trigger;
-  std::vector<std::string> targets;
+  WireId trigger;
+  std::vector<WireId> targets;
   double min_ratio = 1.0;
 };
 
@@ -141,8 +156,10 @@ class Circuit {
   sim::Wire& wire(const std::string& local, bool initial = false) {
     wires_.push_back(std::make_unique<sim::Wire>(ctx_->kernel,
                                                  name_ + "." + local, initial));
-    wire_infos_.push_back(WireInfo{wires_.back()->name(), true, false});
-    return *wires_.back();
+    sim::Wire& w = *wires_.back();
+    wire_ids_.emplace(&w, wire_infos_.size());
+    wire_infos_.push_back(WireInfo{&w, true, false});
+    return w;
   }
 
   /// Combinational gate with the cell factors of `op` at its fanin.
@@ -173,50 +190,42 @@ class Circuit {
   gates::Toggle& toggle(const std::string& local, sim::Wire& in,
                         sim::Wire& dot, sim::Wire& blank);
 
-  /// Record an edge of a behavioural endpoint (a latch rank, controller
-  /// or handshake actor that is not a gate and has no builder).
-  void note_edge(const std::string& from, const std::string& to) {
-    edges_.emplace_back(from, to);
-  }
-
   /// Declare a behavioural endpoint (or any non-gate element) in the
-  /// typed inventory. Idempotent per name (the first kind wins), so an
-  /// actor registered twice is not inventoried twice.
-  void note_element(const std::string& name, ElementKind kind) {
-    for (const auto& e : elements_) {
-      if (e.name == name) return;
-    }
-    elements_.push_back(ElementInfo{name, kind});
+  /// typed inventory; its edges are recorded with note_edge.
+  ElementId note_element(std::string name, ElementKind kind) {
+    elements_.push_back(ElementInfo{std::move(name), kind});
+    return elements_.size() - 1;
   }
 
-  /// Record a wire this circuit references but does not own (a port of
-  /// another circuit). Such wires are exempt from the linter's driver
-  /// rules — their drivers live outside this circuit's scope.
-  void note_external_wire(const std::string& name) {
-    if (find_wire(name) != nullptr) return;  // owned wins over external
-    wire_infos_.push_back(WireInfo{name, false, false});
+  /// Record an edge of a behavioural endpoint (a latch rank, controller
+  /// or handshake actor that is not a gate and has no builder): element
+  /// `e`, an id note_element returned on this circuit, reads `from` or
+  /// drives `to`.
+  void note_edge(const sim::Wire& from, ElementId e) {
+    assert(e < elements_.size());
+    edges_.push_back(Edge{wire_id(from), e, false});
+  }
+  void note_edge(ElementId e, const sim::Wire& to) {
+    assert(e < elements_.size());
+    edges_.push_back(Edge{wire_id(to), e, true});
   }
 
   /// Mark a wire as environment-driven: the testbench (or a behavioural
   /// endpoint registered separately) moves it via set(), so the linter
   /// must not expect a gate driver (rule W001).
-  void mark_env_driven(const sim::Wire& w) { mark_env_driven(w.name()); }
-  void mark_env_driven(const std::string& name) {
-    if (WireInfo* wi = find_wire(name)) {
-      wi->env_driven = true;
-      return;
-    }
-    wire_infos_.push_back(WireInfo{name, false, true});
+  void mark_env_driven(const sim::Wire& w) {
+    wire_infos_[wire_id(w)].env_driven = true;
   }
 
-  /// Record a req/ack handshake channel (by wire name). Deduplicated;
-  /// both sides of a channel may note it. Lint rules H001 (unpaired
-  /// handshake) and D001 (structural deadlock) consume this inventory.
-  void note_handshake(const std::string& req, const std::string& ack) {
+  /// Record a req/ack handshake channel. Deduplicated; both sides of a
+  /// channel may note it. Lint rules H001 (unpaired handshake) and D001
+  /// (structural deadlock) consume this inventory.
+  void note_handshake(const sim::Wire& req, const sim::Wire& ack) {
+    const ChannelInfo ch{wire_id(req), wire_id(ack)};
     for (const auto& c : channels_) {
-      if (c.req == req && c.ack == ack) return;
+      if (c.req == ch.req && c.ack == ch.ack) return;
     }
-    channels_.push_back(ChannelInfo{req, ack});
+    channels_.push_back(ch);
   }
 
   /// Waive one lint finding at the build site: `rule` (e.g. "C001") on
@@ -231,13 +240,10 @@ class Circuit {
   }
 
   /// Record a bundled-data constraint for the static margin analysis
-  /// (sta rule T001). Deduplicated by name.
-  void note_bundle(BundleInfo b) {
-    for (const auto& e : bundles_) {
-      if (e.name == b.name) return;
-    }
-    bundles_.push_back(std::move(b));
-  }
+  /// (sta rule T001): `trigger` must settle after every `targets` wire.
+  void note_bundle(std::string name, const sim::Wire& trigger,
+                   const std::vector<sim::Wire*>& targets,
+                   double min_ratio = 1.0);
 
   /// Declare the Vdd interval this circuit is expected to function over
   /// (what its figure sweeps). Without a declaration the range defaults
@@ -250,9 +256,7 @@ class Circuit {
   /// The resolved operating range (declared, or the technology default).
   OperatingRange operating_range() const;
 
-  const std::vector<std::pair<std::string, std::string>>& edges() const {
-    return edges_;
-  }
+  const std::vector<Edge>& edges() const { return edges_; }
   const std::vector<WireInfo>& wire_infos() const { return wire_infos_; }
   const std::vector<ElementInfo>& elements() const { return elements_; }
   const std::vector<ChannelInfo>& channels() const { return channels_; }
@@ -273,19 +277,17 @@ class Circuit {
   template <typename T, typename... Args>
   T& own(Args&&... args);
 
-  WireInfo* find_wire(const std::string& name) {
-    for (auto& w : wire_infos_) {
-      if (w.name == name) return &w;
-    }
-    return nullptr;
-  }
+  /// The id of `w`, recording it as external if this circuit did not
+  /// create it and has not seen it yet.
+  WireId wire_id(const sim::Wire& w);
 
   gates::Context* ctx_;
   std::string name_;
   std::vector<std::unique_ptr<sim::Wire>> wires_;
   std::vector<std::unique_ptr<OwnedNode>> gates_;
-  std::vector<std::pair<std::string, std::string>> edges_;
+  std::vector<Edge> edges_;
   std::vector<WireInfo> wire_infos_;
+  std::unordered_map<const sim::Wire*, WireId> wire_ids_;
   std::vector<ElementInfo> elements_;
   std::vector<ChannelInfo> channels_;
   std::vector<Suppression> suppressions_;

@@ -37,16 +37,16 @@ SiSram::SiSram(gates::Context& ctx, std::string name, SiSramParams params)
   // The phase sequencer (pump/finish) is behavioural, but its port
   // connectivity is the Fig. 6 handshake: the controller drives every
   // phase wire and answers req with ack.
-  const std::string ctl = circuit_.name() + ".ctl";
-  circuit_.note_element(ctl, netlist::ElementKind::kEndpoint);
-  circuit_.note_edge(req_->name(), ctl);
+  const netlist::ElementId ctl = circuit_.note_element(
+      circuit_.name() + ".ctl", netlist::ElementKind::kEndpoint);
+  circuit_.note_edge(*req_, ctl);
   for (const sim::Wire* w : {ack_, pch_, wl_, we_, done_}) {
-    circuit_.note_edge(ctl, w->name());
+    circuit_.note_edge(ctl, *w);
   }
   // req is raised by the op pump on behalf of the requester (the
   // environment), not by a gate in this circuit.
   circuit_.mark_env_driven(*req_);
-  circuit_.note_handshake(req_->name(), ack_->name());
+  circuit_.note_handshake(*req_, *ack_);
 }
 
 void SiSram::read(std::size_t addr, ReadCallback cb) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "device/delay_model.hpp"
@@ -30,51 +29,26 @@ constexpr double kSigmaK = 3.0;
 constexpr double kForkDriftTolerance = 1.25;
 
 // ---------------------------------------------------------------------------
-// Wire-level timing graph: nodes are wire names, edges are TimingArcs.
-// Arcs internal to a cyclic SCC (deliberate oscillator rings such as the
-// Muller pipeline or a dual-rail completion loop) are excluded from
-// longest-path propagation — a self-timed loop has no "arrival time" —
-// but remain visible to the fork analysis, which is purely local.
+// Wire-level timing graph: nodes are the circuit's wire ids, edges are its
+// TimingArcs. Arcs internal to a cyclic SCC (deliberate oscillator rings
+// such as the Muller pipeline or a dual-rail completion loop) are excluded
+// from longest-path propagation — a self-timed loop has no "arrival
+// time" — but remain visible to the fork analysis, which is purely local.
 // ---------------------------------------------------------------------------
 struct WireGraph {
-  std::vector<std::string> names;
-  std::map<std::string, std::size_t> index;
-  /// All recorded arcs (fork analysis sees every one).
-  std::vector<const netlist::TimingArc*> arcs;
-  /// Arc indices kept for path propagation (acyclic by construction).
-  std::vector<std::size_t> kept;
-  std::vector<std::vector<std::size_t>> out_kept;  ///< per node
-  std::vector<std::size_t> kept_in_degree;         ///< per node
-  std::vector<std::size_t> topo;                   ///< node topo order
-
-  std::size_t node(const std::string& n) const {
-    auto it = index.find(n);
-    return it == index.end() ? names.size() : it->second;
-  }
+  std::vector<std::vector<std::size_t>> out_kept;  ///< per wire: kept arcs
+  std::vector<std::size_t> kept_in_degree;         ///< per wire
+  std::vector<std::size_t> topo;                   ///< wire topo order
 };
 
 WireGraph build_wire_graph(const netlist::Circuit& c) {
   WireGraph g;
-  auto intern = [&g](const std::string& n) {
-    auto it = g.index.find(n);
-    if (it != g.index.end()) return it->second;
-    const std::size_t id = g.names.size();
-    g.names.push_back(n);
-    g.index.emplace(n, id);
-    return id;
-  };
-  for (const auto& a : c.timing_arcs()) {
-    intern(a.from);
-    intern(a.to);
-    g.arcs.push_back(&a);
-  }
-  const std::size_t n = g.names.size();
+  const auto& arcs = c.timing_arcs();
+  const std::size_t n = c.wire_infos().size();
 
   // Cycle detection over the full arc set (shared Tarjan pass).
   std::vector<std::vector<std::size_t>> adj(n);
-  for (const auto* a : g.arcs) {
-    adj[g.index.at(a->from)].push_back(g.index.at(a->to));
-  }
+  for (const auto& a : arcs) adj[a.from].push_back(a.to);
   std::vector<std::size_t> scc_of(n, n);  // n = "not in a cyclic SCC"
   const auto sccs = lint::cyclic_sccs(n, adj);
   for (std::size_t s = 0; s < sccs.size(); ++s) {
@@ -83,11 +57,10 @@ WireGraph build_wire_graph(const netlist::Circuit& c) {
 
   g.out_kept.assign(n, {});
   g.kept_in_degree.assign(n, 0);
-  for (std::size_t i = 0; i < g.arcs.size(); ++i) {
-    const std::size_t u = g.index.at(g.arcs[i]->from);
-    const std::size_t v = g.index.at(g.arcs[i]->to);
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    const std::size_t u = arcs[i].from;
+    const std::size_t v = arcs[i].to;
     if (scc_of[u] < n && scc_of[u] == scc_of[v]) continue;  // ring-internal
-    g.kept.push_back(i);
     g.out_kept[u].push_back(i);
     ++g.kept_in_degree[v];
   }
@@ -103,7 +76,7 @@ WireGraph build_wire_graph(const netlist::Circuit& c) {
     const std::size_t u = queue[head];
     g.topo.push_back(u);
     for (std::size_t ai : g.out_kept[u]) {
-      const std::size_t v = g.index.at(g.arcs[ai]->to);
+      const std::size_t v = arcs[ai].to;
       if (--degree[v] == 0) queue.push_back(v);
     }
   }
@@ -122,14 +95,15 @@ double arc_delay(const device::DelayModel& model, const netlist::TimingArc& a,
 /// the same instant).
 using Arrival = std::vector<double>;
 
-Arrival propagate(const WireGraph& g, const device::DelayModel& model,
-                  double vdd, const device::DeviceSample& s) {
-  Arrival dist(g.names.size(), 0.0);
+Arrival propagate(const WireGraph& g,
+                  const std::vector<netlist::TimingArc>& arcs,
+                  const device::DelayModel& model, double vdd,
+                  const device::DeviceSample& s) {
+  Arrival dist(g.out_kept.size(), 0.0);
   for (std::size_t u : g.topo) {
     for (std::size_t ai : g.out_kept[u]) {
-      const auto& a = *g.arcs[ai];
-      const std::size_t v = g.index.at(a.to);
-      dist[v] = std::max(dist[v], dist[u] + arc_delay(model, a, vdd, s));
+      const auto& a = arcs[ai];
+      dist[a.to] = std::max(dist[a.to], dist[u] + arc_delay(model, a, vdd, s));
     }
   }
   return dist;
@@ -180,7 +154,11 @@ Analysis analyze(const netlist::Circuit& c) {
   out.range = c.operating_range();
   const device::DelayModel& model = c.ctx().model;
   const WireGraph g = build_wire_graph(c);
-  out.arc_count = g.arcs.size();
+  const auto& arcs = c.timing_arcs();
+  const auto wire_name = [&](netlist::WireId w) -> const std::string& {
+    return c.wire_infos()[w].name();
+  };
+  out.arc_count = arcs.size();
 
   // Vdd grid, lo..hi inclusive.
   std::vector<double> grid;
@@ -205,9 +183,9 @@ Analysis analyze(const netlist::Circuit& c) {
   std::vector<Arrival> arr_nom, arr_slow, arr_fast;
   arr_nom.reserve(grid.size());
   for (double v : grid) {
-    arr_nom.push_back(propagate(g, model, v, nominal));
-    arr_slow.push_back(propagate(g, model, v, slow));
-    arr_fast.push_back(propagate(g, model, v, fast));
+    arr_nom.push_back(propagate(g, arcs, model, v, nominal));
+    arr_slow.push_back(propagate(g, arcs, model, v, slow));
+    arr_fast.push_back(propagate(g, arcs, model, v, fast));
   }
 
   // --- T001: bundled-data margin, per recorded bundle -----------------------
@@ -215,14 +193,11 @@ Analysis analyze(const netlist::Circuit& c) {
   std::vector<bool> bundles_ok_nominal(grid.size(), true);
 
   for (const auto& b : c.bundles()) {
-    const std::size_t trig = g.node(b.trigger);
-    std::vector<std::size_t> targets;
-    for (const auto& t : b.targets) {
-      const std::size_t id = g.node(t);
-      if (id < g.names.size() && g.kept_in_degree[id] > 0) targets.push_back(id);
+    std::vector<netlist::WireId> targets;
+    for (netlist::WireId t : b.targets) {
+      if (g.kept_in_degree[t] > 0) targets.push_back(t);
     }
-    if (trig >= g.names.size() || g.kept_in_degree[trig] == 0 ||
-        targets.empty()) {
+    if (g.kept_in_degree[b.trigger] == 0 || targets.empty()) {
       // The contract is recorded but the timing model behind it is not:
       // no arcs reach the trigger or the datapath. Refusing to evaluate
       // is the point — a missing model must not read as a clean one.
@@ -247,7 +222,7 @@ Analysis analyze(const netlist::Circuit& c) {
             dp_at = t;
           }
         }
-        const double tr = tr_arr[trig];
+        const double tr = tr_arr[b.trigger];
         const double ratio = (std::isfinite(dp) && dp > 0.0)
                                  ? tr / dp
                                  : std::numeric_limits<double>::quiet_NaN();
@@ -281,14 +256,14 @@ Analysis analyze(const netlist::Circuit& c) {
       f.rule = "T001";
       f.severity = lint::Severity::kError;
       f.subject = b.name;
-      f.members.push_back(b.trigger);
-      f.members.insert(f.members.end(), b.targets.begin(), b.targets.end());
+      f.members.push_back(wire_name(b.trigger));
+      for (netlist::WireId t : b.targets) f.members.push_back(wire_name(t));
       std::ostringstream d;
       d << "bundled-data margin violated"
         << (worst_corner ? " at the worst process corner" : " at nominal")
         << ": at Vdd=" << fmt_v(grid[worst_i]) << " V the trigger '"
-        << b.trigger << "' arrives at ratio " << fmt_ratio(worst_ratio)
-        << " of the '" << g.names[worst_target]
+        << wire_name(b.trigger) << "' arrives at ratio "
+        << fmt_ratio(worst_ratio) << " of the '" << wire_name(worst_target)
         << "' datapath settling (required >= " << fmt_ratio(b.min_ratio)
         << ") - the latch captures unsettled data there";
       f.detail = d.str();
@@ -302,11 +277,13 @@ Analysis analyze(const netlist::Circuit& c) {
   // threshold asymmetry makes the skew *grow* as Vdd falls — the silent
   // way an isochronic-fork assumption (lint F001) dies at low voltage.
   {
-    std::map<std::string, std::vector<const netlist::TimingArc*>> forks;
-    for (const auto* a : g.arcs) forks[a->from].push_back(a);
+    std::vector<std::vector<const netlist::TimingArc*>> branches_of(
+        c.wire_infos().size());
+    for (const auto& a : arcs) branches_of[a.from].push_back(&a);
     const double v_lo = grid.front();
     const double v_hi = grid.back();
-    for (const auto& [wire, branches] : forks) {
+    for (netlist::WireId wire : lint::by_name(branches_of.size(), wire_name)) {
+      const auto& branches = branches_of[wire];
       if (branches.size() < 2) continue;
       double lo_min = kInf, lo_max = 0.0, hi_min = kInf, hi_max = 0.0;
       const netlist::TimingArc* slow_branch = nullptr;
@@ -327,8 +304,10 @@ Analysis analyze(const netlist::Circuit& c) {
       lint::Finding f;
       f.rule = "T002";
       f.severity = lint::Severity::kWarning;
-      f.subject = wire;
-      for (const auto* a : branches) f.members.push_back(a->via);
+      f.subject = wire_name(wire);
+      for (const auto* a : branches) {
+        f.members.push_back(c.elements()[a->via].name);
+      }
       std::ostringstream d;
       d << "isochronic-fork skew drifts across the operating range: branch "
            "skew "
@@ -336,7 +315,8 @@ Analysis analyze(const netlist::Circuit& c) {
         << fmt_ratio(skew_lo) << "x at " << fmt_v(v_lo) << " V (limit "
         << fmt_ratio(skew_hi * kForkDriftTolerance)
         << "x); the slow branch through '"
-        << (slow_branch != nullptr ? slow_branch->via : std::string{})
+        << (slow_branch != nullptr ? c.elements()[slow_branch->via].name
+                                   : std::string{})
         << "' has a higher effective threshold than its siblings";
       f.detail = d.str();
       out.report.add(std::move(f));
@@ -351,8 +331,8 @@ Analysis analyze(const netlist::Circuit& c) {
   {
     std::vector<bool> functional(grid.size(), true);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      for (const auto* a : g.arcs) {
-        if (!std::isfinite(arc_delay(model, *a, grid[i], nominal))) {
+      for (const auto& a : arcs) {
+        if (!std::isfinite(arc_delay(model, a, grid[i], nominal))) {
           functional[i] = false;
           break;
         }

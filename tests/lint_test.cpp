@@ -94,7 +94,6 @@ TEST(LintW001, EnvDrivenAndExternalWiresExempt) {
 
   sim::Wire foreign(f.kernel, "elsewhere.port", false);
   sim::Wire& out2 = c.wire("out2");
-  c.note_external_wire(foreign.name());
   c.comb("buf2", gates::Op::kBuf, {&foreign}, out2);
 
   EXPECT_FALSE(has_rule(analyze(c), "W001"));
@@ -116,6 +115,24 @@ TEST(LintW002, DriveFightFlagged) {
   const auto w = active(r, "W002");
   ASSERT_EQ(w.size(), 1u);
   EXPECT_EQ(w[0]->subject, "w2.out");
+}
+
+TEST(LintW002, SameNamedGatesStillFight) {
+  // Two gates that share a name are still two drivers.
+  Fixture f;
+  netlist::Circuit c(f.ctx, "w2n");
+  sim::Wire& a = c.wire("a");
+  sim::Wire& b = c.wire("b");
+  sim::Wire& out = c.wire("out");
+  c.mark_env_driven(a);
+  c.mark_env_driven(b);
+  c.comb("g", gates::Op::kBuf, {&a}, out);
+  c.comb("g", gates::Op::kInv, {&b}, out);
+  const Report r = analyze(c);
+  const auto w = active(r, "W002");
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_EQ(w[0]->subject, "w2n.out");
+  EXPECT_EQ(w[0]->detail, "wire is driven by 2 elements: w2n.g, w2n.g");
 }
 
 // ---- W003: element with no recorded edges -------------------------------
@@ -140,9 +157,10 @@ TEST(LintW003, EndpointWithoutNoteEdgeFailsLoudly) {
   sim::Wire& in2 = ok.wire("in");
   sim::Wire& out2 = ok.wire("out");
   ok.mark_env_driven(in2);
-  ok.note_element("w3ok.latch", netlist::ElementKind::kEndpoint);
-  ok.note_edge(in2.name(), "w3ok.latch");
-  ok.note_edge("w3ok.latch", out2.name());
+  const netlist::ElementId latch =
+      ok.note_element("w3ok.latch", netlist::ElementKind::kEndpoint);
+  ok.note_edge(in2, latch);
+  ok.note_edge(latch, out2);
   EXPECT_FALSE(has_rule(analyze(ok), "W003"));
 }
 
@@ -161,6 +179,19 @@ TEST(LintC001, PureCombLoopFlagged) {
   // Deterministic anchor: lexicographically smallest member.
   EXPECT_EQ(w[0]->subject, "c1.inv1");
   EXPECT_EQ(w[0]->members.size(), 2u);
+}
+
+TEST(LintC001, GateNamedLikeItsOutputWireIsNoLoop) {
+  // Gate s.g drives wire s.g: a shared name is not an edge.
+  Fixture f;
+  netlist::Circuit c(f.ctx, "s");
+  sim::Wire& in = c.wire("in");
+  sim::Wire& g = c.wire("g");
+  c.mark_env_driven(in);
+  c.comb("g", gates::Op::kBuf, {&in}, g);
+  const Report r = analyze(c);
+  EXPECT_FALSE(has_rule(r, "C001"));
+  EXPECT_TRUE(r.clean());
 }
 
 TEST(LintC001, CElementInLoopBreaksCycle) {

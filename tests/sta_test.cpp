@@ -208,13 +208,9 @@ TEST(StaT003, RangeWithinFloorPasses) {
 TEST(StaVacuous, BundleWithoutArcsRefusesToPass) {
   Fixture f;
   netlist::Circuit c(f.ctx, "hollow");
-  c.wire("trigger");
-  c.wire("data");
-  netlist::BundleInfo b;
-  b.name = "hollow.bundle";
-  b.trigger = "hollow.trigger";
-  b.targets.push_back("hollow.data");
-  c.note_bundle(b);
+  sim::Wire& trigger = c.wire("trigger");
+  sim::Wire& data = c.wire("data");
+  c.note_bundle("hollow.bundle", trigger, {&data});
   const Analysis a = analyze(c);
   EXPECT_TRUE(a.vacuous);
 
@@ -319,20 +315,24 @@ void expect_arc_matches_simulation(Fixture& f, const netlist::Circuit& c,
                                    double vdd) {
   const netlist::TimingArc* arc = nullptr;
   for (const auto& a : c.timing_arcs()) {
-    if (a.from == in.name() && a.to == out.name()) arc = &a;
+    if (c.wire_infos()[a.from].wire == &in &&
+        c.wire_infos()[a.to].wire == &out) {
+      arc = &a;
+    }
   }
   ASSERT_NE(arc, nullptr) << in.name() << " -> " << out.name();
+  const std::string& via = c.elements()[arc->via].name;
   EdgeClock clock{&f.kernel};
   out.subscribe<&EdgeClock::on_change>(&clock);
   const bool before = out.read();
   in.set(!in.read());
   f.kernel.run_until(sim::kTimeMax);
-  ASSERT_NE(out.read(), before) << arc->via << " never switched";
+  ASSERT_NE(out.read(), before) << via << " never switched";
   // Every builder's gate drives at unit strength, as STA assumes.
   EXPECT_EQ(clock.at,
             f.model.delay(vdd, arc->load * f.model.tech().c_inv,
                           arc->vth_offset, 1.0))
-      << arc->via;
+      << via;
 }
 
 TEST(Netlist, RecordedArcMatchesSimulatedDelay) {

@@ -121,7 +121,7 @@ KEEP = {
     "emc::exp::(anonymous namespace)::throw_type(":
         "error path: ParamSet type-mismatch exception",
     "emc::netlist::to_string(emc::netlist::ElementKind)":
-        "error path: element kind in lint's unknown-element message",
+        "error path: element kind in lint's W003 (zero-edge element) message",
     "emc::exp::ParamError::ParamError(": "error path: exception constructor",
     "emc::exp::ConfigError::ConfigError(": "error path: exception constructor",
     "emc::exp::SchemaError::SchemaError(": "error path: exception constructor",
